@@ -57,8 +57,6 @@ func main() {
 	faultSeed := flag.Int64("faultseed", 42, "seed for the fault-injection sweep (fixes torn-read offsets)")
 	diffFuzz := flag.Int("difffuzz", 0, "run N differential-fuzzing traces (baseline vs Protego) instead of the tables")
 	diffFuzzSeed := flag.Int64("difffuzzseed", 1, "seed for the differential-fuzzing trace generator")
-	fleetN := flag.Int("fleet", 0, "stamp N tenant machines from one golden snapshot and bench clone rate + fleet throughput")
-	fleetOps := flag.Int("fleetops", 30, "workload syscalls per tenant for -fleet")
 	seccompMode := flag.Bool("seccomp", false, "report per-binary syscall attack-surface reduction and gate the enter() prologue overhead (<5%)")
 	vulgenN := flag.Int("vulngen", 0, "generate N misconfigured environments and replay the full CVE corpus inside each")
 	vulgenSeed := flag.Int64("vulngenseed", 1, "seed for the vulnerable-environment generator")
@@ -159,33 +157,6 @@ func main() {
 		if !rep.Clean() {
 			fmt.Fprintf(os.Stderr, "protego-bench: vulngen: %d uncontained escalations across %d environments\n",
 				rep.Uncontained, rep.Environments)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fleetN > 0 {
-		rep, err := bench.RunFleet(*fleetN, *fleetOps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "protego-bench: fleet: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatFleet(rep))
-		if *jsonPath != "" {
-			full, err := bench.ReadReport(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: fleet: read %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			full.Fleet = rep
-			if err := bench.WriteReport(*jsonPath, full); err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: fleet: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("updated %s\n", *jsonPath)
-		}
-		if !rep.Clean() {
-			fmt.Fprintf(os.Stderr, "protego-bench: fleet: %d isolation problems\n", rep.IsolationProblems)
 			os.Exit(1)
 		}
 		return

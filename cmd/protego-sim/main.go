@@ -38,9 +38,10 @@ func main() {
 	script := flag.String("c", "", "run semicolon-separated commands and exit")
 	flag.Parse()
 
-	mode := kernel.ModeProtego
-	if *modeName == "linux" {
-		mode = kernel.ModeLinux
+	mode, err := kernel.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "protego-sim: -mode: %v\n", err)
+		os.Exit(2)
 	}
 	m, err := world.Build(world.Options{Mode: mode})
 	if err != nil {

@@ -63,9 +63,10 @@ func main() {
 		}()
 	}
 
-	mode := kernel.ModeProtego
-	if *modeName == "linux" {
-		mode = kernel.ModeLinux
+	mode, err := kernel.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "protego-trace: -mode: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *profilesOnly {

@@ -18,14 +18,10 @@ type DiffFuzzReport struct {
 	Traces  int     `json:"traces"`
 	Steps   int     `json:"steps"`
 	Seconds float64 `json:"seconds"`
-	// TracesPerSec is the snapshot-clone throughput (each trace stamps a
-	// COW clone pair from the golden images); FreshBootTracesPerSec is
-	// the same workload paying a full world.Build per machine, measured
-	// on a small sample so the report carries the before/after numbers.
+	// TracesPerSec is the snapshot-clone throughput: each trace stamps a
+	// COW clone pair from the golden images.
 	TracesPerSec           float64 `json:"traces_per_sec"`
 	StepsPerSec            float64 `json:"steps_per_sec"`
-	FreshBootTracesPerSec  float64 `json:"fresh_boot_traces_per_sec"`
-	SnapshotSpeedup        float64 `json:"snapshot_speedup"`
 	ExplainedDivergences   int     `json:"explained_divergences"`
 	UnexplainedDivergences int     `json:"unexplained_divergences"`
 	InvariantViolations    int     `json:"invariant_violations"`
@@ -78,30 +74,6 @@ func RunDiffFuzz(n int, seed int64) (*DiffFuzzReport, error) {
 		rep.TracesPerSec = float64(rep.Traces) / rep.Seconds
 		rep.StepsPerSec = float64(rep.Steps) / rep.Seconds
 	}
-
-	// Fresh-boot baseline on a sample of the same trace stream: enough
-	// traces to amortize noise, few enough that the bench stays quick.
-	freshN := n / 10
-	if freshN < 3 {
-		freshN = 3
-	}
-	if freshN > n {
-		freshN = n
-	}
-	fgen := difffuzz.NewGenerator(seed)
-	fstart := time.Now()
-	for i := 0; i < freshN; i++ {
-		tr := fgen.Next()
-		if _, err := difffuzz.Run(tr, difffuzz.Config{FreshBoot: true, SeccompAudit: audit}); err != nil {
-			return nil, fmt.Errorf("fresh-boot trace %d: %v", i, err)
-		}
-	}
-	if secs := time.Since(fstart).Seconds(); secs > 0 {
-		rep.FreshBootTracesPerSec = float64(freshN) / secs
-	}
-	if rep.FreshBootTracesPerSec > 0 {
-		rep.SnapshotSpeedup = rep.TracesPerSec / rep.FreshBootTracesPerSec
-	}
 	return rep, nil
 }
 
@@ -111,8 +83,6 @@ func FormatDiffFuzz(r *DiffFuzzReport) string {
 	b.WriteString("Differential syscall fuzzing (baseline vs Protego, per-step fingerprints)\n")
 	fmt.Fprintf(&b, "  seed=%d traces=%d steps=%d in %.2fs (%.1f traces/s, %.0f steps/s)\n",
 		r.Seed, r.Traces, r.Steps, r.Seconds, r.TracesPerSec, r.StepsPerSec)
-	fmt.Fprintf(&b, "  fresh-boot baseline: %.1f traces/s (snapshot cloning %.1fx faster)\n",
-		r.FreshBootTracesPerSec, r.SnapshotSpeedup)
 	fmt.Fprintf(&b, "  explained (by-design) divergences: %d\n", r.ExplainedDivergences)
 	fmt.Fprintf(&b, "  unexplained divergences: %d\n", r.UnexplainedDivergences)
 	fmt.Fprintf(&b, "  invariant violations: %d\n", r.InvariantViolations)

@@ -35,9 +35,6 @@ type Report struct {
 	// `protego-bench -difffuzz N -json <path>`; absent until that mode
 	// has been run against the report file.
 	DiffFuzz *DiffFuzzReport `json:"difffuzz,omitempty"`
-	// Fleet holds the snapshot-clone and multi-tenant throughput run
-	// recorded by `protego-bench -fleet -json <path>`.
-	Fleet *FleetReport `json:"fleet,omitempty"`
 	// Seccomp holds the syscall-allowlist attack-surface table and the
 	// enter() prologue overhead gate recorded by
 	// `protego-bench -seccomp -json <path>`.

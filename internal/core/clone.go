@@ -20,7 +20,7 @@ import (
 // Parsed policy objects (sudoers, ppp options) are immutable once
 // installed, so the pointers are shared; everything mutable — mount
 // whitelist, bind table, file grants, toggles — is copied. Decision
-// statistics and the identity cache start fresh, giving per-tenant
+// statistics and the identity cache start fresh, giving per-clone
 // counters.
 func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) (*Module, error) {
 	c := New(k, db, auth)

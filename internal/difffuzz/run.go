@@ -22,11 +22,6 @@ type Config struct {
 	// unprivileged mount on the Protego image. Runs with this set MUST
 	// fail; it proves the harness detects a broken policy.
 	BreakMountPolicy bool
-	// FreshBoot builds each machine with world.Build instead of cloning
-	// the cached golden snapshot — the pre-snapshot behavior, kept so the
-	// bench can measure the speedup and so a suspected snapshot bug can
-	// be ruled out by rerunning a reproducer against fresh boots.
-	FreshBoot bool
 	// SeccompAudit, when non-nil, installs the learned syscall profiles
 	// on the Protego image in audit mode and turns any observed
 	// out-of-profile syscall into a "seccomp-profile" violation: the
@@ -94,21 +89,17 @@ type machineCtx struct {
 	secAudit *seccomp.Module
 }
 
-// newMachineCtx boots one image for a trace run. prep, when non-nil, runs
-// after the ablations and before the actor sessions are created — the
-// profiler installs its recorder there, so session-setup syscalls are
-// observed at exactly the point an enforcing module would mediate them.
+// newMachineCtx stamps one image for a trace run from the mode's golden
+// snapshot. prep, when non-nil, runs after the ablations and before the
+// actor sessions are created — the profiler installs its recorder there,
+// so session-setup syscalls are observed at exactly the point an
+// enforcing module would mediate them.
 func newMachineCtx(mode kernel.Mode, cfg Config, prep func(*world.Machine)) (*machineCtx, error) {
-	var m *world.Machine
-	var err error
-	if cfg.FreshBoot {
-		m, err = world.Build(world.Options{Mode: mode})
-	} else {
-		var snap *world.Snapshot
-		if snap, err = goldenSnapshot(mode); err == nil {
-			m, err = snap.Clone()
-		}
+	snap, err := world.Golden(mode)
+	if err != nil {
+		return nil, err
 	}
+	m, err := snap.Clone()
 	if err != nil {
 		return nil, err
 	}

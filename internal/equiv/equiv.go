@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"protego/internal/kernel"
 	"protego/internal/userspace"
@@ -60,32 +59,9 @@ type Outcome struct {
 	State string
 }
 
-// Golden image pair: each mode is booted once, then every scenario runs
-// on a copy-on-write clone. RunAll's cost used to be dominated by the
-// two world.Builds per scenario; now the whole table shares one pair.
-var (
-	goldenMu sync.Mutex
-	goldens  = map[kernel.Mode]*world.Snapshot{}
-)
-
-func goldenSnapshot(mode kernel.Mode) (*world.Snapshot, error) {
-	goldenMu.Lock()
-	defer goldenMu.Unlock()
-	if snap, ok := goldens[mode]; ok {
-		return snap, nil
-	}
-	m, err := world.Build(world.Options{Mode: mode})
-	if err != nil {
-		return nil, err
-	}
-	snap := m.Snapshot()
-	goldens[mode] = snap
-	return snap, nil
-}
-
 // run executes the scenario on a private clone of the mode's golden image.
 func (s *Scenario) run(mode kernel.Mode) (*Outcome, error) {
-	snap, err := goldenSnapshot(mode)
+	snap, err := world.Golden(mode)
 	if err != nil {
 		return nil, err
 	}

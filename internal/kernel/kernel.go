@@ -38,6 +38,17 @@ func (m Mode) String() string {
 	return "linux"
 }
 
+// ParseMode is the inverse of Mode.String: it accepts exactly "linux" or
+// "protego".
+func ParseMode(name string) (Mode, error) {
+	for _, m := range []Mode{ModeLinux, ModeProtego} {
+		if name == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want linux or protego)", name)
+}
+
 // Program is the entry point of a simulated binary. It runs synchronously
 // in the context of the task (exec does not return; the program's return
 // value is the process exit code).

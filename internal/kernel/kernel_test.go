@@ -37,6 +37,22 @@ func userTask(k *Kernel, uid, gid int) *Task {
 	return t
 }
 
+// TestParseMode: both mode names round-trip through String; anything
+// else, case and typos included, is rejected rather than defaulted.
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{ModeLinux, ModeProtego} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"Linux", "lnux", ""} {
+		if got, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", name, got)
+		}
+	}
+}
+
 // --- credentials ---
 
 func TestRootCredsHaveAllCaps(t *testing.T) {

@@ -1,7 +1,7 @@
 package netfilter
 
 // Clone returns a deep copy of the table for machine snapshots: chains
-// and rules are duplicated with zeroed hit counters (per-tenant match
+// and rules are duplicated with zeroed hit counters (per-clone match
 // statistics start fresh). The compiled dispatch index is shared — it is
 // immutable once built (Append replaces it wholesale on whichever side
 // appends), and it only holds rule positions, which are identical in the

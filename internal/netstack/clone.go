@@ -7,7 +7,7 @@ import "maps"
 // the bound-port table are duplicated so the clone's network churn never
 // shows through to the parent. Cloned sockets get fresh queues and no
 // peer link — a cross-machine peer pointer would deliver packets into the
-// wrong tenant. The output filter and link partner are deliberately left
+// wrong machine. The output filter and link partner are deliberately left
 // unset; the owning kernel wires both to the clone's own netfilter table.
 func (s *Stack) Clone() *Stack {
 	s.mu.RLock()

@@ -46,13 +46,12 @@ func Learn() (linux, protego *seccomp.ProfileSet, err error) {
 	}
 
 	// Equiv corpus: every scenario of every utility, each on a private
-	// clone of a profiler-local golden pair (scenarios mutate state).
+	// clone of the mode's golden image (scenarios mutate state).
 	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
-		golden, err := world.Build(world.Options{Mode: mode})
+		snap, err := world.Golden(mode)
 		if err != nil {
 			return nil, nil, fmt.Errorf("profiler: build %s: %w", mode, err)
 		}
-		snap := golden.Snapshot()
 		for _, u := range equiv.Utilities() {
 			scenarios := equiv.Scenarios[u]
 			for i := range scenarios {

@@ -109,7 +109,7 @@ func (p *Profile) Clone() *Profile {
 // binaries. Learning mutates the set (through Observe, serialized by the
 // Recorder); once handed to an enforcing module it must be treated as
 // immutable — enforcement reads it lock-free on every syscall, and clones
-// and fleet tenants share the same set by reference.
+// share the same set by reference.
 type ProfileSet struct {
 	// Mode names the image the set was learned on ("linux"/"protego").
 	Mode string

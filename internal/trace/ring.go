@@ -30,8 +30,8 @@ type ringChunk struct {
 // Slot storage is allocated in chunks on first touch: a tracer that never
 // emits costs a few words, and one that emits a little pays for one chunk,
 // not capacity*sizeof(Event). This is what keeps machine snapshots cheap —
-// every cloned kernel gets its own tracer, and most machines in a big
-// fleet only ever emit a handful of events.
+// every cloned kernel gets its own tracer, and most clones only ever
+// emit a handful of events.
 type Ring struct {
 	capacity int
 	mask     uint64

@@ -61,7 +61,7 @@ func TestRingSnapshotBeforeWrap(t *testing.T) {
 // counter accounts for. Run with -race.
 func TestRingConcurrentWriters(t *testing.T) {
 	const (
-		writers  = 8
+		writers   = 8
 		perWriter = 5000
 	)
 	r := NewRing(1024)

@@ -4,7 +4,7 @@ package vfs
 // tree; Clone then produces a new FS that shares the sealed inodes with
 // its parent. Both sides privatize ("copy up") the sealed inodes along a
 // path before the first mutation, persistent-tree style, so a golden
-// image can be stamped into many tenant machines at a tiny fraction of
+// image can be stamped into many machines at a tiny fraction of
 // the cost of rebuilding one.
 //
 // Sealing is one-way and race-free by construction: a sealed directory

@@ -16,9 +16,9 @@ import (
 // lets bob write.
 type userCred struct{ uid, gid int }
 
-func (c userCred) FSUID() int          { return c.uid }
-func (c userCred) FSGID() int          { return c.gid }
-func (c userCred) InGroup(g int) bool  { return g == c.gid }
+func (c userCred) FSUID() int            { return c.uid }
+func (c userCred) FSGID() int            { return c.gid }
+func (c userCred) InGroup(g int) bool    { return g == c.gid }
 func (c userCred) Capable(caps.Cap) bool { return false }
 
 var bobCred = userCred{uid: world.UIDBob, gid: world.GIDUsers}

@@ -3,6 +3,7 @@ package vulngen
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"protego/internal/exploits"
@@ -19,6 +20,7 @@ func TestRegressionScenarios(t *testing.T) {
 	if len(files) < int(shapeCount) {
 		t.Fatalf("found %d committed scenarios, want at least one per shape (%d)", len(files), shapeCount)
 	}
+	var mu sync.Mutex // the subtests run in parallel
 	seen := map[Shape]bool{}
 	corpus := exploits.ClassRepresentatives()
 	for _, f := range files {
@@ -33,7 +35,9 @@ func TestRegressionScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			mu.Lock()
 			seen[sc.Shape] = true
+			mu.Unlock()
 			res, err := ReplayScenario(sc, corpus, Config{})
 			if err != nil {
 				t.Fatal(err)

@@ -15,11 +15,10 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 func BenchmarkClone(b *testing.B) {
-	m, err := Build(Options{Mode: kernel.ModeProtego})
+	snap, err := Golden(kernel.ModeProtego)
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := m.Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := snap.Clone(); err != nil {

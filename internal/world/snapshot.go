@@ -26,9 +26,6 @@ func (m *Machine) Snapshot() *Snapshot {
 	return &Snapshot{src: m}
 }
 
-// Machine returns the golden machine backing the snapshot.
-func (s *Snapshot) Machine() *Machine { return s.src }
-
 // Clone builds an independent machine from the snapshot. The kernel,
 // task table, credentials, netstack, and netfilter table are deep-copied;
 // the file system is shared copy-on-write; the LSM stack (AppArmor, and

@@ -6,14 +6,17 @@ import (
 	"sync"
 	"testing"
 
+	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
+	"protego/internal/userspace"
 	"protego/internal/vfs"
 )
 
-// TestSnapshotFingerprintEquality is the tentpole guarantee: a fresh
+// TestSnapshotFingerprintEquality is the snapshot guarantee: a fresh
 // clone is indistinguishable from its parent under the canonical
-// fingerprint, in both modes.
+// fingerprint, and a clone of the golden image from a fresh Build, in
+// both modes.
 func TestSnapshotFingerprintEquality(t *testing.T) {
 	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -29,6 +32,19 @@ func TestSnapshotFingerprintEquality(t *testing.T) {
 			pf, cf := parent.Fingerprint(), clone.Fingerprint()
 			if pf != cf {
 				t.Fatalf("parent/clone fingerprints diverge:\n%s", firstDiff(pf, cf))
+			}
+			// parent is a fresh Build, so a clone of the shared golden
+			// image must match it too.
+			golden, err := Golden(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stamped, err := golden.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gf := stamped.Fingerprint(); gf != pf {
+				t.Fatalf("fresh build/golden clone fingerprints diverge:\n%s", firstDiff(pf, gf))
 			}
 		})
 	}
@@ -348,61 +364,163 @@ func TestCloneTraceIsolation(t *testing.T) {
 	}
 }
 
-// TestConcurrentClones exercises concurrent stamping and mutation from
-// one snapshot; run under -race this is the data-race gate for the COW
-// machinery.
+// TestConcurrentClones stamps 16 clones concurrently from one snapshot
+// of each image and runs a mixed workload on every clone at once: an
+// alice-owned marker file, an append to the shared /etc/motd, a
+// whitelisted user mount, a UDP bind of the same port everywhere,
+// fork+exit, a utility run, and on the seccomp image a kill its profile
+// forbids. Afterwards every clone must see only its own marker, in /tmp
+// and in its motd, and still own its session pid, and the parent's
+// fingerprint must not have moved. Run under -race this is the data-race
+// gate for the COW machinery.
 func TestConcurrentClones(t *testing.T) {
-	parent, err := BuildProtego()
-	if err != nil {
-		t.Fatal(err)
+	images := []struct {
+		name string
+		opts Options
+	}{
+		{"linux", Options{Mode: kernel.ModeLinux}},
+		{"protego", Options{Mode: kernel.ModeProtego}},
+		{"protego-seccomp", Options{Mode: kernel.ModeProtego, SeccompProfiles: restrictedInitSet(kernel.SysKill)}},
 	}
-	base := parent.Fingerprint()
-	snap := parent.Snapshot()
-	const n = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			m, err := snap.Clone()
+	for _, img := range images {
+		t.Run(img.name, func(t *testing.T) {
+			parent, err := Build(img.opts)
 			if err != nil {
-				errs <- err
+				t.Fatal(err)
+			}
+			base := parent.Fingerprint()
+			snap := parent.Snapshot()
+			const n = 16
+			marker := func(id int) string { return fmt.Sprintf("/tmp/tenant-%d", id) }
+			clones := make([]*Machine, n)
+			sessions := make([]*kernel.Task, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					m, err := snap.Clone()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sess, err := m.Session("alice")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := cloneWorkload(m, sess, marker(id)); err != nil {
+						t.Errorf("clone %d: %v", id, err)
+						return
+					}
+					clones[id], sessions[id] = m, sess
+				}(i)
+			}
+			wg.Wait()
+			if t.Failed() {
 				return
 			}
-			marker := fmt.Sprintf("/tmp/tenant-%d", id)
-			if err := m.K.FS.WriteFile(vfs.RootCred, marker, []byte("x"), 0o644, 0, 0); err != nil {
-				errs <- err
-				return
-			}
-			if err := m.K.FS.AppendFile(vfs.RootCred, "/etc/motd", []byte("hi\n")); err != nil {
-				errs <- err
-				return
-			}
-			sess, err := m.Session("alice")
-			if err != nil {
-				errs <- err
-				return
-			}
-			if code, _, serr, err := m.Run(sess, []string{"/usr/bin/id"}, nil); err != nil || code != 0 {
-				errs <- fmt.Errorf("id: code=%d err=%v stderr=%s", code, err, serr)
-				return
-			}
-			for j := 0; j < n; j++ {
-				if j != id && m.K.FS.Exists(vfs.RootCred, fmt.Sprintf("/tmp/tenant-%d", j)) {
-					errs <- fmt.Errorf("tenant %d sees tenant %d's marker", id, j)
-					return
+			for id, m := range clones {
+				for j := 0; j < n; j++ {
+					if got := m.K.FS.Exists(vfs.RootCred, marker(j)); got != (j == id) {
+						t.Errorf("clone %d: marker of clone %d present=%v", id, j, got)
+					}
+				}
+				motd, err := m.K.FS.ReadFile(vfs.RootCred, "/etc/motd")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < n; j++ {
+					want := 0
+					if j == id {
+						want = 1
+					}
+					if got := strings.Count(string(motd), marker(j)+"\n"); got != want {
+						t.Errorf("clone %d: motd holds clone %d's line %d times, want %d", id, j, got, want)
+					}
+				}
+				if m.K.Task(sessions[id].PID()) != sessions[id] {
+					t.Errorf("clone %d: task table does not own session pid %d", id, sessions[id].PID())
 				}
 			}
-		}(i)
+			if got := parent.Fingerprint(); got != base {
+				t.Fatalf("parent fingerprint changed under concurrent clones:\n%s", firstDiff(base, got))
+			}
+		})
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+}
+
+// cloneWorkload is one clone's share of TestConcurrentClones.
+func cloneWorkload(m *Machine, sess *kernel.Task, marker string) error {
+	k := m.K
+	if err := k.WriteFile(sess, marker, []byte(marker)); err != nil {
+		return fmt.Errorf("marker: %w", err)
 	}
-	if got := parent.Fingerprint(); got != base {
-		t.Fatalf("parent fingerprint changed under concurrent clones:\n%s", firstDiff(base, got))
+	// Every clone copies up the same sealed golden file at once.
+	if err := k.FS.AppendFile(vfs.RootCred, "/etc/motd", []byte(marker+"\n")); err != nil {
+		return fmt.Errorf("motd append: %w", err)
+	}
+	// Whitelisted in fstab ("/dev/sdb1 /media/usb vfat rw,users,noauto"):
+	// granted in-kernel on Protego, root-only on the baseline.
+	err := k.Mount(sess, "/dev/sdb1", "/media/usb", "vfat", []string{"rw", "nosuid", "nodev"})
+	switch {
+	case m.Protego == nil && !errno.Is(err, errno.EPERM):
+		return fmt.Errorf("baseline user mount: err=%v, want EPERM", err)
+	case m.Protego != nil && err != nil:
+		return fmt.Errorf("whitelisted mount: %w", err)
+	case err == nil:
+		if err := k.Umount(sess, "/media/usb"); err != nil {
+			return fmt.Errorf("umount: %w", err)
+		}
+	}
+	// The same port in every clone: a shared netstack would refuse all
+	// but the first bind.
+	sock, err := k.Socket(sess, netstack.AF_INET, netstack.SOCK_DGRAM, netstack.IPPROTO_UDP)
+	if err != nil {
+		return fmt.Errorf("socket: %w", err)
+	}
+	if err := k.Bind(sess, sock, 8080); err != nil {
+		return fmt.Errorf("bind 8080: %w", err)
+	}
+	k.Exit(k.Fork(sess), 0)
+	if code, _, stderr, err := m.Run(sess, []string{userspace.BinID}, nil); err != nil || code != 0 {
+		return fmt.Errorf("id: code=%d err=%v stderr=%s", code, err, stderr)
+	}
+	if m.Seccomp != nil {
+		// Sessions fork from init without exec-ing, so init's profile,
+		// which forbids kill, governs them.
+		if err := k.Kill(sess, sess.PID(), 15); !errno.Is(err, errno.ENOSYS) {
+			return fmt.Errorf("kill under seccomp: err=%v, want ENOSYS", err)
+		}
+	}
+	return nil
+}
+
+// TestCloneAllocs: stamping a machine from the golden image must cost at
+// most a tenth of the allocations of a fresh Build. Allocation counts are
+// deterministic, unlike a wall-clock clone-rate ratio.
+func TestCloneAllocs(t *testing.T) {
+	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+		t.Run(mode.String(), func(t *testing.T) {
+			snap, err := Golden(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := testing.AllocsPerRun(3, func() {
+				if _, err := Build(Options{Mode: mode}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			clone := testing.AllocsPerRun(10, func() {
+				if _, err := snap.Clone(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("allocs: clone %.0f, build %.0f", clone, build)
+			if clone*10 > build {
+				t.Fatalf("clone allocates %.0f, more than a tenth of Build's %.0f", clone, build)
+			}
+		})
 	}
 }
 

@@ -71,7 +71,7 @@ type Options struct {
 	// allowlists as the last LSM module and arms the kernel's syscall
 	// gate, so every syscall entry is checked against the issuing
 	// binary's profile. The set must not be mutated after Build; clones
-	// and fleet tenants share it by reference.
+	// share it by reference.
 	SeccompProfiles *seccomp.ProfileSet
 	// SeccompAudit makes the installed profiles record violations
 	// instead of denying (the difffuzz invariant configuration).
