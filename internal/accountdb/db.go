@@ -162,23 +162,45 @@ func (db *DB) GroupIDsOf(user string) ([]int, error) {
 // fragmented per-user file first and falling back to the legacy shared
 // shadow file.
 func (db *DB) ShadowHash(user string) (string, error) {
+	var legacy legacyShadow
+	return legacy.hash(db, user)
+}
+
+// ShadowHashes returns a lookup with ShadowHash's answers that reads and
+// parses the legacy shadow file at most once, for a caller resolving many
+// users against one state of the databases.
+func (db *DB) ShadowHashes() func(user string) (string, error) {
+	legacy := &legacyShadow{}
+	return func(user string) (string, error) { return legacy.hash(db, user) }
+}
+
+// legacyShadow is the shared shadow file, read on first use.
+type legacyShadow struct {
+	read    bool
+	entries []ShadowEntry
+	err     error
+}
+
+func (s *legacyShadow) hash(db *DB, user string) (string, error) {
 	if data, err := db.fs.ReadFile(vfs.RootCred, ShadowsDir+"/"+user); err == nil {
 		entries, perr := ParseShadow(string(data))
 		if perr == nil && len(entries) == 1 {
 			return entries[0].Hash, nil
 		}
 	}
-	data, err := db.fs.ReadFile(vfs.RootCred, ShadowFile)
-	if err != nil {
-		return "", err
+	if !s.read {
+		s.read = true
+		var data []byte
+		if data, s.err = db.fs.ReadFile(vfs.RootCred, ShadowFile); s.err == nil {
+			s.entries, s.err = ParseShadow(string(data))
+		}
 	}
-	entries, err := ParseShadow(string(data))
-	if err != nil {
-		return "", err
+	if s.err != nil {
+		return "", s.err
 	}
-	for i := range entries {
-		if entries[i].Name == user {
-			return entries[i].Hash, nil
+	for i := range s.entries {
+		if s.entries[i].Name == user {
+			return s.entries[i].Hash, nil
 		}
 	}
 	return "", errno.ENOENT

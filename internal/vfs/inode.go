@@ -71,13 +71,21 @@ type Inode struct {
 	// Times, maintained on modification.
 	Atime, Mtime, Ctime time.Time
 
-	// mu guards Data for concurrent file IO on the same inode.
+	// mu guards Data for concurrent file IO on the same inode, and the
+	// digest cache below.
 	mu sync.Mutex
 
 	// sealed marks an inode frozen into a copy-on-write snapshot: it may
 	// be shared between file systems and must be privatized (copied up)
 	// before any mutation. One-way; private copies start unsealed.
 	sealed atomic.Bool
+
+	// digest caches a sealed inode's subtree digest, computed at
+	// digestPath (see FS.DigestTree). Private inodes never set it, and
+	// cowCopy does not copy it, so the key string is allocated once per
+	// frozen inode, not per clone.
+	digestPath string
+	digest     uint64
 }
 
 // Sealed reports whether the inode belongs to a frozen snapshot and must

@@ -1,21 +1,28 @@
 package world
 
 import (
-	"fmt"
-	"hash/fnv"
+	"encoding/binary"
 	"sort"
+	"strconv"
 	"strings"
 
 	"protego/internal/accountdb"
+	"protego/internal/errno"
+	"protego/internal/netstack"
 	"protego/internal/vfs"
 )
 
-// Fingerprint serializes the machine's observable state into one canonical
-// string, designed so a freshly built baseline image and a freshly built
-// Protego image produce the *same* fingerprint, and stay equal as long as
-// identical workloads have identical effects. It is the single state
-// serializer shared by the equivalence corpus (internal/equiv) and the
-// differential fuzzer (internal/difffuzz).
+// Digest is a fixed-size digest of a machine's observable state; see
+// Machine.Fingerprint.
+type Digest uint64
+
+// FingerprintText renders the machine's observable state as one canonical
+// text, designed so a freshly built baseline image and a freshly built
+// Protego image render the *same* text, and stay equal as long as
+// identical workloads have identical effects. It is the reference form of
+// the state comparison shared by the equivalence corpus (internal/equiv)
+// and the differential fuzzer (internal/difffuzz), and the form their
+// failure reports show (see DiffText); Fingerprint is its digest.
 //
 // Sections, in order: live-task credentials (a sorted multiset — pids are
 // excluded because the two images may fork different child counts inside a
@@ -42,106 +49,223 @@ import (
 //     eradication IS the system under test (Table 1).
 //   - /dev/ppp permission bits are masked (0600 baseline vs 0666 Protego,
 //     the §4.1.2 relaxation).
-func (m *Machine) Fingerprint() string {
-	// Converge the Protego-only fragment tree into the legacy account files
-	// first, mirroring what the monitoring daemon does continuously.
-	if m.Monitor != nil {
-		_ = m.Monitor.SyncAccountsFromFragments()
-	}
-
+func (m *Machine) FingerprintText() string {
+	m.convergeAccounts()
+	l := newLines(true)
 	var b strings.Builder
-
 	b.WriteString("[tasks]\n")
-	var taskLines []string
-	for _, t := range m.K.Tasks() {
-		c := t.Creds()
-		groups := append([]int(nil), c.Groups...)
-		sort.Ints(groups)
-		taskLines = append(taskLines, fmt.Sprintf(
-			"uid=%d/%d/%d/%d gid=%d/%d/%d/%d groups=%v caps=%d/%d",
-			c.RUID, c.EUID, c.SUID, c.FUID,
-			c.RGID, c.EGID, c.SGID, c.FGID,
-			groups, uint64(c.Effective), uint64(c.Permitted)))
-	}
-	sort.Strings(taskLines)
-	for _, l := range taskLines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
+	l.tasks(m)
+	l.writeSorted(&b)
 
 	b.WriteString("[vfs]\n")
-	m.K.FS.Walk(func(path string, ino *vfs.Inode) bool {
-		if fingerprintSkip[path] {
-			return false
+	var path []byte
+	m.K.FS.Walk(func(p string, ino *vfs.Inode) bool {
+		path = append(path[:0], p...)
+		line, ok := appendInode(l.buf, path, ino)
+		l.buf = line[:0]
+		if ok {
+			b.Write(line)
+			b.WriteByte('\n')
 		}
-		mode := ino.Mode
-		switch {
-		case setuidBinaries[path]:
-			mode &^= vfs.ModeSetuid | vfs.ModeSetgid
-		case path == "/dev/ppp":
-			mode &^= vfs.ModeMask
-		}
-		fmt.Fprintf(&b, "%s %o %d:%d", path, uint32(mode), ino.UID, ino.GID)
-		switch {
-		case ino.IsProc():
-			// Synthetic files have dynamic contents; identity only.
-		case mode.IsDevice():
-			fmt.Fprintf(&b, " dev=%d,%d", ino.Major, ino.Minor)
-		case mode.IsSymlink():
-			fmt.Fprintf(&b, " -> %s", string(ino.Data))
-		case mode.IsRegular() && !fingerprintSemanticContent[path]:
-			h := fnv.New64a()
-			h.Write(ino.Data)
-			fmt.Fprintf(&b, " len=%d hash=%x", len(ino.Data), h.Sum64())
-		}
-		b.WriteByte('\n')
-		return true
+		return ok
 	})
 
 	b.WriteString("[accounts]\n")
-	writeAccounts(&b, m)
-
+	l.users(m)
+	l.writeSorted(&b)
+	l.groups(m)
+	l.writeSorted(&b)
 	b.WriteString("[mounts]\n")
 	b.WriteString(m.K.FS.FormatMtab())
-
 	b.WriteString("[ports]\n")
-	for _, p := range m.K.Net.BoundPorts() {
-		fmt.Fprintf(&b, "%d/%d uid=%d\n", p.Proto, p.Port, p.OwnerUID)
-	}
-
+	l.ports(m)
+	l.writeSorted(&b)
 	b.WriteString("[routes]\n")
-	var routeLines []string
-	for _, r := range m.K.Net.Routes() {
-		routeLines = append(routeLines, r.String())
-	}
-	sort.Strings(routeLines)
-	for _, l := range routeLines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-
+	l.routes(m)
+	l.writeSorted(&b)
 	b.WriteString("[ifaces]\n")
-	var ifaceLines []string
-	for _, iface := range m.K.Net.Ifaces() {
-		var params []string
-		for k, v := range iface.Params {
-			params = append(params, k+"="+v)
-		}
-		sort.Strings(params)
-		ifaceLines = append(ifaceLines, fmt.Sprintf("%s up=%v inuse=%v owner=%d params=%v",
-			iface.Name, iface.Up, iface.InUse, iface.Owner, params))
-	}
-	sort.Strings(ifaceLines)
-	for _, l := range ifaceLines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-
+	l.ifaces(m)
+	l.writeSorted(&b)
 	return b.String()
 }
 
+// Fingerprint returns a digest of the state FingerprintText renders. Two
+// digests are equal exactly when the two renderings are, up to 64-bit
+// hash collisions, because the digest hashes the very lines the rendering
+// is made of: a section the text sorts becomes the sum of its lines'
+// hashes, which needs no sorting, and the mount table, whose order
+// matters, is hashed whole.
+//
+// It is cheap where FingerprintText is not. No line becomes a string. The
+// VFS section is vfs.FS.DigestTree, where sealed inodes keep their
+// subtree's sum, so a clone of a golden image rehashes only what it has
+// copied up. The accounts section is kept per snapshot while a clone's
+// account files are still the snapshot's sealed inodes.
+func (m *Machine) Fingerprint() Digest {
+	pristine := m.convergeAccounts()
+	l := newLines(false)
+	l.tasks(m)
+	d := mix64(l.flush())
+	d = mix64(d ^ m.K.FS.DigestTree(l.inodeHash))
+	d = mix64(d ^ m.accountsSum(l, pristine))
+	d = mix64(d ^ fnv64a(m.K.FS.FormatMtab()))
+	l.ports(m)
+	d = mix64(d ^ l.flush())
+	l.routes(m)
+	d = mix64(d ^ l.flush())
+	l.ifaces(m)
+	return Digest(mix64(d ^ l.flush()))
+}
+
+// DiffText reports the lines in which two FingerprintText renderings a and
+// b differ, one per line, each prefixed with the label of the side that
+// has it. Lines are counted, not compared as sets: the [tasks] section
+// holds one line per task, so two identical tasks against one differ by
+// one line.
+func DiffText(a, b, aLabel, bLabel string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	surplus := make(map[string]int, len(al))
+	for _, line := range al {
+		surplus[line]++
+	}
+	for _, line := range bl {
+		surplus[line]--
+	}
+	width := max(len(aLabel), len(bLabel)) + 1
+	var out strings.Builder
+	emit := func(label, line string) {
+		out.WriteString("  ")
+		out.WriteString(label)
+		out.WriteByte(':')
+		out.WriteString(strings.Repeat(" ", width-len(label)))
+		out.WriteString(line)
+		out.WriteByte('\n')
+	}
+	for _, line := range al {
+		if surplus[line] > 0 {
+			surplus[line]--
+			emit(aLabel, line)
+		}
+	}
+	for _, line := range bl {
+		if surplus[line] < 0 {
+			surplus[line]++
+			emit(bLabel, line)
+		}
+	}
+	return out.String()
+}
+
+// lines collects the lines of one fingerprint section from the encoders
+// below, as text for FingerprintText or as the sum of their hashes for
+// Fingerprint, so the two forms cannot disagree on what a section holds.
+type lines struct {
+	buf  []byte // the line being encoded, in room at first
+	room [128]byte
+	keep bool // collect text instead of summing hashes
+	text []string
+	sum  uint64
+}
+
+func newLines(keep bool) *lines {
+	l := &lines{keep: keep}
+	l.buf = l.room[:0]
+	return l
+}
+
+// end completes the line in buf.
+func (l *lines) end() {
+	if l.keep {
+		l.text = append(l.text, string(l.buf))
+	} else {
+		l.sum += lineHash(l.buf)
+	}
+	l.buf = l.buf[:0]
+}
+
+// flush returns the section's digest and starts the next section.
+func (l *lines) flush() uint64 {
+	s := l.sum
+	l.sum = 0
+	return s
+}
+
+// writeSorted writes the section's text lines in sorted order and starts
+// the next section.
+func (l *lines) writeSorted(b *strings.Builder) {
+	sort.Strings(l.text)
+	for _, s := range l.text {
+		b.WriteString(s)
+		b.WriteByte('\n')
+	}
+	l.text = l.text[:0]
+}
+
+// tasks encodes one line per live task: its credentials, with the
+// supplementary groups sorted.
+func (l *lines) tasks(m *Machine) {
+	for _, t := range m.K.Tasks() {
+		c := t.Creds() // a private copy, so its groups can be sorted in place
+		sort.Ints(c.Groups)
+		b := append(l.buf, "uid="...)
+		b = appendInts(b, '/', c.RUID, c.EUID, c.SUID, c.FUID)
+		b = append(b, " gid="...)
+		b = appendInts(b, '/', c.RGID, c.EGID, c.SGID, c.FGID)
+		b = append(b, " groups=["...)
+		b = appendInts(b, ' ', c.Groups...)
+		b = append(b, "] caps="...)
+		b = strconv.AppendUint(b, uint64(c.Effective), 10)
+		b = append(b, '/')
+		l.buf = strconv.AppendUint(b, uint64(c.Permitted), 10)
+		l.end()
+	}
+}
+
+// inodeHash is the DigestTree leaf: the hash of the inode's [vfs] line.
+func (l *lines) inodeHash(path []byte, ino *vfs.Inode) (uint64, bool) {
+	line, ok := appendInode(l.buf, path, ino)
+	l.buf = line[:0]
+	return lineHash(line), ok
+}
+
+// appendInode appends the [vfs] line of ino, found at path, to b, or
+// reports false when the inode and its subtree are left out.
+func appendInode(b, path []byte, ino *vfs.Inode) ([]byte, bool) {
+	if fingerprintSkip[string(path)] {
+		return b, false
+	}
+	mode := ino.Mode
+	switch {
+	case setuidBinaries[string(path)]:
+		mode &^= vfs.ModeSetuid | vfs.ModeSetgid
+	case string(path) == "/dev/ppp":
+		mode &^= vfs.ModeMask
+	}
+	b = append(b, path...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(mode), 8)
+	b = append(b, ' ')
+	b = appendInts(b, ':', ino.UID, ino.GID)
+	switch {
+	case ino.IsProc():
+		// Synthetic files have dynamic contents; identity only.
+	case mode.IsDevice():
+		b = append(b, " dev="...)
+		b = appendInts(b, ',', ino.Major, ino.Minor)
+	case mode.IsSymlink():
+		b = append(b, " -> "...)
+		b = append(b, ino.Data...)
+	case mode.IsRegular() && !fingerprintSemanticContent[string(path)]:
+		b = append(b, " len="...)
+		b = strconv.AppendInt(b, int64(len(ino.Data)), 10)
+		b = append(b, " hash="...)
+		b = strconv.AppendUint(b, fnv64a(ino.Data), 16)
+	}
+	return b, true
+}
+
 // fingerprintSkip prunes subtrees that exist on only one image or that hold
-// by-design bookkeeping differences (see Fingerprint).
+// by-design bookkeeping differences (see FingerprintText).
 var fingerprintSkip = map[string]bool{
 	"/proc":              true,
 	"/var/run/sudo":      true,
@@ -159,45 +283,255 @@ var fingerprintSemanticContent = map[string]bool{
 	accountdb.GroupFile:  true,
 }
 
-// writeAccounts serializes the parsed account databases in sorted order.
-// Read errors are folded into the fingerprint itself: a missing or corrupt
-// database is observable state, and must diverge rather than be skipped.
-func writeAccounts(b *strings.Builder, m *Machine) {
+// users encodes the parsed passwd database, one line per user with the
+// password hash it resolves to. Read errors are lines of their own: a
+// missing or corrupt database is observable state, and must diverge
+// rather than be skipped.
+func (l *lines) users(m *Machine) {
 	users, err := m.DB.Users()
 	if err != nil {
-		fmt.Fprintf(b, "users-error: %v\n", err)
-	} else {
-		lines := make([]string, 0, len(users))
-		for i := range users {
-			u := &users[i]
-			hash, herr := m.DB.ShadowHash(u.Name)
-			if herr != nil {
-				hash = fmt.Sprintf("shadow-error:%v", herr)
-			}
-			lines = append(lines, fmt.Sprintf("user %s:%d:%d:%s:%s:%s shadow=%s",
-				u.Name, u.UID, u.GID, u.Gecos, u.Home, u.Shell, hash))
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
-	}
-	groups, err := m.DB.Groups()
-	if err != nil {
-		fmt.Fprintf(b, "groups-error: %v\n", err)
+		l.buf = append(append(l.buf, "users-error: "...), err.Error()...)
+		l.end()
 		return
 	}
-	lines := make([]string, 0, len(groups))
+	shadow := m.DB.ShadowHashes()
+	for i := range users {
+		u := &users[i]
+		b := append(l.buf, "user "...)
+		b = append(b, u.Name...)
+		b = append(b, ':')
+		b = appendInts(b, ':', u.UID, u.GID)
+		for _, f := range [...]string{u.Gecos, u.Home, u.Shell} {
+			b = append(append(b, ':'), f...)
+		}
+		b = append(b, " shadow="...)
+		if hash, herr := shadow(u.Name); herr != nil {
+			b = append(append(b, "shadow-error:"...), herr.Error()...)
+		} else {
+			b = append(b, hash...)
+		}
+		l.buf = b
+		l.end()
+	}
+}
+
+// groups encodes the parsed group database, one line per group, like
+// users.
+func (l *lines) groups(m *Machine) {
+	groups, err := m.DB.Groups()
+	if err != nil {
+		l.buf = append(append(l.buf, "groups-error: "...), err.Error()...)
+		l.end()
+		return
+	}
 	for i := range groups {
 		g := &groups[i]
-		members := append([]string(nil), g.Members...)
-		sort.Strings(members)
-		lines = append(lines, fmt.Sprintf("group %s:%d:%s:%v", g.Name, g.GID, g.Password, members))
+		sort.Strings(g.Members) // freshly parsed, so sorted in place
+		b := append(l.buf, "group "...)
+		b = append(b, g.Name...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(g.GID), 10)
+		b = append(b, ':')
+		b = append(b, g.Password...)
+		b = append(b, ":["...)
+		for j, name := range g.Members {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, name...)
+		}
+		l.buf = append(b, ']')
+		l.end()
 	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
+}
+
+// ports encodes one line per bound (protocol, port) with its owner.
+func (l *lines) ports(m *Machine) {
+	for _, p := range m.K.Net.BoundPorts() {
+		b := appendInts(l.buf, '/', p.Proto, p.Port)
+		b = append(b, " uid="...)
+		l.buf = strconv.AppendInt(b, int64(p.OwnerUID), 10)
+		l.end()
 	}
+}
+
+// routes encodes one line per route, in the form of Route.String.
+func (l *lines) routes(m *Machine) {
+	for _, r := range m.K.Net.Routes() {
+		b := appendIP(l.buf, r.Dest)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(r.PrefixLen), 10)
+		b = append(b, " via "...)
+		b = appendIP(b, r.Gateway)
+		b = append(b, " dev "...)
+		b = append(b, r.Iface...)
+		b = append(b, " metric "...)
+		l.buf = strconv.AppendInt(b, int64(r.Metric), 10)
+		l.end()
+	}
+}
+
+// ifaces encodes one line per interface, with its session parameters
+// sorted.
+func (l *lines) ifaces(m *Machine) {
+	var params []string
+	for _, iface := range m.K.Net.Ifaces() {
+		params = params[:0]
+		for k, v := range iface.Params {
+			params = append(params, k+"="+v)
+		}
+		sort.Strings(params)
+		b := append(l.buf, iface.Name...)
+		b = append(b, " up="...)
+		b = strconv.AppendBool(b, iface.Up)
+		b = append(b, " inuse="...)
+		b = strconv.AppendBool(b, iface.InUse)
+		b = append(b, " owner="...)
+		b = strconv.AppendInt(b, int64(iface.Owner), 10)
+		b = append(b, " params=["...)
+		for i, p := range params {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, p...)
+		}
+		l.buf = append(b, ']')
+		l.end()
+	}
+}
+
+func appendInts(b []byte, sep byte, vs ...int) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
+}
+
+func appendIP(b []byte, ip netstack.IP) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return b
+}
+
+// lineHash hashes a line eight bytes at a time into a well-mixed 64-bit
+// value, so that sums of line hashes behave as multiset hashes.
+func lineHash(line []byte) uint64 {
+	h := mix64(uint64(len(line)))
+	for ; len(line) >= 8; line = line[8:] {
+		h = mix64(h ^ binary.LittleEndian.Uint64(line))
+	}
+	var tail uint64
+	for i, c := range line {
+		tail |= uint64(c) << (8 * i)
+	}
+	return mix64(h ^ tail)
+}
+
+// fnv64a is 64-bit FNV-1a, the content hash the [vfs] lines show.
+func fnv64a[T string | []byte](s T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// mix64 is the MurmurHash3 finalizer, a bijection that makes every input
+// bit affect every output bit.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// accountFilePaths are the account files: the legacy databases the
+// [accounts] section reads, and the fragment trees the Protego sync
+// converges into them (ShadowHash also reads the shadow fragments).
+var accountFilePaths = [...]string{
+	accountdb.PasswdFile, accountdb.ShadowFile, accountdb.GroupFile,
+	accountdb.PasswdsDir, accountdb.ShadowsDir, accountdb.GroupsDir,
+}
+
+// accountFiles resolves accountFilePaths into inos, nil where a path does
+// not exist, and reports false if a lookup failed for any other reason.
+func (m *Machine) accountFiles(inos []*vfs.Inode) bool {
+	for i, p := range accountFilePaths {
+		ino, err := m.K.FS.Lookup(vfs.RootCred, p)
+		if err != nil && !errno.Is(err, errno.ENOENT) {
+			return false
+		}
+		inos[i] = ino
+	}
+	return true
+}
+
+// pristineAccounts reports whether the account files all still resolve to
+// the inodes the snapshot froze. Those never change, and nothing below a
+// sealed directory does either, so whatever reads only them gives the
+// same result in every such clone. (The image's account files are no
+// symlinks and hold none, so no read leads elsewhere.) They all live in
+// /etc, so a clone whose /etc is still the frozen one needs no more
+// lookups.
+func (m *Machine) pristineAccounts() bool {
+	s := m.image
+	if s == nil || s.etc == nil {
+		return false
+	}
+	if etc, err := m.K.FS.Lookup(vfs.RootCred, "/etc"); err == nil && etc == s.etc {
+		return true
+	}
+	var now [len(accountFilePaths)]*vfs.Inode
+	return m.accountFiles(now[:]) && now == s.accountFiles
+}
+
+// convergeAccounts converges the Protego-only fragment tree into the
+// legacy account files first, mirroring what the monitoring daemon does
+// continuously. The sync is skipped on a clone whose account files are
+// still the snapshot's, once a sync has found those converged: it would
+// rewrite nothing. It reports whether the files are pristine afterwards.
+func (m *Machine) convergeAccounts() bool {
+	pristine := m.pristineAccounts()
+	if m.Monitor == nil || pristine && m.image.converged.Load() {
+		return pristine
+	}
+	err := m.Monitor.SyncAccountsFromFragments()
+	if !pristine {
+		return false // a sync only ever writes private copies
+	}
+	// A sync that rewrote a file copied it up; one that did not left the
+	// snapshot's files as they are, converged.
+	pristine = m.pristineAccounts()
+	if err == nil && pristine {
+		m.image.converged.Store(true)
+	}
+	return pristine
+}
+
+// accountsSum is the digest of the [accounts] section. A clone whose
+// account files are pristine shares it with every such clone, so the
+// snapshot keeps it.
+func (m *Machine) accountsSum(l *lines, pristine bool) uint64 {
+	if pristine {
+		s := m.image
+		s.accountsOnce.Do(func() {
+			l.users(m)
+			l.groups(m)
+			s.accounts = l.flush()
+		})
+		return s.accounts
+	}
+	l.users(m)
+	l.groups(m)
+	return l.flush()
 }

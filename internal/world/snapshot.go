@@ -2,11 +2,14 @@ package world
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"protego/internal/accountdb"
 	"protego/internal/authsvc"
 	"protego/internal/monitord"
 	"protego/internal/seccomp"
+	"protego/internal/vfs"
 )
 
 // Snapshot is a frozen golden image of a machine. Clone stamps out
@@ -16,6 +19,18 @@ import (
 // copied up before the first write).
 type Snapshot struct {
 	src *Machine
+
+	// etc and accountFiles are the frozen inodes at /etc and at
+	// accountFilePaths; etc is nil if they could not be resolved.
+	// converged records that a clone's account sync found them
+	// converged, and accounts is the [accounts] section digest of a clone
+	// that still has them, computed once (see convergeAccounts and
+	// accountsSum).
+	etc          *vfs.Inode
+	accountFiles [len(accountFilePaths)]*vfs.Inode
+	converged    atomic.Bool
+	accountsOnce sync.Once
+	accounts     uint64
 }
 
 // Snapshot freezes the machine's file system and returns a handle for
@@ -23,7 +38,11 @@ type Snapshot struct {
 // flight); afterwards it can keep running — its own writes copy up too.
 func (m *Machine) Snapshot() *Snapshot {
 	m.K.FS.Freeze()
-	return &Snapshot{src: m}
+	s := &Snapshot{src: m}
+	if m.accountFiles(s.accountFiles[:]) {
+		s.etc, _ = m.K.FS.Lookup(vfs.RootCred, "/etc")
+	}
+	return s
 }
 
 // Clone builds an independent machine from the snapshot. The kernel,
@@ -37,7 +56,7 @@ func (m *Machine) Snapshot() *Snapshot {
 func (s *Snapshot) Clone() (*Machine, error) {
 	p := s.src
 	k := p.K.Clone()
-	m := &Machine{K: k, DB: accountdb.NewDB(k.FS)}
+	m := &Machine{K: k, DB: accountdb.NewDB(k.FS), image: s}
 	m.registerDeviceHandlers()
 	if err := k.RebindTraceProc(); err != nil {
 		return nil, fmt.Errorf("world: clone trace proc: %w", err)

@@ -29,10 +29,8 @@ func TestSnapshotFingerprintEquality(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pf, cf := parent.Fingerprint(), clone.Fingerprint()
-			if pf != cf {
-				t.Fatalf("parent/clone fingerprints diverge:\n%s", firstDiff(pf, cf))
-			}
+			pf := fingerprintOf(parent)
+			requireSame(t, "parent vs clone", pf, fingerprintOf(clone))
 			// parent is a fresh Build, so a clone of the shared golden
 			// image must match it too.
 			golden, err := Golden(mode)
@@ -43,21 +41,9 @@ func TestSnapshotFingerprintEquality(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gf := stamped.Fingerprint(); gf != pf {
-				t.Fatalf("fresh build/golden clone fingerprints diverge:\n%s", firstDiff(pf, gf))
-			}
+			requireSame(t, "fresh build vs golden clone", pf, fingerprintOf(stamped))
 		})
 	}
-}
-
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  parent: %s\n  clone:  %s", i, al[i], bl[i])
-		}
-	}
-	return fmt.Sprintf("length %d vs %d", len(al), len(bl))
 }
 
 // clonePair builds a Protego golden machine and two clones of it.
@@ -83,8 +69,8 @@ func clonePair(t *testing.T) (*Machine, *Machine, *Machine) {
 // remove in one clone are invisible to the parent and the sibling.
 func TestCloneIsolationFiles(t *testing.T) {
 	parent, a, b := clonePair(t)
-	base := parent.Fingerprint()
-	bBase := b.Fingerprint()
+	base := fingerprintOf(parent)
+	bBase := fingerprintOf(b)
 
 	fs := a.K.FS
 	if err := fs.WriteFile(vfs.RootCred, "/etc/tenant-marker", []byte("a"), 0o644, 0, 0); err != nil {
@@ -113,12 +99,8 @@ func TestCloneIsolationFiles(t *testing.T) {
 	if err != nil || strings.Contains(string(data), "tenant A") {
 		t.Fatalf("parent motd affected: %q err=%v", data, err)
 	}
-	if got := parent.Fingerprint(); got != base {
-		t.Fatalf("parent fingerprint changed:\n%s", firstDiff(base, got))
-	}
-	if got := b.Fingerprint(); got != bBase {
-		t.Fatalf("sibling fingerprint changed:\n%s", firstDiff(bBase, got))
-	}
+	requireSame(t, "parent", base, fingerprintOf(parent))
+	requireSame(t, "sibling", bBase, fingerprintOf(b))
 }
 
 // TestCloneIsolationAppendNoScribble: appends on a shared file must not
@@ -162,8 +144,8 @@ func TestCloneIsolationAppendNoScribble(t *testing.T) {
 // golden image the parent and every sibling share.
 func TestCloneOpenUnlinkWrite(t *testing.T) {
 	parent, a, b := clonePair(t)
-	base := parent.Fingerprint()
-	bBase := b.Fingerprint()
+	base := fingerprintOf(parent)
+	bBase := fingerprintOf(b)
 	before, err := parent.K.FS.ReadFile(vfs.RootCred, "/etc/motd")
 	if err != nil {
 		t.Fatal(err)
@@ -186,12 +168,8 @@ func TestCloneOpenUnlinkWrite(t *testing.T) {
 	if err != nil || string(after) != string(before) {
 		t.Fatalf("unlinked-fd write leaked into golden image: %q err=%v", after, err)
 	}
-	if got := parent.Fingerprint(); got != base {
-		t.Fatalf("parent fingerprint changed:\n%s", firstDiff(base, got))
-	}
-	if got := b.Fingerprint(); got != bBase {
-		t.Fatalf("sibling fingerprint changed:\n%s", firstDiff(bBase, got))
-	}
+	requireSame(t, "parent", base, fingerprintOf(parent))
+	requireSame(t, "sibling", bBase, fingerprintOf(b))
 }
 
 // TestCloneFdWriteAfterReplace: a descriptor whose path entry has been
@@ -199,7 +177,7 @@ func TestCloneOpenUnlinkWrite(t *testing.T) {
 // fd's writes stay fd-local and the new occupant keeps its own contents.
 func TestCloneFdWriteAfterReplace(t *testing.T) {
 	parent, a, _ := clonePair(t)
-	base := parent.Fingerprint()
+	base := fingerprintOf(parent)
 
 	root := a.K.Fork(a.Init)
 	defer a.K.Exit(root, 0)
@@ -223,9 +201,7 @@ func TestCloneFdWriteAfterReplace(t *testing.T) {
 	if string(data) != "stranger\n" {
 		t.Fatalf("fd write landed on the unrelated file now at its path: %q", data)
 	}
-	if got := parent.Fingerprint(); got != base {
-		t.Fatalf("parent fingerprint changed:\n%s", firstDiff(base, got))
-	}
+	requireSame(t, "parent", base, fingerprintOf(parent))
 }
 
 // TestCloneIsolationTasks: forks and exits in a clone never appear in the
@@ -254,7 +230,7 @@ func TestCloneIsolationTasks(t *testing.T) {
 // the parent's mount table and fingerprint untouched.
 func TestCloneIsolationMounts(t *testing.T) {
 	parent, a, b := clonePair(t)
-	base := parent.Fingerprint()
+	base := fingerprintOf(parent)
 	sess, err := a.Session("alice")
 	if err != nil {
 		t.Fatal(err)
@@ -268,15 +244,11 @@ func TestCloneIsolationMounts(t *testing.T) {
 	if len(b.K.FS.Mounts()) != 0 {
 		t.Fatal("sibling mount table grew")
 	}
-	if got := parent.Fingerprint(); got != base {
-		t.Fatalf("parent fingerprint changed:\n%s", firstDiff(base, got))
-	}
+	requireSame(t, "parent", base, fingerprintOf(parent))
 	if err := a.K.Umount(sess, "/cdrom"); err == nil {
 		// umount by mounter is allowed ("user" option); after detach the
 		// parent must still be pristine.
-		if got := parent.Fingerprint(); got != base {
-			t.Fatal("parent fingerprint changed after clone umount")
-		}
+		requireSame(t, "parent after clone umount", base, fingerprintOf(parent))
 	}
 }
 
@@ -311,7 +283,7 @@ func TestCloneIsolationPorts(t *testing.T) {
 func TestCloneIsolationPolicyReload(t *testing.T) {
 	parent, a, b := clonePair(t)
 	parentRules := len(parent.Protego.MountRules())
-	base := parent.Fingerprint()
+	base := fingerprintOf(parent)
 
 	extra := "/dev/sde1  /mnt/backup  ext4  rw,user,noauto  0 0\n"
 	if err := a.K.FS.AppendFile(vfs.RootCred, "/etc/fstab", []byte(extra)); err != nil {
@@ -337,9 +309,7 @@ func TestCloneIsolationPolicyReload(t *testing.T) {
 	if strings.Contains(string(out), "/dev/sde1") {
 		t.Fatal("clone policy visible through parent /proc")
 	}
-	if got := parent.Fingerprint(); got != base {
-		t.Fatalf("parent fingerprint changed:\n%s", firstDiff(base, got))
-	}
+	requireSame(t, "parent", base, fingerprintOf(parent))
 }
 
 // TestCloneTraceIsolation: syscalls in a clone land on the clone's
@@ -369,10 +339,12 @@ func TestCloneTraceIsolation(t *testing.T) {
 // alice-owned marker file, an append to the shared /etc/motd, a
 // whitelisted user mount, a UDP bind of the same port everywhere,
 // fork+exit, a utility run, and on the seccomp image a kill its profile
-// forbids. Afterwards every clone must see only its own marker, in /tmp
-// and in its motd, and still own its session pid, and the parent's
-// fingerprint must not have moved. Run under -race this is the data-race
-// gate for the COW machinery.
+// forbids; then every clone fingerprints itself. Afterwards every clone
+// must see only its own marker, in /tmp and in its motd, still own its
+// session pid and have the digest it computed among the others, and the
+// parent's fingerprint must not have moved. Run under -race this is the
+// data-race gate for the COW machinery and the digest caches of shared
+// sealed inodes.
 func TestConcurrentClones(t *testing.T) {
 	images := []struct {
 		name string
@@ -388,12 +360,13 @@ func TestConcurrentClones(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := parent.Fingerprint()
+			base := fingerprintOf(parent)
 			snap := parent.Snapshot()
 			const n = 16
 			marker := func(id int) string { return fmt.Sprintf("/tmp/tenant-%d", id) }
 			clones := make([]*Machine, n)
 			sessions := make([]*kernel.Task, n)
+			digests := make([]Digest, n)
 			var wg sync.WaitGroup
 			for i := 0; i < n; i++ {
 				wg.Add(1)
@@ -413,7 +386,9 @@ func TestConcurrentClones(t *testing.T) {
 						t.Errorf("clone %d: %v", id, err)
 						return
 					}
-					clones[id], sessions[id] = m, sess
+					// Every clone digests the shared sealed inodes at once,
+					// filling and reading their cached sums.
+					clones[id], sessions[id], digests[id] = m, sess, m.Fingerprint()
 				}(i)
 			}
 			wg.Wait()
@@ -442,10 +417,16 @@ func TestConcurrentClones(t *testing.T) {
 				if m.K.Task(sessions[id].PID()) != sessions[id] {
 					t.Errorf("clone %d: task table does not own session pid %d", id, sessions[id].PID())
 				}
+				if got := m.Fingerprint(); got != digests[id] {
+					t.Errorf("clone %d: digest %x alone, %x among concurrent clones", id, got, digests[id])
+				}
+				for j := 0; j < id; j++ {
+					if digests[j] == digests[id] {
+						t.Errorf("clones %d and %d hold different markers but equal digests", j, id)
+					}
+				}
 			}
-			if got := parent.Fingerprint(); got != base {
-				t.Fatalf("parent fingerprint changed under concurrent clones:\n%s", firstDiff(base, got))
-			}
+			requireSame(t, "parent under concurrent clones", base, fingerprintOf(parent))
 		})
 	}
 }
@@ -546,7 +527,5 @@ func TestSnapshotRepeated(t *testing.T) {
 	if !b.K.FS.Exists(vfs.RootCred, "/etc/generation") {
 		t.Fatal("later clone missing parent write")
 	}
-	if pf, bf := parent.Fingerprint(), b.Fingerprint(); pf != bf {
-		t.Fatalf("fingerprint mismatch after re-clone:\n%s", firstDiff(pf, bf))
-	}
+	requireSame(t, "parent vs re-clone", fingerprintOf(parent), fingerprintOf(b))
 }

@@ -88,6 +88,10 @@ type Machine struct {
 	Auth     *authsvc.Service
 	DB       *accountdb.DB
 	Init     *kernel.Task
+
+	// image is the snapshot this machine was cloned from, nil for a
+	// Build.
+	image *Snapshot
 }
 
 // Build constructs a machine image.
