@@ -49,6 +49,8 @@ type Service struct {
 	// tracer, when set, receives one auth event per check. Installed at
 	// world build, before the service handles requests.
 	tracer *trace.Tracer
+	// counts caches the tracer's (mechanism, outcome) counters.
+	counts [numMechanisms][2]trace.CounterRef
 
 	// faults, when armed, perturbs shadow-database lookups (verification
 	// timeouts, database I/O errors). Nil means no injection.
@@ -97,13 +99,34 @@ func (s *Service) shadowHash(user string) (string, error) {
 	return s.db.ShadowHash(user)
 }
 
+// mechanism numbers the checks the service traces.
+type mechanism uint8
+
+const (
+	mechPassword mechanism = iota
+	mechGroup
+	mechRecency
+	numMechanisms
+)
+
+// mechanismNames are the mechanisms' trace names.
+var mechanismNames = [numMechanisms]string{
+	mechPassword: "password",
+	mechGroup:    "group",
+	mechRecency:  "recency",
+}
+
 // observe emits one auth event; t may be nil for non-task checks.
-func (s *Service) observe(mechanism, subject string, t lsm.Task, ok bool) {
+func (s *Service) observe(mech mechanism, subject string, t lsm.Task, ok bool) {
 	pid, uid := 0, -1
 	if t != nil {
 		pid, uid = t.PID(), t.UID()
 	}
-	s.tracer.AuthCheck(mechanism, subject, pid, uid, ok)
+	outcome := 0
+	if ok {
+		outcome = 1
+	}
+	s.tracer.AuthCheckRef(&s.counts[mech][outcome], mechanismNames[mech], subject, pid, uid, ok)
 }
 
 // SetWindow adjusts the recency window (driven by the sudoers
@@ -174,15 +197,15 @@ func (s *Service) VerifyPassword(user, password string) bool {
 func (s *Service) AuthenticateUser(t lsm.Task, user string, ownIdentity bool) error {
 	p, ok := t.(Prompter)
 	if !ok {
-		s.observe("password", user, t, false)
+		s.observe(mechPassword, user, t, false)
 		return errno.EACCES
 	}
 	password := p.Ask("[protego-auth] password for " + user + ": ")
 	if !s.VerifyPassword(user, password) {
-		s.observe("password", user, t, false)
+		s.observe(mechPassword, user, t, false)
 		return errno.EACCES
 	}
-	s.observe("password", user, t, true)
+	s.observe(mechPassword, user, t, true)
 	if ownIdentity {
 		s.Stamp(t)
 	}
@@ -192,7 +215,7 @@ func (s *Service) AuthenticateUser(t lsm.Task, user string, ownIdentity bool) er
 // AuthenticateGroup asks for a password-protected group's password (the
 // newgrp flow of §4.3).
 func (s *Service) AuthenticateGroup(t lsm.Task, group string) (err error) {
-	defer func() { s.observe("group", group, t, err == nil) }()
+	defer func() { s.observe(mechGroup, group, t, err == nil) }()
 	g, err := s.db.LookupGroup(group)
 	if err != nil {
 		return errno.EACCES
@@ -218,9 +241,9 @@ func (s *Service) AuthenticateGroup(t lsm.Task, group string) (err error) {
 // This is the entry point the Protego LSM calls on setuid (§4.3).
 func (s *Service) EnsureRecent(t lsm.Task, ownUser string) error {
 	if s.RecentlyAuthenticated(t) {
-		s.observe("recency", ownUser, t, true)
+		s.observe(mechRecency, ownUser, t, true)
 		return nil
 	}
-	s.observe("recency", ownUser, t, false)
+	s.observe(mechRecency, ownUser, t, false)
 	return s.AuthenticateUser(t, ownUser, true)
 }

@@ -43,7 +43,7 @@ func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Ser
 	auth.SetWindow(m.auth.Window())
 
 	k.LSM.Register(c)
-	k.Trace.RegisterCounter("mountidx.hit", c.mountIdxHits.Load)
+	k.Trace.RegisterAtomic("mountidx.hit", &c.mountIdxHits)
 	if err := c.rebindProc(); err != nil {
 		return nil, err
 	}

@@ -148,7 +148,7 @@ func New(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) *Module {
 // netfilter rules.
 func (m *Module) Install() error {
 	m.k.LSM.Register(m)
-	m.k.Trace.RegisterCounter("mountidx.hit", m.mountIdxHits.Load)
+	m.k.Trace.RegisterAtomic("mountidx.hit", &m.mountIdxHits)
 	if err := m.setupProc(); err != nil {
 		return err
 	}

@@ -13,14 +13,14 @@ import (
 // copy-on-write snapshot of its file system. The FS is frozen (idempotent
 // and cheap when already frozen) and shared until first write; the
 // netstack, netfilter table, task table, and credentials are deep-copied;
-// the clone gets its own tracer, its own empty LSM chain, and an empty
-// device registry. The binary registry snapshot is shared — programs are
-// stateless functions and registration is already copy-on-write.
+// the clone gets its own tracer and its own empty LSM chain. The binary
+// and device registry snapshots are shared — programs and ioctl handlers
+// reach their machine through the task, and registration is already
+// copy-on-write.
 //
-// The world layer finishes the job (LSM modules, device handlers, proc
-// handler rebinding) in Snapshot.Clone; a bare Kernel.Clone still runs
-// syscalls, but its /proc/trace and /proc/protego files point at the
-// parent until rebound.
+// The world layer finishes the job (LSM modules, proc handler rebinding)
+// in Snapshot.Clone; a bare Kernel.Clone still runs syscalls, but its
+// /proc/trace and /proc/protego files point at the parent until rebound.
 func (k *Kernel) Clone() *Kernel {
 	k.FS.Freeze()
 	c := &Kernel{
@@ -30,9 +30,6 @@ func (k *Kernel) Clone() *Kernel {
 		Filter: k.Filter.Clone(),
 		LSM:    lsm.NewChain(),
 		Trace:  trace.New(trace.DefaultCapacity),
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[int]*Task)
 	}
 	c.Net.SetFilter(c.Filter)
 	c.LSM.SetTracer(c.Trace)
@@ -45,8 +42,7 @@ func (k *Kernel) Clone() *Kernel {
 	// machine keeps enforcing once the world layer re-registers the module.
 	c.sysGate.Store(k.sysGate.Load())
 	c.binaries.Store(k.binaries.Load())
-	emptyDevs := make(map[string]IoctlHandler)
-	c.devices.Store(&emptyDevs)
+	c.devices.Store(k.devices.Load())
 
 	// Clone the task table shard by shard. File descriptions shared
 	// between tasks (fork semantics: one offset) stay shared between the
@@ -55,8 +51,8 @@ func (k *Kernel) Clone() *Kernel {
 	for i := range k.shards {
 		sh := &k.shards[i]
 		sh.mu.RLock()
-		for pid, t := range sh.m {
-			c.shards[i].m[pid] = t.cloneInto(c, fdMap)
+		for _, t := range sh.m {
+			c.shards[i].insert(t.cloneInto(c, fdMap))
 		}
 		sh.mu.RUnlock()
 	}
@@ -69,6 +65,7 @@ func (k *Kernel) Clone() *Kernel {
 func (t *Task) cloneInto(c *Kernel, fdMap map[*FileDesc]*FileDesc) *Task {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	stdio := new([3]bytes.Buffer) // one allocation for the terminal
 	nt := &Task{
 		k:           c,
 		pid:         t.pid,
@@ -82,9 +79,9 @@ func (t *Task) cloneInto(c *Kernel, fdMap map[*FileDesc]*FileDesc) *Task {
 		fds:         make(map[int]*FileDesc, len(t.fds)),
 		nextFD:      t.nextFD,
 		sigHandlers: maps.Clone(t.sigHandlers),
-		Stdout:      &bytes.Buffer{},
-		Stderr:      &bytes.Buffer{},
-		Stdin:       &bytes.Buffer{},
+		Stdout:      &stdio[0],
+		Stderr:      &stdio[1],
+		Stdin:       &stdio[2],
 		Asker:       t.Asker,
 		exited:      t.exited,
 		exitCode:    t.exitCode,

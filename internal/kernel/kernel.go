@@ -56,7 +56,9 @@ type Program func(k *Kernel, t *Task) int
 
 // IoctlHandler implements a device's ioctl surface. granted reports whether
 // an LSM granted the (otherwise privileged) operation; base capability
-// policy is the handler's responsibility.
+// policy is the handler's responsibility. Like a Program, a handler
+// reaches its machine through the task (t.Kernel()), so cloned kernels
+// share the registry.
 type IoctlHandler func(t *Task, cmd uint32, arg any, granted bool) error
 
 // taskShards is the number of pid-hashed shards in the task table. A
@@ -69,10 +71,20 @@ const taskShards = 16
 // taskShard is one slice of the task table with its own lock. Fork and
 // exit write-lock only the shard owning the child's pid; Task and Tasks
 // take read locks, so pid lookups never serialize behind process churn
-// on other shards.
+// on other shards. A shard's map is made on its first insert: a cloned
+// machine holds a handful of tasks and would leave most shards empty.
 type taskShard struct {
 	mu sync.RWMutex
 	m  map[int]*Task
+}
+
+// insert adds t to the shard. Caller holds sh.mu for writing (or owns the
+// kernel exclusively, as Clone does).
+func (sh *taskShard) insert(t *Task) {
+	if sh.m == nil {
+		sh.m = make(map[int]*Task)
+	}
+	sh.m[t.pid] = t
 }
 
 // Kernel ties together the substrates: VFS, network stack, netfilter, the
@@ -139,9 +151,6 @@ func New(mode Mode, hostIP netstack.IP) *Kernel {
 		LSM:    lsm.NewChain(),
 		Trace:  trace.New(trace.DefaultCapacity),
 	}
-	for i := range k.shards {
-		k.shards[i].m = make(map[int]*Task)
-	}
 	emptyBins := make(map[string]Program)
 	k.binaries.Store(&emptyBins)
 	emptyDevs := make(map[string]IoctlHandler)
@@ -158,10 +167,7 @@ func New(mode Mode, hostIP netstack.IP) *Kernel {
 // the tracer reads them lazily. Called at construction and again after
 // Clone (the clone has its own FS and tracer).
 func (k *Kernel) registerDcacheCounters() {
-	fs := k.FS
-	k.Trace.RegisterCounter("dcache.hit", func() uint64 { return fs.DcacheStats().Hits })
-	k.Trace.RegisterCounter("dcache.miss", func() uint64 { return fs.DcacheStats().Misses })
-	k.Trace.RegisterCounter("dcache.invalidate", func() uint64 { return fs.DcacheStats().Invalidates })
+	k.FS.DcacheCounters(k.Trace.RegisterAtomic)
 }
 
 // SetFaultInjector installs (or, with nil, removes) the fault-injection
@@ -244,14 +250,21 @@ func (k *Kernel) LookupBinary(path string) Program {
 // RegisterDevice installs an ioctl handler for the device at path,
 // publishing a fresh copy-on-write snapshot like RegisterBinary.
 func (k *Kernel) RegisterDevice(path string, h IoctlHandler) {
-	clean := vfs.CleanPath(path, "/")
+	k.RegisterDevices(map[string]IoctlHandler{path: h})
+}
+
+// RegisterDevices installs ioctl handlers by device path, publishing them
+// all in one copy-on-write snapshot.
+func (k *Kernel) RegisterDevices(handlers map[string]IoctlHandler) {
 	k.regMu.Lock()
 	old := *k.devices.Load()
-	next := make(map[string]IoctlHandler, len(old)+1)
+	next := make(map[string]IoctlHandler, len(old)+len(handlers))
 	for p, fn := range old {
 		next[p] = fn
 	}
-	next[clean] = h
+	for p, fn := range handlers {
+		next[vfs.CleanPath(p, "/")] = fn
+	}
 	k.devices.Store(&next)
 	k.regMu.Unlock()
 }
@@ -265,6 +278,7 @@ func (k *Kernel) lookupDevice(clean string) IoctlHandler {
 // InitTask creates the first task (pid 1) running as root with the given
 // binary name, cwd /.
 func (k *Kernel) InitTask() *Task {
+	stdio := new([3]bytes.Buffer) // one allocation for the terminal
 	t := &Task{
 		k:           k,
 		creds:       RootCreds(),
@@ -275,14 +289,14 @@ func (k *Kernel) InitTask() *Task {
 		blobs:       make(map[string]any),
 		fds:         make(map[int]*FileDesc),
 		sigHandlers: make(map[int]func(int)),
-		Stdout:      &bytes.Buffer{},
-		Stderr:      &bytes.Buffer{},
-		Stdin:       &bytes.Buffer{},
+		Stdout:      &stdio[0],
+		Stderr:      &stdio[1],
+		Stdin:       &stdio[2],
 	}
 	t.pid = int(k.nextPID.Add(1))
 	sh := k.shardFor(t.pid)
 	sh.mu.Lock()
-	sh.m[t.pid] = t
+	sh.insert(t)
 	sh.mu.Unlock()
 	return t
 }
@@ -325,7 +339,7 @@ func (k *Kernel) Fork(parent *Task) *Task {
 	child.pid = int(k.nextPID.Add(1))
 	sh := k.shardFor(child.pid)
 	sh.mu.Lock()
-	sh.m[child.pid] = child
+	sh.insert(child)
 	sh.mu.Unlock()
 	return child
 }
@@ -422,7 +436,7 @@ func (k *Kernel) Exec(t *Task, path string, argv []string, env map[string]string
 	}
 	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
+	ino, err := k.FS.LookupClean(creds, clean)
 	if err != nil {
 		return fail(err)
 	}

@@ -58,7 +58,7 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 	}
 	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
+	ino, err := k.FS.LookupClean(creds, clean)
 	if errno.Is(err, errno.ENOENT) && flags&O_CREAT != 0 {
 		want := vfs.MayWrite
 		ino, err = k.FS.Create(creds, clean, 0o644, creds.FUID, creds.FGID)
@@ -222,7 +222,7 @@ func (k *Kernel) Stat(t *Task, path string) (ino *vfs.Inode, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return k.FS.Stat(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+	return k.FS.LookupClean(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
 }
 
 // Access reports whether the task may access path with the given rights.
@@ -232,7 +232,7 @@ func (k *Kernel) Access(t *Task, path string, want int) (err error) {
 	if err != nil {
 		return err
 	}
-	ino, err := k.FS.Stat(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+	ino, err := k.FS.LookupClean(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
 	if err != nil {
 		return err
 	}
@@ -249,7 +249,7 @@ func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
 	}
 	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
+	ino, err := k.FS.LookupClean(creds, clean)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +280,7 @@ func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
 	}
 	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
+	ino, err := k.FS.LookupClean(creds, clean)
 	if errno.Is(err, errno.ENOENT) {
 		return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)
 	}
@@ -307,7 +307,7 @@ func (k *Kernel) AppendFile(t *Task, path string, data []byte) (err error) {
 	}
 	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
+	ino, err := k.FS.LookupClean(creds, clean)
 	if err != nil {
 		return err
 	}
@@ -388,7 +388,7 @@ func (k *Kernel) Chdir(t *Task, path string) (err error) {
 		return err
 	}
 	clean := vfs.CleanPath(path, t.Cwd())
-	ino, err := k.FS.Lookup(t.credsRef(), clean)
+	ino, err := k.FS.LookupClean(t.credsRef(), clean)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func (k *Kernel) Ioctl(t *Task, devPath string, cmd uint32, arg any) (err error)
 	}
 	clean := vfs.CleanPath(devPath, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
+	ino, err := k.FS.LookupClean(creds, clean)
 	if err != nil {
 		return err
 	}
@@ -120,23 +120,29 @@ func (k *Kernel) NewPipe() *Pipe {
 func (p *Pipe) Write(data []byte) (int, error) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
+	// A stopped timer is freed at once; time.After's would stay in the
+	// timer heap for the whole timeout after every prompt write.
+	timer := time.NewTimer(5 * time.Second)
+	defer timer.Stop()
 	select {
 	case p.ch <- buf:
 		return len(data), nil
-	case <-time.After(5 * time.Second):
+	case <-timer.C:
 		return 0, errno.EPIPE
 	}
 }
 
 // Read receives the next chunk from the pipe.
 func (p *Pipe) Read(timeout time.Duration) ([]byte, error) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case data, ok := <-p.ch:
 		if !ok {
 			return nil, errno.EPIPE
 		}
 		return data, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		return nil, errno.EAGAIN
 	}
 }

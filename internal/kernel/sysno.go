@@ -195,7 +195,7 @@ var sysFaultSites = [sysnoCount]string{
 // until the world builder opts in) the added cost over the old hand-
 // rolled prologues is one atomic load.
 func (k *Kernel) enter(t *Task, sn Sysno) (trace.SyscallToken, error) {
-	tok := k.sysEnter(sn.String(), t)
+	tok := k.sysEnter(sn, t)
 	if k.sysGate.Load() && t != nil {
 		dec, err := k.LSM.TaskSyscall(t, int(sn), sn.String())
 		if dec == lsm.Deny {

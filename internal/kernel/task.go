@@ -58,6 +58,9 @@ type Task struct {
 // PID implements lsm.Task.
 func (t *Task) PID() int { return t.pid }
 
+// Kernel returns the kernel the task runs on.
+func (t *Task) Kernel() *Kernel { return t.k }
+
 // PPID returns the parent process id.
 func (t *Task) PPID() int { return t.ppid }
 

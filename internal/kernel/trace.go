@@ -5,15 +5,19 @@ import (
 	"protego/internal/vfs"
 )
 
+// The tracer keeps one histogram slot per syscall number; the catalog
+// must fit in its table.
+const _ = uint(trace.MaxSyscalls - NumSysno)
+
 // sysEnter begins tracing one syscall invocation on behalf of t, tolerating
 // a nil or kernel-less task (events are then tagged pid=0 uid=-1). The
 // returned token must be handed to Trace.SyscallExit on the return path.
-func (k *Kernel) sysEnter(name string, t *Task) trace.SyscallToken {
+func (k *Kernel) sysEnter(sn Sysno, t *Task) trace.SyscallToken {
 	pid, uid := 0, -1
 	if t != nil {
 		pid, uid = t.PID(), t.UID()
 	}
-	return k.Trace.SyscallEnter(name, pid, uid)
+	return k.Trace.SyscallEnterNo(int(sn), sn.String(), pid, uid)
 }
 
 // Trace proc paths.

@@ -293,19 +293,65 @@ func combine(acc, d Decision) Decision {
 	return acc
 }
 
+// hook numbers the chain's hooks, indexing its trace slots.
+type hook uint8
+
+const (
+	hookMount hook = iota
+	hookUmount
+	hookSocket
+	hookBind
+	hookIoctl
+	hookSetuid
+	hookSetgid
+	hookExec
+	hookFileOpen
+	hookTaskSyscall
+	numHooks
+)
+
+// hookNames are the hooks' trace names.
+var hookNames = [numHooks]string{
+	hookMount:       "MountCheck",
+	hookUmount:      "UmountCheck",
+	hookSocket:      "SocketCreate",
+	hookBind:        "BindCheck",
+	hookIoctl:       "IoctlCheck",
+	hookSetuid:      "SetuidCheck",
+	hookSetgid:      "SetgidCheck",
+	hookExec:        "ExecCheck",
+	hookFileOpen:    "FileOpen",
+	hookTaskSyscall: "TaskSyscall",
+}
+
+// numDecisionSlots covers every Decision plus one slot shared by
+// out-of-range values.
+const numDecisionSlots = int(Deny) + 2
+
+// link is one registered module with its decision counters, resolved on
+// first use: one per (hook, decision).
+type link struct {
+	m    Module
+	name string
+	ctrs *[numHooks][numDecisionSlots]trace.CounterRef
+}
+
 // Chain composes several modules. Deny from any module wins, matching the
 // restrictive stacking discipline of Linux LSMs; otherwise the strongest
 // permissive decision is reported to the kernel.
 type Chain struct {
-	modules []Module
-	// sysMods is the subset of modules implementing SyscallMediator, the
-	// only ones TaskSyscall walks (see that hook's contract).
-	sysMods []Module
+	links []link
+	// sysLinks is the subset of links whose module implements
+	// SyscallMediator, the only ones TaskSyscall walks (see that hook's
+	// contract).
+	sysLinks []link
 	// tracer, when set, receives one decision event per hook evaluation
 	// (tagged with the winning module) plus per-module decision counts.
 	// It is installed once at kernel construction, before any concurrent
 	// hook traffic.
 	tracer *trace.Tracer
+	// hists holds each hook's latency histogram, resolved on first use.
+	hists [numHooks]trace.HistogramRef
 	// sysAllow counts TaskSyscall evaluations where every module had no
 	// opinion. That hook runs on every syscall's hot path, so the
 	// unanimous-allow case lands in one atomic (surfaced as the
@@ -325,22 +371,28 @@ func NewChain(modules ...Module) *Chain {
 
 // Register appends a module to the chain.
 func (c *Chain) Register(m Module) {
-	c.modules = append(c.modules, m)
+	l := link{m: m, name: m.Name(), ctrs: new([numHooks][numDecisionSlots]trace.CounterRef)}
+	c.links = append(c.links, l)
 	if _, ok := m.(SyscallMediator); ok {
-		c.sysMods = append(c.sysMods, m)
+		c.sysLinks = append(c.sysLinks, l)
 	}
 }
 
 // Modules returns the registered modules in evaluation order.
-func (c *Chain) Modules() []Module { return c.modules }
+func (c *Chain) Modules() []Module {
+	out := make([]Module, len(c.links))
+	for i, l := range c.links {
+		out[i] = l.m
+	}
+	return out
+}
 
 // SetTracer installs the trace sink for hook decisions. Must be called
-// before the chain sees concurrent traffic (the kernel does it at boot).
+// once, before the chain sees concurrent traffic (the kernel does it at
+// boot): the chain's resolved counters and histograms stay bound to it.
 func (c *Chain) SetTracer(tr *trace.Tracer) {
 	c.tracer = tr
-	if tr != nil {
-		tr.RegisterCounter("lsm.syscall.allow", func() uint64 { return c.sysAllow.Load() })
-	}
+	tr.RegisterAtomic("lsm.syscall.allow", &c.sysAllow)
 }
 
 // Name implements Module for nested chains.
@@ -348,47 +400,57 @@ func (c *Chain) Name() string { return "chain" }
 
 type hookFunc func(m Module) (Decision, error)
 
-// run evaluates hook across the chain. A Deny — or an error, which is
+// start returns the start time of a traced hook evaluation.
+func (c *Chain) start() time.Time {
+	if c.tracer == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// run evaluates hook h across the chain. A Deny — or an error, which is
 // treated as Deny — short-circuits; otherwise the strongest permissive
 // decision accumulates. The winning module (the denier, or the module
 // whose opinion raised the accumulator last) is reported to the tracer;
 // an empty winner means every module deferred to base policy.
-func (c *Chain) run(hook string, t Task, f hookFunc) (Decision, error) {
-	var start time.Time
-	if c.tracer != nil {
-		start = time.Now()
-	}
+func (c *Chain) run(h hook, t Task, f hookFunc) (Decision, error) {
+	start := c.start()
 	acc := NoOpinion
 	winner := ""
-	for _, m := range c.modules {
-		dec, err := f(m)
-		c.count(hook, m.Name(), dec, err)
+	for i := range c.links {
+		l := &c.links[i]
+		dec, err := f(l.m)
+		c.count(h, l, dec, err)
 		if dec == Deny || err != nil {
-			c.observe(hook, t, Deny, m.Name(), err, start)
+			c.observe(h, t, Deny, l.name, err, start)
 			return Deny, err
 		}
 		if next := combine(acc, dec); next != acc {
 			acc = next
-			winner = m.Name()
+			winner = l.name
 		}
 	}
-	c.observe(hook, t, acc, winner, nil, start)
+	c.observe(h, t, acc, winner, nil, start)
 	return acc, nil
 }
 
 // count bumps the per-module decision counter for one consulted module.
-func (c *Chain) count(hook, module string, dec Decision, err error) {
+func (c *Chain) count(h hook, l *link, dec Decision, err error) {
 	if c.tracer == nil {
 		return
 	}
 	if err != nil {
 		dec = Deny
 	}
-	c.tracer.CountDecision(hook, module, dec.String())
+	slot := int(dec)
+	if dec < NoOpinion || dec > Deny {
+		slot = numDecisionSlots - 1
+	}
+	c.tracer.CountDecisionRef(&l.ctrs[h][slot], hookNames[h], l.name, dec.String())
 }
 
 // observe emits the hook's decision event.
-func (c *Chain) observe(hook string, t Task, dec Decision, winner string, err error, start time.Time) {
+func (c *Chain) observe(h hook, t Task, dec Decision, winner string, err error, start time.Time) {
 	if c.tracer == nil {
 		return
 	}
@@ -396,81 +458,79 @@ func (c *Chain) observe(hook string, t Task, dec Decision, winner string, err er
 	if t != nil {
 		pid, uid = t.PID(), t.UID()
 	}
-	c.tracer.LSMDecision(hook, pid, uid, dec.String(), winner, err, time.Since(start))
+	c.tracer.HookDecision(&c.hists[h], hookNames[h], pid, uid, dec.String(), winner, err, start)
 }
 
 // MountCheck runs the hook across the chain.
 func (c *Chain) MountCheck(t Task, req *MountRequest) (Decision, error) {
-	return c.run("MountCheck", t, func(m Module) (Decision, error) { return m.MountCheck(t, req) })
+	return c.run(hookMount, t, func(m Module) (Decision, error) { return m.MountCheck(t, req) })
 }
 
 // UmountCheck runs the hook across the chain.
 func (c *Chain) UmountCheck(t Task, req *UmountRequest) (Decision, error) {
-	return c.run("UmountCheck", t, func(m Module) (Decision, error) { return m.UmountCheck(t, req) })
+	return c.run(hookUmount, t, func(m Module) (Decision, error) { return m.UmountCheck(t, req) })
 }
 
 // SocketCreate runs the hook across the chain.
 func (c *Chain) SocketCreate(t Task, req *SocketRequest) (Decision, error) {
-	return c.run("SocketCreate", t, func(m Module) (Decision, error) { return m.SocketCreate(t, req) })
+	return c.run(hookSocket, t, func(m Module) (Decision, error) { return m.SocketCreate(t, req) })
 }
 
 // BindCheck runs the hook across the chain.
 func (c *Chain) BindCheck(t Task, req *BindRequest) (Decision, error) {
-	return c.run("BindCheck", t, func(m Module) (Decision, error) { return m.BindCheck(t, req) })
+	return c.run(hookBind, t, func(m Module) (Decision, error) { return m.BindCheck(t, req) })
 }
 
 // IoctlCheck runs the hook across the chain.
 func (c *Chain) IoctlCheck(t Task, req *IoctlRequest) (Decision, error) {
-	return c.run("IoctlCheck", t, func(m Module) (Decision, error) { return m.IoctlCheck(t, req) })
+	return c.run(hookIoctl, t, func(m Module) (Decision, error) { return m.IoctlCheck(t, req) })
 }
 
 // SetuidCheck runs the hook across the chain.
 func (c *Chain) SetuidCheck(t Task, targetUID int) (Decision, error) {
-	return c.run("SetuidCheck", t, func(m Module) (Decision, error) { return m.SetuidCheck(t, targetUID) })
+	return c.run(hookSetuid, t, func(m Module) (Decision, error) { return m.SetuidCheck(t, targetUID) })
 }
 
 // SetgidCheck runs the hook across the chain.
 func (c *Chain) SetgidCheck(t Task, targetGID int) (Decision, error) {
-	return c.run("SetgidCheck", t, func(m Module) (Decision, error) { return m.SetgidCheck(t, targetGID) })
+	return c.run(hookSetgid, t, func(m Module) (Decision, error) { return m.SetgidCheck(t, targetGID) })
 }
 
 // ExecCheck runs the hook across the chain; the first non-nil CredUpdate is
 // kept (modules later in the chain still get to veto).
 func (c *Chain) ExecCheck(t Task, req *ExecRequest) (*CredUpdate, error) {
-	var start time.Time
-	if c.tracer != nil {
-		start = time.Now()
-	}
+	start := c.start()
 	var update *CredUpdate
 	winner := ""
-	for _, m := range c.modules {
-		u, err := m.ExecCheck(t, req)
+	for i := range c.links {
+		l := &c.links[i]
+		u, err := l.m.ExecCheck(t, req)
 		if err != nil {
-			c.count("ExecCheck", m.Name(), Deny, err)
-			c.observe("ExecCheck", t, Deny, m.Name(), err, start)
+			c.count(hookExec, l, Deny, err)
+			c.observe(hookExec, t, Deny, l.name, err, start)
 			return nil, err
 		}
 		dec := NoOpinion
 		if u != nil {
 			dec = Grant
 		}
-		c.count("ExecCheck", m.Name(), dec, nil)
+		c.count(hookExec, l, dec, nil)
 		if update == nil && u != nil {
 			update = u
-			winner = m.Name()
+			winner = l.name
 		}
 	}
 	dec := NoOpinion
 	if update != nil {
 		dec = Grant
 	}
-	c.observe("ExecCheck", t, dec, winner, nil, start)
+	c.observe(hookExec, t, dec, winner, nil, start)
 	return update, nil
 }
 
 // FileOpen runs the hook across the chain.
 func (c *Chain) FileOpen(t Task, req *OpenRequest) (Decision, error) {
-	return c.run("FileOpen", t, func(m Module) (Decision, error) { return m.FileOpen(t, req) })
+	return c.run(hookFileOpen, t, func(m Module) (Decision, error) { return m.FileOpen(t, req) })
 }
 
 // TaskSyscall runs the syscall-entry hook across the chain. The chain
@@ -486,32 +546,33 @@ func (c *Chain) FileOpen(t Task, req *OpenRequest) (Decision, error) {
 // registered as SyscallMediator are consulted.
 func (c *Chain) TaskSyscall(t Task, sysno int, name string) (Decision, error) {
 	acc := NoOpinion
-	winner := ""
-	for _, m := range c.sysMods {
-		dec, err := m.TaskSyscall(t, sysno, name)
+	var winner *link
+	for i := range c.sysLinks {
+		l := &c.sysLinks[i]
+		dec, err := l.m.TaskSyscall(t, sysno, name)
 		if dec == Deny || err != nil {
-			c.count("TaskSyscall", m.Name(), dec, err)
-			c.observe("TaskSyscall", t, Deny, m.Name(), err, time.Now())
+			c.count(hookTaskSyscall, l, dec, err)
+			c.observe(hookTaskSyscall, t, Deny, l.name, err, c.start())
 			return Deny, err
 		}
 		if next := combine(acc, dec); next != acc {
 			acc = next
-			winner = m.Name()
+			winner = l
 		}
 	}
 	if acc == NoOpinion {
 		c.sysAllow.Add(1)
 		return NoOpinion, nil
 	}
-	c.count("TaskSyscall", winner, acc, nil)
-	c.observe("TaskSyscall", t, acc, winner, nil, time.Now())
+	c.count(hookTaskSyscall, winner, acc, nil)
+	c.observe(hookTaskSyscall, t, acc, winner.name, nil, c.start())
 	return acc, nil
 }
 
 // ResolveGroups queries the first module implementing GroupResolver.
 func (c *Chain) ResolveGroups(uid int) ([]int, bool) {
-	for _, m := range c.modules {
-		if r, ok := m.(GroupResolver); ok {
+	for _, l := range c.links {
+		if r, ok := l.m.(GroupResolver); ok {
 			if groups, ok := r.ResolveGroups(uid); ok {
 				return groups, true
 			}

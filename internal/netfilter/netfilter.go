@@ -50,6 +50,9 @@ type Rule struct {
 	// hits counts packets this rule matched. An atomic on the rule
 	// itself so the verdict fast path never write-locks the table.
 	hits atomic.Uint64
+	// verdicts caches the rule's decision counter on the owning table's
+	// tracer, one per verdict name (see verdictSlot).
+	verdicts [2]trace.CounterRef
 }
 
 // matches reports whether the rule applies to the packet.
@@ -146,6 +149,9 @@ type Chain struct {
 	Policy Verdict
 	rules  []*Rule
 	idx    *chainIndex
+	// policyVerdicts caches the default policy's decision counters, one
+	// per verdict name (see verdictSlot).
+	policyVerdicts [2]trace.CounterRef
 }
 
 // protoPort keys the most specific dispatch bucket.
@@ -224,7 +230,7 @@ func NewTable() *Table {
 // before the table sees packet traffic (the kernel does it at boot).
 func (t *Table) SetTracer(tr *trace.Tracer) {
 	t.tracer = tr
-	tr.RegisterCounter("nfidx.fastpath", t.fastpath.Load)
+	tr.RegisterAtomic("nfidx.fastpath", &t.fastpath)
 }
 
 // Append adds a rule to the end of chain and recompiles the chain's
@@ -322,11 +328,11 @@ func (t *Table) Output(pkt *netstack.Packet) Verdict {
 		r := rules[i]
 		if r.matches(pkt) {
 			r.hits.Add(1)
-			t.tracer.NetfilterVerdict("OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
+			t.tracer.NetfilterVerdictRef(&r.verdicts[verdictSlot(r.Verdict)], "OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
 			return r.Verdict
 		}
 	}
-	t.tracer.NetfilterVerdict("OUTPUT", "", verdictName(policy), pkt.SenderUID)
+	t.tracer.NetfilterVerdictRef(&c.policyVerdicts[verdictSlot(policy)], "OUTPUT", "", verdictName(policy), pkt.SenderUID)
 	return policy
 }
 
@@ -365,6 +371,14 @@ func verdictName(v Verdict) string {
 		return "DROP"
 	}
 	return "ACCEPT"
+}
+
+// verdictSlot indexes per-verdict counter refs by verdictName's two names.
+func verdictSlot(v Verdict) int {
+	if v == Drop {
+		return 1
+	}
+	return 0
 }
 
 // List renders the whole table in iptables -S style.

@@ -16,9 +16,13 @@ func (s *Stack) Clone() *Stack {
 		hostIP:   s.hostIP,
 		ifaces:   make(map[string]*Iface, len(s.ifaces)),
 		routes:   append([]Route(nil), s.routes...),
-		ports:    make(map[portKey]*Socket, len(s.ports)),
-		sockets:  make(map[int]*Socket, len(s.sockets)),
 		nextSock: s.nextSock,
+	}
+	// The socket and port maps are made on first insert, so a stack
+	// without sockets clones without them.
+	if len(s.sockets) > 0 {
+		c.sockets = make(map[int]*Socket, len(s.sockets))
+		c.ports = make(map[portKey]*Socket, len(s.ports))
 	}
 	for name, ifc := range s.ifaces {
 		ci := *ifc

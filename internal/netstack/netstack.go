@@ -215,8 +215,8 @@ type Stack struct {
 	hostIP   IP
 	ifaces   map[string]*Iface
 	routes   []Route
-	ports    map[portKey]*Socket
-	sockets  map[int]*Socket
+	ports    map[portKey]*Socket // made on first bind
+	sockets  map[int]*Socket     // made on first socket
 	nextSock int
 	linked   *Stack // simple point-to-point peer (PPP tests)
 
@@ -236,10 +236,8 @@ type Stack struct {
 // carrying hostIP.
 func NewStack(hostIP IP) *Stack {
 	s := &Stack{
-		hostIP:  hostIP,
-		ifaces:  make(map[string]*Iface),
-		ports:   make(map[portKey]*Socket),
-		sockets: make(map[int]*Socket),
+		hostIP: hostIP,
+		ifaces: make(map[string]*Iface),
 	}
 	s.ifaces["lo"] = &Iface{Name: "lo", Addr: IPv4(127, 0, 0, 1), Up: true, Params: map[string]string{}}
 	s.ifaces["eth0"] = &Iface{Name: "eth0", Addr: hostIP, Up: true, Params: map[string]string{}}

@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -454,5 +455,60 @@ func TestSetFilterDuringSends(t *testing.T) {
 	if s.DroppedPackets() != denied.Load() {
 		t.Fatalf("dropped counter %d, but %d sends returned EPERM",
 			s.DroppedPackets(), denied.Load())
+	}
+}
+
+// heapInuseAfterGC returns the live heap after a full collection.
+func heapInuseAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+// TestPromptStreamOpsFreeTheirTimers: a Send, Accept or Recv that
+// completes at once must not leave its timeout's timer live. A timer from
+// time.After stays in the runtime's timer heap until it fires, about 200
+// bytes each, so a long timeout makes the live heap grow with throughput.
+func TestPromptStreamOpsFreeTheirTimers(t *testing.T) {
+	s := testStack()
+	server, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+	if err := s.Bind(server, 9000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(server, 4); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20000
+	round := func() {
+		client, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+		if err := s.Connect(client, s.HostIP(), 9000); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := s.Accept(server, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := s.Send(client, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Recv(conn, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close(client)
+		s.Close(conn)
+	}
+	round() // warm up
+	before := heapInuseAfterGC()
+	for i := 0; i < n/4; i++ {
+		round()
+	}
+	grew := int64(heapInuseAfterGC()) - int64(before)
+	// n prompt ops leaking a timer each would grow the heap by several MB.
+	if grew > n*32 {
+		t.Fatalf("live heap grew %d bytes over %d prompt stream ops (%.0f B/op): timers outlive their ops",
+			grew, n, float64(grew)/n)
 	}
 }

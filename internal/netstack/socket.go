@@ -31,6 +31,9 @@ func (s *Stack) NewSocket(family, typ, proto int) (*Socket, error) {
 	s.mu.Lock()
 	s.nextSock++
 	sock.ID = s.nextSock
+	if s.sockets == nil {
+		s.sockets = make(map[int]*Socket)
+	}
 	s.sockets[sock.ID] = sock
 	s.mu.Unlock()
 	return sock, nil
@@ -63,6 +66,9 @@ func (s *Stack) Bind(sock *Socket, port int) error {
 	key := portKey{proto: proto, port: port}
 	if _, taken := s.ports[key]; taken {
 		return errno.EADDRINUSE
+	}
+	if s.ports == nil {
+		s.ports = make(map[portKey]*Socket)
 	}
 	s.ports[key] = sock
 	sock.LocalIP = s.hostIP
@@ -241,10 +247,12 @@ func (s *Stack) Accept(sock *Socket, timeout time.Duration) (*Socket, error) {
 	if !listening {
 		return nil, errno.EINVAL
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case conn := <-acceptQ:
 		return conn, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		return nil, errno.EAGAIN
 	}
 }
@@ -277,24 +285,36 @@ func (s *Stack) Send(sock *Socket, data []byte) (int, error) {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
-		select {
-		case peer.recvQ <- pkt:
-		case <-time.After(time.Second):
-			return 0, errno.ETIMEDOUT
+		if err := deliver(peer.recvQ, pkt); err != nil {
+			return 0, err
 		}
 	}
 	return len(data), nil
 }
 
+// deliver queues pkt on q, waiting up to a second for room.
+func deliver(q chan *Packet, pkt *Packet) error {
+	timer := time.NewTimer(time.Second)
+	defer timer.Stop()
+	select {
+	case q <- pkt:
+		return nil
+	case <-timer.C:
+		return errno.ETIMEDOUT
+	}
+}
+
 // Recv reads stream data from the socket, blocking up to timeout.
 func (s *Stack) Recv(sock *Socket, timeout time.Duration) ([]byte, error) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case pkt, ok := <-sock.recvQ:
 		if !ok {
 			return nil, errno.ECONNRESET
 		}
 		return pkt.Payload, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		return nil, errno.EAGAIN
 	}
 }
@@ -415,7 +435,8 @@ func (s *Stack) deliver(pkt *Packet, origin *Socket) {
 // RecvFrom reads a datagram, blocking up to timeout.
 func (s *Stack) RecvFrom(sock *Socket, timeout time.Duration) (*Packet, error) {
 	// A stopped timer is freed at once; time.After's would stay in the
-	// timer heap for the whole timeout after every prompt reply.
+	// timer heap for the whole timeout after every prompt reply. Accept,
+	// Send and Recv stop theirs the same way.
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {

@@ -1,76 +1,59 @@
 package trace
 
 import (
-	"math/rand/v2"
 	"sync/atomic"
 )
 
 // Decision counters are the hottest tracer write path: every LSM module
 // consulted on every hook bumps one, as does every netfilter verdict and
-// auth check. A single mutex-protected map serializes all of them, so
-// under concurrent syscall load the counters become the kernel-wide
-// bottleneck. Instead, each counter is a per-CPU-style sharded slot: a
-// cache-line-padded array of atomics. A writer picks a stripe with a
-// cheap per-P random draw (math/rand/v2's top-level functions read the
-// runtime's per-P generator, no lock) and increments it; readers merge
-// the stripes. The key→slot map itself is a copy-on-write snapshot —
-// once a key has been seen, bumping it is a lock-free map read plus one
-// atomic add on a stripe that (with high probability) no other writer is
-// touching.
+// auth check. Each counter is a single atomic.Uint64. The key→counter
+// map is only the slow path: a producer on a hot path resolves its
+// counters once into a CounterRef and from then on bumps the atomic
+// directly, with no key to build, no map to hash and no lock to take. A
+// new key costs one map insert under ctrMu, so a fresh clone's tracer
+// pays per key it actually counts, not a copy of every key before it.
 
-// ctrStripes is the number of stripes per counter slot. A power of two
-// so stripe selection is a mask. 16 comfortably covers the 8-writer
-// target of the scaling benchmarks.
-const ctrStripes = 16
-
-// ctrStripe is one stripe, padded to a 64-byte cache line so concurrent
-// writers on different stripes never false-share.
-type ctrStripe struct {
-	n atomic.Uint64
-	_ [56]byte
+// CounterRef caches one decision counter of one tracer for a producer
+// that bumps it on every call. The zero value is ready; it resolves on
+// first use and stays bound to the tracer it first resolved against. A
+// nil *CounterRef caches nothing: every call resolves the key.
+type CounterRef struct {
+	p atomic.Pointer[atomic.Uint64]
 }
 
-// ctrSlot is the sharded value of one CounterKey.
-type ctrSlot struct {
-	stripes [ctrStripes]ctrStripe
-}
-
-// bump increments one randomly chosen stripe.
-func (s *ctrSlot) bump() {
-	s.stripes[rand.Uint32()&(ctrStripes-1)].n.Add(1)
-}
-
-// sum merges the stripes. The total is monotonic but, like a per-CPU
-// counter read on a real kernel, not an instantaneous snapshot across
-// concurrent writers.
-func (s *ctrSlot) sum() uint64 {
-	var total uint64
-	for i := range s.stripes {
-		total += s.stripes[i].n.Load()
+// count bumps the (hook, module, decision) counter through ref. A
+// non-empty group namespaces the hook as "<group>:<hook>"; the key is
+// built only when ref has not resolved yet.
+func (tr *Tracer) count(ref *CounterRef, group, hook, module, decision string) {
+	if ref != nil {
+		if c := ref.p.Load(); c != nil {
+			c.Add(1)
+			return
+		}
 	}
-	return total
+	if group != "" {
+		hook = group + ":" + hook
+	}
+	c := tr.counter(CounterKey{Hook: hook, Module: module, Decision: decision})
+	if ref != nil {
+		ref.p.Store(c)
+	}
+	c.Add(1)
 }
 
-// slotFor returns the slot for key, creating and publishing it on first
-// use. The fast path is a lock-free snapshot read; the slow path (a key
-// never counted before) copies the map under ctrMu and publishes the
-// new snapshot.
-func (tr *Tracer) slotFor(key CounterKey) *ctrSlot {
-	if slot := (*tr.counters.Load())[key]; slot != nil {
-		return slot
+// counter returns the counter for key, creating it on first use.
+func (tr *Tracer) counter(key CounterKey) *atomic.Uint64 {
+	tr.ctrMu.RLock()
+	c := tr.counters[key]
+	tr.ctrMu.RUnlock()
+	if c != nil {
+		return c
 	}
 	tr.ctrMu.Lock()
 	defer tr.ctrMu.Unlock()
-	cur := *tr.counters.Load()
-	if slot := cur[key]; slot != nil {
-		return slot
+	if c = tr.counters[key]; c == nil {
+		c = new(atomic.Uint64)
+		tr.counters[key] = c
 	}
-	next := make(map[CounterKey]*ctrSlot, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	slot := new(ctrSlot)
-	next[key] = slot
-	tr.counters.Store(&next)
-	return slot
+	return c
 }

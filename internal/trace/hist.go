@@ -15,10 +15,11 @@ import (
 const histBuckets = 36
 
 // Histogram is a lock-free log-spaced latency histogram. All fields are
-// updated with atomics; snapshots are read without stopping writers.
+// updated with atomics; snapshots are read without stopping writers. The
+// sample count is the sum of the buckets, so an observation costs one
+// atomic add fewer and a snapshot's count always matches its buckets.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
-	count  atomic.Uint64
 	sumNs  atomic.Int64
 	maxNs  atomic.Int64
 }
@@ -39,7 +40,6 @@ func bucketOf(d time.Duration) int {
 // Observe records one latency sample.
 func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketOf(d)].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(d.Nanoseconds())
 	for {
 		old := h.maxNs.Load()
@@ -69,8 +69,8 @@ func (h *Histogram) Stats() HistStats {
 	var s HistStats
 	for i := range h.counts {
 		s.Buckets[i] = h.counts[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	s.Count = h.count.Load()
 	s.MaxNs = h.maxNs.Load()
 	if s.Count == 0 {
 		return s

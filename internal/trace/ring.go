@@ -44,6 +44,13 @@ type Ring struct {
 // to a power of two (minimum 2). No slot storage is allocated until the
 // first Append.
 func NewRing(capacity int) *Ring {
+	r := &Ring{}
+	r.init(capacity)
+	return r
+}
+
+// init sizes a zero ring, as NewRing does.
+func (r *Ring) init(capacity int) {
 	n := 2
 	for n < capacity {
 		n <<= 1
@@ -52,7 +59,8 @@ func NewRing(capacity int) *Ring {
 	if nChunks == 0 {
 		nChunks = 1
 	}
-	return &Ring{capacity: n, mask: uint64(n - 1), chunks: make([]atomic.Pointer[ringChunk], nChunks)}
+	r.capacity, r.mask = n, uint64(n-1)
+	r.chunks = make([]atomic.Pointer[ringChunk], nChunks)
 }
 
 // Cap returns the ring capacity (a power of two).
@@ -74,7 +82,9 @@ func (r *Ring) chunkFor(i uint64) *ringChunk {
 
 // Append claims the next sequence number and stores the event, overwriting
 // the event cap slots older. It returns the assigned sequence number.
-func (r *Ring) Append(ev Event) uint64 {
+func (r *Ring) Append(ev Event) uint64 { return r.append(&ev) }
+
+func (r *Ring) append(ev *Event) uint64 {
 	seq := r.cursor.Add(1) - 1
 	ev.Seq = seq
 	i := seq & r.mask
@@ -85,7 +95,7 @@ func (r *Ring) Append(ev Event) uint64 {
 	// clobber a newer event that already landed (the cursor, not arrival
 	// order, defines age).
 	if c.slots[j].Seq <= seq || c.slots[j].Time.IsZero() {
-		c.slots[j] = ev
+		c.slots[j] = *ev
 	}
 	c.locks[j].Unlock()
 	return seq

@@ -21,32 +21,60 @@ type CounterKey struct {
 	Decision string
 }
 
+// MaxSyscalls bounds the syscall numbers SyscallEnterNo keeps a
+// histogram slot for. The kernel's syscall catalog must fit in it.
+const MaxSyscalls = 64
+
+// Histogram groups: stats keys are "<group>:<name>".
+const (
+	groupSyscall  = "syscall"
+	groupLSM      = "lsm"
+	groupMonitord = "monitord"
+)
+
+// histKey names one histogram.
+type histKey struct {
+	group, name string
+}
+
 // Tracer owns the event ring, the latency histograms, and the decision
 // counters. One tracer is created per simulated kernel; every producer in
 // the kernel emits through it. All methods are safe for concurrent use.
 type Tracer struct {
-	ring *Ring
+	ring Ring
 
 	// emitted counts events per kind (never decremented), so consumers
 	// can compute per-kind drop counts against a ring snapshot.
 	emitted [numKinds]atomic.Uint64
 
+	// hists is every histogram by key, the slow path and the read side.
+	// Hot producers resolve their histogram once into a HistogramRef:
+	// sys holds the syscall histograms by syscall number, and the LSM
+	// chain holds its hooks' refs.
 	histMu sync.RWMutex
-	hists  map[string]*Histogram
+	hists  map[histKey]*Histogram
+	sys    [MaxSyscalls]HistogramRef
 
-	// counters maps CounterKey → sharded atomic slot (see counters.go).
-	// The map is a copy-on-write snapshot: ctrMu serializes only the
-	// slow path that introduces a new key.
-	ctrMu    sync.Mutex
-	counters atomic.Pointer[map[CounterKey]*ctrSlot]
+	// counters maps CounterKey to its counter (see counters.go).
+	ctrMu    sync.RWMutex
+	counters map[CounterKey]*atomic.Uint64
 
 	// fastpath holds lazily-read monotonic counters registered by the
 	// kernel's fast-path layers (dcache, compiled policy indexes). The
 	// owning subsystem keeps the hot atomic; the tracer only reads it at
 	// snapshot/render time, so registration adds zero hot-path cost.
 	fpMu     sync.RWMutex
-	fastpath map[string]func() uint64
+	fastpath map[string]loader
 }
+
+// loader is a registered fast-path counter: an *atomic.Uint64, or a
+// reader function.
+type loader interface{ Load() uint64 }
+
+// loadFunc adapts a reader function to loader.
+type loadFunc func() uint64
+
+func (f loadFunc) Load() uint64 { return f() }
 
 // New creates a tracer whose ring holds at least capacity events
 // (DefaultCapacity when capacity <= 0).
@@ -55,12 +83,11 @@ func New(capacity int) *Tracer {
 		capacity = DefaultCapacity
 	}
 	tr := &Tracer{
-		ring:     NewRing(capacity),
-		hists:    make(map[string]*Histogram),
-		fastpath: make(map[string]func() uint64),
+		hists:    make(map[histKey]*Histogram),
+		counters: make(map[CounterKey]*atomic.Uint64),
+		fastpath: make(map[string]loader),
 	}
-	empty := make(map[CounterKey]*ctrSlot)
-	tr.counters.Store(&empty)
+	tr.ring.init(capacity)
 	return tr
 }
 
@@ -69,11 +96,25 @@ func New(capacity int) *Tracer {
 // subsystem owning the counter keeps the hot atomic and pays nothing per
 // event. Registering an existing name replaces the reader.
 func (tr *Tracer) RegisterCounter(name string, read func() uint64) {
-	if tr == nil || read == nil {
+	if read != nil {
+		tr.register(name, loadFunc(read))
+	}
+}
+
+// RegisterAtomic is RegisterCounter for a counter kept in an atomic: the
+// tracer reads n itself, so the owner allocates no reader.
+func (tr *Tracer) RegisterAtomic(name string, n *atomic.Uint64) {
+	if n != nil {
+		tr.register(name, n)
+	}
+}
+
+func (tr *Tracer) register(name string, l loader) {
+	if tr == nil {
 		return
 	}
 	tr.fpMu.Lock()
-	tr.fastpath[name] = read
+	tr.fastpath[name] = l
 	tr.fpMu.Unlock()
 }
 
@@ -83,14 +124,14 @@ func (tr *Tracer) FastpathCounters() map[string]uint64 {
 		return nil
 	}
 	tr.fpMu.RLock()
-	readers := make(map[string]func() uint64, len(tr.fastpath))
-	for k, f := range tr.fastpath {
-		readers[k] = f
+	loaders := make(map[string]loader, len(tr.fastpath))
+	for k, l := range tr.fastpath {
+		loaders[k] = l
 	}
 	tr.fpMu.RUnlock()
-	out := make(map[string]uint64, len(readers))
-	for k, f := range readers {
-		out[k] = f()
+	out := make(map[string]uint64, len(loaders))
+	for k, l := range loaders {
+		out[k] = l.Load()
 	}
 	return out
 }
@@ -100,17 +141,24 @@ func (tr *Tracer) Emit(ev Event) {
 	if tr == nil {
 		return
 	}
+	tr.emit(&ev)
+}
+
+// emit is Emit for an event the caller built: it is copied once, into
+// its ring slot.
+func (tr *Tracer) emit(ev *Event) {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
 	if ev.Kind < numKinds {
 		tr.emitted[ev.Kind].Add(1)
 	}
-	tr.ring.Append(ev)
+	tr.ring.append(ev)
 }
 
 // SyscallToken carries the state between a syscall's enter and exit event.
 type SyscallToken struct {
+	hist  *Histogram
 	name  string
 	pid   int
 	uid   int
@@ -118,28 +166,53 @@ type SyscallToken struct {
 }
 
 // SyscallEnter emits the enter event and returns the token the matching
-// SyscallExit consumes.
+// SyscallExit consumes. It looks the syscall's histogram up by name;
+// the kernel, which knows its syscall numbers, uses SyscallEnterNo.
 func (tr *Tracer) SyscallEnter(name string, pid, uid int) SyscallToken {
-	tok := SyscallToken{name: name, pid: pid, uid: uid, start: time.Now()}
-	if tr != nil {
-		tr.Emit(Event{Kind: KindSyscallEnter, Name: name, PID: pid, UID: uid, Time: tok.start})
+	if tr == nil {
+		return SyscallToken{}
 	}
+	return tr.syscallEnter(tr.histogram(groupSyscall, name), name, pid, uid)
+}
+
+// SyscallEnterNo is SyscallEnter for syscall number no (the kernel's
+// Sysno): the histogram comes from the tracer's slot for no, resolved on
+// the number's first use, so a repeat syscall takes no lock and hashes
+// no key. Numbers outside [0, MaxSyscalls) fall back to the name.
+func (tr *Tracer) SyscallEnterNo(no int, name string, pid, uid int) SyscallToken {
+	if tr == nil {
+		return SyscallToken{}
+	}
+	var h *Histogram
+	if uint(no) < MaxSyscalls {
+		h = tr.histogramRef(&tr.sys[no], groupSyscall, name)
+	} else {
+		h = tr.histogram(groupSyscall, name)
+	}
+	return tr.syscallEnter(h, name, pid, uid)
+}
+
+func (tr *Tracer) syscallEnter(h *Histogram, name string, pid, uid int) SyscallToken {
+	tok := SyscallToken{hist: h, name: name, pid: pid, uid: uid, start: time.Now()}
+	tr.emit(&Event{Kind: KindSyscallEnter, Name: name, PID: pid, UID: uid, Time: tok.start})
 	return tok
 }
 
 // SyscallExit emits the exit event, records the latency in the syscall's
-// histogram, and tags the event with the error, if any.
+// histogram, and tags the event with the error, if any. One clock read
+// ends the latency sample and stamps the event.
 func (tr *Tracer) SyscallExit(tok SyscallToken, err error) {
-	if tr == nil {
+	if tr == nil || tok.hist == nil {
 		return
 	}
-	lat := time.Since(tok.start)
-	ev := Event{Kind: KindSyscallExit, Name: tok.name, PID: tok.pid, UID: tok.uid, Latency: lat}
+	now := time.Now()
+	lat := now.Sub(tok.start)
+	ev := Event{Kind: KindSyscallExit, Name: tok.name, PID: tok.pid, UID: tok.uid, Latency: lat, Time: now}
 	if err != nil {
 		ev.Err = err.Error()
 	}
-	tr.Emit(ev)
-	tr.histogram("syscall", tok.name).Observe(lat)
+	tr.emit(&ev)
+	tok.hist.Observe(lat)
 }
 
 // LSMDecision records one chain hook evaluation: the final decision, the
@@ -148,35 +221,60 @@ func (tr *Tracer) LSMDecision(hook string, pid, uid int, decision, winner string
 	if tr == nil {
 		return
 	}
-	ev := Event{Kind: KindLSMDecision, Name: hook, PID: pid, UID: uid,
-		Module: winner, Decision: decision, Latency: lat}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	tr.Emit(ev)
-	tr.histogram("lsm", hook).Observe(lat)
+	tr.lsmDecision(tr.histogram(groupLSM, hook), hook, pid, uid, decision, winner, err, lat, time.Now())
 }
 
-// CountDecision bumps the (hook, module, decision) counter — one bump per
-// module consulted, independent of which module won the chain. The bump
-// is lock-free after a key's first use: a snapshot map read plus one
-// atomic add on a random stripe of the key's sharded slot.
-func (tr *Tracer) CountDecision(hook, module, decision string) {
+// HookDecision is LSMDecision for a hook evaluation that began at start,
+// recorded by a producer that keeps the hook's histogram in ref. One
+// clock read ends the latency sample and stamps the event.
+func (tr *Tracer) HookDecision(ref *HistogramRef, hook string, pid, uid int, decision, winner string, err error, start time.Time) {
 	if tr == nil {
 		return
 	}
-	tr.slotFor(CounterKey{Hook: hook, Module: module, Decision: decision}).bump()
+	now := time.Now()
+	tr.lsmDecision(tr.histogramRef(ref, groupLSM, hook), hook, pid, uid, decision, winner, err, now.Sub(start), now)
+}
+
+func (tr *Tracer) lsmDecision(h *Histogram, hook string, pid, uid int, decision, winner string, err error, lat time.Duration, now time.Time) {
+	ev := Event{Kind: KindLSMDecision, Name: hook, PID: pid, UID: uid,
+		Module: winner, Decision: decision, Latency: lat, Time: now}
+	if err != nil {
+		ev.Err = err.Error()
+	}
+	tr.emit(&ev)
+	h.Observe(lat)
+}
+
+// CountDecision bumps the (hook, module, decision) counter — one bump per
+// module consulted, independent of which module won the chain.
+func (tr *Tracer) CountDecision(hook, module, decision string) {
+	tr.CountDecisionRef(nil, hook, module, decision)
+}
+
+// CountDecisionRef is CountDecision for a producer that keeps the
+// counter in ref: after the first call it is one atomic add.
+func (tr *Tracer) CountDecisionRef(ref *CounterRef, hook, module, decision string) {
+	if tr == nil {
+		return
+	}
+	tr.count(ref, "", hook, module, decision)
 }
 
 // NetfilterVerdict records an OUTPUT-chain verdict; rule is the matching
 // rule name (empty when the chain's default policy applied).
 func (tr *Tracer) NetfilterVerdict(chain, rule, verdict string, senderUID int) {
+	tr.NetfilterVerdictRef(nil, chain, rule, verdict, senderUID)
+}
+
+// NetfilterVerdictRef is NetfilterVerdict for a producer that keeps the
+// verdict's counter in ref.
+func (tr *Tracer) NetfilterVerdictRef(ref *CounterRef, chain, rule, verdict string, senderUID int) {
 	if tr == nil {
 		return
 	}
-	tr.Emit(Event{Kind: KindNetfilterVerdict, Name: chain, UID: senderUID,
+	tr.emit(&Event{Kind: KindNetfilterVerdict, Name: chain, UID: senderUID,
 		Module: rule, Decision: verdict})
-	tr.CountDecision("netfilter:"+chain, ruleOrPolicy(rule), verdict)
+	tr.count(ref, "netfilter", chain, ruleOrPolicy(rule), verdict)
 }
 
 func ruleOrPolicy(rule string) string {
@@ -195,13 +293,19 @@ func (tr *Tracer) MonitordSync(target string, lat time.Duration, err error) {
 	if err != nil {
 		ev.Err = err.Error()
 	}
-	tr.Emit(ev)
-	tr.histogram("monitord", target).Observe(lat)
+	tr.emit(&ev)
+	tr.histogram(groupMonitord, target).Observe(lat)
 }
 
 // AuthCheck records an authentication-service check: mechanism is
 // "password", "recency", or "group"; subject is the user or group name.
 func (tr *Tracer) AuthCheck(mechanism, subject string, pid, uid int, ok bool) {
+	tr.AuthCheckRef(nil, mechanism, subject, pid, uid, ok)
+}
+
+// AuthCheckRef is AuthCheck for a producer that keeps the (mechanism,
+// outcome) counter in ref.
+func (tr *Tracer) AuthCheckRef(ref *CounterRef, mechanism, subject string, pid, uid int, ok bool) {
 	if tr == nil {
 		return
 	}
@@ -209,9 +313,9 @@ func (tr *Tracer) AuthCheck(mechanism, subject string, pid, uid int, ok bool) {
 	if !ok {
 		outcome = "fail"
 	}
-	tr.Emit(Event{Kind: KindAuthCheck, Name: subject, PID: pid, UID: uid,
+	tr.emit(&Event{Kind: KindAuthCheck, Name: subject, PID: pid, UID: uid,
 		Module: mechanism, Decision: outcome})
-	tr.CountDecision("auth:"+mechanism, mechanism, outcome)
+	tr.count(ref, "auth", mechanism, mechanism, outcome)
 }
 
 // FaultInject records one deliberate fault injection: site is the
@@ -223,9 +327,9 @@ func (tr *Tracer) FaultInject(site, action, errname string, hit uint64) {
 	if tr == nil {
 		return
 	}
-	tr.Emit(Event{Kind: KindFaultInject, Name: site, Module: action,
+	tr.emit(&Event{Kind: KindFaultInject, Name: site, Module: action,
 		Err: errname, Msg: fmt.Sprintf("hit=%d", hit)})
-	tr.CountDecision("fault:"+site, action, "injected")
+	tr.count(nil, "fault", site, action, "injected")
 }
 
 // Audit emits a legacy audit line as a structured event.
@@ -233,13 +337,31 @@ func (tr *Tracer) Audit(msg string) {
 	if tr == nil {
 		return
 	}
-	tr.Emit(Event{Kind: KindAudit, Msg: msg})
+	tr.emit(&Event{Kind: KindAudit, Msg: msg})
 }
 
-// histogram returns the named histogram, creating it on first use. Names
-// are namespaced "<group>:<name>" internally.
+// HistogramRef caches one histogram of one tracer for a producer that
+// records into it on every call. The zero value is ready; it resolves on
+// first use and stays bound to the tracer it first resolved against.
+type HistogramRef struct {
+	p atomic.Pointer[Histogram]
+}
+
+// histogramRef returns ref's histogram, resolving (group, name) on first
+// use.
+func (tr *Tracer) histogramRef(ref *HistogramRef, group, name string) *Histogram {
+	if h := ref.p.Load(); h != nil {
+		return h
+	}
+	h := tr.histogram(group, name)
+	ref.p.Store(h)
+	return h
+}
+
+// histogram returns the (group, name) histogram, creating it on first
+// use.
 func (tr *Tracer) histogram(group, name string) *Histogram {
-	key := group + ":" + name
+	key := histKey{group, name}
 	tr.histMu.RLock()
 	h := tr.hists[key]
 	tr.histMu.RUnlock()
@@ -275,15 +397,15 @@ func (tr *Tracer) SnapshotKind(k Kind) []Event {
 // Histogram returns the latency stats for one syscall (zero stats when the
 // syscall was never observed).
 func (tr *Tracer) Histogram(syscall string) HistStats {
-	return tr.histStats("syscall:" + syscall)
+	return tr.histStats(histKey{groupSyscall, syscall})
 }
 
 // HookHistogram returns the latency stats for one LSM hook.
 func (tr *Tracer) HookHistogram(hook string) HistStats {
-	return tr.histStats("lsm:" + hook)
+	return tr.histStats(histKey{groupLSM, hook})
 }
 
-func (tr *Tracer) histStats(key string) HistStats {
+func (tr *Tracer) histStats(key histKey) HistStats {
 	tr.histMu.RLock()
 	h := tr.hists[key]
 	tr.histMu.RUnlock()
@@ -296,25 +418,25 @@ func (tr *Tracer) histStats(key string) HistStats {
 // Histograms returns every histogram's stats keyed by "<group>:<name>".
 func (tr *Tracer) Histograms() map[string]HistStats {
 	tr.histMu.RLock()
-	keys := make([]string, 0, len(tr.hists))
-	for k := range tr.hists {
-		keys = append(keys, k)
+	hists := make(map[histKey]*Histogram, len(tr.hists))
+	for k, h := range tr.hists {
+		hists[k] = h
 	}
 	tr.histMu.RUnlock()
-	out := make(map[string]HistStats, len(keys))
-	for _, k := range keys {
-		out[k] = tr.histStats(k)
+	out := make(map[string]HistStats, len(hists))
+	for k, h := range hists {
+		out[k.group+":"+k.name] = h.Stats()
 	}
 	return out
 }
 
-// Counters returns a copy of the decision counters, merging each key's
-// stripes into a single total.
+// Counters returns a copy of the decision counters.
 func (tr *Tracer) Counters() map[CounterKey]uint64 {
-	snap := *tr.counters.Load()
-	out := make(map[CounterKey]uint64, len(snap))
-	for k, slot := range snap {
-		out[k] = slot.sum()
+	tr.ctrMu.RLock()
+	defer tr.ctrMu.RUnlock()
+	out := make(map[CounterKey]uint64, len(tr.counters))
+	for k, c := range tr.counters {
+		out[k] = c.Load()
 	}
 	return out
 }

@@ -64,10 +64,10 @@ func (fs *FS) Clone() *FS {
 	c := &FS{
 		root:      fs.root,
 		nextIno:   fs.nextIno,
-		dcache:    newDcache(),
 		mountSave: make(map[string][]savedDir, len(fs.mountSave)),
 	}
 	c.cow.Store(true)
+	c.dcache.init()
 	c.dcache.disabled.Store(fs.dcache.disabled.Load())
 	c.mounts = make([]*Mount, len(fs.mounts))
 	for i, m := range fs.mounts {
@@ -94,11 +94,9 @@ func (fs *FS) Clone() *FS {
 // Directory children maps are cloned (entries still point at shared
 // inodes); file data shares the backing array with capacity clamped to
 // length, so an append by either side reallocates instead of scribbling
-// on bytes the other can read. Fields are read under ino.mu: a sibling
-// machine's ReadFile may be bumping Atime on the shared inode.
+// on bytes the other can read. Only sealed inodes are copied, and
+// nothing writes a sealed inode's fields, so they are read without ino.mu.
 func (ino *Inode) cowCopy() *Inode {
-	ino.mu.Lock()
-	defer ino.mu.Unlock()
 	cp := &Inode{
 		Ino:     ino.Ino,
 		Mode:    ino.Mode,
@@ -110,9 +108,7 @@ func (ino *Inode) cowCopy() *Inode {
 		DevType: ino.DevType,
 		ReadFn:  ino.ReadFn,
 		WriteFn: ino.WriteFn,
-		Atime:   ino.Atime,
 		Mtime:   ino.Mtime,
-		Ctime:   ino.Ctime,
 	}
 	if ino.children != nil {
 		cp.children = maps.Clone(ino.children)
@@ -137,8 +133,8 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 		fs.cowBreaks++
 	}
 	cur := fs.root
-	comps := components(path)
-	for i, name := range comps {
+	for start := 1; start < len(path); {
+		name, end := nextComponent(path, start)
 		if !cur.Mode.IsDir() {
 			return nil, errno.ENOTDIR
 		}
@@ -146,17 +142,8 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 		if !ok {
 			return nil, errno.ENOENT
 		}
-		last := i == len(comps)-1
-		if next.Mode.IsSymlink() && (!last || followLast) {
-			target := CleanPath(string(next.Data), "/"+joinComps(comps[:i]))
-			if rest := joinComps(comps[i+1:]); rest != "" {
-				if target == "/" {
-					target = "/" + rest
-				} else {
-					target = target + "/" + rest
-				}
-			}
-			return fs.copyUpLocked(target, followLast, depth+1)
+		if next.Mode.IsSymlink() && (end < len(path) || followLast) {
+			return fs.copyUpLocked(symlinkTarget(path, start, end, next.Data), followLast, depth+1)
 		}
 		if next.sealed.Load() {
 			next = next.cowCopy()
@@ -164,6 +151,7 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 			fs.cowBreaks++
 		}
 		cur = next
+		start = end + 1
 	}
 	return cur, nil
 }
@@ -180,7 +168,7 @@ func (fs *FS) cowWriteLocked(path string, followLast bool) {
 		return
 	}
 	before := fs.cowBreaks
-	_, _ = fs.copyUpLocked(cleanedPath(path, "/"), followLast, 0)
+	_, _ = fs.copyUpLocked(CleanPath(path, "/"), followLast, 0)
 	if fs.cowBreaks != before {
 		fs.dcache.clear()
 	}
@@ -205,7 +193,7 @@ func (fs *FS) BreakSealInode(path string, ino *Inode) *Inode {
 	defer fs.mu.Unlock()
 	if fs.cow.Load() {
 		before := fs.cowBreaks
-		nino, err := fs.copyUpLocked(cleanedPath(path, "/"), true, 0)
+		nino, err := fs.copyUpLocked(CleanPath(path, "/"), true, 0)
 		if fs.cowBreaks != before {
 			fs.dcache.clear()
 		}
@@ -223,11 +211,12 @@ func (fs *FS) BreakSealInode(path string, ino *Inode) *Inode {
 // inodes at the clone's own kernel objects; on a COW file system the
 // inode is privatized first so the parent's handlers stay untouched.
 func (fs *FS) RebindProc(path string, read ProcReadFunc, write ProcWriteFunc) error {
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.cowWriteLocked(clean, true)
-	ino, err := fs.lookupLocked(RootCred, clean, true)
+	// A plain walk: rebinding is machine setup, not a lookup worth caching.
+	ino, err := fs.resolve(RootCred, clean, true, 0)
 	if err != nil {
 		return err
 	}

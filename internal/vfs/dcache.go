@@ -56,8 +56,9 @@ type dcache struct {
 	invalidates atomic.Uint64
 }
 
-func newDcache() *dcache {
-	return &dcache{entries: make(map[dkey]dentry)}
+// init readies a zero dcache.
+func (d *dcache) init() {
+	d.entries = make(map[dkey]dentry)
 }
 
 // get returns the cached resolution for (path, follow), if any.
@@ -117,10 +118,10 @@ func (d *dcache) noteCreate() {
 	d.gen.Add(1)
 }
 
-// clear drops everything (ablation toggle, cap overflow).
+// clear drops everything (ablation toggle, COW copy-up).
 func (d *dcache) clear() {
 	d.mu.Lock()
-	d.entries = make(map[dkey]dentry)
+	clear(d.entries)
 	d.mu.Unlock()
 }
 
@@ -150,7 +151,7 @@ func (s DcacheStats) HitRatio() float64 {
 
 // DcacheStats returns the dentry cache's counters.
 func (fs *FS) DcacheStats() DcacheStats {
-	d := fs.dcache
+	d := &fs.dcache
 	return DcacheStats{
 		Hits:        d.hits.Load(),
 		Misses:      d.misses.Load(),
@@ -158,6 +159,14 @@ func (fs *FS) DcacheStats() DcacheStats {
 		Entries:     d.size(),
 		Generation:  d.gen.Load(),
 	}
+}
+
+// DcacheCounters calls f with each dentry-cache counter and its name:
+// dcache.hit, dcache.miss and dcache.invalidate.
+func (fs *FS) DcacheCounters(f func(name string, n *atomic.Uint64)) {
+	f("dcache.hit", &fs.dcache.hits)
+	f("dcache.miss", &fs.dcache.misses)
+	f("dcache.invalidate", &fs.dcache.invalidates)
 }
 
 // SetDcacheEnabled toggles the dentry cache (ablation benchmarks compare
@@ -170,10 +179,31 @@ func (fs *FS) SetDcacheEnabled(on bool) {
 }
 
 // walkTrack accumulates, across symlink recursion, the directories a
-// resolve walk permission-checked, for insertion into the dcache.
+// resolve walk permission-checked, for insertion into the dcache. The
+// first directories fill an inline array, so a tracked walk allocates
+// nothing until its result is cached.
 type walkTrack struct {
-	chain      []*Inode
+	dirs       [8]*Inode
+	n          int
+	more       []*Inode // directories past the first len(dirs)
 	viaSymlink bool
+}
+
+// add appends one permission-checked directory.
+func (tk *walkTrack) add(dir *Inode) {
+	if tk.n < len(tk.dirs) {
+		tk.dirs[tk.n] = dir
+		tk.n++
+		return
+	}
+	tk.more = append(tk.more, dir)
+}
+
+// chain returns a copy of the directories, in walk order.
+func (tk *walkTrack) chain() []*Inode {
+	out := make([]*Inode, 0, tk.n+len(tk.more))
+	out = append(out, tk.dirs[:tk.n]...)
+	return append(out, tk.more...)
 }
 
 // lookupLocked resolves clean (an already-cleaned absolute path) through
@@ -182,7 +212,7 @@ type walkTrack struct {
 // credential; on a miss the full walk runs and, when successful, is
 // inserted. Failed walks are not cached.
 func (fs *FS) lookupLocked(c Cred, clean string, follow bool) (*Inode, error) {
-	d := fs.dcache
+	d := &fs.dcache
 	if d.disabled.Load() {
 		return fs.resolve(c, clean, follow, 0)
 	}
@@ -196,11 +226,11 @@ func (fs *FS) lookupLocked(c Cred, clean string, follow bool) (*Inode, error) {
 		return ent.ino, nil
 	}
 	d.misses.Add(1)
-	tk := &walkTrack{}
-	ino, err := fs.resolveTrack(c, clean, follow, 0, tk)
+	var tk walkTrack
+	ino, err := fs.resolveTrack(c, clean, follow, 0, &tk)
 	if err != nil {
 		return nil, err
 	}
-	d.put(clean, follow, dentry{chain: tk.chain, ino: ino, viaSymlink: tk.viaSymlink})
+	d.put(clean, follow, dentry{chain: tk.chain(), ino: ino, viaSymlink: tk.viaSymlink})
 	return ino, nil
 }

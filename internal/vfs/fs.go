@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,7 @@ type FS struct {
 
 	// dcache caches repeat path resolutions; structural mutations
 	// invalidate affected prefixes (see dcache.go for the precise rules).
-	dcache *dcache
+	dcache dcache
 
 	watches   []*Watch
 	watchSeq  int
@@ -63,7 +62,8 @@ var RootCred Cred = rootCred{}
 // New creates an empty file system whose root directory is owned by root
 // with mode 0755.
 func New() *FS {
-	fs := &FS{nextIno: 1, mountSave: make(map[string][]savedDir), dcache: newDcache()}
+	fs := &FS{nextIno: 1, mountSave: make(map[string][]savedDir)}
+	fs.dcache.init()
 	fs.root = fs.newInode(TypeDir|0o755, 0, 0)
 	fs.root.children = make(map[string]*Inode)
 	return fs
@@ -76,9 +76,7 @@ func (fs *FS) newInode(mode Mode, uid, gid int) *Inode {
 		UID:   uid,
 		GID:   gid,
 		Nlink: 1,
-		Atime: time.Now(),
 		Mtime: time.Now(),
-		Ctime: time.Now(),
 	}
 	fs.nextIno++
 	if mode.IsDir() {
@@ -114,8 +112,8 @@ func (fs *FS) resolveTrack(c Cred, path string, followLast bool, depth int, tk *
 		return nil, errno.ELOOP
 	}
 	cur := fs.root
-	comps := components(path)
-	for i, name := range comps {
+	for start := 1; start < len(path); {
+		name, end := nextComponent(path, start)
 		if !cur.Mode.IsDir() {
 			return nil, errno.ENOTDIR
 		}
@@ -123,68 +121,45 @@ func (fs *FS) resolveTrack(c Cred, path string, followLast bool, depth int, tk *
 			return nil, err
 		}
 		if tk != nil {
-			tk.chain = append(tk.chain, cur)
+			tk.add(cur)
 		}
 		next, ok := cur.children[name]
 		if !ok {
 			return nil, errno.ENOENT
 		}
-		last := i == len(comps)-1
-		if next.Mode.IsSymlink() && (!last || followLast) {
+		if next.Mode.IsSymlink() && (end < len(path) || followLast) {
 			if tk != nil {
 				tk.viaSymlink = true
 			}
-			target := CleanPath(string(next.Data), "/"+joinComps(comps[:i]))
-			// target is clean and the remaining components come from an
-			// already-cleaned path, so the concatenation needs no re-clean.
-			if rest := joinComps(comps[i+1:]); rest != "" {
-				if target == "/" {
-					target = "/" + rest
-				} else {
-					target = target + "/" + rest
-				}
-			}
-			return fs.resolveTrack(c, target, followLast, depth+1, tk)
+			return fs.resolveTrack(c, symlinkTarget(path, start, end, next.Data), followLast, depth+1, tk)
 		}
 		cur = next
+		start = end + 1
 	}
 	return cur, nil
 }
 
-func joinComps(comps []string) string {
-	if len(comps) == 0 {
-		return ""
-	}
-	n := len(comps) - 1
-	for _, c := range comps {
-		n += len(c)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, c := range comps {
-		if i > 0 {
-			b.WriteByte('/')
-		}
-		b.WriteString(c)
-	}
-	return b.String()
-}
-
 // Lookup resolves path to an inode, following symlinks.
 func (fs *FS) Lookup(c Cred, path string) (*Inode, error) {
+	return fs.LookupClean(c, CleanPath(path, "/"))
+}
+
+// LookupClean is Lookup for a path that is already a CleanPath result,
+// as the kernel's syscalls have: it skips the cleaning scan.
+func (fs *FS) LookupClean(c Cred, clean string) (*Inode, error) {
 	if err := fs.faultCheck(faultinject.SiteVFSLookup); err != nil {
 		return nil, err
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.lookupLocked(c, cleanedPath(path, "/"), true)
+	return fs.lookupLocked(c, clean, true)
 }
 
 // LookupNoFollow resolves path without following a final symlink.
 func (fs *FS) LookupNoFollow(c Cred, path string) (*Inode, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.lookupLocked(c, cleanedPath(path, "/"), false)
+	return fs.lookupLocked(c, CleanPath(path, "/"), false)
 }
 
 // Exists reports whether path resolves for credential c.
@@ -196,7 +171,7 @@ func (fs *FS) Exists(c Cred, path string) bool {
 // lookupParent resolves the parent directory of path and returns it together
 // with the base name.
 func (fs *FS) lookupParent(c Cred, path string) (*Inode, string, error) {
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	dir, base := SplitPath(clean)
 	if base == "." {
 		return nil, "", errno.EINVAL
@@ -243,14 +218,10 @@ func (fs *FS) Mkdir(c Cred, path string, mode Mode, uid, gid int) (*Inode, error
 // MkdirAll creates path and any missing parents with the given mode.
 func (fs *FS) MkdirAll(c Cred, path string, mode Mode, uid, gid int) error {
 	clean := CleanPath(path, "/")
-	comps := components(clean)
-	cur := "/"
-	for _, name := range comps {
-		if cur == "/" {
-			cur = "/" + name
-		} else {
-			cur = cur + "/" + name
-		}
+	for start := 1; start < len(clean); {
+		_, end := nextComponent(clean, start)
+		start = end + 1
+		cur := clean[:end]
 		if fs.Exists(c, cur) {
 			continue
 		}
@@ -379,7 +350,7 @@ func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
 		return nil, err
 	}
 	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, cleanedPath(path, "/"), true)
+	ino, err := fs.lookupLocked(c, CleanPath(path, "/"), true)
 	fs.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -396,7 +367,6 @@ func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
 	ino.mu.Lock()
 	data := make([]byte, len(ino.Data))
 	copy(data, ino.Data)
-	ino.Atime = time.Now()
 	ino.mu.Unlock()
 	return data, nil
 }
@@ -407,7 +377,7 @@ func (fs *FS) WriteFile(c Cred, path string, data []byte, mode Mode, uid, gid in
 	if err := fs.faultCheck(faultinject.SiteVFSWriteFile); err != nil {
 		return err
 	}
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	fs.mu.RLock()
 	ino, err := fs.lookupLocked(c, clean, true)
 	fs.mu.RUnlock()
@@ -424,7 +394,7 @@ func (fs *FS) WriteFile(c Cred, path string, data []byte, mode Mode, uid, gid in
 
 // AppendFile appends data to the file at path, which must exist.
 func (fs *FS) AppendFile(c Cred, path string, data []byte) error {
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	fs.mu.RLock()
 	ino, err := fs.lookupLocked(c, clean, true)
 	fs.mu.RUnlock()
@@ -568,8 +538,9 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 	}
 	delete(oldParent.children, oldBase)
 	newParent.children[newBase] = target
-	oldParent.Mtime = time.Now()
-	newParent.Mtime = time.Now()
+	now := time.Now()
+	oldParent.Mtime = now
+	newParent.Mtime = now
 	fs.dcache.invalidate(oldClean, true)
 	fs.dcache.invalidate(newClean, true)
 	fs.mu.Unlock()
@@ -607,7 +578,6 @@ func (fs *FS) Chmod(c Cred, path string, mode Mode) error {
 		ino = nino
 	}
 	ino.Mode = ino.Mode.Type() | mode.Perm()
-	ino.Ctime = time.Now()
 	// Cached chains hold this inode by pointer and re-check MayExec on
 	// every hit, so correctness does not depend on this invalidation; it
 	// keeps the mutation rule uniform (and the generation honest).
@@ -648,7 +618,6 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 	if ino.Mode.IsRegular() {
 		ino.Mode &^= ModeSetuid | ModeSetgid
 	}
-	ino.Ctime = time.Now()
 	fs.dcache.invalidate(clean, true)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpChmod, Path: clean})
@@ -659,7 +628,7 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 func (fs *FS) ReadDir(c Cred, path string) ([]string, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	ino, err := fs.lookupLocked(c, cleanedPath(path, "/"), true)
+	ino, err := fs.lookupLocked(c, CleanPath(path, "/"), true)
 	if err != nil {
 		return nil, err
 	}

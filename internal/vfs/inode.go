@@ -68,8 +68,9 @@ type Inode struct {
 	ReadFn  ProcReadFunc
 	WriteFn ProcWriteFunc
 
-	// Times, maintained on modification.
-	Atime, Mtime, Ctime time.Time
+	// Mtime is the last modification time (sudo's timestamp files read
+	// it).
+	Mtime time.Time
 
 	// mu guards Data for concurrent file IO on the same inode, and the
 	// digest cache below.

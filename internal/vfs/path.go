@@ -1,66 +1,58 @@
 package vfs
 
-import "strings"
+import (
+	"path"
+	"strings"
+)
 
 // CleanPath normalizes an absolute or relative slash-separated path:
 // collapsing repeated slashes, resolving "." and "..". Relative paths are
-// resolved against cwd (which must be absolute). The result is always
-// absolute and never ends in a slash (except the root itself).
-func CleanPath(path, cwd string) string {
-	if !strings.HasPrefix(path, "/") {
-		if cwd == "" {
-			cwd = "/"
-		}
-		path = cwd + "/" + path
+// resolved against cwd (absolute; "/" when empty). The result is always
+// absolute and never ends in a slash (except the root itself). An
+// already-clean absolute path comes back unchanged after one scan, with no
+// allocation.
+func CleanPath(p, cwd string) string {
+	if isClean(p) {
+		return p
 	}
-	parts := strings.Split(path, "/")
-	stack := make([]string, 0, len(parts))
-	for _, p := range parts {
-		switch p {
-		case "", ".":
-		case "..":
-			if len(stack) > 0 {
-				stack = stack[:len(stack)-1]
-			}
-		default:
-			stack = append(stack, p)
+	if p == "" || p[0] != '/' {
+		if cwd == "" || cwd[0] != '/' {
+			cwd = "/" + cwd
 		}
+		p = cwd + "/" + p
 	}
-	return "/" + strings.Join(stack, "/")
+	return path.Clean(p)
 }
 
-// cleanedPath returns path unchanged when it is already a cleaned absolute
-// path, falling back to CleanPath otherwise. The already-clean check is a
-// single allocation-free scan, which keeps repeat lookups of clean paths
-// (the overwhelmingly common case on the hot resolution path) from paying
-// CleanPath's split/join allocations on every call.
-func cleanedPath(path, cwd string) string {
-	if isCleanPath(path) {
-		return path
-	}
-	return CleanPath(path, cwd)
-}
-
-// isCleanPath reports whether path is absolute with no empty, "." or ".."
-// components and no trailing slash (except the root itself).
-func isCleanPath(path string) bool {
-	if path == "" || path[0] != '/' {
+// isClean reports whether p is absolute with no empty, "." or ".."
+// component and no trailing slash (except the root itself): it looks at
+// what follows each slash.
+func isClean(p string) bool {
+	n := len(p)
+	if n == 0 || p[0] != '/' {
 		return false
 	}
-	if path == "/" {
+	if n == 1 {
 		return true
 	}
-	if path[len(path)-1] == '/' {
+	if p[n-1] == '/' {
 		return false
 	}
-	start := 1 // first byte of the current component
-	for i := 1; i <= len(path); i++ {
-		if i == len(path) || path[i] == '/' {
-			seg := path[start:i]
-			if seg == "" || seg == "." || seg == ".." {
+	for i := 0; i < n; i++ {
+		if p[i] != '/' {
+			continue
+		}
+		// p does not end in a slash, so a component starts at i+1.
+		switch p[i+1] {
+		case '/':
+			return false
+		case '.':
+			if i+2 == n || p[i+2] == '/' {
 				return false
 			}
-			start = i + 1
+			if p[i+2] == '.' && (i+3 == n || p[i+3] == '/') {
+				return false
+			}
 		}
 	}
 	return true
@@ -95,10 +87,30 @@ func IsUnder(path, dir string) bool {
 	return path == dir || strings.HasPrefix(path, dir+"/")
 }
 
-// components splits a cleaned absolute path into its components.
-func components(path string) []string {
-	if path == "/" {
-		return nil
+// nextComponent returns the component of the cleaned absolute path p that
+// starts at index i (just past a slash) and the index where it ends: len(p)
+// for the last component, else the index of the slash after it. Walks
+// iterate components in place with it, starting at i = 1 and moving to
+// end+1, and stop once i >= len(p) (the root has no components).
+func nextComponent(p string, i int) (name string, end int) {
+	end = strings.IndexByte(p[i:], '/')
+	if end < 0 {
+		return p[i:], len(p)
 	}
-	return strings.Split(strings.TrimPrefix(path, "/"), "/")
+	return p[i : i+end], i + end
+}
+
+// symlinkTarget returns the cleaned path a walk of p continues at when
+// the component p[start:end] is a symlink to target: the target resolved
+// against the link's directory, followed by the components after the link.
+func symlinkTarget(p string, start, end int, target []byte) string {
+	dir := CleanPath(string(target), p[:start])
+	switch {
+	case end == len(p):
+		return dir
+	case dir == "/":
+		return p[end:]
+	default:
+		return dir + p[end:]
+	}
 }

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"path"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -546,22 +547,49 @@ func TestMkdirAll(t *testing.T) {
 	}
 }
 
-// Property: CleanPath is idempotent and always produces an absolute path
-// with no ".", "..", or empty components.
+// Property: CleanPath agrees with the standard library's path.Clean on
+// absolute inputs and on relative inputs joined to the cwd, is
+// idempotent, always produces an absolute path with no ".", "..", or
+// empty components, and returns an already-clean path without
+// allocating. Segments are drawn from a small alphabet rich in "", "."
+// and "..", so the cases exercise what cleaning actually does.
 func TestCleanPathProperties(t *testing.T) {
-	f := func(segs []string) bool {
-		path := strings.Join(segs, "/")
-		got := CleanPath(path, "/")
-		if !strings.HasPrefix(got, "/") {
+	alphabet := [...]string{"", ".", "..", "a", "b"}
+	join := func(idx []uint8) string {
+		segs := make([]string, len(idx))
+		for i, x := range idx {
+			segs[i] = alphabet[int(x)%len(alphabet)]
+		}
+		return strings.Join(segs, "/")
+	}
+	f := func(pathIdx, cwdIdx []uint8, abs bool) bool {
+		cwd := "/" + join(cwdIdx)
+		p := join(pathIdx)
+		if abs {
+			p = "/" + p
+		}
+		ref := p // an empty first segment makes p absolute too
+		if !strings.HasPrefix(p, "/") {
+			ref = cwd + "/" + p
+		}
+		got := CleanPath(p, cwd)
+		if got != path.Clean(ref) {
+			t.Logf("CleanPath(%q, %q) = %q, path.Clean(%q) = %q", p, cwd, got, ref, path.Clean(ref))
 			return false
 		}
-		if CleanPath(got, "/") != got {
+		if !strings.HasPrefix(got, "/") || CleanPath(got, cwd) != got {
 			return false
 		}
-		for _, c := range components(got) {
-			if c == "" || c == "." || c == ".." {
-				return false
+		if got != "/" {
+			for _, c := range strings.Split(got[1:], "/") {
+				if c == "" || c == "." || c == ".." {
+					return false
+				}
 			}
+		}
+		if n := testing.AllocsPerRun(5, func() { CleanPath(got, cwd) }); n != 0 {
+			t.Logf("CleanPath(%q) of a clean path allocates %.0f times", got, n)
+			return false
 		}
 		return true
 	}

@@ -49,15 +49,15 @@ func (m *Machine) Snapshot() *Snapshot {
 // task table, credentials, netstack, and netfilter table are deep-copied;
 // the file system is shared copy-on-write; the LSM stack (AppArmor, and
 // on Protego the core module with its policy state) is recreated against
-// the clone with the parent's policies; device handlers and the
-// /proc/trace and /proc/protego interfaces are rebound to the clone's
-// own objects. At clone time the new machine's Fingerprint equals the
-// parent's.
+// the clone with the parent's policies; the /proc/trace and
+// /proc/protego interfaces are rebound to the clone's own objects, while
+// the device handlers, which reach their machine through the calling
+// task, are shared. At clone time the new machine's Fingerprint equals
+// the parent's.
 func (s *Snapshot) Clone() (*Machine, error) {
 	p := s.src
 	k := p.K.Clone()
 	m := &Machine{K: k, DB: accountdb.NewDB(k.FS), image: s}
-	m.registerDeviceHandlers()
 	if err := k.RebindTraceProc(); err != nil {
 		return nil, fmt.Errorf("world: clone trace proc: %w", err)
 	}

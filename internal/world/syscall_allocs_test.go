@@ -1,0 +1,65 @@
+package world
+
+import (
+	"testing"
+
+	"protego/internal/errno"
+	"protego/internal/kernel"
+)
+
+// TestSyscallAllocs gates the syscall hot path on allocations per call,
+// which are deterministic where nanoseconds are not. Tracing, the LSM
+// chain and path handling must add none: each ceiling is what the call
+// itself returns or creates (the read's buffer; open's descriptor and
+// LSM request; a privileged setuid's new credentials).
+func TestSyscallAllocs(t *testing.T) {
+	bothModes(t, func(t *testing.T, m *Machine) {
+		k := m.K
+		root := session(t, m, "root")
+		const file = "/tmp/allocs"
+		if err := k.WriteFile(root, file, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		fd, err := k.Open(root, file, kernel.O_RDONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []struct {
+			name string
+			max  float64
+			op   func() error
+		}{
+			{"getpid", 0, func() error { k.Getpid(root); return nil }},
+			{"read 1 byte", 1, func() error { _, err := k.Read(root, fd, 1); return err }},
+			{"stat, dcache hit", 1, func() error { _, err := k.Stat(root, file); return err }},
+			{"stat, miss", 0, func() error {
+				if _, err := k.Stat(root, "/tmp/absent"); !errno.Is(err, errno.ENOENT) {
+					t.Fatalf("stat of a missing file: %v", err)
+				}
+				return nil
+			}},
+			{"open+close", 2, func() error {
+				fd, err := k.Open(root, file, kernel.O_RDONLY)
+				if err != nil {
+					return err
+				}
+				return k.CloseFD(root, fd)
+			}},
+			{"setuid", 1, func() error { return k.Setuid(root, 0) }},
+		}
+		for _, o := range ops {
+			var opErr error
+			n := testing.AllocsPerRun(200, func() {
+				if err := o.op(); err != nil {
+					opErr = err
+				}
+			})
+			if opErr != nil {
+				t.Fatalf("%s: %v", o.name, opErr)
+			}
+			if n > o.max {
+				t.Errorf("%s allocates %.0f times per call, ceiling %.0f", o.name, n, o.max)
+			}
+		}
+	})
+}

@@ -355,95 +355,101 @@ func (m *Machine) makeDevices() error {
 }
 
 func (m *Machine) registerDeviceHandlers() {
-	k := m.K
-	// /dev/ppp: modem attach/detach/session parameters.
-	k.RegisterDevice(userspace.PppDevice, func(t *kernel.Task, cmd uint32, arg any, granted bool) error {
-		switch cmd {
-		case kernel.PPPIOCATTACH:
-			name, ok := arg.(string)
-			if !ok {
-				return errno.EINVAL
-			}
-			iface := k.Net.Iface(name)
-			if iface == nil || !iface.Modem {
-				return errno.ENODEV
-			}
-			if !granted && !t.Capable(caps.CAP_NET_ADMIN) {
-				return errno.EPERM
-			}
-			if iface.InUse && iface.Owner != t.UID() {
-				return errno.EBUSY
-			}
-			iface.InUse = true
-			iface.Owner = t.UID()
-			iface.Up = true
-			return nil
-		case kernel.PPPIOCDETACH:
-			name, ok := arg.(string)
-			if !ok {
-				return errno.EINVAL
-			}
-			iface := k.Net.Iface(name)
-			if iface == nil {
-				return errno.ENODEV
-			}
-			if iface.Owner != t.UID() && !t.Capable(caps.CAP_NET_ADMIN) {
-				return errno.EPERM
-			}
-			iface.InUse = false
-			iface.Up = false
-			iface.Owner = 0
-			return nil
-		case kernel.PPPIOCSPARAM:
-			kv, ok := arg.([2]string)
-			if !ok {
-				return errno.EINVAL
-			}
-			if !granted && !t.Capable(caps.CAP_NET_ADMIN) {
-				return errno.EPERM
-			}
-			for _, iface := range k.Net.Ifaces() {
-				if iface.Modem && iface.Owner == t.UID() {
-					iface.Params[kv[0]] = kv[1]
-				}
-			}
-			return nil
-		default:
-			return errno.ENOTTY
-		}
+	m.K.RegisterDevices(map[string]kernel.IoctlHandler{
+		userspace.PppDevice:   pppIoctl,
+		"/dev/dm-0":           dmcryptIoctl,
+		userspace.VideoDevice: videoIoctl,
 	})
+}
 
-	// /dev/dm-0: the dmcrypt metadata ioctl — discloses the key, so it
-	// requires CAP_SYS_ADMIN and Protego never grants it.
-	k.RegisterDevice("/dev/dm-0", func(t *kernel.Task, cmd uint32, arg any, granted bool) error {
-		if cmd != kernel.DMGETINFO {
-			return errno.ENOTTY
-		}
-		if !granted && !t.Capable(caps.CAP_SYS_ADMIN) {
-			return errno.EPERM
-		}
-		info, ok := arg.(*userspace.DMInfo)
+// pppIoctl serves /dev/ppp: modem attach/detach/session parameters.
+func pppIoctl(t *kernel.Task, cmd uint32, arg any, granted bool) error {
+	net := t.Kernel().Net
+	switch cmd {
+	case kernel.PPPIOCATTACH:
+		name, ok := arg.(string)
 		if !ok {
 			return errno.EINVAL
 		}
-		info.PhysicalDevice = "/dev/sda2"
-		info.Key = "aes-xts-plain64:deadbeefcafef00d"
-		return nil
-	})
-
-	// /dev/dri0: video mode control; baseline demands CAP_SYS_ADMIN (and
-	// friends), Protego grants it because KMS made the kernel own the
-	// context switch.
-	k.RegisterDevice(userspace.VideoDevice, func(t *kernel.Task, cmd uint32, arg any, granted bool) error {
-		if cmd != kernel.VIDIOCSMODE {
-			return errno.ENOTTY
+		iface := net.Iface(name)
+		if iface == nil || !iface.Modem {
+			return errno.ENODEV
 		}
-		if !granted && !(t.Capable(caps.CAP_SYS_ADMIN) && t.Capable(caps.CAP_SYS_RAWIO) &&
-			t.Capable(caps.CAP_CHOWN) && t.Capable(caps.CAP_DAC_OVERRIDE)) {
+		if !granted && !t.Capable(caps.CAP_NET_ADMIN) {
 			return errno.EPERM
 		}
+		if iface.InUse && iface.Owner != t.UID() {
+			return errno.EBUSY
+		}
+		iface.InUse = true
+		iface.Owner = t.UID()
+		iface.Up = true
 		return nil
-	})
+	case kernel.PPPIOCDETACH:
+		name, ok := arg.(string)
+		if !ok {
+			return errno.EINVAL
+		}
+		iface := net.Iface(name)
+		if iface == nil {
+			return errno.ENODEV
+		}
+		if iface.Owner != t.UID() && !t.Capable(caps.CAP_NET_ADMIN) {
+			return errno.EPERM
+		}
+		iface.InUse = false
+		iface.Up = false
+		iface.Owner = 0
+		return nil
+	case kernel.PPPIOCSPARAM:
+		kv, ok := arg.([2]string)
+		if !ok {
+			return errno.EINVAL
+		}
+		if !granted && !t.Capable(caps.CAP_NET_ADMIN) {
+			return errno.EPERM
+		}
+		for _, iface := range net.Ifaces() {
+			if iface.Modem && iface.Owner == t.UID() {
+				iface.Params[kv[0]] = kv[1]
+			}
+		}
+		return nil
+	default:
+		return errno.ENOTTY
+	}
+}
+
+// dmcryptIoctl serves /dev/dm-0: the dmcrypt metadata ioctl discloses
+// the key, so it requires CAP_SYS_ADMIN and Protego never grants it.
+func dmcryptIoctl(t *kernel.Task, cmd uint32, arg any, granted bool) error {
+	if cmd != kernel.DMGETINFO {
+		return errno.ENOTTY
+	}
+	if !granted && !t.Capable(caps.CAP_SYS_ADMIN) {
+		return errno.EPERM
+	}
+	info, ok := arg.(*userspace.DMInfo)
+	if !ok {
+		return errno.EINVAL
+	}
+	info.PhysicalDevice = "/dev/sda2"
+	info.Key = "aes-xts-plain64:deadbeefcafef00d"
+	return nil
+}
+
+// videoIoctl serves /dev/dri0, video mode control: the baseline demands
+// CAP_SYS_ADMIN (and friends), Protego grants it because KMS made the
+// kernel own the context switch.
+func videoIoctl(t *kernel.Task, cmd uint32, arg any, granted bool) error {
+	if cmd != kernel.VIDIOCSMODE {
+		return errno.ENOTTY
+	}
+	if !granted && !(t.Capable(caps.CAP_SYS_ADMIN) && t.Capable(caps.CAP_SYS_RAWIO) &&
+		t.Capable(caps.CAP_CHOWN) && t.Capable(caps.CAP_DAC_OVERRIDE)) {
+		return errno.EPERM
+	}
+	return nil
 }
 
 // setuidBinaries are the studied binaries that carry the setuid bit on the
