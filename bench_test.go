@@ -113,11 +113,7 @@ func BenchmarkTable5Micro(b *testing.B) {
 		m := mustBuild(b, mode)
 		for _, test := range bench.MicroSuite() {
 			test := test
-			user := "alice"
-			if name := test.Name; name == "mount/umnt" || name == "ioctl" || name == "bind" {
-				user = "root"
-			}
-			sess := mustSession(b, m, user)
+			sess := mustSession(b, m, test.User())
 			b.Run(fmt.Sprintf("%s/%s", mode, sanitize(test.Name)), func(b *testing.B) {
 				if err := test.Run(m, sess, b.N); err != nil {
 					b.Fatal(err)

@@ -12,22 +12,27 @@
 //	protego-bench -figure 1    the mount control-flow comparison
 //	protego-bench -all         everything
 //
+// Table 5 reports each row as mean ± 95% CI over alternating rounds on
+// the two kernels; Table 1's worst-overhead line reads its micro rows.
 // -quick shrinks the macro workloads for a fast smoke run. -faults runs the
 // deterministic fault-injection sweep (seeded by -faultseed) over both
 // configurations instead of the tables, exiting non-zero on any panic,
 // fail-open decision, or failed recovery. -difffuzz N runs N differential
-// syscall-fuzzing traces (seeded by -difffuzzseed) against a fresh
-// baseline/Protego pair each, reporting traces/sec and divergence counts
-// (merged into the -json report when given) and exiting non-zero on any
-// unexplained divergence or invariant violation. -seccomp tabulates the
-// per-binary syscall attack-surface reduction from the committed golden
-// allowlists, reports the syscall-entry prologue overhead, and exits
-// non-zero unless arming seccomp adds only the TaskSyscall check (no
-// extra allocations; one lsm.syscall.allow per syscall).
+// syscall-fuzzing traces (seeded by -difffuzzseed) against a
+// baseline/Protego clone pair each, reporting step and divergence counts
+// and exiting non-zero on any unexplained divergence or invariant
+// violation. -seccomp tabulates the per-binary syscall attack-surface
+// reduction from the committed golden allowlists and exits non-zero
+// unless arming seccomp adds only the TaskSyscall check (no extra
+// allocations; one lsm.syscall.allow per syscall).
 // -vulngen N generates N misconfigured environments (seeded by
 // -vulngenseed) and replays the full CVE corpus inside each on mutated
 // baseline/Protego snapshot pairs, exiting non-zero on any uncontained
 // escalation, invariant violation, or unexplained baseline non-escalation.
+//
+// Parallel scaling and lock contention are go test benchmarks:
+//
+//	go test -run '^$' -bench BenchmarkParallel -cpu 1,2,4,8 -mutexprofile m.out ./internal/bench
 package main
 
 import (
@@ -49,43 +54,14 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything")
 	quick := flag.Bool("quick", false, "reduced workload sizes")
 	repo := flag.String("repo", ".", "repository root for line counting (table 2)")
-	jsonPath := flag.String("json", "", "also write the table-5 run as a JSON report (e.g. BENCH_protego.json)")
-	scaling := flag.Bool("scaling", false, "run only the parallel scaling sweep (GOMAXPROCS 1/2/4/8) and print it")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile to this path at exit")
-	blockProfile := flag.String("blockprofile", "", "write a blocking pprof profile to this path at exit")
-	mutexFrac := flag.Int("mutexfrac", 1, "mutex profile sampling fraction (SetMutexProfileFraction)")
-	blockRate := flag.Int("blockrate", 1, "block profile rate in ns (SetBlockProfileRate)")
 	faults := flag.Bool("faults", false, "run the deterministic fault-injection sweep over both configurations")
 	faultSeed := flag.Int64("faultseed", 42, "seed for the fault-injection sweep (fixes torn-read offsets)")
 	diffFuzz := flag.Int("difffuzz", 0, "run N differential-fuzzing traces (baseline vs Protego) instead of the tables")
 	diffFuzzSeed := flag.Int64("difffuzzseed", 1, "seed for the differential-fuzzing trace generator")
-	seccompMode := flag.Bool("seccomp", false, "report per-binary syscall attack-surface reduction and the enter() prologue overhead; fail if arming seccomp adds more than the TaskSyscall check")
+	seccompMode := flag.Bool("seccomp", false, "report per-binary syscall attack-surface reduction; fail if arming seccomp adds more than the TaskSyscall check")
 	vulgenN := flag.Int("vulngen", 0, "generate N misconfigured environments and replay the full CVE corpus inside each")
 	vulgenSeed := flag.Int64("vulngenseed", 1, "seed for the vulnerable-environment generator")
 	flag.Parse()
-
-	if *mutexProfile != "" || *blockProfile != "" {
-		mf, br := 0, 0
-		if *mutexProfile != "" {
-			mf = *mutexFrac
-		}
-		if *blockProfile != "" {
-			br = *blockRate
-		}
-		bench.EnableContentionProfiling(mf, br)
-		defer func() {
-			if *mutexProfile != "" {
-				if err := bench.DumpProfile("mutex", *mutexProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-bench: %v\n", err)
-				}
-			}
-			if *blockProfile != "" {
-				if err := bench.DumpProfile("block", *blockProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-bench: %v\n", err)
-				}
-			}
-		}()
-	}
 
 	if *faults {
 		linux, err := bench.RunFaultSweep(kernel.ModeLinux, *faultSeed, *quick)
@@ -115,19 +91,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(bench.FormatDiffFuzz(rep))
-		if *jsonPath != "" {
-			full, err := bench.ReadReport(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: difffuzz: read %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			full.DiffFuzz = rep
-			if err := bench.WriteReport(*jsonPath, full); err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: difffuzz: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("updated %s\n", *jsonPath)
-		}
 		if !rep.Clean() {
 			fmt.Fprintf(os.Stderr, "protego-bench: difffuzz: %d unexplained divergences, %d invariant violations\n",
 				rep.UnexplainedDivergences, rep.InvariantViolations)
@@ -143,19 +106,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(bench.FormatVulngen(rep))
-		if *jsonPath != "" {
-			full, err := bench.ReadReport(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: vulngen: read %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			full.Vulngen = rep
-			if err := bench.WriteReport(*jsonPath, full); err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: vulngen: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("updated %s\n", *jsonPath)
-		}
 		if !rep.Clean() {
 			fmt.Fprintf(os.Stderr, "protego-bench: vulngen: %d uncontained escalations across %d environments\n",
 				rep.Uncontained, rep.Environments)
@@ -165,49 +115,16 @@ func main() {
 	}
 
 	if *seccompMode {
-		iters := 0
-		if *quick {
-			// Below ~5k iterations scheduler noise swamps the few-percent
-			// overhead the timing reports.
-			iters = 5000
-		}
-		rep, err := bench.MeasureSeccomp(iters)
+		rep, err := bench.MeasureSeccomp()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "protego-bench: seccomp: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Print(bench.FormatSeccomp(rep))
-		if *jsonPath != "" {
-			full, err := bench.ReadReport(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: seccomp: read %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-			full.Seccomp = rep
-			if err := bench.WriteReport(*jsonPath, full); err != nil {
-				fmt.Fprintf(os.Stderr, "protego-bench: seccomp: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("updated %s\n", *jsonPath)
-		}
 		if !rep.GatePassed {
 			fmt.Fprintln(os.Stderr, "protego-bench: seccomp: arming seccomp adds more than the TaskSyscall check (see the gate lines above)")
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *scaling {
-		iterScale := 1.0
-		if *quick {
-			iterScale = 0.05
-		}
-		rep, err := bench.MeasureScaling(bench.DefaultScalingSweep(), iterScale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "protego-bench: scaling: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.FormatScaling(rep))
 		return
 	}
 
@@ -230,7 +147,7 @@ func main() {
 	run(2, func() error { return printTable2(*repo) })
 	run(3, func() error { fmt.Print(survey.FormatTable3()); return nil })
 	run(4, func() error { fmt.Print(core.FormatCatalog()); return nil })
-	run(5, func() error { return printTable5(*quick, *jsonPath) })
+	run(5, func() error { return printTable5(*quick) })
 	run(6, func() error { return printTable6() })
 	run(7, func() error { return printTable7() })
 	run(8, func() error { fmt.Print(survey.FormatTable8()); return nil })
@@ -243,7 +160,7 @@ func main() {
 	}
 }
 
-func printTable5(quick bool, jsonPath string) error {
+func printTable5(quick bool) error {
 	cfg := bench.DefaultTable5Config()
 	if quick {
 		cfg.PostalMessages = 50
@@ -256,29 +173,6 @@ func printTable5(quick bool, jsonPath string) error {
 		return err
 	}
 	fmt.Print(bench.FormatTable5(rows))
-	if jsonPath != "" {
-		rep, err := bench.BuildReport(rows, quick)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteReport(jsonPath, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s (trace emission: %.0f ns/op, under 1µs: %v)\n",
-			jsonPath, rep.Emission.NsPerOp, rep.Emission.Under1us)
-		if fp := rep.Fastpath; fp != nil {
-			fmt.Printf("fast paths: lookup %.0f → %.0f ns/op with dcache (%.1f%% faster), "+
-				"mount-flow hit ratio %.4f\n",
-				fp.LookupColdNsPerOp, fp.LookupWarmNsPerOp, fp.SpeedupPct, fp.MountFlowHitRatio)
-			fmt.Printf("fastpath counters: dcache.hit=%d dcache.miss=%d mountidx.hit=%d nfidx.fastpath=%d\n",
-				fp.Counters["dcache.hit"], fp.Counters["dcache.miss"],
-				fp.Counters["mountidx.hit"], fp.Counters["nfidx.fastpath"])
-		}
-		if rep.Scaling != nil {
-			fmt.Println()
-			fmt.Print(bench.FormatScaling(rep.Scaling))
-		}
-	}
 	return nil
 }
 

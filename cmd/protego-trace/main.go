@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 
-	"protego/internal/bench"
 	"protego/internal/kernel"
 	"protego/internal/seccomp"
 	"protego/internal/seccomp/profiles"
@@ -36,32 +35,7 @@ func main() {
 	noWorkload := flag.Bool("no-workload", false, "skip the demo workload, trace only the boot")
 	profilesOnly := flag.Bool("profiles", false, "print the committed golden syscall profiles for -mode and exit")
 	profileDiff := flag.Bool("profile-diff", false, "record the workload's observed syscall profile and diff it against the committed goldens")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile to this path at exit")
-	blockProfile := flag.String("blockprofile", "", "write a blocking pprof profile to this path at exit")
 	flag.Parse()
-
-	if *mutexProfile != "" || *blockProfile != "" {
-		mf, br := 0, 0
-		if *mutexProfile != "" {
-			mf = 1
-		}
-		if *blockProfile != "" {
-			br = 1
-		}
-		bench.EnableContentionProfiling(mf, br)
-		defer func() {
-			if *mutexProfile != "" {
-				if err := bench.DumpProfile("mutex", *mutexProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-trace: %v\n", err)
-				}
-			}
-			if *blockProfile != "" {
-				if err := bench.DumpProfile("block", *blockProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-trace: %v\n", err)
-				}
-			}
-		}()
-	}
 
 	mode, err := kernel.ParseMode(*modeName)
 	if err != nil {

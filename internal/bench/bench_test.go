@@ -16,8 +16,11 @@ func TestMicroSuiteRunsBothModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, test := range MicroSuite() {
-			test.Iters = 8
-			if _, err := RunMicro(m, test, rootOnlyTests[test.Name]); err != nil {
+			sess, err := m.Session(test.User())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := test.Run(m, sess, 8); err != nil {
 				t.Errorf("%s on %s: %v", test.Name, mode, err)
 			}
 		}
@@ -68,6 +71,14 @@ func TestRowOverheadSign(t *testing.T) {
 	r.HigherIsBetter = true // 110 units of throughput is an improvement
 	if oh := r.OverheadPct(); oh != -10 {
 		t.Fatalf("throughput overhead = %v, want -10", oh)
+	}
+	r = Row{Linux: 100, LinuxCI: 5, Protego: 108, ProtegoCI: 4}
+	if !r.Noise() {
+		t.Fatal("overlapping CIs not marked as noise")
+	}
+	r.ProtegoCI = 2
+	if r.Noise() {
+		t.Fatal("disjoint CIs marked as noise")
 	}
 }
 

@@ -3,31 +3,25 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"protego/internal/difffuzz"
 	"protego/internal/kernel"
 	"protego/internal/seccomp/profiles"
 )
 
-// DiffFuzzReport summarizes a differential-fuzzing throughput run: n
-// seeded random traces executed on fresh baseline/Protego machine pairs
-// with per-step fingerprint comparison and invariant checking.
+// DiffFuzzReport summarizes a differential-fuzzing run: n seeded random
+// traces executed on baseline/Protego clone pairs stamped from the golden
+// images, with per-step fingerprint comparison and invariant checking.
 type DiffFuzzReport struct {
-	Seed    int64   `json:"seed"`
-	Traces  int     `json:"traces"`
-	Steps   int     `json:"steps"`
-	Seconds float64 `json:"seconds"`
-	// TracesPerSec is the snapshot-clone throughput: each trace stamps a
-	// COW clone pair from the golden images.
-	TracesPerSec           float64 `json:"traces_per_sec"`
-	StepsPerSec            float64 `json:"steps_per_sec"`
-	ExplainedDivergences   int     `json:"explained_divergences"`
-	UnexplainedDivergences int     `json:"unexplained_divergences"`
-	InvariantViolations    int     `json:"invariant_violations"`
+	Seed                   int64
+	Traces                 int
+	Steps                  int
+	ExplainedDivergences   int
+	UnexplainedDivergences int
+	InvariantViolations    int
 	// Failures carries the shrunk replayable reproducers, empty on a
 	// clean run.
-	Failures []string `json:"failures,omitempty"`
+	Failures []string
 }
 
 // Clean reports whether the run found no unexplained divergences and no
@@ -50,7 +44,6 @@ func RunDiffFuzz(n int, seed int64) (*DiffFuzzReport, error) {
 	cfg := difffuzz.Config{SeccompAudit: audit}
 	rep := &DiffFuzzReport{Seed: seed, Traces: n}
 	gen := difffuzz.NewGenerator(seed)
-	start := time.Now()
 	for i := 0; i < n; i++ {
 		tr := gen.Next()
 		res, err := difffuzz.Run(tr, cfg)
@@ -69,11 +62,6 @@ func RunDiffFuzz(n int, seed int64) (*DiffFuzzReport, error) {
 				fmt.Sprintf("trace %d: %s\nreplay:\n%s", i, res, min.GoLiteral()))
 		}
 	}
-	rep.Seconds = time.Since(start).Seconds()
-	if rep.Seconds > 0 {
-		rep.TracesPerSec = float64(rep.Traces) / rep.Seconds
-		rep.StepsPerSec = float64(rep.Steps) / rep.Seconds
-	}
 	return rep, nil
 }
 
@@ -81,8 +69,7 @@ func RunDiffFuzz(n int, seed int64) (*DiffFuzzReport, error) {
 func FormatDiffFuzz(r *DiffFuzzReport) string {
 	var b strings.Builder
 	b.WriteString("Differential syscall fuzzing (baseline vs Protego, per-step fingerprints)\n")
-	fmt.Fprintf(&b, "  seed=%d traces=%d steps=%d in %.2fs (%.1f traces/s, %.0f steps/s)\n",
-		r.Seed, r.Traces, r.Steps, r.Seconds, r.TracesPerSec, r.StepsPerSec)
+	fmt.Fprintf(&b, "  seed=%d traces=%d steps=%d\n", r.Seed, r.Traces, r.Steps)
 	fmt.Fprintf(&b, "  explained (by-design) divergences: %d\n", r.ExplainedDivergences)
 	fmt.Fprintf(&b, "  unexplained divergences: %d\n", r.UnexplainedDivergences)
 	fmt.Fprintf(&b, "  invariant violations: %d\n", r.InvariantViolations)

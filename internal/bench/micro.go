@@ -11,8 +11,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 	"time"
 
 	"protego/internal/kernel"
@@ -25,6 +23,9 @@ import (
 type MicroTest struct {
 	Name  string
 	Iters int
+	// AsRoot runs the test as root rather than alice: mount/umount,
+	// ioctl on the baseline, and binds to privileged ports need it.
+	AsRoot bool
 	// Run performs iters operations and returns any error; timing is
 	// taken around the call.
 	Run func(m *world.Machine, t *kernel.Task, iters int) error
@@ -43,11 +44,11 @@ func MicroSuite() []MicroTest {
 		{Name: "write", Iters: defaultIters * 5, Run: microWrite},
 		{Name: "stat", Iters: defaultIters * 5, Run: microStat},
 		{Name: "open/close", Iters: defaultIters * 2, Run: microOpenClose},
-		{Name: "mount/umnt", Iters: defaultIters / 10, Run: microMountUmount},
+		{Name: "mount/umnt", Iters: defaultIters / 10, AsRoot: true, Run: microMountUmount},
 		{Name: "setuid", Iters: defaultIters * 2, Run: microSetuid},
 		{Name: "setgid", Iters: defaultIters * 2, Run: microSetgid},
-		{Name: "ioctl", Iters: defaultIters * 2, Run: microIoctl},
-		{Name: "bind", Iters: defaultIters, Run: microBind},
+		{Name: "ioctl", Iters: defaultIters * 2, AsRoot: true, Run: microIoctl},
+		{Name: "bind", Iters: defaultIters, AsRoot: true, Run: microBind},
 		{Name: "sig install", Iters: defaultIters * 5, Run: microSigInstall},
 		{Name: "sig overhead", Iters: defaultIters * 5, Run: microSigOverhead},
 		{Name: "prot. fault", Iters: defaultIters * 5, Run: microProtFault},
@@ -427,10 +428,6 @@ func microUDPLatency(m *world.Machine, t *kernel.Task, iters int) error {
 	return <-done
 }
 
-// microReps is the number of timed repetitions; the minimum is reported,
-// as lmbench does, to shed scheduler and GC noise.
-const microReps = 7
-
 // peerStack links a fresh remote stack to the machine's host network (the
 // paper's two-machine remote-latency tests).
 func peerStack(m *world.Machine) *netstack.Stack {
@@ -573,176 +570,10 @@ func microBandwidth(m *world.Machine, t *kernel.Task, iters int) error {
 	return <-done
 }
 
-// RunMicro times one test on a machine, returning microseconds per
-// operation (minimum over repetitions).
-func RunMicro(m *world.Machine, test MicroTest, asRoot bool) (float64, error) {
-	user := "alice"
-	if asRoot {
-		user = "root"
+// User is the account the test runs as.
+func (mt MicroTest) User() string {
+	if mt.AsRoot {
+		return "root"
 	}
-	t, err := m.Session(user)
-	if err != nil {
-		return 0, err
-	}
-	// Warm up policy caches the way a booted system would be warm.
-	if err := test.Run(m, t, test.Iters/10+1); err != nil {
-		return 0, err
-	}
-	best := 0.0
-	for rep := 0; rep < microReps; rep++ {
-		start := time.Now()
-		if err := test.Run(m, t, test.Iters); err != nil {
-			return 0, err
-		}
-		us := float64(time.Since(start).Nanoseconds()) / 1000 / float64(test.Iters)
-		if rep == 0 || us < best {
-			best = us
-		}
-	}
-	return best, nil
-}
-
-// rootOnlyTests require root (mount/umount, ioctl on the baseline, bind to
-// privileged ports).
-var rootOnlyTests = map[string]bool{
-	"mount/umnt": true,
-	"ioctl":      true,
-	"bind":       true,
-}
-
-// RunMicroSuite runs the whole suite on a fresh machine of the given mode.
-func RunMicroSuite(mode kernel.Mode) (map[string]float64, error) {
-	m, err := world.Build(world.Options{Mode: mode})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64)
-	for _, test := range MicroSuite() {
-		us, err := RunMicro(m, test, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, fmt.Errorf("bench %s (%s): %w", test.Name, mode, err)
-		}
-		out[test.Name] = us
-	}
-	return out, nil
-}
-
-// RunMicroPairSamples measures every test on both kernels with
-// repetitions interleaved, returning full samples (mean ± 95% CI, as the
-// paper reports) rather than just the minimum.
-func RunMicroPairSamples() (linux, protego map[string]Sample, err error) {
-	lm, err := world.Build(world.Options{Mode: kernel.ModeLinux})
-	if err != nil {
-		return nil, nil, err
-	}
-	pm, err := world.Build(world.Options{Mode: kernel.ModeProtego})
-	if err != nil {
-		return nil, nil, err
-	}
-	linux = make(map[string]Sample)
-	protego = make(map[string]Sample)
-	for _, test := range MicroSuite() {
-		lt, err := benchSession(lm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		pt, err := benchSession(pm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := test.Run(lm, lt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-		}
-		if err := test.Run(pm, pt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-		}
-		runtime.GC()
-		lVals := make([]float64, 0, microReps)
-		pVals := make([]float64, 0, microReps)
-		for rep := 0; rep < microReps; rep++ {
-			start := time.Now()
-			if err := test.Run(lm, lt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-			}
-			lVals = append(lVals, float64(time.Since(start).Nanoseconds())/1000/float64(test.Iters))
-			start = time.Now()
-			if err := test.Run(pm, pt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-			}
-			pVals = append(pVals, float64(time.Since(start).Nanoseconds())/1000/float64(test.Iters))
-		}
-		linux[test.Name] = Summarize(lVals)
-		protego[test.Name] = Summarize(pVals)
-	}
-	return linux, protego, nil
-}
-
-// RunMicroPair measures every test on both kernels with repetitions
-// interleaved (Linux rep, Protego rep, ...), so allocator and GC pressure
-// land evenly on both sides — the fair-comparison discipline the paper
-// gets for free by running on separate booted kernels.
-func RunMicroPair() (linux, protego map[string]float64, err error) {
-	lm, err := world.Build(world.Options{Mode: kernel.ModeLinux})
-	if err != nil {
-		return nil, nil, err
-	}
-	pm, err := world.Build(world.Options{Mode: kernel.ModeProtego})
-	if err != nil {
-		return nil, nil, err
-	}
-	linux = make(map[string]float64)
-	protego = make(map[string]float64)
-	for _, test := range MicroSuite() {
-		lt, err := benchSession(lm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		pt, err := benchSession(pm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		// Warm both sides.
-		if err := test.Run(lm, lt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-		}
-		if err := test.Run(pm, pt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-		}
-		runtime.GC()
-		var lBest, pBest float64
-		for rep := 0; rep < microReps; rep++ {
-			start := time.Now()
-			if err := test.Run(lm, lt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-			}
-			lus := float64(time.Since(start).Nanoseconds()) / 1000 / float64(test.Iters)
-			start = time.Now()
-			if err := test.Run(pm, pt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-			}
-			pus := float64(time.Since(start).Nanoseconds()) / 1000 / float64(test.Iters)
-			if rep == 0 || lus < lBest {
-				lBest = lus
-			}
-			if rep == 0 || pus < pBest {
-				pBest = pus
-			}
-		}
-		linux[test.Name] = lBest
-		protego[test.Name] = pBest
-	}
-	return linux, protego, nil
-}
-
-func benchSession(m *world.Machine, asRoot bool) (*kernel.Task, error) {
-	user := "alice"
-	if asRoot {
-		user = "root"
-	}
-	return m.Session(user)
-}
-
-// normalizeName makes bench names safe for Go benchmark sub-names.
-func normalizeName(name string) string {
-	return strings.NewReplacer("/", "-", " ", "_", ".", "").Replace(name)
+	return "alice"
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
+	"protego/internal/kernel"
 	"protego/internal/lsm"
 	"protego/internal/netstack"
 	"protego/internal/userspace"
@@ -27,10 +25,7 @@ type ParallelOp func(iter int) error
 // ParallelTest is one entry of the parallel suite. Setup builds a fresh
 // Protego machine plus per-worker state and returns one op per worker.
 type ParallelTest struct {
-	Name string
-	// Iters is the per-worker iteration count of a full (non-quick) run,
-	// sized so every test finishes in roughly the same wall time.
-	Iters int
+	Name  string
 	Setup func(workers int) ([]ParallelOp, error)
 }
 
@@ -39,57 +34,34 @@ type ParallelTest struct {
 // verdict, sudo delegation, and the paper's full Figure 1 mount flow.
 func ParallelSuite() []ParallelTest {
 	return []ParallelTest{
-		{Name: "stat-dcache-hit", Iters: 20000, Setup: setupStatDcache},
-		{Name: "open-close", Iters: 10000, Setup: setupOpenClose},
-		{Name: "mount-whitelist-check", Iters: 20000, Setup: setupMountCheck},
-		{Name: "netfilter-verdict", Iters: 20000, Setup: setupNetfilterVerdict},
-		{Name: "sudo-delegation", Iters: 200, Setup: setupSudoDelegation},
-		{Name: "figure1-mount-flow", Iters: 60, Setup: setupMountFlow},
+		{Name: "stat-dcache-hit", Setup: setupProbe(statOp)},
+		{Name: "open-close", Setup: setupProbe(openCloseOp)},
+		{Name: "mount-whitelist-check", Setup: setupMountCheck},
+		{Name: "netfilter-verdict", Setup: setupNetfilterVerdict},
+		{Name: "sudo-delegation", Setup: setupSudoDelegation},
+		{Name: "figure1-mount-flow", Setup: setupMountFlow},
 	}
 }
 
-// setupStatDcache: every worker stats the same deep path as its own
-// alice session; after the first touch all lookups are dentry-cache hits.
-func setupStatDcache(workers int) ([]ParallelOp, error) {
-	m, err := buildFastpathMachine()
-	if err != nil {
-		return nil, err
-	}
-	ops := make([]ParallelOp, workers)
-	for w := 0; w < workers; w++ {
-		t, err := m.Session("alice")
+// setupProbe: every worker runs op (statOp or openCloseOp) on the shared
+// probe file as its own alice session; after the first touch every lookup
+// is a dentry-cache hit.
+func setupProbe(op func(k *kernel.Kernel, t *kernel.Task) error) func(workers int) ([]ParallelOp, error) {
+	return func(workers int) ([]ParallelOp, error) {
+		m, err := probeMachine(false)
 		if err != nil {
 			return nil, err
 		}
-		ops[w] = func(int) error {
-			_, err := m.K.Stat(t, statPath)
-			return err
-		}
-	}
-	return ops, nil
-}
-
-// setupOpenClose: open+close of the shared probe file per iteration.
-func setupOpenClose(workers int) ([]ParallelOp, error) {
-	m, err := buildFastpathMachine()
-	if err != nil {
-		return nil, err
-	}
-	ops := make([]ParallelOp, workers)
-	for w := 0; w < workers; w++ {
-		t, err := m.Session("alice")
-		if err != nil {
-			return nil, err
-		}
-		ops[w] = func(int) error {
-			fd, err := m.K.Open(t, statPath, 0 /* O_RDONLY */)
+		ops := make([]ParallelOp, workers)
+		for w := 0; w < workers; w++ {
+			t, err := m.Session("alice")
 			if err != nil {
-				return err
+				return nil, err
 			}
-			return m.K.CloseFD(t, fd)
+			ops[w] = func(int) error { return op(m.K, t) }
 		}
+		return ops, nil
 	}
-	return ops, nil
 }
 
 // setupMountCheck: the pure LSM read path — probe the compiled mount
@@ -223,173 +195,4 @@ func setupMountFlow(workers int) ([]ParallelOp, error) {
 		}
 	}
 	return ops, nil
-}
-
-// ScalingPoint is one (GOMAXPROCS, throughput) sample.
-type ScalingPoint struct {
-	Procs     int     `json:"gomaxprocs"`
-	Workers   int     `json:"workers"`
-	Ops       int     `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// SpeedupVs1 is this point's throughput over the same test's
-	// 1-proc throughput.
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
-}
-
-// ScalingRow is one test's throughput curve across the sweep.
-type ScalingRow struct {
-	Name   string         `json:"name"`
-	Points []ScalingPoint `json:"points"`
-}
-
-// ScalingReport is the `scaling` section of BENCH_protego.json.
-type ScalingReport struct {
-	// HostCPUs is runtime.NumCPU() on the measuring host. Speedups are
-	// physically bounded by it: on a 1-core host every curve is flat
-	// regardless of how scalable the kernel is, so consumers must read
-	// the curves relative to this field.
-	HostCPUs       int          `json:"host_cpus"`
-	Procs          []int        `json:"gomaxprocs_sweep"`
-	ItersPerWorker string       `json:"iters_per_worker"`
-	Note           string       `json:"note,omitempty"`
-	Rows           []ScalingRow `json:"rows"`
-}
-
-// scalingReps is the best-of repetition count per point (minimum wall
-// time wins, like the micro harness).
-const scalingReps = 3
-
-// DefaultScalingSweep is the GOMAXPROCS sweep of the acceptance
-// criterion: 1, 2, 4, and 8 procs.
-func DefaultScalingSweep() []int { return []int{1, 2, 4, 8} }
-
-// MeasureScaling runs every parallel test across the GOMAXPROCS sweep.
-// iterScale scales each test's per-worker iteration count (1.0 = full
-// run; quick runs pass a fraction). One machine is built per test and
-// shared across the sweep, so later points run with warm caches; workers
-// always equal procs, and each worker runs the test's per-worker op.
-func MeasureScaling(procs []int, iterScale float64) (*ScalingReport, error) {
-	if len(procs) == 0 {
-		procs = DefaultScalingSweep()
-	}
-	if iterScale <= 0 {
-		iterScale = 1.0
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	rep := &ScalingReport{
-		HostCPUs:       runtime.NumCPU(),
-		Procs:          procs,
-		ItersPerWorker: fmt.Sprintf("suite defaults x %g", iterScale),
-	}
-	maxProcs := 0
-	for _, p := range procs {
-		if p > maxProcs {
-			maxProcs = p
-		}
-	}
-	if rep.HostCPUs < maxProcs {
-		rep.Note = fmt.Sprintf("host has %d CPU(s): points beyond it time-slice "+
-			"one core, so parallel speedup is physically capped at %dx",
-			rep.HostCPUs, rep.HostCPUs)
-	}
-
-	for _, test := range ParallelSuite() {
-		iters := int(float64(test.Iters) * iterScale)
-		if iters < 1 {
-			iters = 1
-		}
-		ops, err := test.Setup(maxProcs)
-		if err != nil {
-			return nil, fmt.Errorf("%s: setup: %w", test.Name, err)
-		}
-		// Warm every worker's path once (fills the dentry cache, the
-		// compiled indexes, and the counter snapshots) and surface
-		// setup errors outside the timed region.
-		for _, op := range ops {
-			if err := op(0); err != nil {
-				return nil, fmt.Errorf("%s: warmup: %w", test.Name, err)
-			}
-		}
-		row := ScalingRow{Name: test.Name}
-		for _, p := range procs {
-			sec, err := runParallelPoint(ops[:p], iters, p)
-			if err != nil {
-				return nil, fmt.Errorf("%s @%d procs: %w", test.Name, p, err)
-			}
-			pt := ScalingPoint{
-				Procs: p, Workers: p, Ops: p * iters,
-				OpsPerSec: float64(p*iters) / sec,
-			}
-			if len(row.Points) > 0 && row.Points[0].OpsPerSec > 0 {
-				pt.SpeedupVs1 = pt.OpsPerSec / row.Points[0].OpsPerSec
-			} else {
-				pt.SpeedupVs1 = 1
-			}
-			row.Points = append(row.Points, pt)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep, nil
-}
-
-// runParallelPoint times workers goroutines each running iters ops at
-// the given GOMAXPROCS, best of scalingReps, returning seconds of wall
-// time for the fastest rep.
-func runParallelPoint(ops []ParallelOp, iters, procs int) (float64, error) {
-	runtime.GOMAXPROCS(procs)
-	best := 0.0
-	for rep := 0; rep < scalingReps; rep++ {
-		var (
-			start = make(chan struct{})
-			wg    sync.WaitGroup
-			errMu sync.Mutex
-			fail  error
-		)
-		for _, op := range ops {
-			wg.Add(1)
-			go func(op ParallelOp) {
-				defer wg.Done()
-				<-start
-				for i := 0; i < iters; i++ {
-					if err := op(i); err != nil {
-						errMu.Lock()
-						if fail == nil {
-							fail = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-			}(op)
-		}
-		t0 := time.Now()
-		close(start)
-		wg.Wait()
-		sec := time.Since(t0).Seconds()
-		if fail != nil {
-			return 0, fail
-		}
-		if rep == 0 || sec < best {
-			best = sec
-		}
-	}
-	return best, nil
-}
-
-// FormatScaling renders the sweep as an aligned text table.
-func FormatScaling(rep *ScalingReport) string {
-	out := fmt.Sprintf("Parallel scaling sweep (host CPUs: %d)\n", rep.HostCPUs)
-	if rep.Note != "" {
-		out += "note: " + rep.Note + "\n"
-	}
-	out += fmt.Sprintf("%-24s %6s %12s %10s\n", "test", "procs", "ops/sec", "speedup")
-	for _, row := range rep.Rows {
-		for _, pt := range row.Points {
-			out += fmt.Sprintf("%-24s %6d %12.0f %9.2fx\n",
-				row.Name, pt.Procs, pt.OpsPerSec, pt.SpeedupVs1)
-		}
-	}
-	return out
 }

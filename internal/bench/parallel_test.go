@@ -31,35 +31,6 @@ func TestParallelSuiteSmoke(t *testing.T) {
 	}
 }
 
-// TestMeasureScalingQuick runs a tiny end-to-end sweep and checks the
-// report shape the JSON consumers rely on.
-func TestMeasureScalingQuick(t *testing.T) {
-	procs := []int{1, 2}
-	rep, err := MeasureScaling(procs, 0.002)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HostCPUs < 1 {
-		t.Fatalf("host_cpus = %d", rep.HostCPUs)
-	}
-	if len(rep.Rows) != len(ParallelSuite()) {
-		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(ParallelSuite()))
-	}
-	for _, row := range rep.Rows {
-		if len(row.Points) != len(procs) {
-			t.Fatalf("%s: points = %d, want %d", row.Name, len(row.Points), len(procs))
-		}
-		for _, pt := range row.Points {
-			if pt.OpsPerSec <= 0 {
-				t.Fatalf("%s @%d: ops/sec = %f", row.Name, pt.Procs, pt.OpsPerSec)
-			}
-		}
-		if rep.Rows[0].Points[0].SpeedupVs1 != 1 {
-			t.Fatalf("first point speedup = %f, want 1", rep.Rows[0].Points[0].SpeedupVs1)
-		}
-	}
-}
-
 // benchmarkParallel runs the named suite entry under b.RunParallel; each
 // of the GOMAXPROCS-many goroutines gets its own worker state.
 func benchmarkParallel(b *testing.B, name string) {

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"protego/internal/kernel"
 	"protego/internal/seccomp"
@@ -19,37 +17,26 @@ import (
 // each image, and how many enforcement removes. Allowed is -1 when the
 // binary is not part of that image.
 type SeccompRow struct {
-	Binary         string `json:"binary"`
-	LinuxAllowed   int    `json:"linux_allowed"`
-	LinuxRemoved   int    `json:"linux_removed"`
-	ProtegoAllowed int    `json:"protego_allowed"`
-	ProtegoRemoved int    `json:"protego_removed"`
+	Binary         string
+	LinuxAllowed   int
+	LinuxRemoved   int
+	ProtegoAllowed int
+	ProtegoRemoved int
 }
 
-// SeccompReport is the `seccomp` section of BENCH_protego.json: the
-// per-binary attack-surface table from the committed golden profiles plus
-// the cost of the syscall-entry prologue (gate armed with a full-catalog
-// profile vs unarmed) on the stat and open/close hot loops. The times are
-// reported, not judged: the acceptance gate is deterministic (see
-// SeccompGate).
+// SeccompReport is the per-binary attack-surface table from the committed
+// golden profiles, plus the deterministic gate on what arming seccomp adds
+// to the stat and open/close hot paths (see SeccompGate).
 type SeccompReport struct {
-	Catalog        int          `json:"catalog_syscalls"`
-	MachineLinux   int          `json:"machine_allowed_linux"`
-	MachineProtego int          `json:"machine_allowed_protego"`
-	Rows           []SeccompRow `json:"binaries"`
+	Catalog        int
+	MachineLinux   int
+	MachineProtego int
+	Rows           []SeccompRow
 
-	Iters                int     `json:"iters"`
-	StatUnarmedNsPerOp   float64 `json:"stat_unarmed_ns_per_op"`
-	StatArmedNsPerOp     float64 `json:"stat_armed_ns_per_op"`
-	StatOverheadPct      float64 `json:"stat_overhead_pct"`
-	OpenUnarmedNsPerOp   float64 `json:"open_close_unarmed_ns_per_op"`
-	OpenArmedNsPerOp     float64 `json:"open_close_armed_ns_per_op"`
-	OpenCloseOverheadPct float64 `json:"open_close_overhead_pct"`
-
-	StatGate      SeccompGate `json:"stat_gate"`
-	OpenCloseGate SeccompGate `json:"open_close_gate"`
+	StatGate      SeccompGate
+	OpenCloseGate SeccompGate
 	// GatePassed is the CI acceptance bit: both ops' gates hold.
-	GatePassed bool `json:"gate_passed"`
+	GatePassed bool
 }
 
 // SeccompGate checks that arming seccomp adds only the TaskSyscall check
@@ -57,14 +44,14 @@ type SeccompReport struct {
 // armed syscall moves the lsm.syscall.allow counter by exactly one (an
 // unarmed one, by zero). Both are counts, so the gate needs no retry.
 type SeccompGate struct {
-	Calls           int     `json:"calls"`
-	SyscallsPerOp   int     `json:"syscalls_per_op"`
-	UnarmedAllocs   float64 `json:"unarmed_allocs_per_op"`
-	ArmedAllocs     float64 `json:"armed_allocs_per_op"`
-	UnarmedAllowed  uint64  `json:"unarmed_allow_delta"`
-	ArmedAllowed    uint64  `json:"armed_allow_delta"`
-	WantArmedAllows uint64  `json:"want_armed_allow_delta"`
-	Passed          bool    `json:"passed"`
+	Calls           int
+	SyscallsPerOp   int
+	UnarmedAllocs   float64
+	ArmedAllocs     float64
+	UnarmedAllowed  uint64
+	ArmedAllowed    uint64
+	WantArmedAllows uint64
+	Passed          bool
 }
 
 // attackSurfaceRows tabulates both images' learned profiles over the
@@ -106,16 +93,16 @@ func attackSurfaceRows(lin, pro *seccomp.ProfileSet) []SeccompRow {
 	return rows
 }
 
-// seccompProbePath is the deep path the overhead loops resolve; like the
-// fastpath bench, every component is a directory the walk must check, so
-// the prologue's cost is measured against a realistic syscall body.
-const seccompProbePath = "/usr/share/doc/protego/seccomp/README"
+// probePath is the deep file the stat and open/close probes resolve:
+// every component is a directory the walk must permission-check.
+const probePath = "/usr/share/doc/protego/probe/README"
 
-func buildSeccompMachine(armed bool) (*world.Machine, error) {
+// probeMachine builds a Protego machine carrying probePath. Armed, every
+// task gets a full-catalog seccomp profile, so the gate measures the
+// mechanism (gate load, chain walk, bitmask test), not denials.
+func probeMachine(armed bool) (*world.Machine, error) {
 	opts := world.Options{Mode: kernel.ModeProtego}
 	if armed {
-		// A full-catalog profile for every task: the loop measures the
-		// mechanism (gate load, chain walk, bitmask test), not denials.
 		set := seccomp.NewSet(kernel.ModeProtego.String())
 		set.Machine = seccomp.FullProfile("")
 		set.Add(seccomp.FullProfile("/sbin/init"))
@@ -126,22 +113,22 @@ func buildSeccompMachine(armed bool) (*world.Machine, error) {
 		return nil, err
 	}
 	fs := m.K.FS
-	if err := fs.MkdirAll(vfs.RootCred, "/usr/share/doc/protego/seccomp", 0o755, 0, 0); err != nil {
+	if err := fs.MkdirAll(vfs.RootCred, "/usr/share/doc/protego/probe", 0o755, 0, 0); err != nil {
 		return nil, err
 	}
-	if err := fs.WriteFile(vfs.RootCred, seccompProbePath, []byte("seccomp probe\n"), 0o644, 0, 0); err != nil {
+	if err := fs.WriteFile(vfs.RootCred, probePath, []byte("probe\n"), 0o644, 0, 0); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
 func statOp(k *kernel.Kernel, t *kernel.Task) error {
-	_, err := k.Stat(t, seccompProbePath)
+	_, err := k.Stat(t, probePath)
 	return err
 }
 
 func openCloseOp(k *kernel.Kernel, t *kernel.Task) error {
-	fd, err := k.Open(t, seccompProbePath, kernel.O_RDONLY)
+	fd, err := k.Open(t, probePath, kernel.O_RDONLY)
 	if err != nil {
 		return err
 	}
@@ -187,128 +174,12 @@ func gate(plain, armed *seccompArm, calls, syscalls int, op func(k *kernel.Kerne
 	return g, nil
 }
 
-// timed runs one measured chunk of op over n calls.
-func (a *seccompArm) timed(n int, op func(k *kernel.Kernel, t *kernel.Task) error) (time.Duration, error) {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := op(a.m.K, a.sess); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
-}
-
-// seccompChunks splits each repetition of the overhead measurement into
-// alternating plain/armed slices. The gate judges a few-percent delta, so
-// the two arms must sample the same load window: coarse phase-separated
-// loops resonate with anything periodic (GC cycles, cgroup throttle
-// slices) and can pin the whole disturbance onto one arm in every
-// repetition, which best-of cannot wash out.
-const seccompChunks = 20
-
-// measureOpPair times op on both arms. Within a repetition the arms
-// alternate in small chunks — and alternate which arm goes first — so a
-// disturbance lands on both or neither. The repetition with the median
-// armed-over-plain delta is reported: the gate judges the delta, and a
-// median over repetitions survives disturbance episodes that best-of-arm
-// minima (each free to come from a different repetition) do not.
-func measureOpPair(plain, armed *seccompArm, iters int, op func(k *kernel.Kernel, t *kernel.Task) error) (plainNs, armedNs float64, err error) {
-	chunk := iters / seccompChunks
-	if chunk == 0 {
-		chunk = 1
-	}
-	total := chunk * seccompChunks
-	type repSample struct{ plain, armed float64 }
-	reps := make([]repSample, 0, microReps)
-	for r := 0; r < microReps; r++ {
-		var plainTot, armedTot time.Duration
-		for c := 0; c < seccompChunks; c++ {
-			pair := [2]*seccompArm{plain, armed}
-			if c%2 == 1 {
-				pair[0], pair[1] = armed, plain
-			}
-			for _, a := range pair {
-				d, err := a.timed(chunk, op)
-				if err != nil {
-					return 0, 0, err
-				}
-				if a == plain {
-					plainTot += d
-				} else {
-					armedTot += d
-				}
-			}
-		}
-		reps = append(reps, repSample{
-			plain: float64(plainTot.Nanoseconds()) / float64(total),
-			armed: float64(armedTot.Nanoseconds()) / float64(total),
-		})
-	}
-	sort.Slice(reps, func(i, j int) bool {
-		return reps[i].armed-reps[i].plain < reps[j].armed-reps[j].plain
-	})
-	mid := reps[len(reps)/2]
-	return mid.plain, mid.armed, nil
-}
-
-// measureSeccompOverhead times the stat and open/close loops on an
-// unarmed and an armed machine and fills in the armed-over-unarmed
-// percentages.
-func measureSeccompOverhead(rep *SeccompReport, iters int) error {
-	arms := make([]*seccompArm, 2)
-	for i, withProfiles := range []bool{false, true} {
-		m, err := buildSeccompMachine(withProfiles)
-		if err != nil {
-			return err
-		}
-		sess, err := m.Session("alice")
-		if err != nil {
-			return err
-		}
-		arms[i] = &seccompArm{m: m, sess: sess}
-	}
-	plain, armed := arms[0], arms[1]
-
-	for _, op := range []func(k *kernel.Kernel, t *kernel.Task) error{statOp, openCloseOp} {
-		for _, a := range arms { // warm dcache, sessions, and filter slots
-			if _, err := a.timed(iters/10+1, op); err != nil {
-				return fmt.Errorf("seccomp warm-up: %w", err)
-			}
-		}
-	}
-	var err error
-	if rep.StatUnarmedNsPerOp, rep.StatArmedNsPerOp, err = measureOpPair(plain, armed, iters, statOp); err != nil {
-		return fmt.Errorf("stat loop: %w", err)
-	}
-	if rep.OpenUnarmedNsPerOp, rep.OpenArmedNsPerOp, err = measureOpPair(plain, armed, iters, openCloseOp); err != nil {
-		return fmt.Errorf("open/close loop: %w", err)
-	}
-	if rep.StatUnarmedNsPerOp > 0 {
-		rep.StatOverheadPct = (rep.StatArmedNsPerOp - rep.StatUnarmedNsPerOp) / rep.StatUnarmedNsPerOp * 100
-	}
-	if rep.OpenUnarmedNsPerOp > 0 {
-		rep.OpenCloseOverheadPct = (rep.OpenArmedNsPerOp - rep.OpenUnarmedNsPerOp) / rep.OpenUnarmedNsPerOp * 100
-	}
-	if rep.StatGate, err = gate(plain, armed, seccompGateCalls, 1, statOp); err != nil {
-		return fmt.Errorf("stat gate: %w", err)
-	}
-	if rep.OpenCloseGate, err = gate(plain, armed, seccompGateCalls, 2, openCloseOp); err != nil {
-		return fmt.Errorf("open/close gate: %w", err)
-	}
-	rep.GatePassed = rep.StatGate.Passed && rep.OpenCloseGate.Passed
-	return nil
-}
-
 // seccompGateCalls is how many calls of each op the gate counts.
 const seccompGateCalls = 1000
 
 // MeasureSeccomp builds the seccomp report: the attack-surface table from
-// the committed golden profiles, the measured prologue overhead, and the
-// deterministic gate.
-func MeasureSeccomp(iters int) (*SeccompReport, error) {
-	if iters <= 0 {
-		iters = 20000
-	}
+// the committed golden profiles and the deterministic gate.
+func MeasureSeccomp() (*SeccompReport, error) {
 	lin, err := profiles.Load(kernel.ModeLinux)
 	if err != nil {
 		return nil, err
@@ -322,11 +193,26 @@ func MeasureSeccomp(iters int) (*SeccompReport, error) {
 		MachineLinux:   lin.Machine.Len(),
 		MachineProtego: pro.Machine.Len(),
 		Rows:           attackSurfaceRows(lin, pro),
-		Iters:          iters,
 	}
-	if err := measureSeccompOverhead(rep, iters); err != nil {
-		return nil, err
+	arms := make([]*seccompArm, 2)
+	for i, armed := range []bool{false, true} {
+		m, err := probeMachine(armed)
+		if err != nil {
+			return nil, err
+		}
+		sess, err := m.Session("alice")
+		if err != nil {
+			return nil, err
+		}
+		arms[i] = &seccompArm{m: m, sess: sess}
 	}
+	if rep.StatGate, err = gate(arms[0], arms[1], seccompGateCalls, 1, statOp); err != nil {
+		return nil, fmt.Errorf("stat gate: %w", err)
+	}
+	if rep.OpenCloseGate, err = gate(arms[0], arms[1], seccompGateCalls, 2, openCloseOp); err != nil {
+		return nil, fmt.Errorf("open/close gate: %w", err)
+	}
+	rep.GatePassed = rep.StatGate.Passed && rep.OpenCloseGate.Passed
 	return rep, nil
 }
 
@@ -348,11 +234,6 @@ func FormatSeccomp(r *SeccompReport) string {
 			cell(row.LinuxAllowed, row.LinuxRemoved),
 			cell(row.ProtegoAllowed, row.ProtegoRemoved))
 	}
-	fmt.Fprintf(&b, "  enter() prologue overhead (%d iters, armed full-profile vs unarmed):\n", r.Iters)
-	fmt.Fprintf(&b, "    stat:       %.1f -> %.1f ns/op (%+.2f%%)\n",
-		r.StatUnarmedNsPerOp, r.StatArmedNsPerOp, r.StatOverheadPct)
-	fmt.Fprintf(&b, "    open/close: %.1f -> %.1f ns/op (%+.2f%%)\n",
-		r.OpenUnarmedNsPerOp, r.OpenArmedNsPerOp, r.OpenCloseOverheadPct)
 	fmt.Fprintf(&b, "  gate (armed allocs <= unarmed; lsm.syscall.allow +1 per armed syscall, +0 unarmed):\n")
 	for _, g := range []struct {
 		name string

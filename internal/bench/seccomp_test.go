@@ -6,7 +6,7 @@ import "testing"
 // the TaskSyscall check to stat and open/close. The gate counts
 // allocations and lsm.syscall.allow moves, so it holds on any host load.
 func TestSeccompGate(t *testing.T) {
-	rep, err := MeasureSeccomp(200)
+	rep, err := MeasureSeccomp()
 	if err != nil {
 		t.Fatal(err)
 	}

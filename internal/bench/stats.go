@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Sample summarizes repeated measurements the way the paper reports them:
 // mean and 95% confidence interval ("We report the mean and 95% confidence
@@ -66,34 +62,6 @@ func Summarize(values []float64) Sample {
 	stddev := math.Sqrt(sq / float64(s.N-1))
 	s.CI95 = tQuantile(s.N-1) * stddev / math.Sqrt(float64(s.N))
 	return s
-}
-
-// Median returns the sample median (used by noise diagnostics).
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
-}
-
-// String renders "mean ±ci".
-func (s Sample) String() string {
-	return fmt.Sprintf("%.3f ±%.3f", s.Mean, s.CI95)
-}
-
-// OverheadPct computes the relative overhead of this sample against a
-// baseline mean, in percent.
-func (s Sample) OverheadPct(baseline Sample) float64 {
-	if baseline.Mean == 0 {
-		return 0
-	}
-	return (s.Mean - baseline.Mean) / baseline.Mean * 100
 }
 
 // Overlaps reports whether two samples' confidence intervals overlap —

@@ -32,33 +32,15 @@ func TestSummarizeDegenerate(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median")
-	}
-}
-
 func TestOverheadAndOverlap(t *testing.T) {
 	base := Sample{Mean: 100, CI95: 5}
 	fast := Sample{Mean: 103, CI95: 4}
-	if got := fast.OverheadPct(base); got != 3 {
-		t.Fatalf("overhead = %v", got)
-	}
 	if !base.Overlaps(fast) {
 		t.Fatal("overlapping CIs reported disjoint")
 	}
 	far := Sample{Mean: 200, CI95: 1}
 	if base.Overlaps(far) {
 		t.Fatal("disjoint CIs reported overlapping")
-	}
-	if (Sample{}).OverheadPct(Sample{}) != 0 {
-		t.Fatal("zero baseline should yield 0")
 	}
 }
 

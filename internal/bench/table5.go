@@ -2,9 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"time"
 
 	"protego/internal/kernel"
+	"protego/internal/world"
 )
 
 // Row is one Table 5 row: the measurement under both kernels, with the
@@ -34,6 +37,12 @@ func (r *Row) OverheadPct() float64 {
 		oh = -oh
 	}
 	return oh
+}
+
+// Noise reports whether the row's two 95% confidence intervals overlap:
+// the paper's criterion for a difference that is noise.
+func (r *Row) Noise() bool {
+	return Sample{Mean: r.Linux, CI95: r.LinuxCI}.Overlaps(Sample{Mean: r.Protego, CI95: r.ProtegoCI})
 }
 
 // paperOverheads maps microbenchmark names to the paper's % OH column.
@@ -69,125 +78,131 @@ func DefaultTable5Config() Table5Config {
 	}
 }
 
-// RunTable5 measures every row under both kernels (microbenchmark
-// repetitions interleaved for fairness); micro rows report mean ± 95% CI.
+// RunTable5 measures every row under both kernels through one loop,
+// abba, and reports each as mean ± 95% CI.
 func RunTable5(cfg Table5Config) ([]Row, error) {
-	linuxMicro, protegoMicro, err := RunMicroPairSamples()
-	if err != nil {
-		return nil, err
+	machines := map[kernel.Mode]*world.Machine{}
+	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+		m, err := world.Build(world.Options{Mode: mode})
+		if err != nil {
+			return nil, err
+		}
+		machines[mode] = m
 	}
 	var rows []Row
 	for _, test := range MicroSuite() {
-		l := linuxMicro[test.Name]
-		p := protegoMicro[test.Name]
-		rows = append(rows, Row{
-			Name:             test.Name,
-			Unit:             "us",
-			Linux:            l.Mean,
-			LinuxCI:          l.CI95,
-			Protego:          p.Mean,
-			ProtegoCI:        p.CI95,
-			PaperOverheadPct: paperOverheads[test.Name],
+		sessions := map[kernel.Mode]*kernel.Task{}
+		for mode, m := range machines {
+			t, err := m.Session(test.User())
+			if err != nil {
+				return nil, err
+			}
+			sessions[mode] = t
+		}
+		micro := []Row{{Name: test.Name, Unit: "us", PaperOverheadPct: paperOverheads[test.Name]}}
+		micro, err := abba(micro, func(mode kernel.Mode) ([]float64, error) {
+			start := time.Now()
+			if err := test.Run(machines[mode], sessions[mode], test.Iters); err != nil {
+				return nil, err
+			}
+			return []float64{float64(time.Since(start).Nanoseconds()) / 1000 / float64(test.Iters)}, nil
 		})
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, micro...)
 	}
 	if cfg.SkipMacro {
 		return rows, nil
 	}
 
-	// Macro workloads repeat with modes interleaved (like the micro
-	// suite): one warmup run per mode is discarded, then macroReps timed
-	// runs; means ± 95% CI are reported.
-	postalRow, err := macroPair("Postal msgs/min", "msgs/min", true, -0.04, func(mode kernel.Mode) (float64, error) {
+	postal := []Row{{Name: "Postal msgs/min", Unit: "msgs/min", HigherIsBetter: true, PaperOverheadPct: -0.04}}
+	postal, err := abba(postal, func(mode kernel.Mode) ([]float64, error) {
 		res, err := RunPostal(mode, cfg.PostalMessages)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return res.MsgsPerMin, nil
+		return []float64{res.MsgsPerMin}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, postalRow)
+	rows = append(rows, postal...)
 
-	compileRow, err := macroPair("Kernel compile", "ms", false, 1.44, func(mode kernel.Mode) (float64, error) {
+	compile := []Row{{Name: "Kernel compile", Unit: "ms", PaperOverheadPct: 1.44}}
+	compile, err = abba(compile, func(mode kernel.Mode) ([]float64, error) {
 		res, err := RunCompile(mode, cfg.CompileFiles)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return float64(res.Elapsed.Microseconds()) / 1000, nil
+		return []float64{float64(res.Elapsed.Microseconds()) / 1000}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, compileRow)
+	rows = append(rows, compile...)
 
 	msPaper := map[int]float64{25: 3.57, 50: 3.85, 100: 4.00, 200: 2.65}
 	kbPaper := map[int]float64{25: 4.05, 50: 3.95, 100: 3.96, 200: 2.64}
 	for _, conc := range cfg.WebConcurrency {
-		conc := conc
-		msRow, err := macroPair(fmt.Sprintf("Web ms/req %d conc", conc), "ms", false, msPaper[conc],
-			func(mode kernel.Mode) (float64, error) {
-				res, err := RunWeb(mode, conc, cfg.WebRequests)
-				if err != nil {
-					return 0, err
-				}
-				return res.MsPerRequest, nil
-			})
+		web := []Row{
+			{Name: fmt.Sprintf("Web ms/req %d conc", conc), Unit: "ms", PaperOverheadPct: msPaper[conc]},
+			{Name: fmt.Sprintf("Web KB/s %d conc", conc), Unit: "KB/s", HigherIsBetter: true, PaperOverheadPct: kbPaper[conc]},
+		}
+		// One RunWeb yields both of the concurrency level's rows.
+		web, err := abba(web, func(mode kernel.Mode) ([]float64, error) {
+			res, err := RunWeb(mode, conc, cfg.WebRequests)
+			if err != nil {
+				return nil, err
+			}
+			return []float64{res.MsPerRequest, res.TransferKBps}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, msRow)
-		kbRow, err := macroPair(fmt.Sprintf("Web KB/s %d conc", conc), "KB/s", true, kbPaper[conc],
-			func(mode kernel.Mode) (float64, error) {
-				res, err := RunWeb(mode, conc, cfg.WebRequests)
-				if err != nil {
-					return 0, err
-				}
-				return res.TransferKBps, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, kbRow)
+		rows = append(rows, web...)
 	}
 	return rows, nil
 }
 
-// macroReps is the number of timed macro-workload repetitions per mode.
-const macroReps = 5
+// table5Rounds is the number of timed rounds per image. It is even, so
+// each image runs first in half of them.
+const table5Rounds = 6
 
-// macroPair runs a macro workload on both kernels with repetitions
-// interleaved and a warmup pass discarded.
-func macroPair(name, unit string, higherBetter bool, paperPct float64,
-	run func(mode kernel.Mode) (float64, error)) (Row, error) {
-	if _, err := run(kernel.ModeLinux); err != nil {
-		return Row{}, fmt.Errorf("%s warmup (linux): %w", name, err)
-	}
-	if _, err := run(kernel.ModeProtego); err != nil {
-		return Row{}, fmt.Errorf("%s warmup (protego): %w", name, err)
-	}
-	var lVals, pVals []float64
-	for rep := 0; rep < macroReps; rep++ {
-		lv, err := run(kernel.ModeLinux)
-		if err != nil {
-			return Row{}, fmt.Errorf("%s (linux): %w", name, err)
+// abba measures rows on both images and fills in their means and 95%
+// CIs. round runs once on an image and returns one value per row. One
+// warm-up round per image is discarded and the heap collected; the timed
+// rounds then alternate which image runs first (Linux, Protego; Protego,
+// Linux; ...), so drift, GC debt and cache warmth land on both images
+// alike — the fair comparison the paper gets from separately booted
+// kernels.
+func abba(rows []Row, round func(mode kernel.Mode) ([]float64, error)) ([]Row, error) {
+	modes := [2]kernel.Mode{kernel.ModeLinux, kernel.ModeProtego}
+	for _, mode := range modes {
+		if _, err := round(mode); err != nil {
+			return nil, fmt.Errorf("%s warm-up (%s): %w", rows[0].Name, mode, err)
 		}
-		pv, err := run(kernel.ModeProtego)
-		if err != nil {
-			return Row{}, fmt.Errorf("%s (protego): %w", name, err)
-		}
-		lVals = append(lVals, lv)
-		pVals = append(pVals, pv)
 	}
-	l := Summarize(lVals)
-	p := Summarize(pVals)
-	return Row{
-		Name: name, Unit: unit,
-		Linux: l.Mean, LinuxCI: l.CI95,
-		Protego: p.Mean, ProtegoCI: p.CI95,
-		HigherIsBetter:   higherBetter,
-		PaperOverheadPct: paperPct,
-	}, nil
+	runtime.GC()
+	vals := [2][][]float64{make([][]float64, len(rows)), make([][]float64, len(rows))}
+	for r := 0; r < table5Rounds; r++ {
+		for k := range modes {
+			side := (k + r) % 2
+			v, err := round(modes[side])
+			if err != nil {
+				return nil, fmt.Errorf("%s (%s): %w", rows[0].Name, modes[side], err)
+			}
+			for i := range rows {
+				vals[side][i] = append(vals[side][i], v[i])
+			}
+		}
+	}
+	for i := range rows {
+		l, p := Summarize(vals[0][i]), Summarize(vals[1][i])
+		rows[i].Linux, rows[i].LinuxCI = l.Mean, l.CI95
+		rows[i].Protego, rows[i].ProtegoCI = p.Mean, p.CI95
+	}
+	return rows, nil
 }
 
 // FormatTable5 renders the rows in the paper's layout (Linux, +/-,
@@ -199,12 +214,8 @@ func FormatTable5(rows []Row) string {
 		"Test", "Linux", "+/-", "Protego", "+/-", "% OH", "Paper%", "Unit")
 	for i := range rows {
 		r := &rows[i]
-		// Rows whose confidence intervals overlap are statistically
-		// indistinguishable — the paper's criterion for "noise".
 		noise := ""
-		l := Sample{Mean: r.Linux, CI95: r.LinuxCI}
-		p := Sample{Mean: r.Protego, CI95: r.ProtegoCI}
-		if l.Overlaps(p) {
+		if r.Noise() {
 			noise = " ~"
 		}
 		fmt.Fprintf(&b, "%-22s %12.3f %8.3f %12.3f %8.3f %+9.2f %+9.2f  %s%s\n",

@@ -170,9 +170,35 @@ func TestTracerSyscallRoundTrip(t *testing.T) {
 	if h.Count != 1 {
 		t.Fatalf("histogram count = %d, want 1", h.Count)
 	}
+	if got := tr.Histograms()["syscall:open"].Count; got != 1 {
+		t.Fatalf(`Histograms()["syscall:open"].Count = %d, want 1`, got)
+	}
 	if tr.Histogram("never-called").Count != 0 {
 		t.Fatal("unknown syscall should report zero stats")
 	}
+
+	// Once its histogram exists, a by-name enter/exit pair allocates at
+	// most once and records exactly its two events. This is what is
+	// deterministic about the tracer's cost per simulated syscall; the
+	// time itself is the benchmark's trace.syscall_pair_ns.
+	t.Run("by-name-pair", func(t *testing.T) {
+		pair := func() { tr.SyscallExit(tr.SyscallEnter("getpid", 1, 1000), nil) }
+		pair()
+		if allocs := testing.AllocsPerRun(1000, pair); allocs > 1 {
+			t.Errorf("one enter/exit pair allocates %v times, want at most 1", allocs)
+		}
+		before := tr.Stats()
+		pair()
+		after := tr.Stats()
+		for _, k := range []Kind{KindSyscallEnter, KindSyscallExit} {
+			if got := after.ByKind[k.String()] - before.ByKind[k.String()]; got != 1 {
+				t.Errorf("one pair recorded %d %s events, want 1", got, k)
+			}
+		}
+		if got := after.Emitted - before.Emitted; got != 2 {
+			t.Errorf("one pair put %d events on the ring, want 2", got)
+		}
+	})
 }
 
 func TestTracerCountersAndStats(t *testing.T) {

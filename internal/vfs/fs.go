@@ -524,6 +524,13 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 		fs.mu.Unlock()
 		return err
 	}
+	// A directory cannot move into its own subtree: it would become its
+	// own descendant and drop out of the tree. newParent is resolved, so
+	// a symlink into the subtree is caught too.
+	if target.Mode.IsDir() && target.encloses(newParent) {
+		fs.mu.Unlock()
+		return errno.EINVAL
+	}
 	if err := checkPerm(c, oldParent, MayWrite|MayExec); err != nil {
 		fs.mu.Unlock()
 		return err
@@ -547,6 +554,19 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 	fs.notify(Event{Op: OpRemove, Path: oldClean})
 	fs.notify(Event{Op: OpWrite, Path: newClean})
 	return nil
+}
+
+// encloses reports whether ino is the directory d or lies in d's subtree.
+func (d *Inode) encloses(ino *Inode) bool {
+	if d == ino {
+		return true
+	}
+	for _, child := range d.children {
+		if child.Mode.IsDir() && child.encloses(ino) {
+			return true
+		}
+	}
+	return false
 }
 
 // Chmod changes the permission bits. Only the owner or CAP_FOWNER may do so.

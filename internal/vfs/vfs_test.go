@@ -506,6 +506,36 @@ func TestRename(t *testing.T) {
 	}
 }
 
+// TestRenameDirIntoOwnSubtree: moving a directory under itself is EINVAL,
+// as on Linux, whether the new path names the subtree directly or through
+// a symlink, and the directory and its contents stay where they were.
+func TestRenameDirIntoOwnSubtree(t *testing.T) {
+	fs := newTestFS(t)
+	if _, err := fs.Mkdir(root, "/tmp/d", 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(root, "/tmp/d/f", []byte("data"), 0o644, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Mkdir(root, "/tmp/d/e", 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Symlink(root, "/tmp/d", "/tmp/l", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, newPath := range []string{"/tmp/d/sub", "/tmp/d/e/sub", "/tmp/l/sub"} {
+		if err := fs.Rename(root, "/tmp/d", newPath); err != errno.EINVAL {
+			t.Errorf("rename /tmp/d -> %s: got %v, want EINVAL", newPath, err)
+		}
+		if data, err := fs.ReadFile(root, "/tmp/d/f"); err != nil || string(data) != "data" {
+			t.Fatalf("after rename to %s: /tmp/d/f = %q, %v", newPath, data, err)
+		}
+		if fs.Exists(root, "/tmp/d/sub") || fs.Exists(root, "/tmp/d/e/sub") {
+			t.Fatalf("after rename to %s: /tmp/d moved into itself", newPath)
+		}
+	}
+}
+
 func TestAppendFile(t *testing.T) {
 	fs := newTestFS(t)
 	if err := fs.WriteFile(root, "/tmp/log", []byte("a"), 0o644, 0, 0); err != nil {
