@@ -343,21 +343,31 @@ func BenchmarkAblationSetuidOnExec(b *testing.B) {
 	})
 }
 
-// --- Ablation 4: netfilter raw-socket filtering cost vs rule count. ---
+// --- Ablation 4: netfilter raw-socket filtering cost vs rule count. The
+// OUTPUT chain is evaluated in rule order, so the noise rules sit ahead of
+// the defaults: every packet is checked against all of them before the
+// echo rule accepts it. ---
 
 func BenchmarkAblationNetfilterRules(b *testing.B) {
 	for _, extra := range []int{0, 6, 64, 512} {
 		extra := extra
 		b.Run(fmt.Sprintf("rules-%d", extra), func(b *testing.B) {
 			m := mustBuild(b, kernel.ModeProtego)
+			if err := m.K.Filter.Flush("OUTPUT"); err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < extra; i++ {
-				// Non-matching rules ahead of the defaults.
 				_ = m.K.Filter.Append("OUTPUT", &netfilter.Rule{
 					Name:     fmt.Sprintf("noise-%d", i),
 					Proto:    netstack.IPPROTO_UDP,
 					DstPorts: []int{40000 + i},
 					Verdict:  netfilter.Drop,
 				})
+			}
+			for _, r := range netfilter.ProtegoDefaultRules() {
+				if err := m.K.Filter.Append("OUTPUT", r); err != nil {
+					b.Fatal(err)
+				}
 			}
 			alice := mustSession(b, m, "alice")
 			sock, err := m.K.Socket(alice, netstack.AF_INET, netstack.SOCK_RAW, netstack.IPPROTO_ICMP)

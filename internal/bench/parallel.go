@@ -15,9 +15,9 @@ import (
 // is a hot path from the Table 5 / Figure 1 evaluation, re-run with N
 // workers hammering one shared Protego machine. Each worker gets its own
 // session (and, where the path mutates shared state, its own device and
-// mountpoint), so the measured contention is the kernel's — task-table
-// shards, copy-on-write registries, RWMutex substrates, sharded decision
-// counters — not the harness's.
+// mountpoint), so the measured contention is the kernel's — the task
+// table's one lock, copy-on-write registries, RWMutex substrates, atomic
+// decision counters — not the harness's.
 
 // ParallelOp is one worker's operation; iter is the iteration index.
 type ParallelOp func(iter int) error
@@ -97,7 +97,7 @@ func setupMountCheck(workers int) ([]ParallelOp, error) {
 
 // setupNetfilterVerdict: the OUTPUT-chain verdict for an unprivileged raw
 // ICMP echo (the packet ping sends under the Protego relaxation). Also
-// the hottest writer of the tracer's sharded decision counters.
+// the hottest writer of the tracer's decision counters.
 func setupNetfilterVerdict(workers int) ([]ParallelOp, error) {
 	m, err := world.BuildProtego()
 	if err != nil {

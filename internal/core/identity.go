@@ -11,7 +11,6 @@ import (
 type identityCache struct {
 	mu      sync.RWMutex
 	uidName map[int]string
-	nameUID map[string]int
 	groups  map[string][]string // username -> group names
 	valid   bool
 }
@@ -27,7 +26,6 @@ func (m *Module) InvalidateIdentity() {
 func (m *Module) refreshIdentityLocked() {
 	c := &m.identity
 	c.uidName = make(map[int]string)
-	c.nameUID = make(map[string]int)
 	c.groups = make(map[string][]string)
 	users, err := m.db.Users()
 	if err != nil {
@@ -36,7 +34,6 @@ func (m *Module) refreshIdentityLocked() {
 	}
 	for i := range users {
 		c.uidName[users[i].UID] = users[i].Name
-		c.nameUID[users[i].Name] = users[i].UID
 	}
 	for i := range users {
 		names, err := m.db.GroupNamesOf(users[i].Name)

@@ -37,8 +37,8 @@ func runSweep(t *testing.T, seed int64, n int, cfg Config, workers int) int {
 			results[i] = outcome{i, res, err}
 		}
 	} else {
-		// Each worker drives its own machine pairs; this is the
-		// lock-sharding ablation — concurrent kernels under -race.
+		// Each worker drives its own machine pairs: concurrent
+		// kernels under -race.
 		var wg sync.WaitGroup
 		idxCh := make(chan int)
 		for w := 0; w < workers; w++ {
@@ -85,8 +85,8 @@ func learnedProfiles(t *testing.T) *seccomp.ProfileSet {
 }
 
 // TestDiffFuzz is the deterministic differential sweep: fixed seeds, both
-// dcache ablation arms, and a parallel arm that exercises the sharded
-// task/lock structures under the race detector. Every arm audits against
+// dcache ablation arms, and a parallel arm that runs concurrent kernels
+// under the race detector. Every arm audits against
 // the committed golden seccomp profiles — a syscall outside a binary's
 // learned allowlist is an invariant violation and fails the sweep.
 func TestDiffFuzz(t *testing.T) {

@@ -344,18 +344,3 @@ func (in *Injector) InjectedSites() []string {
 	sort.Strings(out)
 	return out
 }
-
-// SiteHits returns a copy of the per-site hit counts (every check, fired
-// or not).
-func (in *Injector) SiteHits() map[string]uint64 {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]uint64, len(in.hits))
-	for k, v := range in.hits {
-		out[k] = v
-	}
-	return out
-}

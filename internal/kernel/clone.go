@@ -44,18 +44,16 @@ func (k *Kernel) Clone() *Kernel {
 	c.binaries.Store(k.binaries.Load())
 	c.devices.Store(k.devices.Load())
 
-	// Clone the task table shard by shard. File descriptions shared
-	// between tasks (fork semantics: one offset) stay shared between the
-	// cloned tasks, so descriptor identity survives the snapshot.
+	// Clone the task table. File descriptions shared between tasks (fork
+	// semantics: one offset) stay shared between the cloned tasks, so
+	// descriptor identity survives the snapshot.
 	fdMap := make(map[*FileDesc]*FileDesc)
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.m {
-			c.shards[i].insert(t.cloneInto(c, fdMap))
-		}
-		sh.mu.RUnlock()
+	k.tasksMu.RLock()
+	c.tasks = make(map[int]*Task, len(k.tasks))
+	for pid, t := range k.tasks {
+		c.tasks[pid] = t.cloneInto(c, fdMap)
 	}
+	k.tasksMu.RUnlock()
 	return c
 }
 

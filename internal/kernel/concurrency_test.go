@@ -8,11 +8,11 @@ import (
 	"protego/internal/netstack"
 )
 
-// TestTaskTableSharding exercises the sharded task table: concurrent
-// fork/exit churn against concurrent pid lookups and snapshots, plus
-// registry writes racing lock-free lookups. PIDs must stay unique and no
-// task may be lost.
-func TestTaskTableSharding(t *testing.T) {
+// TestTaskTableConcurrent exercises the task table under its one lock:
+// concurrent fork/exit churn against concurrent pid lookups and
+// snapshots, plus registry writes racing lock-free lookups. PIDs must
+// stay unique and no task may be lost.
+func TestTaskTableConcurrent(t *testing.T) {
 	k := New(ModeProtego, netstack.IPv4(10, 0, 0, 1))
 	init := k.InitTask()
 	const (

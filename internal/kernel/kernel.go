@@ -61,41 +61,16 @@ type Program func(k *Kernel, t *Task) int
 // share the registry.
 type IoctlHandler func(t *Task, cmd uint32, arg any, granted bool) error
 
-// taskShards is the number of pid-hashed shards in the task table. A
-// power of two so the shard index is a mask; 16 keeps contention
-// negligible for any realistic core count while the per-shard maps stay
-// dense. PIDs are sequential, so masking the low bits round-robins
-// fork/exit traffic evenly across shards.
-const taskShards = 16
-
-// taskShard is one slice of the task table with its own lock. Fork and
-// exit write-lock only the shard owning the child's pid; Task and Tasks
-// take read locks, so pid lookups never serialize behind process churn
-// on other shards. A shard's map is made on its first insert: a cloned
-// machine holds a handful of tasks and would leave most shards empty.
-type taskShard struct {
-	mu sync.RWMutex
-	m  map[int]*Task
-}
-
-// insert adds t to the shard. Caller holds sh.mu for writing (or owns the
-// kernel exclusively, as Clone does).
-func (sh *taskShard) insert(t *Task) {
-	if sh.m == nil {
-		sh.m = make(map[int]*Task)
-	}
-	sh.m[t.pid] = t
-}
-
 // Kernel ties together the substrates: VFS, network stack, netfilter, the
 // LSM chain, the task table, and the binary registry.
 //
-// Concurrency model (see DESIGN.md): the task table is sharded by pid;
-// the binary and device registries are copy-on-write snapshots (written
-// only at boot by the world builder, read lock-free on every exec and
-// ioctl); nextPID and the namespace flag are atomics. There is no global
-// kernel lock, and no lock is ever held while calling into another
-// subsystem, so there is no kernel-level lock ordering to violate.
+// Concurrency model (see DESIGN.md): the task table is one map behind
+// one reader/writer lock; the binary and device registries are
+// copy-on-write snapshots (written only at boot by the world builder,
+// read lock-free on every exec and ioctl); nextPID and the namespace flag
+// are atomics. There is no global kernel lock, and no lock is ever held
+// while calling into another subsystem, so there is no kernel-level lock
+// ordering to violate.
 type Kernel struct {
 	Mode   Mode
 	FS     *vfs.FS
@@ -106,7 +81,10 @@ type Kernel struct {
 	// decision, netfilter verdict, and audit line lands in its ring.
 	Trace *trace.Tracer
 
-	shards  [taskShards]taskShard
+	// tasksMu guards tasks. Fork and exit write-lock it; Task, Tasks and
+	// TaskCount read-lock it.
+	tasksMu sync.RWMutex
+	tasks   map[int]*Task
 	nextPID atomic.Int64
 
 	// regMu serializes the (rare, boot-time) registry writers; readers
@@ -134,11 +112,6 @@ type Kernel struct {
 	exploitHook atomic.Pointer[ExploitFunc]
 }
 
-// shardFor returns the task-table shard owning pid.
-func (k *Kernel) shardFor(pid int) *taskShard {
-	return &k.shards[uint(pid)&(taskShards-1)]
-}
-
 // New creates a kernel in the given mode with an empty file system and a
 // network stack at hostIP. The netfilter table is installed as the stack's
 // output filter.
@@ -150,6 +123,7 @@ func New(mode Mode, hostIP netstack.IP) *Kernel {
 		Filter: netfilter.NewTable(),
 		LSM:    lsm.NewChain(),
 		Trace:  trace.New(trace.DefaultCapacity),
+		tasks:  make(map[int]*Task),
 	}
 	emptyBins := make(map[string]Program)
 	k.binaries.Store(&emptyBins)
@@ -194,8 +168,7 @@ func (k *Kernel) faultCheck(site string) error {
 
 // Auditf records a security-relevant event as a structured KindAudit record
 // on the trace ring. Retention is bounded by the ring capacity
-// (trace.DefaultCapacity events); older lines are overwritten, with the
-// shortfall visible via AuditDropped.
+// (trace.DefaultCapacity events); older lines are overwritten.
 func (k *Kernel) Auditf(format string, args ...any) {
 	k.Trace.Audit(fmt.Sprintf(format, args...))
 }
@@ -210,17 +183,6 @@ func (k *Kernel) AuditLog() []string {
 		out = append(out, ev.Msg)
 	}
 	return out
-}
-
-// AuditDropped reports how many audit lines have aged out of the bounded
-// log (emitted minus retained).
-func (k *Kernel) AuditDropped() uint64 {
-	total := k.Trace.EmittedKind(trace.KindAudit)
-	retained := uint64(len(k.Trace.SnapshotKind(trace.KindAudit)))
-	if retained >= total {
-		return 0
-	}
-	return total - retained
 }
 
 // RegisterBinary installs a program at path in the binary registry. The
@@ -294,10 +256,7 @@ func (k *Kernel) InitTask() *Task {
 		Stdin:       &stdio[2],
 	}
 	t.pid = int(k.nextPID.Add(1))
-	sh := k.shardFor(t.pid)
-	sh.mu.Lock()
-	sh.insert(t)
-	sh.mu.Unlock()
+	k.addTask(t)
 	return t
 }
 
@@ -323,12 +282,8 @@ func (k *Kernel) Fork(parent *Task) *Task {
 		Stdin:       parent.Stdin,
 		Asker:       parent.Asker,
 	}
+	// Descriptors survive fork; CLOEXEC only matters at exec.
 	for fd, f := range parent.fds {
-		if f.CloseOnExec {
-			// descriptors survive fork; CLOEXEC only matters at exec
-			child.fds[fd] = f
-			continue
-		}
 		child.fds[fd] = f
 	}
 	// Like seccomp filters across fork(2): the syscall-entry slot is
@@ -337,11 +292,15 @@ func (k *Kernel) Fork(parent *Task) *Task {
 	parent.mu.Unlock()
 
 	child.pid = int(k.nextPID.Add(1))
-	sh := k.shardFor(child.pid)
-	sh.mu.Lock()
-	sh.insert(child)
-	sh.mu.Unlock()
+	k.addTask(child)
 	return child
+}
+
+// addTask enters t in the task table under its pid.
+func (k *Kernel) addTask(t *Task) {
+	k.tasksMu.Lock()
+	k.tasks[t.pid] = t
+	k.tasksMu.Unlock()
 }
 
 func copyEnv(env map[string]string) map[string]string {
@@ -371,48 +330,34 @@ func (k *Kernel) Exit(t *Task, code int) {
 	t.exitCode = code
 	t.fds = make(map[int]*FileDesc)
 	t.mu.Unlock()
-	sh := k.shardFor(t.pid)
-	sh.mu.Lock()
-	delete(sh.m, t.pid)
-	sh.mu.Unlock()
+	k.tasksMu.Lock()
+	delete(k.tasks, t.pid)
+	k.tasksMu.Unlock()
 }
 
-// Task returns the task with the given pid, or nil. Read-locks only the
-// shard owning pid.
+// Task returns the task with the given pid, or nil.
 func (k *Kernel) Task(pid int) *Task {
-	sh := k.shardFor(pid)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.m[pid]
+	k.tasksMu.RLock()
+	defer k.tasksMu.RUnlock()
+	return k.tasks[pid]
 }
 
-// Tasks returns a snapshot of all live tasks. The snapshot is assembled
-// shard by shard: it is consistent per shard but not across shards (a
-// fork racing with the walk may or may not be included), which matches
-// what /proc readers see on a real kernel.
+// Tasks returns a snapshot of all live tasks.
 func (k *Kernel) Tasks() []*Task {
-	var out []*Task
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.m {
-			out = append(out, t)
-		}
-		sh.mu.RUnlock()
+	k.tasksMu.RLock()
+	defer k.tasksMu.RUnlock()
+	out := make([]*Task, 0, len(k.tasks))
+	for _, t := range k.tasks {
+		out = append(out, t)
 	}
 	return out
 }
 
 // TaskCount returns the number of live tasks.
 func (k *Kernel) TaskCount() int {
-	n := 0
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	k.tasksMu.RLock()
+	defer k.tasksMu.RUnlock()
+	return len(k.tasks)
 }
 
 // Exec replaces the calling task's image with the program at path, applying

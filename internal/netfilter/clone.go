@@ -2,12 +2,8 @@ package netfilter
 
 // Clone returns a deep copy of the table for machine snapshots: chains
 // and rules are duplicated with zeroed hit counters (per-clone match
-// statistics start fresh). The compiled dispatch index is shared — it is
-// immutable once built (Append replaces it wholesale on whichever side
-// appends), and it only holds rule positions, which are identical in the
-// copy. The tracer is not carried over — the owning kernel calls
-// SetTracer with the clone's tracer, which also re-registers the
-// nfidx.fastpath counter.
+// statistics start fresh). The tracer is not carried over — the owning
+// kernel calls SetTracer with the clone's tracer.
 func (t *Table) Clone() *Table {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -29,7 +25,6 @@ func (t *Table) Clone() *Table {
 			}
 			nc.rules[i] = nr
 		}
-		nc.idx = ch.idx
 		c.chains[name] = nc
 	}
 	return c

@@ -148,55 +148,9 @@ type Chain struct {
 	Name   string
 	Policy Verdict
 	rules  []*Rule
-	idx    *chainIndex
 	// policyVerdicts caches the default policy's decision counters, one
 	// per verdict name (see verdictSlot).
 	policyVerdicts [2]trace.CounterRef
-}
-
-// protoPort keys the most specific dispatch bucket.
-type protoPort struct {
-	proto int
-	port  int
-}
-
-// chainIndex is the compiled dispatch index over a chain's rules. Each
-// bucket holds rule positions in ascending order, so merging the (at most
-// three) buckets a packet can hit reproduces first-match-wins semantics
-// while skipping every rule that could not match the packet:
-//
-//   - byProtoPort: rules pinning a protocol and destination ports, one
-//     entry per (proto, port) pair
-//   - byProto: rules pinning a protocol but no ports
-//   - generic: protocol-wildcard rules, candidates for every packet
-type chainIndex struct {
-	byProtoPort map[protoPort][]int
-	byProto     map[int][]int
-	generic     []int
-}
-
-// rebuildIndexLocked recompiles the dispatch index from c.rules. Caller
-// holds the table lock exclusively. Rules are visited in order, so every
-// bucket is sorted by rule position.
-func (c *Chain) rebuildIndexLocked() {
-	idx := &chainIndex{
-		byProtoPort: make(map[protoPort][]int),
-		byProto:     make(map[int][]int),
-	}
-	for i, r := range c.rules {
-		switch {
-		case r.Proto == AnyProto || r.Proto == 0:
-			idx.generic = append(idx.generic, i)
-		case len(r.DstPorts) > 0:
-			for _, p := range r.DstPorts {
-				key := protoPort{proto: r.Proto, port: p}
-				idx.byProtoPort[key] = append(idx.byProtoPort[key], i)
-			}
-		default:
-			idx.byProto[r.Proto] = append(idx.byProto[r.Proto], i)
-		}
-	}
-	c.idx = idx
 }
 
 // Table is a set of chains; the simulation uses a single "filter" table
@@ -208,10 +162,6 @@ type Table struct {
 	// tracer, when set, receives one verdict event per filtered packet.
 	// Installed once at kernel construction, before packet traffic starts.
 	tracer *trace.Tracer
-
-	// fastpath counts packets whose verdict was reached after the compiled
-	// index pruned at least one rule (exported as "nfidx.fastpath").
-	fastpath atomic.Uint64
 }
 
 // NewTable creates a filter table with an empty, accept-by-default OUTPUT
@@ -220,9 +170,7 @@ func NewTable() *Table {
 	t := &Table{
 		chains: make(map[string]*Chain),
 	}
-	out := &Chain{Name: "OUTPUT", Policy: Accept}
-	out.rebuildIndexLocked()
-	t.chains["OUTPUT"] = out
+	t.chains["OUTPUT"] = &Chain{Name: "OUTPUT", Policy: Accept}
 	return t
 }
 
@@ -230,11 +178,9 @@ func NewTable() *Table {
 // before the table sees packet traffic (the kernel does it at boot).
 func (t *Table) SetTracer(tr *trace.Tracer) {
 	t.tracer = tr
-	tr.RegisterAtomic("nfidx.fastpath", &t.fastpath)
 }
 
-// Append adds a rule to the end of chain and recompiles the chain's
-// dispatch index.
+// Append adds a rule to the end of chain.
 func (t *Table) Append(chain string, r *Rule) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -243,12 +189,10 @@ func (t *Table) Append(chain string, r *Rule) error {
 		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
 	}
 	c.rules = append(c.rules, r)
-	c.rebuildIndexLocked()
 	return nil
 }
 
-// Flush removes all rules from chain and recompiles the chain's dispatch
-// index.
+// Flush removes all rules from chain.
 func (t *Table) Flush(chain string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -257,7 +201,6 @@ func (t *Table) Flush(chain string) error {
 		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
 	}
 	c.rules = nil
-	c.rebuildIndexLocked()
 	return nil
 }
 
@@ -286,46 +229,16 @@ func (t *Table) Rules(chain string) []*Rule {
 	return out
 }
 
-// Output implements netstack.OutputFilter: the first matching rule's
-// verdict applies; otherwise the chain policy. Candidate rules come from
-// the compiled dispatch index — the (proto, dst-port) bucket, the proto
-// bucket, and the generic bucket — merged in ascending rule order so the
-// verdict is identical to a full first-match scan.
+// Output implements netstack.OutputFilter: the chain's rules are
+// evaluated in order, like an iptables chain, and the first matching
+// rule's verdict applies; otherwise the chain policy.
 func (t *Table) Output(pkt *netstack.Packet) Verdict {
 	t.mu.RLock()
 	c := t.chains["OUTPUT"]
 	rules := c.rules
-	idx := c.idx
 	policy := c.Policy
 	t.mu.RUnlock()
-	pp := idx.byProtoPort[protoPort{proto: pkt.Proto, port: pkt.DstPort}]
-	bp := idx.byProto[pkt.Proto]
-	gen := idx.generic
-	if len(pp)+len(bp)+len(gen) < len(rules) {
-		t.fastpath.Add(1)
-	}
-	a, b, g := 0, 0, 0
-	for a < len(pp) || b < len(bp) || g < len(gen) {
-		i := int(^uint(0) >> 1)
-		if a < len(pp) && pp[a] < i {
-			i = pp[a]
-		}
-		if b < len(bp) && bp[b] < i {
-			i = bp[b]
-		}
-		if g < len(gen) && gen[g] < i {
-			i = gen[g]
-		}
-		if a < len(pp) && pp[a] == i {
-			a++
-		}
-		if b < len(bp) && bp[b] == i {
-			b++
-		}
-		if g < len(gen) && gen[g] == i {
-			g++
-		}
-		r := rules[i]
+	for _, r := range rules {
 		if r.matches(pkt) {
 			r.hits.Add(1)
 			t.tracer.NetfilterVerdictRef(&r.verdicts[verdictSlot(r.Verdict)], "OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
@@ -342,19 +255,12 @@ type TableStats struct {
 	// chains. Counts live on the rules themselves (per-rule atomics), so
 	// they do not survive a Flush of the owning chain.
 	Matched map[string]uint64
-	// Fastpath counts packets whose verdict came via the compiled
-	// dispatch index with at least one rule pruned.
-	Fastpath uint64
 }
 
-// Stats returns a snapshot of the table's match and fast-path counters.
-// It replaces the former Matched/MatchedCounts pair: read one rule's
-// count as Stats().Matched["rule-name"].
+// Stats returns a snapshot of the table's match counters: read one
+// rule's count as Stats().Matched["rule-name"].
 func (t *Table) Stats() TableStats {
-	s := TableStats{
-		Matched:  make(map[string]uint64),
-		Fastpath: t.fastpath.Load(),
-	}
+	s := TableStats{Matched: make(map[string]uint64)}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, c := range t.chains {

@@ -110,6 +110,41 @@ func TestFirstMatchWins(t *testing.T) {
 	}
 }
 
+func TestOutputFirstMatchOrder(t *testing.T) {
+	tbl := NewTable()
+	// An earlier generic rule must win over a later, more specific one.
+	mustAppend := func(r *Rule) {
+		t.Helper()
+		if err := tbl.Append("OUTPUT", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustAppend(&Rule{Name: "generic-accept", Proto: AnyProto, Verdict: Accept})
+	mustAppend(&Rule{Name: "tcp-80-drop", Proto: netstack.IPPROTO_TCP,
+		DstPorts: []int{80}, Verdict: Drop})
+	pkt := &netstack.Packet{Proto: netstack.IPPROTO_TCP, DstPort: 80}
+	if v := tbl.Output(pkt); v != Accept {
+		t.Fatalf("verdict = %v, want Accept (first-match order violated)", v)
+	}
+}
+
+func TestOutputAfterFlush(t *testing.T) {
+	tbl := NewTable()
+	if err := tbl.Append("OUTPUT", &Rule{Name: "drop-all", Proto: AnyProto, Verdict: Drop}); err != nil {
+		t.Fatal(err)
+	}
+	pkt := &netstack.Packet{Proto: netstack.IPPROTO_UDP, DstPort: 53}
+	if v := tbl.Output(pkt); v != Drop {
+		t.Fatalf("before flush: %v", v)
+	}
+	if err := tbl.Flush("OUTPUT"); err != nil {
+		t.Fatal(err)
+	}
+	if v := tbl.Output(pkt); v != Accept {
+		t.Fatalf("after flush: %v, want chain policy Accept", v)
+	}
+}
+
 func TestFlushAndPolicy(t *testing.T) {
 	tbl := protegoTable(t)
 	if err := tbl.Flush("OUTPUT"); err != nil {

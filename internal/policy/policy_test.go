@@ -300,6 +300,55 @@ CYC_X ALL = (root) ALL
 	}
 }
 
+const aliasSudoers = `
+User_Alias ADMINS = alice, %wheel
+Cmnd_Alias EDITORS = /usr/bin/vi, /usr/bin/nano args here
+Runas_Alias OPS = root, operator
+
+ADMINS ALL = (OPS) EDITORS
+bob    ALL = (ALL) NOPASSWD: /usr/sbin/
+%audit ALL = (root) /usr/bin/last
+carol  ALL = (root) ALL
+ALL    ALL = (root) /bin/ping
+`
+
+func TestSudoersAliasLookupSemantics(t *testing.T) {
+	s, err := ParseSudoers(aliasSudoers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Alias member by name.
+	if g, ok := s.LookupCommand("alice", nil, "operator", "/usr/bin/vi"); !ok || g.NoPasswd {
+		t.Fatalf("alice vi as operator: %+v %v", g, ok)
+	}
+	// Alias member by group.
+	if _, ok := s.LookupCommand("frank", []string{"wheel"}, "root", "/usr/bin/nano"); !ok {
+		t.Fatal("wheel member denied EDITORS")
+	}
+	// Directory spec is a prefix match.
+	if g, ok := s.LookupCommand("bob", nil, "alice", "/usr/sbin/useradd"); !ok || !g.NoPasswd {
+		t.Fatalf("bob useradd: %+v %v", g, ok)
+	}
+	if _, ok := s.LookupCommand("bob", nil, "alice", "/usr/bin/vi"); ok {
+		t.Fatal("bob vi should be denied (outside /usr/sbin/)")
+	}
+	// ALL command grants any command and reports AnyCommand.
+	if g, ok := s.LookupTransition("carol", nil, "root"); !ok || !g.AnyCommand {
+		t.Fatalf("carol transition: %+v %v", g, ok)
+	}
+	// ALL user row matches anyone, but only for its command.
+	if _, ok := s.LookupCommand("eve", nil, "root", "/bin/ping"); !ok {
+		t.Fatal("ALL-user ping rule should match eve")
+	}
+	if _, ok := s.LookupCommand("eve", nil, "root", "/bin/sh"); ok {
+		t.Fatal("eve /bin/sh should be denied")
+	}
+	// Runas outside the rule's list is denied.
+	if _, ok := s.LookupCommand("alice", nil, "nobody", "/usr/bin/vi"); ok {
+		t.Fatal("alice as nobody should be denied")
+	}
+}
+
 func TestSudoersDefaultTimeout(t *testing.T) {
 	s, err := ParseSudoers("alice ALL = (root) ALL\n")
 	if err != nil {

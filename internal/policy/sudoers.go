@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // SudoRule is one authorization line of /etc/sudoers:
@@ -45,10 +46,6 @@ type Sudoers struct {
 	// TimestampTimeout is the authentication recency window (sudo's
 	// default of 5 minutes).
 	TimestampTimeout time.Duration
-
-	// idx is the compiled dispatch index built by Compile; nil falls back
-	// to the alias-expanding scan (hand-built Sudoers values still work).
-	idx *sudoIndex
 }
 
 // DefaultTimestampTimeout is sudo's classic 5-minute window (§4.3: "sudo
@@ -101,7 +98,6 @@ func ParseSudoers(data string) (*Sudoers, error) {
 			s.Rules = append(s.Rules, rule)
 		}
 	}
-	s.Compile()
 	return s, nil
 }
 
@@ -220,63 +216,64 @@ commands:
 	return rule, nil
 }
 
-// expand resolves an alias name through the alias table, following nested
-// aliases. A seen set breaks alias cycles (Cmnd_Alias A = B; B = A): each
-// alias is expanded at most once per lookup, so a cyclic definition
-// degrades to its reachable terminal members instead of recursing without
-// bound. (Found by the vulngen misconfiguration fuzzer: the previous
-// version only skipped self-references, so a two-alias cycle written into
-// /etc/sudoers would overflow the stack when the monitoring daemon synced
-// the delegation policy — a config-triggered kernel-side crash.)
-func expand(name string, aliases map[string][]string) []string {
-	return expandSeen(name, aliases, nil)
+// expand walks name through the alias table, following nested aliases,
+// and reports whether match holds for any terminal member; a name that is
+// no alias is its own only member. The walk stops at the first match and
+// allocates only when it expands an alias. A seen set breaks alias cycles
+// (Cmnd_Alias A = B; B = A): each alias is expanded at most once per
+// lookup, so a cyclic definition degrades to its reachable terminal
+// members instead of recursing without bound. (Found by the vulngen
+// misconfiguration fuzzer: the previous version only skipped
+// self-references, so a two-alias cycle written into /etc/sudoers would
+// overflow the stack when the monitoring daemon synced the delegation
+// policy — a config-triggered kernel-side crash.)
+func expand(name string, aliases map[string][]string, match func(string) bool) bool {
+	return expandSeen(name, aliases, nil, match)
 }
 
-func expandSeen(name string, aliases map[string][]string, seen map[string]bool) []string {
+func expandSeen(name string, aliases map[string][]string, seen map[string]bool, match func(string) bool) bool {
 	members, ok := aliases[name]
 	if !ok {
-		return []string{name}
+		return match(name)
 	}
 	if seen == nil {
 		seen = make(map[string]bool, 4)
 	}
 	seen[name] = true
-	var out []string
 	for _, m := range members {
 		if seen[m] {
 			continue
 		}
-		out = append(out, expandSeen(m, aliases, seen)...)
-	}
-	return out
-}
-
-// userMatches reports whether the rule's User field covers the requesting
-// principal.
-func (s *Sudoers) userMatches(ruleUser, user string, groups []string) bool {
-	for _, u := range expand(ruleUser, s.UserAliases) {
-		if u == "ALL" || u == user {
+		if expandSeen(m, aliases, seen, match) {
 			return true
-		}
-		if strings.HasPrefix(u, "%") {
-			want := strings.TrimPrefix(u, "%")
-			for _, g := range groups {
-				if g == want {
-					return true
-				}
-			}
 		}
 	}
 	return false
 }
 
+// userMatches reports whether the rule's User field covers the requesting
+// principal.
+func (s *Sudoers) userMatches(ruleUser, user string, groups []string) bool {
+	return expand(ruleUser, s.UserAliases, func(u string) bool {
+		if u == "ALL" || u == user {
+			return true
+		}
+		if g, ok := strings.CutPrefix(u, "%"); ok {
+			for _, have := range groups {
+				if have == g {
+					return true
+				}
+			}
+		}
+		return false
+	})
+}
+
 // runasMatches reports whether the rule delegates to target.
 func (s *Sudoers) runasMatches(rule *SudoRule, target string) bool {
 	for _, r := range rule.RunAs {
-		for _, rr := range expand(r, s.RunAsAliases) {
-			if rr == "ALL" || rr == target {
-				return true
-			}
+		if expand(r, s.RunAsAliases, func(rr string) bool { return rr == "ALL" || rr == target }) {
+			return true
 		}
 	}
 	return false
@@ -285,23 +282,30 @@ func (s *Sudoers) runasMatches(rule *SudoRule, target string) bool {
 // commandMatches reports whether the rule permits cmd (an absolute path).
 func (s *Sudoers) commandMatches(rule *SudoRule, cmd string) bool {
 	for _, c := range rule.Commands {
-		for _, cc := range expand(c, s.CmndAliases) {
+		if expand(c, s.CmndAliases, func(cc string) bool {
 			if cc == "ALL" {
 				return true
 			}
 			// A command spec may carry arguments; the path is the
 			// first token.
-			path := strings.Fields(cc)[0]
-			if path == cmd {
-				return true
-			}
+			path := firstField(cc)
 			// Directory specs ("/usr/bin/") permit anything inside.
-			if strings.HasSuffix(path, "/") && strings.HasPrefix(cmd, path) {
-				return true
-			}
+			return path == cmd || strings.HasSuffix(path, "/") && strings.HasPrefix(cmd, path)
+		}) {
+			return true
 		}
 	}
 	return false
+}
+
+// firstField returns the first whitespace-separated token of s, as
+// strings.Fields(s)[0] would, without allocating.
+func firstField(s string) string {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i]
+	}
+	return s
 }
 
 // Grant summarizes what a delegation lookup authorizes.
@@ -318,21 +322,6 @@ type Grant struct {
 // question: "could this task exec at least one permissible binary as the
 // pending user?" (§4.3).
 func (s *Sudoers) LookupTransition(user string, groups []string, target string) (Grant, bool) {
-	if s.idx != nil {
-		for _, i := range s.idx.candidates(user, groups) {
-			cr := &s.idx.rules[i]
-			if !cr.runasMatch(target) {
-				continue
-			}
-			rule := &s.Rules[i]
-			return Grant{
-				Rule:       rule,
-				NoPasswd:   rule.NoPasswd,
-				AnyCommand: cr.anyCmd || cr.litAll,
-			}, true
-		}
-		return Grant{}, false
-	}
 	for i := range s.Rules {
 		rule := &s.Rules[i]
 		if !s.userMatches(rule.User, user, groups) {
@@ -362,17 +351,6 @@ func hasALL(cmds []string) bool {
 // LookupCommand finds a rule permitting user to run cmd as target — the
 // exec-time half of setuid-on-exec enforcement.
 func (s *Sudoers) LookupCommand(user string, groups []string, target, cmd string) (Grant, bool) {
-	if s.idx != nil {
-		for _, i := range s.idx.candidates(user, groups) {
-			cr := &s.idx.rules[i]
-			if !cr.runasMatch(target) || !cr.cmdMatch(cmd) {
-				continue
-			}
-			rule := &s.Rules[i]
-			return Grant{Rule: rule, NoPasswd: rule.NoPasswd, AnyCommand: cr.litAll}, true
-		}
-		return Grant{}, false
-	}
 	for i := range s.Rules {
 		rule := &s.Rules[i]
 		if !s.userMatches(rule.User, user, groups) {

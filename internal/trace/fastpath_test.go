@@ -9,7 +9,7 @@ import (
 func TestFastpathCounterRegistryReadsLazily(t *testing.T) {
 	tr := New(16)
 	var n atomic.Uint64
-	tr.RegisterCounter("dcache.hit", n.Load)
+	tr.RegisterAtomic("dcache.hit", &n)
 	n.Store(7)
 	if got := tr.FastpathCounters()["dcache.hit"]; got != 7 {
 		t.Fatalf("dcache.hit = %d, want 7 (must read at snapshot time)", got)
@@ -22,17 +22,20 @@ func TestFastpathCounterRegistryReadsLazily(t *testing.T) {
 
 func TestFastpathCounterReplaceAndNilSafety(t *testing.T) {
 	tr := New(16)
-	tr.RegisterCounter("x", func() uint64 { return 1 })
-	tr.RegisterCounter("x", func() uint64 { return 2 })
+	var one, two atomic.Uint64
+	one.Store(1)
+	two.Store(2)
+	tr.RegisterAtomic("x", &one)
+	tr.RegisterAtomic("x", &two)
 	if got := tr.FastpathCounters()["x"]; got != 2 {
-		t.Fatalf("x = %d, want 2 (re-registration replaces the reader)", got)
+		t.Fatalf("x = %d, want 2 (re-registration replaces the counter)", got)
 	}
 	var nilTr *Tracer
-	nilTr.RegisterCounter("x", func() uint64 { return 1 })
+	nilTr.RegisterAtomic("x", &one)
 	if m := nilTr.FastpathCounters(); m != nil {
 		t.Fatalf("nil tracer FastpathCounters = %v, want nil", m)
 	}
-	tr.RegisterCounter("nil-reader", nil) // must not panic at read time
+	tr.RegisterAtomic("nil-counter", nil) // must not panic at read time
 	_ = tr.FastpathCounters()
 }
 
@@ -42,9 +45,13 @@ func TestRenderStatsFastpathSection(t *testing.T) {
 	if strings.Contains(out, "fastpath counters:") {
 		t.Fatal("empty registry must not render a fastpath section")
 	}
-	tr.RegisterCounter("dcache.hit", func() uint64 { return 9 })
-	tr.RegisterCounter("dcache.miss", func() uint64 { return 1 })
-	tr.RegisterCounter("mountidx.hit", func() uint64 { return 5 })
+	var hit, miss, mountHit atomic.Uint64
+	hit.Store(9)
+	miss.Store(1)
+	mountHit.Store(5)
+	tr.RegisterAtomic("dcache.hit", &hit)
+	tr.RegisterAtomic("dcache.miss", &miss)
+	tr.RegisterAtomic("mountidx.hit", &mountHit)
 	out = tr.RenderStats()
 	for _, want := range []string{
 		"fastpath counters:", "dcache.hit", "dcache.miss", "mountidx.hit",

@@ -29,7 +29,7 @@ func TestResolvedSlotsExact(t *testing.T) {
 				tr.SyscallExit(tr.SyscallEnter("getpid", 1, 0), nil)
 				tr.HookDecision(&hook, "MountCheck", 1, 0, "grant", "protego", nil, time.Now())
 				tr.CountDecisionRef(&grant, "MountCheck", "protego", "grant")
-				tr.CountDecision("MountCheck", "protego", "grant")
+				tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
 				tr.NetfilterVerdictRef(&nfDrop, "OUTPUT", "r1", "DROP", 0)
 				tr.AuthCheckRef(&authOK, "password", "alice", 1, 0, true)
 			}

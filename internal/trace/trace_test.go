@@ -203,12 +203,13 @@ func TestTracerSyscallRoundTrip(t *testing.T) {
 
 func TestTracerCountersAndStats(t *testing.T) {
 	tr := New(64)
-	tr.LSMDecision("MountCheck", 1, 1000, "grant", "protego", nil, time.Microsecond)
-	tr.CountDecision("MountCheck", "protego", "grant")
-	tr.CountDecision("MountCheck", "protego", "grant")
-	tr.CountDecision("MountCheck", "apparmor", "no-opinion")
-	tr.NetfilterVerdict("OUTPUT", "drop-unpriv-raw-tcp", "DROP", 1000)
-	tr.AuthCheck("password", "alice", 7, 1000, false)
+	var hook HistogramRef
+	tr.HookDecision(&hook, "MountCheck", 1, 1000, "grant", "protego", nil, time.Now().Add(-time.Microsecond))
+	tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
+	tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
+	tr.CountDecisionRef(nil, "MountCheck", "apparmor", "no-opinion")
+	tr.NetfilterVerdictRef(nil, "OUTPUT", "drop-unpriv-raw-tcp", "DROP", 1000)
+	tr.AuthCheckRef(nil, "password", "alice", 7, 1000, false)
 	tr.Audit("mount denied")
 
 	ctrs := tr.Counters()
@@ -241,11 +242,11 @@ func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tok := tr.SyscallEnter("open", 1, 2)
 	tr.SyscallExit(tok, nil)
-	tr.LSMDecision("MountCheck", 1, 2, "deny", "", nil, 0)
-	tr.CountDecision("h", "m", "d")
-	tr.NetfilterVerdict("OUTPUT", "", "ACCEPT", 0)
+	tr.HookDecision(nil, "MountCheck", 1, 2, "deny", "", nil, time.Time{})
+	tr.CountDecisionRef(nil, "h", "m", "d")
+	tr.NetfilterVerdictRef(nil, "OUTPUT", "", "ACCEPT", 0)
 	tr.MonitordSync("mounts", 0, nil)
-	tr.AuthCheck("password", "alice", 1, 2, true)
+	tr.AuthCheckRef(nil, "password", "alice", 1, 2, true)
 	tr.Audit("x")
 	tr.Emit(Event{Kind: KindAudit})
 }
@@ -263,6 +264,7 @@ func TestSnapshotKindFiltering(t *testing.T) {
 
 func TestTracerConcurrentMixedUse(t *testing.T) {
 	tr := New(256)
+	var hook HistogramRef
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -273,9 +275,9 @@ func TestTracerConcurrentMixedUse(t *testing.T) {
 				case 0:
 					tr.SyscallExit(tr.SyscallEnter("getpid", w, w), nil)
 				case 1:
-					tr.LSMDecision("FileOpen", w, w, "no-opinion", "", nil, time.Nanosecond)
+					tr.HookDecision(&hook, "FileOpen", w, w, "no-opinion", "", nil, time.Now())
 				case 2:
-					tr.CountDecision("FileOpen", "apparmor", "no-opinion")
+					tr.CountDecisionRef(nil, "FileOpen", "apparmor", "no-opinion")
 				case 3:
 					tr.Audit("line")
 				}
@@ -346,11 +348,11 @@ func TestShardedCountersExact(t *testing.T) {
 			defer wg.Done()
 			own := fmt.Sprintf("writer-%d", w)
 			for i := 0; i < bumps; i++ {
-				tr.CountDecision("Shared", "module", "grant")
-				tr.CountDecision("Private", own, "grant")
+				tr.CountDecisionRef(nil, "Shared", "module", "grant")
+				tr.CountDecisionRef(nil, "Private", own, "grant")
 				if i%100 == 0 {
 					// New keys force COW snapshot publication mid-run.
-					tr.CountDecision("Churn", own, fmt.Sprintf("d%d", i))
+					tr.CountDecisionRef(nil, "Churn", own, fmt.Sprintf("d%d", i))
 				}
 			}
 		}()

@@ -59,22 +59,14 @@ type Tracer struct {
 	ctrMu    sync.RWMutex
 	counters map[CounterKey]*atomic.Uint64
 
-	// fastpath holds lazily-read monotonic counters registered by the
-	// kernel's fast-path layers (dcache, compiled policy indexes). The
-	// owning subsystem keeps the hot atomic; the tracer only reads it at
-	// snapshot/render time, so registration adds zero hot-path cost.
+	// fastpath holds lazily-read monotonic counters registered by other
+	// subsystems (the dcache, the mount-whitelist index, the seccomp
+	// gate). The owning subsystem keeps the hot atomic; the tracer only
+	// reads it at snapshot/render time, so registration adds zero
+	// hot-path cost.
 	fpMu     sync.RWMutex
-	fastpath map[string]loader
+	fastpath map[string]*atomic.Uint64
 }
-
-// loader is a registered fast-path counter: an *atomic.Uint64, or a
-// reader function.
-type loader interface{ Load() uint64 }
-
-// loadFunc adapts a reader function to loader.
-type loadFunc func() uint64
-
-func (f loadFunc) Load() uint64 { return f() }
 
 // New creates a tracer whose ring holds at least capacity events
 // (DefaultCapacity when capacity <= 0).
@@ -85,36 +77,22 @@ func New(capacity int) *Tracer {
 	tr := &Tracer{
 		hists:    make(map[histKey]*Histogram),
 		counters: make(map[CounterKey]*atomic.Uint64),
-		fastpath: make(map[string]loader),
+		fastpath: make(map[string]*atomic.Uint64),
 	}
 	tr.ring.init(capacity)
 	return tr
 }
 
-// RegisterCounter registers a named fast-path counter whose value is read
-// lazily (at render/snapshot time) through the supplied function. The
-// subsystem owning the counter keeps the hot atomic and pays nothing per
-// event. Registering an existing name replaces the reader.
-func (tr *Tracer) RegisterCounter(name string, read func() uint64) {
-	if read != nil {
-		tr.register(name, loadFunc(read))
-	}
-}
-
-// RegisterAtomic is RegisterCounter for a counter kept in an atomic: the
-// tracer reads n itself, so the owner allocates no reader.
+// RegisterAtomic registers a named fast-path counter kept in n, read
+// lazily (at render/snapshot time). The subsystem owning the counter
+// keeps the hot atomic and pays nothing per event. Registering an
+// existing name replaces the counter; a nil n is ignored.
 func (tr *Tracer) RegisterAtomic(name string, n *atomic.Uint64) {
-	if n != nil {
-		tr.register(name, n)
-	}
-}
-
-func (tr *Tracer) register(name string, l loader) {
-	if tr == nil {
+	if tr == nil || n == nil {
 		return
 	}
 	tr.fpMu.Lock()
-	tr.fastpath[name] = l
+	tr.fastpath[name] = n
 	tr.fpMu.Unlock()
 }
 
@@ -124,14 +102,10 @@ func (tr *Tracer) FastpathCounters() map[string]uint64 {
 		return nil
 	}
 	tr.fpMu.RLock()
-	loaders := make(map[string]loader, len(tr.fastpath))
-	for k, l := range tr.fastpath {
-		loaders[k] = l
-	}
-	tr.fpMu.RUnlock()
-	out := make(map[string]uint64, len(loaders))
-	for k, l := range loaders {
-		out[k] = l.Load()
+	defer tr.fpMu.RUnlock()
+	out := make(map[string]uint64, len(tr.fastpath))
+	for k, n := range tr.fastpath {
+		out[k] = n.Load()
 	}
 	return out
 }
@@ -215,44 +189,30 @@ func (tr *Tracer) SyscallExit(tok SyscallToken, err error) {
 	tok.hist.Observe(lat)
 }
 
-// LSMDecision records one chain hook evaluation: the final decision, the
-// module whose opinion won (empty for base policy), and the hook latency.
-func (tr *Tracer) LSMDecision(hook string, pid, uid int, decision, winner string, err error, lat time.Duration) {
-	if tr == nil {
-		return
-	}
-	tr.lsmDecision(tr.histogram(groupLSM, hook), hook, pid, uid, decision, winner, err, lat, time.Now())
-}
-
-// HookDecision is LSMDecision for a hook evaluation that began at start,
-// recorded by a producer that keeps the hook's histogram in ref. One
-// clock read ends the latency sample and stamps the event.
+// HookDecision records one chain hook evaluation that began at start: the
+// final decision, the module whose opinion won (empty for base policy),
+// and the hook latency, into the hook's histogram, which the producer
+// keeps in ref. One clock read ends the latency sample and stamps the
+// event.
 func (tr *Tracer) HookDecision(ref *HistogramRef, hook string, pid, uid int, decision, winner string, err error, start time.Time) {
 	if tr == nil {
 		return
 	}
 	now := time.Now()
-	tr.lsmDecision(tr.histogramRef(ref, groupLSM, hook), hook, pid, uid, decision, winner, err, now.Sub(start), now)
-}
-
-func (tr *Tracer) lsmDecision(h *Histogram, hook string, pid, uid int, decision, winner string, err error, lat time.Duration, now time.Time) {
+	lat := now.Sub(start)
 	ev := Event{Kind: KindLSMDecision, Name: hook, PID: pid, UID: uid,
 		Module: winner, Decision: decision, Latency: lat, Time: now}
 	if err != nil {
 		ev.Err = err.Error()
 	}
 	tr.emit(&ev)
-	h.Observe(lat)
+	tr.histogramRef(ref, groupLSM, hook).Observe(lat)
 }
 
-// CountDecision bumps the (hook, module, decision) counter — one bump per
-// module consulted, independent of which module won the chain.
-func (tr *Tracer) CountDecision(hook, module, decision string) {
-	tr.CountDecisionRef(nil, hook, module, decision)
-}
-
-// CountDecisionRef is CountDecision for a producer that keeps the
-// counter in ref: after the first call it is one atomic add.
+// CountDecisionRef bumps the (hook, module, decision) counter — one bump
+// per module consulted, independent of which module won the chain. A
+// producer that keeps the counter in ref pays one atomic add after the
+// first call; a nil ref resolves the key every time.
 func (tr *Tracer) CountDecisionRef(ref *CounterRef, hook, module, decision string) {
 	if tr == nil {
 		return
@@ -260,14 +220,9 @@ func (tr *Tracer) CountDecisionRef(ref *CounterRef, hook, module, decision strin
 	tr.count(ref, "", hook, module, decision)
 }
 
-// NetfilterVerdict records an OUTPUT-chain verdict; rule is the matching
-// rule name (empty when the chain's default policy applied).
-func (tr *Tracer) NetfilterVerdict(chain, rule, verdict string, senderUID int) {
-	tr.NetfilterVerdictRef(nil, chain, rule, verdict, senderUID)
-}
-
-// NetfilterVerdictRef is NetfilterVerdict for a producer that keeps the
-// verdict's counter in ref.
+// NetfilterVerdictRef records an OUTPUT-chain verdict; rule is the
+// matching rule name (empty when the chain's default policy applied). The
+// producer keeps the verdict's counter in ref (nil resolves it by key).
 func (tr *Tracer) NetfilterVerdictRef(ref *CounterRef, chain, rule, verdict string, senderUID int) {
 	if tr == nil {
 		return
@@ -297,14 +252,10 @@ func (tr *Tracer) MonitordSync(target string, lat time.Duration, err error) {
 	tr.histogram(groupMonitord, target).Observe(lat)
 }
 
-// AuthCheck records an authentication-service check: mechanism is
+// AuthCheckRef records an authentication-service check: mechanism is
 // "password", "recency", or "group"; subject is the user or group name.
-func (tr *Tracer) AuthCheck(mechanism, subject string, pid, uid int, ok bool) {
-	tr.AuthCheckRef(nil, mechanism, subject, pid, uid, ok)
-}
-
-// AuthCheckRef is AuthCheck for a producer that keeps the (mechanism,
-// outcome) counter in ref.
+// The producer keeps the (mechanism, outcome) counter in ref (nil
+// resolves it by key).
 func (tr *Tracer) AuthCheckRef(ref *CounterRef, mechanism, subject string, pid, uid int, ok bool) {
 	if tr == nil {
 		return

@@ -96,9 +96,6 @@ func (ino *Inode) Sealed() bool { return ino.sealed.Load() }
 // IsProc reports whether the inode is a synthetic (proc-style) file.
 func (ino *Inode) IsProc() bool { return ino.ReadFn != nil || ino.WriteFn != nil }
 
-// Size returns the length of the file contents.
-func (ino *Inode) Size() int { return len(ino.Data) }
-
 // childNames returns the sorted names of directory entries.
 func (ino *Inode) childNames() []string {
 	names := make([]string, 0, len(ino.children))

@@ -72,12 +72,6 @@ func SplitPath(path string) (dir, base string) {
 	return dir, path[i+1:]
 }
 
-// BaseName returns the final component of path.
-func BaseName(path string) string {
-	_, base := SplitPath(CleanPath(path, "/"))
-	return base
-}
-
 // IsUnder reports whether path is equal to or lexically beneath dir (both
 // must be cleaned, absolute paths).
 func IsUnder(path, dir string) bool {

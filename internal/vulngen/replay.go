@@ -268,12 +268,8 @@ func checkShape(sc Scenario, lin, pro *world.Machine, facts envFacts, res *EnvRe
 				"shape stale-policy: poisoned fstab row leaked into the in-kernel whitelist past a crashed monitord")
 		}
 	case ShapeAliasCycle:
-		// Surviving Apply already proves Compile terminated on the cycle
-		// (the historical failure was unbounded recursion); the delegation
-		// policy must also still be loaded.
-		if pro.Protego != nil && pro.Protego.Sudoers() == nil {
-			res.Problems = append(res.Problems,
-				"shape alias-cycle: delegation policy vanished after the cycle sync")
+		if pro.Protego != nil {
+			checkAliasCycle(pro, res)
 		}
 	case ShapeSetuidDebris:
 		for _, mu := range sc.Muts {
@@ -296,6 +292,33 @@ func checkShape(sc Scenario, lin, pro *world.Machine, facts envFacts, res *EnvRe
 					"shape setuid-debris: protego exec of %s handed out root", path))
 			}
 		}
+	}
+}
+
+// checkAliasCycle looks up through the synced alias cycle on the Protego
+// policy. Parsing expands no alias, so only a lookup that walks the cycle
+// shows a broken cycle guard (the historical failure was unbounded
+// recursion). Wheel member charlie must reach /usr/bin/id through
+// VG_CYC_B, and the cycle must grant nothing it does not list.
+func checkAliasCycle(pro *world.Machine, res *EnvResult) {
+	s := pro.Protego.Sudoers()
+	if s == nil {
+		res.Problems = append(res.Problems,
+			"shape alias-cycle: delegation policy vanished after the cycle sync")
+		return
+	}
+	groups, err := pro.DB.GroupNamesOf("charlie")
+	if err != nil {
+		res.Problems = append(res.Problems, fmt.Sprintf("shape alias-cycle: groups of charlie: %v", err))
+		return
+	}
+	if _, ok := s.LookupCommand("charlie", groups, "root", "/usr/bin/id"); !ok {
+		res.Problems = append(res.Problems,
+			"shape alias-cycle: /usr/bin/id lost through the cycle for wheel member charlie")
+	}
+	if _, ok := s.LookupCommand("charlie", groups, "root", "/bin/sh"); ok {
+		res.Problems = append(res.Problems,
+			"shape alias-cycle: the cycle granted charlie an unlisted /bin/sh")
 	}
 }
 

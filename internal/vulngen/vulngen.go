@@ -93,8 +93,8 @@ const (
 	// poisoned row must never reach the in-kernel whitelist.
 	ShapeStalePolicy
 	// ShapeAliasCycle: mutually recursive command aliases in sudoers.
-	// Compile must terminate (regression: unbounded recursion) and bob
-	// must gain no transition.
+	// A delegation lookup that walks the cycle must terminate
+	// (regression: unbounded recursion) and bob must gain no transition.
 	ShapeAliasCycle
 	// ShapeDanglingDelegation: a NOPASSWD rule whose command no longer
 	// exists. The deferred setuid-on-exec must confer nothing.
@@ -166,7 +166,7 @@ var debrisPool = []string{
 // aliasCycleLines is the sudoers fragment MutAliasCycle appends: two
 // mutually recursive command aliases reachable from a %wheel rule. Bob is
 // not in wheel, so a correct expansion grants him nothing; an incorrect
-// one used to recurse without bound at Compile time.
+// one recurses without bound when a lookup walks the cycle.
 const aliasCycleLines = `Cmnd_Alias VG_CYC_A = VG_CYC_B, /bin/ls
 Cmnd_Alias VG_CYC_B = VG_CYC_A, /usr/bin/id
 %wheel ALL = (root) NOPASSWD: VG_CYC_A
