@@ -1,10 +1,15 @@
 package accountdb
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"protego/internal/errno"
+	"protego/internal/faultinject"
+	"protego/internal/kernel"
+	"protego/internal/netstack"
 	"protego/internal/vfs"
 )
 
@@ -143,6 +148,12 @@ func TestHashVerifyProperty(t *testing.T) {
 func newDBFS(t *testing.T) *vfs.FS {
 	t.Helper()
 	fs := vfs.New()
+	writeDBFiles(t, fs)
+	return fs
+}
+
+func writeDBFiles(t *testing.T, fs *vfs.FS) {
+	t.Helper()
 	if _, err := fs.Mkdir(vfs.RootCred, "/etc", 0o755, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +165,6 @@ func newDBFS(t *testing.T) *vfs.FS {
 	write(PasswdFile, samplePasswd, 0o644)
 	write(ShadowFile, sampleShadow, 0o600)
 	write(GroupFile, sampleGroup, 0o644)
-	return fs
 }
 
 func TestDBLookups(t *testing.T) {
@@ -190,6 +200,148 @@ func TestDBLookups(t *testing.T) {
 	if err != nil || len(gids) != 1 || gids[0] != 20 {
 		t.Fatalf("alice gids: %v %v", gids, err)
 	}
+
+	// The parse of each content is shared by every DB that reads it, so
+	// what a lookup returns must be a copy: writing to it may not change
+	// what the next lookup, from any DB, sees.
+	t.Run("callers own results", func(t *testing.T) {
+		db := NewDB(newDBFS(t))
+		mustUser := func(u *User, err error) *User {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return u
+		}
+		mustGroup := func(g *Group, err error) *Group {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		mustUser(db.LookupUser("alice")).Shell = "/bin/evil"
+		mustUser(db.LookupUID(1001)).Gecos = "evil"
+		mustGroup(db.LookupGroup("ops")).Password = "evil"
+		mustGroup(db.LookupGroup("users")).Members[0] = "mallory"
+		users, err := db.Users()
+		if err != nil {
+			t.Fatal(err)
+		}
+		users[0].Name = "evil"
+		groups, err := db.Groups()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range groups {
+			sort.Sort(sort.Reverse(sort.StringSlice(groups[i].Members)))
+			for j := range groups[i].Members {
+				groups[i].Members[j] = "mallory"
+			}
+		}
+		db = NewDB(newDBFS(t))
+		if u := mustUser(db.LookupUser("alice")); u.Shell != "/bin/sh" {
+			t.Errorf("alice's shell = %q", u.Shell)
+		}
+		if u := mustUser(db.LookupUID(1001)); u.Gecos != "Bob" {
+			t.Errorf("bob's gecos = %q", u.Gecos)
+		}
+		if g := mustGroup(db.LookupGroup("ops")); g.Password != "$5$pgops$ff" {
+			t.Errorf("ops password = %q", g.Password)
+		}
+		if g := mustGroup(db.LookupGID(100)); strings.Join(g.Members, ",") != "alice,bob" {
+			t.Errorf("users members = %v", g.Members)
+		}
+		if users, err := db.Users(); err != nil || users[0].Name != "root" {
+			t.Errorf("users = %+v, %v", users, err)
+		}
+		if gids, err := db.GroupIDsOf("alice"); err != nil || len(gids) != 1 || gids[0] != 20 {
+			t.Errorf("alice gids: %v %v", gids, err)
+		}
+	})
+
+	// Every lookup reads the file, so it sees the bytes of the last
+	// write, whatever the write kept equal: the inode (WriteFile,
+	// AppendFile, a descriptor), the length and mtime (the kernel write).
+	t.Run("sees every write", func(t *testing.T) {
+		k := kernel.New(kernel.ModeLinux, netstack.IPv4(10, 0, 0, 2))
+		writeDBFiles(t, k.FS)
+		db := NewDB(k.FS)
+		shell := func(name string) string {
+			t.Helper()
+			u, err := db.LookupUser(name)
+			if err != nil {
+				t.Fatalf("lookup %s: %v", name, err)
+			}
+			return u.Shell
+		}
+		if shell("bob") != "/bin/zsh" {
+			t.Fatal("bob's shell before the writes")
+		}
+		edited := strings.Replace(samplePasswd, "/bin/zsh", "/bin/ksh", 1)
+		if err := k.FS.WriteFile(vfs.RootCred, PasswdFile, []byte(edited), 0o644, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := shell("bob"); got != "/bin/ksh" {
+			t.Fatalf("after WriteFile: bob's shell = %q", got)
+		}
+		if err := k.FS.AppendFile(vfs.RootCred, PasswdFile, []byte("dave:x:1003:100:Dave:/home/dave:/bin/sh\n")); err != nil {
+			t.Fatal(err)
+		}
+		if got := shell("dave"); got != "/bin/sh" {
+			t.Fatalf("after AppendFile: dave's shell = %q", got)
+		}
+		if err := k.FS.WriteFile(vfs.RootCred, "/etc/passwd.new", []byte(samplePasswd), 0o644, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.FS.Rename(vfs.RootCred, "/etc/passwd.new", PasswdFile); err != nil {
+			t.Fatal(err)
+		}
+		if got := shell("bob"); got != "/bin/zsh" {
+			t.Fatalf("after Rename: bob's shell = %q", got)
+		}
+		if _, err := db.LookupUser("dave"); err != errno.ENOENT {
+			t.Fatalf("after Rename: dave: %v", err)
+		}
+		root := k.InitTask()
+		fd, err := k.Open(root, PasswdFile, kernel.O_WRONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Write(root, fd, []byte("toor")); err != nil {
+			t.Fatal(err)
+		}
+		if u, err := db.LookupUID(0); err != nil || u.Name != "toor" {
+			t.Fatalf("after a same-length fd write: uid 0 = %+v, %v", u, err)
+		}
+	})
+
+	// A read error is the caller's to see, and never remembered; a parse
+	// error is the same on every call.
+	t.Run("errors", func(t *testing.T) {
+		fs := newDBFS(t)
+		db := NewDB(fs)
+		if _, err := db.LookupUser("alice"); err != nil {
+			t.Fatal(err)
+		}
+		fs.SetFaultInjector(faultinject.New(faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
+			{Site: faultinject.SiteVFSReadFile, Action: faultinject.ActErr, Err: errno.EIO, Nth: 1},
+		}}))
+		if _, err := db.LookupUser("alice"); !errno.Is(err, errno.EIO) {
+			t.Fatalf("lookup with the read fault armed: %v, want EIO", err)
+		}
+		if _, err := db.LookupUser("alice"); err != nil {
+			t.Fatalf("lookup after the fault: %v", err)
+		}
+		if err := fs.WriteFile(vfs.RootCred, GroupFile, []byte("users:x:NaN:alice\n"), 0o644, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := db.LookupGroup("users"); err == nil || !strings.Contains(err.Error(), "bad gid") {
+				t.Fatalf("call %d on a malformed group file: %v", i+1, err)
+			}
+		}
+	})
 }
 
 func TestShadowHash(t *testing.T) {

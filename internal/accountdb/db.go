@@ -2,6 +2,7 @@ package accountdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"protego/internal/errno"
@@ -23,6 +24,9 @@ const (
 // DB reads the account databases from a simulated file system. Reads are
 // performed with kernel (root) credentials: the DB is consulted by the
 // kernel's LSM and trusted services, never directly by untrusted tasks.
+// Every lookup reads the file afresh, so DAC, fault injection and every
+// write take effect on the next call; only the parse of passwd and group
+// is shared (see memo). What a lookup returns is the caller's own.
 type DB struct {
 	fs *vfs.FS
 }
@@ -30,61 +34,101 @@ type DB struct {
 // NewDB creates a database view over fs.
 func NewDB(fs *vfs.FS) *DB { return &DB{fs: fs} }
 
-// Users returns all passwd records (from the legacy shared file).
-func (db *DB) Users() ([]User, error) {
+// users reads /etc/passwd and returns the memo's shared parse of it, for
+// callers in this package that only read the records.
+func (db *DB) users() ([]User, error) {
 	data, err := db.fs.ReadFile(vfs.RootCred, PasswdFile)
 	if err != nil {
 		return nil, err
 	}
-	return ParsePasswd(string(data))
+	return passwdMemo.parse(data, ParsePasswd)
+}
+
+// groups is users for /etc/group.
+func (db *DB) groups() ([]Group, error) {
+	data, err := db.fs.ReadFile(vfs.RootCred, GroupFile)
+	if err != nil {
+		return nil, err
+	}
+	return groupMemo.parse(data, ParseGroup)
+}
+
+// Users returns all passwd records (from the legacy shared file).
+func (db *DB) Users() ([]User, error) {
+	users, err := db.users()
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(users), nil
 }
 
 // LookupUser finds a user by name.
 func (db *DB) LookupUser(name string) (*User, error) {
-	users, err := db.Users()
+	users, err := db.users()
 	if err != nil {
 		return nil, err
 	}
-	for i := range users {
-		if users[i].Name == name {
-			return &users[i], nil
-		}
+	if u := findUser(users, name); u != nil {
+		cp := *u
+		return &cp, nil
 	}
 	return nil, errno.ENOENT
 }
 
 // LookupUID finds a user by uid.
 func (db *DB) LookupUID(uid int) (*User, error) {
-	users, err := db.Users()
+	users, err := db.users()
 	if err != nil {
 		return nil, err
 	}
 	for i := range users {
 		if users[i].UID == uid {
-			return &users[i], nil
+			u := users[i]
+			return &u, nil
 		}
 	}
 	return nil, errno.ENOENT
 }
 
+func findUser(users []User, name string) *User {
+	for i := range users {
+		if users[i].Name == name {
+			return &users[i]
+		}
+	}
+	return nil
+}
+
 // Groups returns all group records.
 func (db *DB) Groups() ([]Group, error) {
-	data, err := db.fs.ReadFile(vfs.RootCred, GroupFile)
+	groups, err := db.groups()
 	if err != nil {
 		return nil, err
 	}
-	return ParseGroup(string(data))
+	out := make([]Group, len(groups))
+	for i := range groups {
+		out[i] = groups[i].clone()
+	}
+	return out, nil
+}
+
+// clone copies g with a Members slice of its own.
+func (g *Group) clone() Group {
+	cp := *g
+	cp.Members = slices.Clone(g.Members)
+	return cp
 }
 
 // LookupGroup finds a group by name.
 func (db *DB) LookupGroup(name string) (*Group, error) {
-	groups, err := db.Groups()
+	groups, err := db.groups()
 	if err != nil {
 		return nil, err
 	}
 	for i := range groups {
 		if groups[i].Name == name {
-			return &groups[i], nil
+			g := groups[i].clone()
+			return &g, nil
 		}
 	}
 	return nil, errno.ENOENT
@@ -92,13 +136,14 @@ func (db *DB) LookupGroup(name string) (*Group, error) {
 
 // LookupGID finds a group by gid.
 func (db *DB) LookupGID(gid int) (*Group, error) {
-	groups, err := db.Groups()
+	groups, err := db.groups()
 	if err != nil {
 		return nil, err
 	}
 	for i := range groups {
 		if groups[i].GID == gid {
-			return &groups[i], nil
+			g := groups[i].clone()
+			return &g, nil
 		}
 	}
 	return nil, errno.ENOENT
@@ -107,52 +152,53 @@ func (db *DB) LookupGID(gid int) (*Group, error) {
 // GroupNamesOf returns the names of the groups user belongs to (primary
 // group plus memberships).
 func (db *DB) GroupNamesOf(user string) ([]string, error) {
-	u, err := db.LookupUser(user)
+	users, err := db.users()
 	if err != nil {
 		return nil, err
 	}
-	groups, err := db.Groups()
+	u := findUser(users, user)
+	if u == nil {
+		return nil, errno.ENOENT
+	}
+	groups, err := db.groups()
 	if err != nil {
 		return nil, err
 	}
+	return GroupNames(u, groups), nil
+}
+
+// GroupNames returns the names of the groups in groups that u belongs to:
+// its primary group plus those listing it as a member, in file order.
+func GroupNames(u *User, groups []Group) []string {
 	var names []string
 	for i := range groups {
 		g := &groups[i]
-		if g.GID == u.GID {
+		if g.GID == u.GID || slices.Contains(g.Members, u.Name) {
 			names = append(names, g.Name)
-			continue
-		}
-		for _, m := range g.Members {
-			if m == user {
-				names = append(names, g.Name)
-				break
-			}
 		}
 	}
-	return names, nil
+	return names
 }
 
 // GroupIDsOf returns the supplementary gids of user (excluding the primary).
 func (db *DB) GroupIDsOf(user string) ([]int, error) {
-	u, err := db.LookupUser(user)
+	users, err := db.users()
 	if err != nil {
 		return nil, err
 	}
-	groups, err := db.Groups()
+	u := findUser(users, user)
+	if u == nil {
+		return nil, errno.ENOENT
+	}
+	groups, err := db.groups()
 	if err != nil {
 		return nil, err
 	}
 	var gids []int
 	for i := range groups {
 		g := &groups[i]
-		if g.GID == u.GID {
-			continue
-		}
-		for _, m := range g.Members {
-			if m == user {
-				gids = append(gids, g.GID)
-				break
-			}
+		if g.GID != u.GID && slices.Contains(g.Members, user) {
+			gids = append(gids, g.GID)
 		}
 	}
 	return gids, nil
@@ -216,7 +262,8 @@ func (s *legacyShadow) hash(db *DB, user string) (string, error) {
 // accounts. Existing fragments are overwritten from the shared files (the
 // shared files remain authoritative at fragmentation time).
 func Fragment(fs *vfs.FS) error {
-	users, err := readUsers(fs)
+	db := NewDB(fs)
+	users, err := db.users()
 	if err != nil {
 		return err
 	}
@@ -224,7 +271,7 @@ func Fragment(fs *vfs.FS) error {
 	if err != nil {
 		return err
 	}
-	groups, err := readGroups(fs)
+	groups, err := db.groups()
 	if err != nil {
 		return err
 	}
@@ -277,28 +324,12 @@ func writeFragment(fs *vfs.FS, path, content string, mode vfs.Mode, uid, gid int
 	return fs.Chmod(vfs.RootCred, path, mode)
 }
 
-func readUsers(fs *vfs.FS) ([]User, error) {
-	data, err := fs.ReadFile(vfs.RootCred, PasswdFile)
-	if err != nil {
-		return nil, err
-	}
-	return ParsePasswd(string(data))
-}
-
 func readShadow(fs *vfs.FS) ([]ShadowEntry, error) {
 	data, err := fs.ReadFile(vfs.RootCred, ShadowFile)
 	if err != nil {
 		return nil, err
 	}
 	return ParseShadow(string(data))
-}
-
-func readGroups(fs *vfs.FS) ([]Group, error) {
-	data, err := fs.ReadFile(vfs.RootCred, GroupFile)
-	if err != nil {
-		return nil, err
-	}
-	return ParseGroup(string(data))
 }
 
 // SynthesizeLegacy rebuilds the shared /etc/passwd, /etc/shadow, and

@@ -17,16 +17,17 @@ import (
 // cloned table already carries them) and no monitord sync runs — the
 // golden image was synced before the snapshot.
 //
-// Parsed policy objects (sudoers, ppp options) are immutable once
-// installed, so the pointers are shared; everything mutable — mount
-// whitelist, bind table, file grants, toggles — is copied. Decision
-// statistics and the identity cache start fresh, giving per-clone
-// counters.
+// Parsed policy objects (sudoers, ppp options) and the compiled mount
+// index are immutable once installed (a reload replaces them whole), so
+// the pointers are shared; everything mutable — mount whitelist, bind
+// table, file grants, toggles — is copied. Decision statistics and the
+// identity cache start fresh, giving per-clone counters.
 func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) (*Module, error) {
 	c := New(k, db, auth)
 	m.mu.RLock()
 	c.mounts = append([]MountRule(nil), m.mounts...)
 	c.bindTable = maps.Clone(m.bindTable)
+	c.mountIdx, c.umountUsers = m.mountIdx, m.umountUsers
 	c.sudoers = m.sudoers
 	c.ppp = m.ppp
 	for path, bins := range m.fileGrants {
@@ -37,9 +38,6 @@ func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Ser
 	c.allowSuFallback = m.allowSuFallback
 	c.brokenMountPolicy = m.brokenMountPolicy
 	m.mu.RUnlock()
-	c.mu.Lock()
-	c.rebuildMountIndexLocked()
-	c.mu.Unlock()
 	auth.SetWindow(m.auth.Window())
 
 	k.LSM.Register(c)

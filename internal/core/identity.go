@@ -2,6 +2,8 @@ package core
 
 import (
 	"sync"
+
+	"protego/internal/accountdb"
 )
 
 // identityCache memoizes uid→username and username→groups lookups so that
@@ -27,21 +29,25 @@ func (m *Module) refreshIdentityLocked() {
 	c := &m.identity
 	c.uidName = make(map[int]string)
 	c.groups = make(map[string][]string)
+	c.valid = true // a read error leaves a negative cache until invalidated
 	users, err := m.db.Users()
 	if err != nil {
-		c.valid = true // negative cache until invalidated
 		return
 	}
 	for i := range users {
 		c.uidName[users[i].UID] = users[i].Name
 	}
+	groups, err := m.db.Groups()
+	if err != nil {
+		return
+	}
 	for i := range users {
-		names, err := m.db.GroupNamesOf(users[i].Name)
-		if err == nil {
-			c.groups[users[i].Name] = names
+		// A duplicated name takes its first record's groups, as a
+		// lookup by name would.
+		if _, ok := c.groups[users[i].Name]; !ok {
+			c.groups[users[i].Name] = accountdb.GroupNames(&users[i], groups)
 		}
 	}
-	c.valid = true
 }
 
 // userName resolves a uid to a username ("" if unknown).

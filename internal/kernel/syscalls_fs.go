@@ -171,14 +171,9 @@ func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
 		f.Ino = k.FS.BreakSealInode(f.Path, f.Ino)
 	}
 	if f.Flags&O_APPEND != 0 {
-		f.Ino.Data = append(f.Ino.Data, data...)
 		f.Pos = len(f.Ino.Data)
-		return len(data), nil
 	}
-	for len(f.Ino.Data) < f.Pos {
-		f.Ino.Data = append(f.Ino.Data, 0)
-	}
-	f.Ino.Data = append(f.Ino.Data[:f.Pos], data...)
+	f.Ino.WriteAt(f.Pos, data)
 	f.Pos += len(data)
 	return len(data), nil
 }

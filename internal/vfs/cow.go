@@ -94,8 +94,9 @@ func (fs *FS) Clone() *FS {
 // Directory children maps are cloned (entries still point at shared
 // inodes); file data shares the backing array with capacity clamped to
 // length, so an append by either side reallocates instead of scribbling
-// on bytes the other can read. Only sealed inodes are copied, and
-// nothing writes a sealed inode's fields, so they are read without ino.mu.
+// on bytes the other can read, and dataShared makes an overwrite copy
+// first. Only sealed inodes are copied, and nothing writes a sealed
+// inode's fields, so they are read without ino.mu.
 func (ino *Inode) cowCopy() *Inode {
 	cp := &Inode{
 		Ino:     ino.Ino,
@@ -115,6 +116,7 @@ func (ino *Inode) cowCopy() *Inode {
 	}
 	if ino.Data != nil {
 		cp.Data = ino.Data[:len(ino.Data):len(ino.Data)]
+		cp.dataShared = true
 	}
 	return cp
 }

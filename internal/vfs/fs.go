@@ -499,7 +499,8 @@ func (fs *FS) Remove(c Cred, path string) error {
 	return nil
 }
 
-// Rename moves oldPath to newPath (replacing a non-directory target).
+// Rename moves oldPath to newPath, replacing what newPath names under
+// rename(2)'s rules (see replaceErrLocked).
 func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 	if err := fs.faultCheck(faultinject.SiteVFSRename); err != nil {
 		return err
@@ -539,9 +540,15 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 		fs.mu.Unlock()
 		return err
 	}
-	if existing, ok := newParent.children[newBase]; ok && existing.Mode.IsDir() {
-		fs.mu.Unlock()
-		return errno.EISDIR
+	if existing, ok := newParent.children[newBase]; ok {
+		if existing == target { // one inode under both names: a no-op
+			fs.mu.Unlock()
+			return nil
+		}
+		if err := fs.replaceErrLocked(target, existing, newClean); err != nil {
+			fs.mu.Unlock()
+			return err
+		}
 	}
 	delete(oldParent.children, oldBase)
 	newParent.children[newBase] = target
@@ -553,6 +560,26 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpRemove, Path: oldClean})
 	fs.notify(Event{Op: OpWrite, Path: newClean})
+	return nil
+}
+
+// replaceErrLocked applies rename(2)'s rules for moving target over the
+// existing entry at path: a file may replace only a file, and a directory
+// only an empty directory that is not a mount point. Caller holds fs.mu.
+func (fs *FS) replaceErrLocked(target, existing *Inode, path string) error {
+	switch {
+	case !existing.Mode.IsDir():
+		if target.Mode.IsDir() {
+			return errno.ENOTDIR
+		}
+		return nil
+	case !target.Mode.IsDir():
+		return errno.EISDIR
+	case len(existing.children) > 0:
+		return errno.ENOTEMPTY
+	case fs.isMountPointLocked(path):
+		return errno.EBUSY
+	}
 	return nil
 }
 

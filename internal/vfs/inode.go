@@ -76,6 +76,11 @@ type Inode struct {
 	// digest cache below.
 	mu sync.Mutex
 
+	// dataShared marks Data as possibly sharing its array with another
+	// inode (cowCopy), so WriteAt must copy it before overwriting bytes.
+	// Staying set after a reallocation only costs one needless copy.
+	dataShared bool
+
 	// sealed marks an inode frozen into a copy-on-write snapshot: it may
 	// be shared between file systems and must be privatized (copied up)
 	// before any mutation. One-way; private copies start unsealed.
@@ -92,6 +97,24 @@ type Inode struct {
 // Sealed reports whether the inode belongs to a frozen snapshot and must
 // be copied up before mutation (see FS.BreakSealInode).
 func (ino *Inode) Sealed() bool { return ino.sealed.Load() }
+
+// WriteAt writes data at byte offset off, as pwrite(2) does: bytes before
+// off+len(data) that already exist are overwritten and the tail is kept,
+// a gap past the end reads as zeros, and writing at the end appends in
+// place when capacity allows. An array shared with a snapshot is copied
+// before any of its bytes change. The caller owns the descriptor; ino
+// must not be sealed.
+func (ino *Inode) WriteAt(off int, data []byte) {
+	if off < len(ino.Data) && ino.dataShared {
+		ino.Data = append(make([]byte, 0, max(len(ino.Data), off+len(data))), ino.Data...)
+		ino.dataShared = false
+	}
+	for len(ino.Data) < off {
+		ino.Data = append(ino.Data, 0)
+	}
+	n := copy(ino.Data[off:], data)
+	ino.Data = append(ino.Data, data[n:]...)
+}
 
 // IsProc reports whether the inode is a synthetic (proc-style) file.
 func (ino *Inode) IsProc() bool { return ino.ReadFn != nil || ino.WriteFn != nil }

@@ -486,23 +486,61 @@ func TestReadDir(t *testing.T) {
 	}
 }
 
+// TestRename follows rename(2)'s type rules, checked against a Linux
+// host: a file replaces a file, a directory replaces only an empty
+// directory that is not a mount point, and a failed rename leaves both
+// names as they were.
 func TestRename(t *testing.T) {
-	fs := newTestFS(t)
-	if err := fs.WriteFile(root, "/etc/passwd.tmp", []byte("new"), 0o644, 0, 0); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		src, dst string
+		want     error
+		dstFile  string // the file that must exist under dst afterwards
+	}{
+		{"file over file", "/tmp/f", "/tmp/g", nil, "/tmp/g"},
+		{"dir over non-empty dir", "/tmp/d", "/tmp/full", errno.ENOTEMPTY, "/tmp/full/x"},
+		{"dir over empty dir", "/tmp/d", "/tmp/empty", nil, "/tmp/empty/in"},
+		{"file over dir", "/tmp/f", "/tmp/empty", errno.EISDIR, ""},
+		{"dir over file", "/tmp/d", "/tmp/g", errno.ENOTDIR, "/tmp/g"},
+		{"dir over mount point", "/tmp/d", "/tmp/mnt", errno.EBUSY, ""},
+		{"onto itself", "/tmp/f", "/tmp/f", nil, "/tmp/f"},
 	}
-	if err := fs.WriteFile(root, "/etc/passwd", []byte("old"), 0o644, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Rename(root, "/etc/passwd.tmp", "/etc/passwd"); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := fs.ReadFile(root, "/etc/passwd")
-	if string(data) != "new" {
-		t.Fatalf("got %q", data)
-	}
-	if fs.Exists(root, "/etc/passwd.tmp") {
-		t.Fatal("tmp survived rename")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fs := newTestFS(t)
+			for _, dir := range []string{"/tmp/d", "/tmp/full", "/tmp/empty", "/tmp/mnt"} {
+				if _, err := fs.Mkdir(root, dir, 0o755, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for path, content := range map[string]string{
+				"/tmp/f": "new", "/tmp/g": "old", "/tmp/d/in": "in", "/tmp/full/x": "x",
+			} {
+				if err := fs.WriteFile(root, path, []byte(content), 0o644, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.AttachMount(root, &Mount{Device: "tmpfs", Point: "/tmp/mnt", FSType: "tmpfs"}); err != nil {
+				t.Fatal(err)
+			}
+			srcIno, err := fs.Lookup(root, c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename(root, c.src, c.dst); err != c.want {
+				t.Fatalf("rename %s -> %s: got %v, want %v", c.src, c.dst, err, c.want)
+			}
+			moved := c.want == nil && c.src != c.dst
+			if fs.Exists(root, c.src) == moved {
+				t.Fatalf("%s exists = %v after the rename", c.src, !moved)
+			}
+			if dstIno, err := fs.Lookup(root, c.dst); err != nil || (c.want == nil) != (dstIno == srcIno) {
+				t.Fatalf("%s: %v, is the source inode = %v", c.dst, err, dstIno == srcIno)
+			}
+			if c.dstFile != "" && !fs.Exists(root, c.dstFile) {
+				t.Fatalf("%s missing after the rename", c.dstFile)
+			}
+		})
 	}
 }
 

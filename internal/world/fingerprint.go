@@ -326,7 +326,7 @@ func (l *lines) groups(m *Machine) {
 	}
 	for i := range groups {
 		g := &groups[i]
-		sort.Strings(g.Members) // freshly parsed, so sorted in place
+		sort.Strings(g.Members) // Groups returns copies, so sorted in place
 		b := append(l.buf, "group "...)
 		b = append(b, g.Name...)
 		b = append(b, ':')

@@ -137,6 +137,55 @@ func TestCloneIsolationAppendNoScribble(t *testing.T) {
 	}
 }
 
+// TestClonePositionalWrite: a write at an offset inside a file, without
+// O_TRUNC, overwrites those bytes and keeps the tail, as on Linux. The
+// clone's file data shares its array with the golden image, so the write
+// must land in a private copy: a sibling clone made before it and a clone
+// made after it still read the original.
+func TestClonePositionalWrite(t *testing.T) {
+	img, err := Golden(kernel.ModeProtego)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := img.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := img.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := sibling.K.FS.ReadFile(vfs.RootCred, "/etc/motd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := w.K.Fork(w.Init)
+	defer w.K.Exit(root, 0)
+	fd, err := w.K.Open(root, "/etc/motd", kernel.O_WRONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second write overwrites bytes of the now-private copy in place.
+	for _, s := range []string{"HACKED", "!!"} {
+		if _, err := w.K.Write(root, fd, []byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "HACKED!!" + string(orig[8:])
+	if got, _ := w.K.FS.ReadFile(vfs.RootCred, "/etc/motd"); string(got) != want {
+		t.Errorf("writer reads %q, want %q", got, want)
+	}
+	fresh, err := img.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Machine{"sibling": sibling, "fresh clone": fresh} {
+		if got, _ := m.K.FS.ReadFile(vfs.RootCred, "/etc/motd"); string(got) != string(orig) {
+			t.Errorf("%s reads %q, want the original %q", name, got, orig)
+		}
+	}
+}
+
 // TestCloneOpenUnlinkWrite: the classic tempfile idiom — open, unlink,
 // then write the fd — performed in a clone. The unlinked descriptor
 // points at a snapshot-shared sealed inode with no path left to copy up
