@@ -11,6 +11,7 @@
 //	protego-bench -table 8     the long tail of remaining setuid binaries
 //	protego-bench -figure 1    the mount control-flow comparison
 //	protego-bench -all         everything
+//	protego-bench -cve ID      one Table 6 CVE with a per-action log
 //
 // Table 5 reports each row as mean ± 95% CI over alternating rounds on
 // the two kernels; Table 1's worst-overhead line reads its micro rows.
@@ -61,7 +62,13 @@ func main() {
 	seccompMode := flag.Bool("seccomp", false, "report per-binary syscall attack-surface reduction; fail if arming seccomp adds more than the TaskSyscall check")
 	vulgenN := flag.Int("vulngen", 0, "generate N misconfigured environments and replay the full CVE corpus inside each")
 	vulgenSeed := flag.Int64("vulngenseed", 1, "seed for the vulnerable-environment generator")
+	cveID := flag.String("cve", "", "run a single CVE with per-action detail")
 	flag.Parse()
+
+	if *cveID != "" {
+		printCVE(*cveID)
+		return
+	}
 
 	if *faults {
 		linux, err := bench.RunFaultSweep(kernel.ModeLinux, *faultSeed, *quick)
@@ -200,6 +207,35 @@ func printTable6() error {
 	fmt.Printf("\nBaseline escalations: %d/%d   Protego escalations: %d/%d (paper: 40/40 deprivileged)\n",
 		linuxSum.Escalated, linuxSum.Total, protegoSum.Escalated, protegoSum.Total)
 	return nil
+}
+
+// printCVE runs one CVE of the Table 6 corpus on both systems and logs
+// each attacker action with its outcome.
+func printCVE(id string) {
+	for _, c := range exploits.Corpus {
+		if c.ID != id {
+			continue
+		}
+		for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+			res, err := exploits.RunCVE(mode, c)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "protego-bench: cve: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("%s on %s: payload euid=%d caps=%s\n", id, mode, res.EUID, res.Caps)
+			for _, a := range res.Attempts {
+				status := "DENIED: " + a.Err
+				if a.Succeeded {
+					status = "SUCCEEDED"
+				}
+				fmt.Printf("  %-40s %s\n", a.Action, status)
+			}
+			fmt.Println()
+		}
+		return
+	}
+	fmt.Fprintf(os.Stderr, "protego-bench: unknown CVE %q\n", id)
+	os.Exit(2)
 }
 
 func printTable7() error {

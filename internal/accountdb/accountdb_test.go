@@ -9,7 +9,6 @@ import (
 	"protego/internal/errno"
 	"protego/internal/faultinject"
 	"protego/internal/kernel"
-	"protego/internal/netstack"
 	"protego/internal/vfs"
 )
 
@@ -264,7 +263,7 @@ func TestDBLookups(t *testing.T) {
 	// write, whatever the write kept equal: the inode (WriteFile,
 	// AppendFile, a descriptor), the length and mtime (the kernel write).
 	t.Run("sees every write", func(t *testing.T) {
-		k := kernel.New(kernel.ModeLinux, netstack.IPv4(10, 0, 0, 2))
+		k := kernel.New(kernel.ModeLinux)
 		writeDBFiles(t, k.FS)
 		db := NewDB(k.FS)
 		shell := func(name string) string {

@@ -163,7 +163,7 @@ func runFaultCase(mode kernel.Mode, seed int64, c FaultCase) (FaultCaseResult, e
 	}
 
 	in := faultinject.New(faultinject.Plan{Seed: seed, Rules: []faultinject.Rule{
-		{Site: c.Site, Action: c.Action, Err: c.Err, Every: 1},
+		{Site: c.Site, Action: c.Action, Err: c.Err},
 	}})
 	m.SetFaultInjector(in)
 
@@ -247,7 +247,6 @@ func faultWorkload(m *world.Machine, root *kernel.Task) {
 		// config-read sites (its /proc pushes fail harmlessly).
 		d = monitord.New(k, m.DB, nil)
 	}
-	d.RetryBackoff = 50 * time.Microsecond
 	_ = d.SyncMounts()
 	_ = d.SyncDelegation()
 	_ = d.SyncBind()

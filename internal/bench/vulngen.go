@@ -25,8 +25,9 @@ type VulngenReport struct {
 	// Uncontained counts containment problems: Protego escalations,
 	// invariant violations, unexplained baseline non-escalations.
 	Uncontained int
-	// Failures carries the ddmin-shrunk replayable reproducers (Go
-	// literals), empty on a clean run.
+	// Failures carries the ddmin-shrunk replayable reproducers (the
+	// .scenario text a regression file under vulngen's testdata holds),
+	// empty on a clean run.
 	Failures []string
 }
 
@@ -37,7 +38,7 @@ func (r *VulngenReport) Clean() bool {
 
 // RunVulngen sweeps n environments generated from seed, replaying the
 // full CVE corpus inside each, and shrinks every failing scenario to its
-// minimal replay literal.
+// minimal replay scenario.
 func RunVulngen(n int, seed int64) (*VulngenReport, error) {
 	cfg := vulngen.Config{}
 	stats, err := vulngen.Sweep(seed, n, exploits.Corpus, cfg)
@@ -53,7 +54,7 @@ func RunVulngen(n int, seed int64) (*VulngenReport, error) {
 	for _, res := range stats.Failures {
 		rep.Uncontained += len(res.Problems)
 		min := vulngen.ShrinkScenario(res.Scenario, exploits.Corpus, cfg)
-		rep.Failures = append(rep.Failures, fmt.Sprintf("%s\nreplay:\n%s", res, min.GoLiteral()))
+		rep.Failures = append(rep.Failures, fmt.Sprintf("%s\nreplay:\n%s", res, min.Encode()))
 	}
 	return rep, nil
 }

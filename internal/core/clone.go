@@ -20,8 +20,9 @@ import (
 // Parsed policy objects (sudoers, ppp options) and the compiled mount
 // index are immutable once installed (a reload replaces them whole), so
 // the pointers are shared; everything mutable — mount whitelist, bind
-// table, file grants, toggles — is copied. Decision statistics and the
-// identity cache start fresh, giving per-clone counters.
+// table, file grants, the raw-socket and broken-policy switches — is
+// copied. Decision statistics and the identity cache start fresh, giving
+// per-clone counters.
 func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) (*Module, error) {
 	c := New(k, db, auth)
 	m.mu.RLock()
@@ -34,8 +35,6 @@ func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Ser
 		c.fileGrants[path] = append([]string(nil), bins...)
 	}
 	c.allowUnprivRaw = m.allowUnprivRaw
-	c.requireShadowAuth = m.requireShadowAuth
-	c.allowSuFallback = m.allowSuFallback
 	c.brokenMountPolicy = m.brokenMountPolicy
 	m.mu.RUnlock()
 	auth.SetWindow(m.auth.Window())

@@ -123,33 +123,6 @@ func TestRouteDeleteOwnRouteGranted(t *testing.T) {
 	}
 }
 
-func TestShadowAuthToggle(t *testing.T) {
-	m := protegoMachine(t)
-	m.Protego.SetRequireShadowAuth(false)
-	alice := session(t, m, "alice")
-	// With the ablation toggle off, the owner reads her fragment with
-	// plain DAC and no prompt.
-	if _, err := m.K.ReadFile(alice, "/etc/shadows/alice"); err != nil {
-		t.Fatalf("shadow read with auth disabled: %v", err)
-	}
-	// Other users' fragments remain DAC-protected.
-	if _, err := m.K.ReadFile(alice, "/etc/shadows/bob"); err == nil {
-		t.Fatal("cross-user shadow read")
-	}
-}
-
-func TestSuFallbackToggle(t *testing.T) {
-	m := protegoMachine(t)
-	m.Protego.SetAllowSuFallback(false)
-	bob := session(t, m, "bob")
-	bob.Asker = world.AnswerWith(world.AlicePassword)
-	// With su fallback off, knowing alice's password no longer
-	// authorizes bob -> alice (no delegation rule covers it).
-	if err := m.K.Setuid(bob, world.UIDAlice); err != errno.EPERM {
-		t.Fatalf("su fallback disabled: %v", err)
-	}
-}
-
 func TestModuleIdentity(t *testing.T) {
 	m := protegoMachine(t)
 	if m.Protego.Name() != "protego" {

@@ -67,11 +67,9 @@ func (m *Module) SetuidCheck(t lsm.Task, targetUID int) (lsm.Decision, error) {
 		// *target* user's password is both authentication and
 		// authorization. The trusted service collects it; failure
 		// falls through to base policy (EPERM).
-		if m.suFallbackEnabled() {
-			if err := m.auth.AuthenticateUser(t, target, false); err == nil {
-				m.bumpStat(&m.Stats.SetuidGrants)
-				return lsm.Grant, nil
-			}
+		if err := m.auth.AuthenticateUser(t, target, false); err == nil {
+			m.bumpStat(&m.Stats.SetuidGrants)
+			return lsm.Grant, nil
 		}
 		m.bumpStat(&m.Stats.SetuidDenials)
 		return lsm.NoOpinion, nil
@@ -80,7 +78,7 @@ func (m *Module) SetuidCheck(t lsm.Task, targetUID int) (lsm.Decision, error) {
 		if err := m.auth.EnsureRecent(t, user); err != nil {
 			// The caller may be running su, not sudo: knowing the
 			// *target's* password authorizes the transition (§4.3).
-			if m.suFallbackEnabled() && m.auth.AuthenticateUser(t, target, false) == nil {
+			if m.auth.AuthenticateUser(t, target, false) == nil {
 				m.bumpStat(&m.Stats.SetuidGrants)
 				return lsm.Grant, nil
 			}
@@ -162,7 +160,7 @@ func (m *Module) ExecCheck(t lsm.Task, req *lsm.ExecRequest) (*lsm.CredUpdate, e
 		// "The authentication service may also ask for the target
 		// user's password at this point" (§4.3): the su flow, where
 		// knowing the target's password authorizes the exec.
-		if m.suFallbackEnabled() && m.auth.AuthenticateUser(t, target, false) == nil {
+		if m.auth.AuthenticateUser(t, target, false) == nil {
 			grant = policy.Grant{}
 		} else {
 			m.k.Auditf("protego: setuid-on-exec denied: %s -> %s exec %s", user, target, req.Path)

@@ -26,10 +26,7 @@ func (m *Module) FileOpen(t lsm.Task, req *lsm.OpenRequest) (lsm.Decision, error
 	}
 
 	if strings.HasPrefix(req.Path, accountdb.ShadowsDir+"/") {
-		m.mu.RLock()
-		require := m.requireShadowAuth
-		m.mu.RUnlock()
-		if require && !m.auth.RecentlyAuthenticated(t) {
+		if !m.auth.RecentlyAuthenticated(t) {
 			// The trusted authentication service takes over the
 			// terminal (§4.3); only if that fails is the open
 			// refused.

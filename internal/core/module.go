@@ -53,10 +53,9 @@ type Module struct {
 	// index (exported through the tracer as "mountidx.hit").
 	mountIdxHits atomic.Uint64
 
-	// Feature toggles; all default to the paper's configuration.
-	allowUnprivRaw    bool
-	requireShadowAuth bool
-	allowSuFallback   bool
+	// allowUnprivRaw is the raw-socket relaxation (§4.1.1), on by default;
+	// Table 7's "raw socket relaxation removed" scenario turns it off.
+	allowUnprivRaw bool
 
 	// brokenMountPolicy deliberately grants every unprivileged mount,
 	// bypassing the whitelist. It exists ONLY so the differential fuzzer
@@ -90,56 +89,18 @@ type Stats struct {
 	FileDenials   atomic.Int64
 }
 
-// StatsSnapshot is a point-in-time copy of Stats with plain fields — the
-// same snapshot-struct shape as netfilter.TableStats, for readers that
-// want one consistent view instead of twelve atomic loads.
-type StatsSnapshot struct {
-	MountGrants   int64
-	MountDenials  int64
-	BindGrants    int64
-	BindDenials   int64
-	SetuidGrants  int64
-	SetuidDefers  int64
-	SetuidDenials int64
-	RawSockGrants int64
-	RouteGrants   int64
-	RouteDenials  int64
-	FileGrants    int64
-	FileDenials   int64
-}
-
-// Snapshot reads every counter once and returns the plain-value copy.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		MountGrants:   s.MountGrants.Load(),
-		MountDenials:  s.MountDenials.Load(),
-		BindGrants:    s.BindGrants.Load(),
-		BindDenials:   s.BindDenials.Load(),
-		SetuidGrants:  s.SetuidGrants.Load(),
-		SetuidDefers:  s.SetuidDefers.Load(),
-		SetuidDenials: s.SetuidDenials.Load(),
-		RawSockGrants: s.RawSockGrants.Load(),
-		RouteGrants:   s.RouteGrants.Load(),
-		RouteDenials:  s.RouteDenials.Load(),
-		FileGrants:    s.FileGrants.Load(),
-		FileDenials:   s.FileDenials.Load(),
-	}
-}
-
 // New creates the Protego module over the kernel's substrates. Call
 // Install to register it with the kernel, set up the /proc interface, and
 // load the default netfilter rules.
 func New(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) *Module {
 	return &Module{
-		k:                 k,
-		db:                db,
-		auth:              auth,
-		bindTable:         make(map[bindKey]BindTarget),
-		ppp:               policy.DefaultPPPOptions(),
-		fileGrants:        make(map[string][]string),
-		allowUnprivRaw:    true,
-		requireShadowAuth: true,
-		allowSuFallback:   true,
+		k:              k,
+		db:             db,
+		auth:           auth,
+		bindTable:      make(map[bindKey]BindTarget),
+		ppp:            policy.DefaultPPPOptions(),
+		fileGrants:     make(map[string][]string),
+		allowUnprivRaw: true,
 	}
 }
 
@@ -200,7 +161,8 @@ func (m *Module) AllowFileReaders(path string, binaries ...string) {
 	m.mu.Unlock()
 }
 
-// SetAllowUnprivRaw toggles the raw-socket relaxation (for ablations).
+// SetAllowUnprivRaw toggles the raw-socket relaxation (Table 7's "raw
+// socket relaxation removed" scenario turns it off).
 func (m *Module) SetAllowUnprivRaw(on bool) {
 	m.mu.Lock()
 	m.allowUnprivRaw = on
@@ -216,27 +178,6 @@ func (m *Module) TestHookBreakMountPolicy(on bool) {
 	m.mu.Lock()
 	m.brokenMountPolicy = on
 	m.mu.Unlock()
-}
-
-// SetRequireShadowAuth toggles the reauthentication-before-shadow-read
-// policy (for ablations).
-func (m *Module) SetRequireShadowAuth(on bool) {
-	m.mu.Lock()
-	m.requireShadowAuth = on
-	m.mu.Unlock()
-}
-
-// SetAllowSuFallback toggles the target-password (su) transition policy.
-func (m *Module) SetAllowSuFallback(on bool) {
-	m.mu.Lock()
-	m.allowSuFallback = on
-	m.mu.Unlock()
-}
-
-func (m *Module) suFallbackEnabled() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.allowSuFallback
 }
 
 var _ lsm.Module = (*Module)(nil)

@@ -246,10 +246,10 @@ func (m *Module) readStatus(vfs.Cred) ([]byte, error) {
 	}
 	fmt.Fprintf(&b, "delegation-rules: %d\n", rules)
 	fmt.Fprintf(&b, "allow-unpriv-raw: %v\n", m.allowUnprivRaw)
-	st := m.Stats.Snapshot()
+	st := &m.Stats
 	fmt.Fprintf(&b, "stats: mount-grants=%d mount-denials=%d bind-grants=%d bind-denials=%d setuid-grants=%d setuid-defers=%d setuid-denials=%d raw-grants=%d route-grants=%d route-denials=%d\n",
-		st.MountGrants, st.MountDenials, st.BindGrants, st.BindDenials,
-		st.SetuidGrants, st.SetuidDefers, st.SetuidDenials,
-		st.RawSockGrants, st.RouteGrants, st.RouteDenials)
+		st.MountGrants.Load(), st.MountDenials.Load(), st.BindGrants.Load(), st.BindDenials.Load(),
+		st.SetuidGrants.Load(), st.SetuidDefers.Load(), st.SetuidDenials.Load(),
+		st.RawSockGrants.Load(), st.RouteGrants.Load(), st.RouteDenials.Load())
 	return []byte(b.String()), nil
 }

@@ -11,12 +11,9 @@ import (
 	"protego/internal/world"
 )
 
-// Config selects the ablations (and the deliberate-vulnerability hook used
-// by the harness's self-test) a run executes under.
+// Config selects the invariants a run checks and the deliberate-vulnerability
+// hook used by the harness's self-test.
 type Config struct {
-	// DcacheOff disables the VFS dentry cache on both machines — the
-	// fuzzer must see identical behavior with the fast path off.
-	DcacheOff bool
 	// BreakMountPolicy flips the core.Module test hook that grants every
 	// unprivileged mount on the Protego image. Runs with this set MUST
 	// fail; it proves the harness detects a broken policy.
@@ -94,10 +91,10 @@ type machineCtx struct {
 }
 
 // newMachineCtx stamps one image for a trace run from the mode's golden
-// snapshot. prep, when non-nil, runs after the ablations and before the
-// actor sessions are created — the profiler installs its recorder there,
-// so session-setup syscalls are observed at exactly the point an
-// enforcing module would mediate them.
+// snapshot. prep, when non-nil, runs after the broken-policy hook and
+// before the actor sessions are created — the profiler installs its
+// recorder there, so session-setup syscalls are observed at exactly the
+// point an enforcing module would mediate them.
 func newMachineCtx(mode kernel.Mode, cfg Config, prep func(*world.Machine)) (*machineCtx, error) {
 	snap, err := world.Golden(mode)
 	if err != nil {
@@ -107,7 +104,6 @@ func newMachineCtx(mode kernel.Mode, cfg Config, prep func(*world.Machine)) (*ma
 	if err != nil {
 		return nil, err
 	}
-	m.K.FS.SetDcacheEnabled(!cfg.DcacheOff)
 	if cfg.BreakMountPolicy && m.Protego != nil {
 		m.Protego.TestHookBreakMountPolicy(true)
 	}

@@ -5,10 +5,11 @@
 // whether to perturb the operation: fail it with a chosen errno, drop or
 // duplicate a packet, or tear a config read mid-file.
 //
-// Faults are scheduled by (site, nth-hit, every-k, probability) rules under
-// a fixed seed, so a plan replays the exact same fault sequence on every
-// run; every injection is additionally recorded on the internal/trace ring
-// (KindFaultInject) and in the injector's own bounded record log.
+// A rule fires at its site on the nth hit or on every hit, and torn reads
+// cut at offsets drawn from the plan's seed, so a plan replays the exact
+// same fault sequence on every run; every injection is additionally
+// recorded on the internal/trace ring (KindFaultInject) and in the
+// injector's own bounded record log.
 //
 // The zero *Injector (nil) is a valid no-op: every method is nil-safe, so
 // call sites thread checks unconditionally without branching.
@@ -42,7 +43,7 @@ const (
 	ActTorn
 )
 
-// String names the action as it appears in plans and trace records.
+// String names the action as it appears in trace records.
 func (a Action) String() string {
 	switch a {
 	case ActNone:
@@ -62,19 +63,13 @@ func (a Action) String() string {
 
 // Rule schedules one fault. A rule matches a site when Site equals it
 // exactly or, if Site ends in '*', when the site has the preceding prefix.
-// Of the scheduling fields, the first non-zero one governs: Nth fires on
-// exactly the nth hit (1-based), Every fires on every k-th hit, Prob fires
-// with that probability under the injector's seeded RNG; with all three
-// zero the rule fires on every hit. Limit, when non-zero, caps the total
-// number of firings.
+// A non-zero Nth fires on exactly the nth hit (1-based); with Nth zero the
+// rule fires on every hit.
 type Rule struct {
 	Site   string
 	Action Action
 	Err    errno.Errno // injected errno for ActErr (ignored otherwise)
 	Nth    uint64
-	Every  uint64
-	Prob   float64
-	Limit  uint64
 }
 
 func (r Rule) matches(site string) bool {
@@ -84,31 +79,12 @@ func (r Rule) matches(site string) bool {
 	return r.Site == site
 }
 
-// String renders the rule as one plan line.
-func (r Rule) String() string {
-	var b strings.Builder
-	b.WriteString("inject ")
-	b.WriteString(r.Site)
-	b.WriteByte(' ')
-	switch r.Action {
-	case ActErr:
-		b.WriteString(r.Err.Name())
-	default:
-		b.WriteString(strings.ToUpper(r.Action.String()))
-	}
-	if r.Nth > 0 {
-		fmt.Fprintf(&b, " nth=%d", r.Nth)
-	}
-	if r.Every > 0 {
-		fmt.Fprintf(&b, " every=%d", r.Every)
-	}
-	if r.Prob > 0 {
-		fmt.Fprintf(&b, " prob=%g", r.Prob)
-	}
-	if r.Limit > 0 {
-		fmt.Fprintf(&b, " limit=%d", r.Limit)
-	}
-	return b.String()
+// Plan is a seed plus an ordered rule list. The same plan with the same
+// workload reproduces the same injections, record for record.
+type Plan struct {
+	// Seed fixes the offsets at which torn reads cut.
+	Seed  int64
+	Rules []Rule
 }
 
 // Record is one injection, in firing order. Comparing two runs' record
@@ -136,10 +112,8 @@ const maxRecords = 4096
 // and safe on a nil receiver.
 type Injector struct {
 	mu       sync.Mutex
-	seed     int64
 	rng      *rand.Rand
 	rules    []Rule
-	fired    []uint64 // per-rule firing counts (Limit accounting)
 	hits     map[string]uint64
 	records  []Record
 	injected uint64 // total firings, including ones past maxRecords
@@ -147,16 +121,14 @@ type Injector struct {
 	tracer   *trace.Tracer
 }
 
-// New creates an injector for the plan. The plan's seed fixes the RNG used
-// by probabilistic rules and torn-read cut offsets.
+// New creates an injector for the plan. The plan's seed fixes the RNG that
+// picks torn-read cut offsets.
 func New(plan Plan) *Injector {
 	rules := make([]Rule, len(plan.Rules))
 	copy(rules, plan.Rules)
 	return &Injector{
-		seed:  plan.Seed,
 		rng:   rand.New(rand.NewSource(plan.Seed)),
 		rules: rules,
-		fired: make([]uint64, len(rules)),
 		hits:  make(map[string]uint64),
 	}
 }
@@ -183,14 +155,6 @@ func (in *Injector) SetEnabled(on bool) {
 	in.mu.Unlock()
 }
 
-// Seed returns the plan seed the injector was built with.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // hit registers one hit at site and returns the action to apply, if any.
 // Caller holds no locks; tracer emission happens outside in.mu.
 func (in *Injector) hit(site string) (Action, errno.Errno, bool) {
@@ -206,27 +170,9 @@ func (in *Injector) hit(site string) (Action, errno.Errno, bool) {
 	h := in.hits[site]
 	for i := range in.rules {
 		r := &in.rules[i]
-		if !r.matches(site) {
+		if !r.matches(site) || (r.Nth > 0 && h != r.Nth) {
 			continue
 		}
-		if r.Limit > 0 && in.fired[i] >= r.Limit {
-			continue
-		}
-		fire := false
-		switch {
-		case r.Nth > 0:
-			fire = h == r.Nth
-		case r.Every > 0:
-			fire = h%r.Every == 0
-		case r.Prob > 0:
-			fire = in.rng.Float64() < r.Prob
-		default:
-			fire = true
-		}
-		if !fire {
-			continue
-		}
-		in.fired[i]++
 		rec := Record{Seq: in.injected, Site: site, Action: r.Action, Err: r.Err, Hit: h}
 		in.injected++
 		if len(in.records) < maxRecords {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"protego/internal/netstack"
 )
 
 // TestTaskTableConcurrent exercises the task table under its one lock:
@@ -13,7 +11,7 @@ import (
 // snapshots, plus registry writes racing lock-free lookups. PIDs must
 // stay unique and no task may be lost.
 func TestTaskTableConcurrent(t *testing.T) {
-	k := New(ModeProtego, netstack.IPv4(10, 0, 0, 1))
+	k := New(ModeProtego)
 	init := k.InitTask()
 	const (
 		workers = 8

@@ -113,13 +113,13 @@ type Kernel struct {
 }
 
 // New creates a kernel in the given mode with an empty file system and a
-// network stack at hostIP. The netfilter table is installed as the stack's
-// output filter.
-func New(mode Mode, hostIP netstack.IP) *Kernel {
+// network stack at 10.0.0.2, the one host address every image uses. The
+// netfilter table is installed as the stack's output filter.
+func New(mode Mode) *Kernel {
 	k := &Kernel{
 		Mode:   mode,
 		FS:     vfs.New(),
-		Net:    netstack.NewStack(hostIP),
+		Net:    netstack.NewStack(netstack.IPv4(10, 0, 0, 2)),
 		Filter: netfilter.NewTable(),
 		LSM:    lsm.NewChain(),
 		Trace:  trace.New(trace.DefaultCapacity),

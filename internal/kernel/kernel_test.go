@@ -15,7 +15,7 @@ import (
 
 func testKernel(t *testing.T) *Kernel {
 	t.Helper()
-	k := New(ModeLinux, netstack.IPv4(10, 0, 0, 2))
+	k := New(ModeLinux)
 	for _, dir := range []string{"/bin", "/etc", "/dev", "/home"} {
 		if _, err := k.FS.Mkdir(vfs.RootCred, dir, 0o755, 0, 0); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"protego/internal/netstack"
 	"protego/internal/vfs"
 )
 
@@ -15,7 +14,7 @@ import (
 // doors, and each is policy-checked.)
 func TestNoEscalationByIdentitySyscalls(t *testing.T) {
 	f := func(ops []uint8, args []uint16) bool {
-		k := New(ModeLinux, netstack.IPv4(10, 0, 0, 2))
+		k := New(ModeLinux)
 		init := k.InitTask()
 		task := k.Fork(init)
 		task.SetUserCreds(UserCreds(1000, 100, 20, 30))
@@ -52,7 +51,7 @@ func TestNoEscalationByIdentitySyscalls(t *testing.T) {
 // TestNoEscalationByExec extends the invariant across exec: executing any
 // non-setuid binary never raises privilege.
 func TestNoEscalationByExec(t *testing.T) {
-	k := New(ModeLinux, netstack.IPv4(10, 0, 0, 2))
+	k := New(ModeLinux)
 	if _, err := k.FS.Mkdir(vfs.RootCred, "/bin", 0o755, 0, 0); err != nil {
 		t.Fatal(err)
 	}

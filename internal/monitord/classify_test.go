@@ -5,11 +5,10 @@ import (
 
 	"protego/internal/accountdb"
 	"protego/internal/kernel"
-	"protego/internal/netstack"
 )
 
 func TestClassify(t *testing.T) {
-	k := kernel.New(kernel.ModeProtego, netstack.IPv4(10, 0, 0, 2))
+	k := kernel.New(kernel.ModeProtego)
 	d := New(k, accountdb.NewDB(k.FS), nil)
 	cases := map[string]string{
 		"/etc/fstab":           "mounts",

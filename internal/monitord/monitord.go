@@ -35,24 +35,26 @@ const (
 	PPPOptionsPath = "/etc/ppp/options"
 )
 
+const (
+	// debounce is the settle delay after a burst of file events.
+	debounce = 5 * time.Millisecond
+
+	// maxRetries is how many times a failed sync pass is retried (with
+	// doubling backoff starting at retryBackoff) before the daemon gives
+	// up for this round and keeps the last good policy. Transient faults
+	// — a torn read racing an editor, a spurious EIO — heal on retry; a
+	// persistently malformed file leaves the kernel's previous policy
+	// untouched, so a bad reload can never empty a whitelist.
+	maxRetries   = 2
+	retryBackoff = 500 * time.Microsecond
+)
+
 // Daemon is the monitoring daemon. It runs with root privilege (it is part
 // of the trusted computing base, alongside the authentication service).
 type Daemon struct {
 	k   *kernel.Kernel
 	db  *accountdb.DB
 	mod *core.Module
-
-	// Debounce is the settle delay after a burst of file events.
-	Debounce time.Duration
-
-	// MaxRetries is how many times a failed sync pass is retried (with
-	// doubling backoff starting at RetryBackoff) before the daemon gives
-	// up for this round and keeps the last good policy. Transient faults
-	// — a torn read racing an editor, a spurious EIO — heal on retry; a
-	// persistently malformed file leaves the kernel's previous policy
-	// untouched, so a bad reload can never empty a whitelist.
-	MaxRetries   int
-	RetryBackoff time.Duration
 
 	mu    sync.Mutex
 	syncs map[string]int
@@ -68,13 +70,10 @@ type Daemon struct {
 // used only for account synchronization; policy syncs then fail.
 func New(k *kernel.Kernel, db *accountdb.DB, mod *core.Module) *Daemon {
 	return &Daemon{
-		k:            k,
-		db:           db,
-		mod:          mod,
-		Debounce:     5 * time.Millisecond,
-		MaxRetries:   2,
-		RetryBackoff: 500 * time.Microsecond,
-		syncs:        make(map[string]int),
+		k:     k,
+		db:    db,
+		mod:   mod,
+		syncs: make(map[string]int),
 	}
 }
 
@@ -95,12 +94,12 @@ func (d *Daemon) bump(target string) {
 
 // traced runs one reparse/push cycle with bounded retry. Each attempt is
 // timed and emitted on the trace ring; a pass that keeps failing after
-// MaxRetries retries is abandoned, leaving the last good in-kernel policy
+// maxRetries retries is abandoned, leaving the last good in-kernel policy
 // in place (the /proc writers swap atomically, so a failed attempt never
 // applies partially).
 func (d *Daemon) traced(target string, fn func() error) error {
 	var err error
-	backoff := d.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
 		err = fn()
@@ -109,14 +108,14 @@ func (d *Daemon) traced(target string, fn func() error) error {
 			d.bump(target)
 			return nil
 		}
-		if attempt >= d.MaxRetries {
+		if attempt >= maxRetries {
 			break
 		}
 		time.Sleep(backoff)
 		backoff *= 2
 	}
 	d.k.Auditf("monitord: sync %s failed after %d attempts, keeping last good policy: %v",
-		target, d.MaxRetries+1, err)
+		target, maxRetries+1, err)
 	return err
 }
 
@@ -291,20 +290,19 @@ func (d *Daemon) SyncAccountsToFragments() error {
 // skipped silently; a malformed present file is an error.
 func (d *Daemon) SyncAll() error {
 	type step struct {
-		name     string
-		required bool
-		fn       func() error
-		present  func() bool
+		name    string
+		fn      func() error
+		present func() bool
 	}
 	exists := func(path string) func() bool {
 		return func() bool { return d.k.FS.Exists(vfs.RootCred, path) }
 	}
 	steps := []step{
-		{"mounts", false, d.SyncMounts, exists(FstabPath)},
-		{"delegation", false, d.SyncDelegation, exists(SudoersPath)},
-		{"bind", false, d.SyncBind, exists(BindPath)},
-		{"ppp", false, d.SyncPPP, exists(PPPOptionsPath)},
-		{"accounts", false, d.SyncAccountsToFragments, exists(accountdb.PasswdFile)},
+		{"mounts", d.SyncMounts, exists(FstabPath)},
+		{"delegation", d.SyncDelegation, exists(SudoersPath)},
+		{"bind", d.SyncBind, exists(BindPath)},
+		{"ppp", d.SyncPPP, exists(PPPOptionsPath)},
+		{"accounts", d.SyncAccountsToFragments, exists(accountdb.PasswdFile)},
 	}
 	for _, s := range steps {
 		if !s.present() {
@@ -349,9 +347,9 @@ func (d *Daemon) loop(w *vfs.Watch, stop <-chan struct{}) {
 			if target := d.classify(ev.Path); target != "" {
 				pending[target] = true
 				if timer == nil {
-					timer = time.NewTimer(d.Debounce)
+					timer = time.NewTimer(debounce)
 				} else {
-					timer.Reset(d.Debounce)
+					timer.Reset(debounce)
 				}
 				timerC = timer.C
 			}

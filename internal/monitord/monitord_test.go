@@ -230,10 +230,9 @@ func TestTornFstabReloadKeepsLastGoodWhitelist(t *testing.T) {
 	}
 
 	in := faultinject.New(faultinject.Plan{Seed: 7, Rules: []faultinject.Rule{
-		{Site: faultinject.SiteMonFstab, Action: faultinject.ActTorn, Every: 1},
+		{Site: faultinject.SiteMonFstab, Action: faultinject.ActTorn},
 	}})
 	m.SetFaultInjector(in)
-	m.Monitor.RetryBackoff = 50 * time.Microsecond
 	if err := m.Monitor.SyncMounts(); err == nil {
 		t.Fatal("reload of a torn fstab should fail")
 	}

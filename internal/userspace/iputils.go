@@ -41,15 +41,9 @@ func EjectMain(k *kernel.Kernel, t *kernel.Task) int {
 		}
 	}
 	if point != "" {
-		if !protego(k) && t.UID() != 0 {
-			m := k.FS.MountAt(point)
-			entry := resolveFstab(k, t, []string{point})
-			permitted := entry != nil &&
-				(entry.HasOption("users") || (entry.HasOption("user") && m != nil && m.MountedBy == t.UID()))
-			if !permitted {
-				t.Errorf("eject: unmount of %s failed: Operation not permitted\n", point)
-				return 1
-			}
+		if !protego(k) && t.UID() != 0 && !userMayUnmount(k, t, point) {
+			t.Errorf("eject: unmount of %s failed: Operation not permitted\n", point)
+			return 1
 		}
 		if err := k.Umount(t, point); err != nil {
 			t.Errorf("eject: unmount of %s failed: %v\n", point, err)

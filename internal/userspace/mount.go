@@ -151,18 +151,11 @@ func UmountMain(k *kernel.Kernel, t *kernel.Task) int {
 	maybeExploit(k, t)
 
 	if !protego(k) && t.UID() != 0 {
-		m := k.FS.MountAt(point)
-		if m == nil {
+		if k.FS.MountAt(point) == nil {
 			t.Errorf("umount: %s: not mounted\n", point)
 			return 1
 		}
-		entry := resolveFstab(k, t, []string{point})
-		switch {
-		case entry != nil && entry.HasOption("users"):
-			// anyone may unmount
-		case entry != nil && entry.HasOption("user") && m.MountedBy == t.UID():
-			// the mounting user may unmount
-		default:
+		if !userMayUnmount(k, t, point) {
 			t.Errorf("umount: %s: only root can unmount\n", point)
 			return 1
 		}
@@ -173,6 +166,16 @@ func UmountMain(k *kernel.Kernel, t *kernel.Task) int {
 	}
 	t.Printf("%s unmounted\n", point)
 	return 0
+}
+
+// userMayUnmount is the setuid umount binary's fstab rule, which eject
+// shares on the baseline: a "users" entry lets anyone unmount point, a
+// "user" entry only the user who mounted it.
+func userMayUnmount(k *kernel.Kernel, t *kernel.Task, point string) bool {
+	entry := resolveFstab(k, t, []string{point})
+	m := k.FS.MountAt(point)
+	return entry != nil &&
+		(entry.HasOption("users") || (entry.HasOption("user") && m != nil && m.MountedBy == t.UID()))
 }
 
 // FusermountMain is the FUSE mount helper. Its policy — a user may mount a

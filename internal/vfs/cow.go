@@ -49,9 +49,6 @@ func sealTree(ino *Inode) {
 	}
 }
 
-// COW reports whether the FS is in copy-on-write mode (frozen or cloned).
-func (fs *FS) COW() bool { return fs.cow.Load() }
-
 // Clone returns a new FS sharing this file system's sealed inode tree.
 // The FS must be frozen first. The clone starts with a fresh empty
 // dcache, no watches, no fault injector, and private copies of the mount
@@ -68,7 +65,6 @@ func (fs *FS) Clone() *FS {
 	}
 	c.cow.Store(true)
 	c.dcache.init()
-	c.dcache.disabled.Store(fs.dcache.disabled.Load())
 	c.mounts = make([]*Mount, len(fs.mounts))
 	for i, m := range fs.mounts {
 		mc := *m

@@ -45,12 +45,6 @@ type dcache struct {
 	mu      sync.RWMutex
 	entries map[dkey]dentry
 
-	disabled atomic.Bool // ablation switch; see FS.SetDcacheEnabled
-
-	// gen counts structural mutations processed (including create-type
-	// ones that need no eager invalidation); it is observability, not a
-	// validity token — invalidation is eager.
-	gen         atomic.Uint64
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	invalidates atomic.Uint64
@@ -86,7 +80,6 @@ func (d *dcache) put(path string, follow bool, ent dentry) {
 // children but not the mount-point inode itself) plus every
 // symlink-traversing entry. Caller holds FS.mu exclusively.
 func (d *dcache) invalidate(path string, inclusive bool) {
-	d.gen.Add(1)
 	d.mu.Lock()
 	var n uint64
 	for k, ent := range d.entries {
@@ -111,14 +104,7 @@ func strictlyUnder(p, dir string) bool {
 	return len(p) > len(dir) && p[:len(dir)] == dir && p[len(dir)] == '/'
 }
 
-// noteCreate records a create-type structural mutation. Creates cannot
-// change any existing successful resolution (only positive results are
-// cached), so the generation advances but no entry is dropped.
-func (d *dcache) noteCreate() {
-	d.gen.Add(1)
-}
-
-// clear drops everything (ablation toggle, COW copy-up).
+// clear drops everything (COW copy-up).
 func (d *dcache) clear() {
 	d.mu.Lock()
 	clear(d.entries)
@@ -137,7 +123,6 @@ type DcacheStats struct {
 	Misses      uint64
 	Invalidates uint64
 	Entries     int
-	Generation  uint64
 }
 
 // HitRatio returns hits/(hits+misses), or 0 when the cache is untouched.
@@ -157,7 +142,6 @@ func (fs *FS) DcacheStats() DcacheStats {
 		Misses:      d.misses.Load(),
 		Invalidates: d.invalidates.Load(),
 		Entries:     d.size(),
-		Generation:  d.gen.Load(),
 	}
 }
 
@@ -167,15 +151,6 @@ func (fs *FS) DcacheCounters(f func(name string, n *atomic.Uint64)) {
 	f("dcache.hit", &fs.dcache.hits)
 	f("dcache.miss", &fs.dcache.misses)
 	f("dcache.invalidate", &fs.dcache.invalidates)
-}
-
-// SetDcacheEnabled toggles the dentry cache (ablation benchmarks compare
-// cached vs walk-every-time resolution). Disabling clears the cache.
-func (fs *FS) SetDcacheEnabled(on bool) {
-	fs.dcache.disabled.Store(!on)
-	if !on {
-		fs.dcache.clear()
-	}
 }
 
 // walkTrack accumulates, across symlink recursion, the directories a
@@ -213,9 +188,6 @@ func (tk *walkTrack) chain() []*Inode {
 // inserted. Failed walks are not cached.
 func (fs *FS) lookupLocked(c Cred, clean string, follow bool) (*Inode, error) {
 	d := &fs.dcache
-	if d.disabled.Load() {
-		return fs.resolve(c, clean, follow, 0)
-	}
 	if ent, ok := d.get(clean, follow); ok {
 		d.hits.Add(1)
 		for _, dir := range ent.chain {

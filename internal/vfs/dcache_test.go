@@ -180,25 +180,6 @@ func TestDcacheMountShadowAndUmountRestore(t *testing.T) {
 	}
 }
 
-func TestDcacheDisableFallsBackToWalk(t *testing.T) {
-	fs := dcacheFS(t)
-	warm(t, fs, root, "/srv/data/sub/f")
-	fs.SetDcacheEnabled(false)
-	if n := fs.DcacheStats().Entries; n != 0 {
-		t.Fatalf("disable should clear the cache, %d entries remain", n)
-	}
-	before := fs.DcacheStats()
-	if _, err := fs.Lookup(root, "/srv/data/sub/f"); err != nil {
-		t.Fatal(err)
-	}
-	after := fs.DcacheStats()
-	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatal("disabled cache should not count hits or misses")
-	}
-	fs.SetDcacheEnabled(true)
-	warm(t, fs, root, "/srv/data/sub/f")
-}
-
 func TestDcacheConcurrentLookupsDuringMutation(t *testing.T) {
 	fs := dcacheFS(t)
 	stop := make(chan struct{})

@@ -209,7 +209,6 @@ func (fs *FS) Mkdir(c Cred, path string, mode Mode, uid, gid int) (*Inode, error
 	ino := fs.newInode(TypeDir|mode.Perm(), uid, gid)
 	parent.children[base] = ino
 	parent.Mtime = time.Now()
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -259,7 +258,6 @@ func (fs *FS) Create(c Cred, path string, mode Mode, uid, gid int) (*Inode, erro
 	ino := fs.newInode(TypeRegular|mode.Perm(), uid, gid)
 	parent.children[base] = ino
 	parent.Mtime = time.Now()
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -285,7 +283,6 @@ func (fs *FS) Symlink(c Cred, target, path string, uid, gid int) error {
 	ino := fs.newInode(TypeSymlink|0o777, uid, gid)
 	ino.Data = []byte(target)
 	parent.children[base] = ino
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return nil
@@ -314,7 +311,6 @@ func (fs *FS) Mknod(c Cred, path string, devType DeviceType, major, minor int, m
 	ino := fs.newInode(t|mode.Perm(), uid, gid)
 	ino.Major, ino.Minor, ino.DevType = major, minor, devType
 	parent.children[base] = ino
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -338,7 +334,6 @@ func (fs *FS) CreateProc(path string, mode Mode, read ProcReadFunc, write ProcWr
 	ino.ReadFn = read
 	ino.WriteFn = write
 	parent.children[base] = ino
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	return ino, nil
 }

@@ -55,23 +55,3 @@ func TestRegressionScenarios(t *testing.T) {
 		}
 	})
 }
-
-// The Go-literal replay form a failure report embeds: the alias-cycle
-// reproducer that originally crashed policy.expand, committed as code so
-// the report format itself stays replayable.
-func TestGoLiteralRegressionAliasCycle(t *testing.T) {
-	sc := Scenario{
-		Shape: ShapeAliasCycle,
-		Muts: []Mut{
-			{Op: MutAliasCycle, A: 0},
-			{Op: MutSyncPolicy, A: 0},
-		},
-	}
-	res, err := ReplayScenario(sc, exploits.ClassRepresentatives()[:1], Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failing() {
-		t.Errorf("%s", res)
-	}
-}

@@ -62,12 +62,6 @@ func (o MutOp) String() string {
 	return fmt.Sprintf("MutOp(%d)", uint8(o))
 }
 
-// goNames are the Go identifier forms used by GoLiteral.
-var mutOpGoNames = [mutOpCount]string{
-	"MutChmodConfig", "MutFstabRow", "MutAliasCycle", "MutDanglingRule",
-	"MutSetuidDebris", "MutCrashMonitord", "MutSyncPolicy",
-}
-
 // Mut is one mutation step. A selects from the op's pool, reduced modulo
 // the pool size at apply time, so every byte decodes to an applicable
 // mutation and shrinking a field never produces an invalid scenario (the
@@ -242,35 +236,6 @@ func DecodeScenario(text string) (Scenario, error) {
 		return sc, fmt.Errorf("vulngen: no shape line")
 	}
 	return sc, nil
-}
-
-// GoLiteral renders the scenario as a compilable Go composite literal,
-// the replay form embedded in failure reports: paste it into a test and
-// pass it to ReplayScenario to reproduce the exact failure.
-func (s Scenario) GoLiteral() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "vulngen.Scenario{\n\tShape: vulngen.Shape%s,\n\tMuts: []vulngen.Mut{\n", goShapeName(s.Shape))
-	for _, m := range s.Muts {
-		fmt.Fprintf(&b, "\t\t{Op: vulngen.%s, A: %d},\n", mutOpGoNames[m.Op], m.A)
-	}
-	b.WriteString("\t},\n}")
-	return b.String()
-}
-
-func goShapeName(s Shape) string {
-	switch s {
-	case ShapeFstabWritable:
-		return "FstabWritable"
-	case ShapeStalePolicy:
-		return "StalePolicy"
-	case ShapeAliasCycle:
-		return "AliasCycle"
-	case ShapeDanglingDelegation:
-		return "DanglingDelegation"
-	case ShapeSetuidDebris:
-		return "SetuidDebris"
-	}
-	return fmt.Sprintf("(%d)", uint8(s))
 }
 
 // String renders a compact human-readable scenario summary.

@@ -50,18 +50,6 @@ func TestScenarioEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGoLiteral(t *testing.T) {
-	sc := Scenario{Shape: ShapeStalePolicy, Muts: []Mut{
-		{Op: MutChmodConfig, A: 0}, {Op: MutCrashMonitord}, {Op: MutSyncPolicy},
-	}}
-	lit := sc.GoLiteral()
-	for _, want := range []string{"vulngen.ShapeStalePolicy", "vulngen.MutChmodConfig", "vulngen.MutCrashMonitord"} {
-		if !strings.Contains(lit, want) {
-			t.Fatalf("GoLiteral missing %q:\n%s", want, lit)
-		}
-	}
-}
-
 // The tentpole smoke: generate environments from a fixed seed and replay
 // the per-class CVE representatives inside each. Every baseline must
 // escalate and every Protego image must contain, modulo the environments'
@@ -126,14 +114,14 @@ func TestBreakMountPolicyCaughtAndShrunk(t *testing.T) {
 	if len(shrunk.Muts) != 1 {
 		t.Fatalf("shrunk to %d muts, want 1:\n%s", len(shrunk.Muts), shrunk.Encode())
 	}
-	// The minimal scenario still fails, and its Go-literal replay form is
-	// what a report would embed.
+	// The minimal scenario still fails, and its Encode text is what a
+	// report would embed.
 	re, err := ReplayScenario(shrunk, corpus, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !re.Failing() {
-		t.Fatalf("shrunk scenario no longer fails:\n%s", shrunk.GoLiteral())
+		t.Fatalf("shrunk scenario no longer fails:\n%s", shrunk.Encode())
 	}
 }
 

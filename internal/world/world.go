@@ -57,16 +57,6 @@ const (
 type Options struct {
 	// Mode selects baseline Linux or Protego.
 	Mode kernel.Mode
-	// HostIP defaults to 10.0.0.2.
-	HostIP netstack.IP
-	// AppArmorProfiles loads representative AppArmor profiles on the
-	// baseline (the hardened-Ubuntu configuration); by default the
-	// module is registered with no profiles, matching the paper's
-	// measurement baseline.
-	AppArmorProfiles bool
-	// SkipInitialSync skips the boot-time monitord synchronization
-	// (Protego mode only) so tests can drive it manually.
-	SkipInitialSync bool
 	// SeccompProfiles, when non-nil, installs the learned syscall
 	// allowlists as the last LSM module and arms the kernel's syscall
 	// gate, so every syscall entry is checked against the issuing
@@ -96,10 +86,7 @@ type Machine struct {
 
 // Build constructs a machine image.
 func Build(opts Options) (*Machine, error) {
-	if opts.HostIP == 0 {
-		opts.HostIP = netstack.IPv4(10, 0, 0, 2)
-	}
-	k := kernel.New(opts.Mode, opts.HostIP)
+	k := kernel.New(opts.Mode)
 	m := &Machine{K: k, DB: accountdb.NewDB(k.FS)}
 
 	if err := m.layoutFilesystem(); err != nil {
@@ -124,12 +111,10 @@ func Build(opts Options) (*Machine, error) {
 	}
 
 	// AppArmor is present in both configurations (the baseline is
-	// "Linux with AppArmor"; Protego extends it).
+	// "Linux with AppArmor"; Protego extends it) with no profiles loaded,
+	// the paper's measurement baseline.
 	m.AppArmor = apparmor.New()
 	k.LSM.Register(m.AppArmor)
-	if opts.AppArmorProfiles {
-		loadSampleProfiles(m.AppArmor)
-	}
 
 	m.Auth = authsvc.New(m.DB)
 	m.Auth.SetTracer(k.Trace)
@@ -144,10 +129,8 @@ func Build(opts Options) (*Machine, error) {
 		}
 		m.Protego.AllowFileReaders(userspace.HostKeyPath, userspace.BinSSHKeysign)
 		m.Monitor = monitord.New(k, m.DB, m.Protego)
-		if !opts.SkipInitialSync {
-			if err := m.Monitor.SyncAll(); err != nil {
-				return nil, fmt.Errorf("world: initial sync: %w", err)
-			}
+		if err := m.Monitor.SyncAll(); err != nil {
+			return nil, fmt.Errorf("world: initial sync: %w", err)
 		}
 	}
 
@@ -508,23 +491,6 @@ func (m *Machine) installBinaries() error {
 		}
 	}
 	return nil
-}
-
-// loadSampleProfiles installs representative AppArmor confinement for the
-// baseline's trusted binaries (the hardened configuration of §1's
-// discussion: even confined, mount can still change the fs tree).
-func loadSampleProfiles(m *apparmor.Module) {
-	m.LoadProfile(&apparmor.Profile{
-		Binary:         userspace.BinMount,
-		MountPoints:    []string{"/cdrom", "/media", "/mnt"},
-		WritePaths:     []string{"/etc/mtab", "/var/log"},
-		DenyWritePaths: []string{"/etc/shadow", "/etc/passwd"},
-	})
-	m.LoadProfile(&apparmor.Profile{
-		Binary:         userspace.BinPing,
-		WritePaths:     []string{"/dev/null"},
-		DenyWritePaths: []string{"/etc"},
-	})
 }
 
 // Session creates a logged-in task for the named user (fork of init with

@@ -7,6 +7,7 @@ import (
 
 	"protego/internal/errno"
 	"protego/internal/kernel"
+	"protego/internal/netstack"
 	"protego/internal/userspace"
 	"protego/internal/vfs"
 )
@@ -49,6 +50,26 @@ func TestBuildBothModes(t *testing.T) {
 		wantSetuid := m.K.Mode == kernel.ModeLinux
 		if ino.Mode.IsSetuid() != wantSetuid {
 			t.Fatalf("mount setuid bit = %v, want %v (mode %s)", ino.Mode.IsSetuid(), wantSetuid, m.K.Mode)
+		}
+		if ip := m.K.Net.HostIP(); ip != netstack.IPv4(10, 0, 0, 2) {
+			t.Fatalf("host IP = %v, want 10.0.0.2", ip)
+		}
+		// AppArmor is registered with no profiles on both images, the
+		// paper's measurement baseline (DESIGN §1).
+		if mods := m.K.LSM.Modules(); len(mods) == 0 || mods[0] != m.AppArmor {
+			t.Fatal("AppArmor is not the first registered LSM module")
+		}
+		if n := m.AppArmor.Profiles(); n != 0 {
+			t.Fatalf("AppArmor has %d profiles, want 0", n)
+		}
+		if m.K.Mode != kernel.ModeProtego {
+			return
+		}
+		// Boot syncs every policy file once.
+		for _, target := range []string{"mounts", "delegation", "bind", "ppp", "accounts-fragments"} {
+			if n := m.Monitor.SyncCount(target); n != 1 {
+				t.Errorf("boot SyncCount(%q) = %d, want 1", target, n)
+			}
 		}
 	})
 }
