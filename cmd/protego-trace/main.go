@@ -108,7 +108,6 @@ func runProfileDiff(mode kernel.Mode) error {
 	}
 	rec := seccomp.NewRecorder(mode.String())
 	m.K.LSM.Register(rec)
-	m.K.SetSyscallGate(true)
 	if err := runWorkload(m); err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}

@@ -3,14 +3,18 @@
 // setuid-on-exec mechanism for command-restricted rules, lateral
 // user-to-user delegation, su with target-password authorization, and
 // newgrp with password-protected groups — all without a single setuid
-// binary.
+// binary. It ends with the live policy loop of Figure 1: a rule dropped
+// into /etc/sudoers.d reaches the kernel through the monitoring daemon.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
+	"protego/internal/monitord"
 	"protego/internal/userspace"
+	"protego/internal/vfs"
 	"protego/internal/world"
 )
 
@@ -64,4 +68,22 @@ func main() {
 	}
 	fmt.Printf("LSM stats: grants=%d defers=%d denials=%d\n",
 		m.Protego.Stats.SetuidGrants.Load(), m.Protego.Stats.SetuidDefers.Load(), m.Protego.Stats.SetuidDenials.Load())
+
+	fmt.Println("--- live policy: the administrator drops a rule into /etc/sudoers.d ---")
+	fmt.Println("    'charlie ALL = (alice) NOPASSWD: /usr/bin/lpr'; monitord pushes it to the kernel")
+	stop := make(chan struct{})
+	defer close(stop)
+	m.Monitor.Start(stop)
+	synced := m.Monitor.SyncCount("delegation")
+	rule := []byte("charlie ALL = (alice) NOPASSWD: /usr/bin/lpr\n")
+	if err := m.K.FS.WriteFile(vfs.RootCred, monitord.SudoersDir+"/extra", rule, 0o440, 0, 0); err != nil {
+		log.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); m.Monitor.SyncCount("delegation") <= synced; {
+		if time.Now().After(deadline) {
+			log.Fatal("monitord did not sync /etc/sudoers.d")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	run("charlie", "", userspace.BinSudo, "-u", "alice", userspace.BinLpr, "/tmp/report.txt")
 }

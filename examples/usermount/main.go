@@ -54,7 +54,7 @@ func main() {
 		if mode == kernel.ModeProtego {
 			// Live policy update: the administrator edits fstab; the
 			// monitoring daemon pushes the change into the kernel.
-			fmt.Println("  [admin] whitelists /mnt/backup in /etc/fstab; protegod syncs it")
+			fmt.Println("  [admin] whitelists /mnt/backup in /etc/fstab; monitord syncs it")
 			stop := make(chan struct{})
 			m.Monitor.Start(stop)
 			baseline := m.Monitor.SyncCount("mounts")

@@ -99,18 +99,17 @@ const probePath = "/usr/share/doc/protego/probe/README"
 
 // probeMachine builds a Protego machine carrying probePath. Armed, every
 // task gets a full-catalog seccomp profile, so the gate measures the
-// mechanism (gate load, chain walk, bitmask test), not denials.
+// mechanism (gate check, chain walk, bitmask test), not denials.
 func probeMachine(armed bool) (*world.Machine, error) {
-	opts := world.Options{Mode: kernel.ModeProtego}
+	m, err := world.Build(world.Options{Mode: kernel.ModeProtego})
+	if err != nil {
+		return nil, err
+	}
 	if armed {
 		set := seccomp.NewSet(kernel.ModeProtego.String())
 		set.Machine = seccomp.FullProfile("")
 		set.Add(seccomp.FullProfile("/sbin/init"))
-		opts.SeccompProfiles = set
-	}
-	m, err := world.Build(opts)
-	if err != nil {
-		return nil, err
+		m.InstallSeccomp(set, false)
 	}
 	fs := m.K.FS
 	if err := fs.MkdirAll(vfs.RootCred, "/usr/share/doc/protego/probe", 0o755, 0, 0); err != nil {

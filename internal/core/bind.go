@@ -8,7 +8,6 @@ import (
 	"protego/internal/errno"
 	"protego/internal/lsm"
 	"protego/internal/netstack"
-	"protego/internal/policy"
 )
 
 type bindKey struct {
@@ -21,34 +20,6 @@ type bindKey struct {
 type BindTarget struct {
 	Binary string
 	UID    int
-}
-
-// SetBindTable replaces the privileged-port allocation table.
-func (m *Module) SetBindTable(entries []policy.BindEntry, resolveUID func(user string) (int, bool)) error {
-	table := make(map[bindKey]BindTarget, len(entries))
-	for i := range entries {
-		e := &entries[i]
-		proto := netstack.IPPROTO_TCP
-		if e.Proto == "udp" {
-			proto = netstack.IPPROTO_UDP
-		}
-		uid, ok := resolveUID(e.User)
-		if !ok {
-			return fmt.Errorf("bind table: unknown user %q", e.User)
-		}
-		table[bindKey{proto: proto, port: e.Port}] = BindTarget{Binary: e.Binary, UID: uid}
-	}
-	m.mu.Lock()
-	m.bindTable = table
-	m.mu.Unlock()
-	return nil
-}
-
-// AddBindAllocation installs one allocation directly (the /proc path).
-func (m *Module) AddBindAllocation(proto, port int, binary string, uid int) {
-	m.mu.Lock()
-	m.bindTable[bindKey{proto: proto, port: port}] = BindTarget{Binary: binary, UID: uid}
-	m.mu.Unlock()
 }
 
 // BindAllocations renders the table sorted by port for /proc reads.

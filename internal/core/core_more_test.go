@@ -14,47 +14,6 @@ import (
 	"protego/internal/world"
 )
 
-func TestSetBindTableResolvesUsers(t *testing.T) {
-	m := protegoMachine(t)
-	entries := []policy.BindEntry{
-		{Port: 587, Proto: "tcp", Binary: "/usr/sbin/exim4", User: "Debian-exim"},
-		{Port: 53, Proto: "udp", Binary: "/usr/sbin/named", User: "root"},
-	}
-	resolve := func(user string) (int, bool) {
-		u, err := m.DB.LookupUser(user)
-		if err != nil {
-			return 0, false
-		}
-		return u.UID, true
-	}
-	if err := m.Protego.SetBindTable(entries, resolve); err != nil {
-		t.Fatal(err)
-	}
-	allocs := m.Protego.BindAllocations()
-	if len(allocs) != 2 {
-		t.Fatalf("allocations: %v", allocs)
-	}
-	// Unknown users fail the whole update.
-	bad := []policy.BindEntry{{Port: 25, Proto: "tcp", Binary: "/b", User: "ghost"}}
-	if err := m.Protego.SetBindTable(bad, resolve); err == nil {
-		t.Fatal("ghost user accepted")
-	}
-}
-
-func TestAddBindAllocationDirect(t *testing.T) {
-	m := protegoMachine(t)
-	m.Protego.AddBindAllocation(netstack.IPPROTO_UDP, 514, "/usr/sbin/syslogd", 0)
-	found := false
-	for _, line := range m.Protego.BindAllocations() {
-		if strings.Contains(line, "514 udp /usr/sbin/syslogd 0") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("allocation missing: %v", m.Protego.BindAllocations())
-	}
-}
-
 func TestProcBindRead(t *testing.T) {
 	m := protegoMachine(t)
 	data, err := m.K.FS.ReadFile(vfs.RootCred, core.ProcBind)

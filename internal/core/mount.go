@@ -92,6 +92,15 @@ func (m *Module) rebuildMountIndexLocked() {
 	m.umountUsers = users
 }
 
+// Covers reports whether the row whitelists a mount of device on point
+// with fstype: device and mount point equal, and the row's fstype "",
+// "auto" or fstype itself. Options are not compared. The harnesses'
+// mount-whitelist invariant judges every attached user mount with it.
+func (r *MountRule) Covers(device, point, fstype string) bool {
+	return r.Device == device && r.MountPoint == point &&
+		(r.FSType == "" || r.FSType == "auto" || r.FSType == fstype)
+}
+
 // String renders the rule in the /proc grammar's field order.
 func (r *MountRule) String() string {
 	opts := strings.Join(r.Options, ",")
@@ -113,29 +122,6 @@ func (r *MountRule) String() string {
 func (m *Module) SetMountRules(rules []MountRule) {
 	m.mu.Lock()
 	m.mounts = append([]MountRule(nil), rules...)
-	m.rebuildMountIndexLocked()
-	m.mu.Unlock()
-}
-
-// AddMountRule appends one rule and recompiles the dispatch index.
-func (m *Module) AddMountRule(r MountRule) {
-	m.mu.Lock()
-	m.mounts = append(m.mounts, r)
-	m.rebuildMountIndexLocked()
-	m.mu.Unlock()
-}
-
-// RemoveMountRules deletes every rule matching (device, point) and
-// recompiles the dispatch index (the /proc grammar's "del" verb).
-func (m *Module) RemoveMountRules(device, point string) {
-	m.mu.Lock()
-	kept := m.mounts[:0]
-	for _, r := range m.mounts {
-		if !(r.Device == device && r.MountPoint == point) {
-			kept = append(kept, r)
-		}
-	}
-	m.mounts = kept
 	m.rebuildMountIndexLocked()
 	m.mu.Unlock()
 }

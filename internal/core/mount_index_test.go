@@ -5,6 +5,7 @@ import (
 
 	"protego/internal/caps"
 	"protego/internal/lsm"
+	"protego/internal/vfs"
 )
 
 // idxTask is an unprivileged task for exercising the whitelist directly.
@@ -95,13 +96,18 @@ func TestMountIndexTracksRuleMutations(t *testing.T) {
 	if d, _ := m.MountCheck(alice, req); d != lsm.NoOpinion {
 		t.Fatalf("before add: %v", d)
 	}
-	m.AddMountRule(MountRule{Device: "/dev/sdc1", MountPoint: "/mnt/extra", FSType: "ext4"})
+	// The /proc/protego/mounts writer is the one path that edits rules.
+	if err := m.writeMounts(vfs.RootCred, []byte("add /dev/sdc1 /mnt/extra ext4 - user\n")); err != nil {
+		t.Fatal(err)
+	}
 	if d, _ := m.MountCheck(alice, req); d != lsm.Grant {
 		t.Fatalf("after add: %v", d)
 	}
-	m.RemoveMountRules("/dev/sdc1", "/mnt/extra")
+	if err := m.writeMounts(vfs.RootCred, []byte("del /dev/sdc1 /mnt/extra\n")); err != nil {
+		t.Fatal(err)
+	}
 	if d, _ := m.MountCheck(alice, req); d != lsm.NoOpinion {
-		t.Fatalf("after remove: %v", d)
+		t.Fatalf("after del: %v", d)
 	}
 }
 

@@ -2,7 +2,9 @@ package difffuzz
 
 import (
 	"fmt"
+	"slices"
 
+	"protego/internal/core"
 	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
@@ -85,9 +87,6 @@ type machineCtx struct {
 	m        *world.Machine
 	sessions []*kernel.Task
 	socks    [socketSlots]*netstack.Socket
-	// secAudit is the audit-mode seccomp module watching this machine
-	// (Protego image with Config.SeccompAudit set only).
-	secAudit *seccomp.Module
 }
 
 // newMachineCtx stamps one image for a trace run from the mode's golden
@@ -109,9 +108,7 @@ func newMachineCtx(mode kernel.Mode, cfg Config, prep func(*world.Machine)) (*ma
 	}
 	c := &machineCtx{m: m}
 	if cfg.SeccompAudit != nil && mode == kernel.ModeProtego {
-		c.secAudit = seccomp.NewModule(cfg.SeccompAudit, true)
-		m.K.LSM.Register(c.secAudit)
-		m.K.SetSyscallGate(true)
+		m.InstallSeccomp(cfg.SeccompAudit, true)
 	}
 	if prep != nil {
 		prep(m)
@@ -197,8 +194,10 @@ func run(tr Trace, cfg Config) (*Result, *machineCtx, error) {
 				Detail: fmt.Sprintf("%s failed with %v but changed state:\n%s",
 					s.Op, out.proErr, stepChange(tr[:i], cfg, pro))})
 		}
-		checkTaskInvariant(pro, i, res)
-		checkMountInvariant(pro, i, res)
+		for _, v := range CheckInvariants(pro.m) {
+			v.Step = i
+			res.Violations = append(res.Violations, v)
+		}
 		drainSeccompViolations(pro, i, res)
 		if len(res.Violations) > 0 {
 			return res, pro, nil
@@ -223,10 +222,10 @@ func stepChange(prefix Trace, cfg Config, pro *machineCtx) string {
 // drainSeccompViolations converts audit-mode profile breaches observed up
 // to (and including) step idx into "seccomp-profile" violations.
 func drainSeccompViolations(pro *machineCtx, idx int, res *Result) {
-	if pro.secAudit == nil {
+	if pro.m.Seccomp == nil {
 		return
 	}
-	for _, v := range pro.secAudit.TakeViolations() {
+	for _, v := range pro.m.Seccomp.TakeViolations() {
 		res.Violations = append(res.Violations, Violation{Step: idx, Invariant: "seccomp-profile",
 			Detail: fmt.Sprintf("pid=%d bin=%s issued %s outside its learned profile",
 				v.PID, v.Binary, v.Sysno)})
@@ -555,54 +554,47 @@ func execIoctlStep(lin, pro *machineCtx, s Step, res *Result, idx int) stepOutco
 	return strictOutcome(s, errL, errP)
 }
 
-// checkTaskInvariant: no live Protego task may hold euid 0 or any
-// capability unless it is the init task — fuzz actors never authenticate,
-// so no legitimate elevation can outlive a step (transient elevated
-// children, e.g. a NOPASSWD sudo, exit inside their utility run).
-func checkTaskInvariant(pro *machineCtx, idx int, res *Result) {
-	initPID := pro.m.Init.PID()
-	for _, t := range pro.m.K.Tasks() {
+// CheckInvariants checks the two standing invariants of a Protego machine
+// and returns nil when m is clean. Step is left zero for the caller to set.
+//
+//   - no-unauthorized-priv: no live task but init holds euid 0 or any
+//     capability. Fuzz actors and exploit payloads never authenticate, so
+//     no legitimate elevation outlives a step (transient elevated children,
+//     e.g. a NOPASSWD sudo, exit inside their utility run).
+//   - mount-whitelist: every user mount is authorized — a fuse mount
+//     (ownership-checked at grant time) or a row of the in-kernel
+//     whitelist. This is what catches a broken MountCheck even though the
+//     reconciler "explains" the grant. The baseline image has no
+//     whitelist, so only the task invariant applies there.
+func CheckInvariants(m *world.Machine) []Violation {
+	var out []Violation
+	initPID := m.Init.PID()
+	for _, t := range m.K.Tasks() {
 		if t.PID() == initPID {
 			continue
 		}
 		c := t.Creds()
 		if c.EUID == 0 || !c.Effective.IsEmpty() || !c.Permitted.IsEmpty() {
-			res.Violations = append(res.Violations, Violation{Step: idx, Invariant: "no-unauthorized-priv",
+			out = append(out, Violation{Invariant: "no-unauthorized-priv",
 				Detail: fmt.Sprintf("task pid=%d holds euid=%d caps=%v/%v",
 					t.PID(), c.EUID, c.Effective, c.Permitted)})
 		}
 	}
-}
-
-// checkMountInvariant: every user mount on the Protego image must be
-// authorized — a fuse mount (ownership-checked at grant time) or a row of
-// the in-kernel whitelist. This is what catches a broken MountCheck even
-// though the reconciler "explains" the grant.
-func checkMountInvariant(pro *machineCtx, idx int, res *Result) {
-	if pro.m.Protego == nil {
-		return
+	if m.Protego == nil {
+		return out
 	}
-	rules := pro.m.Protego.MountRules()
-	for _, mnt := range pro.m.K.FS.Mounts() {
-		if !mnt.UserMount {
+	rules := m.Protego.MountRules()
+	for _, mnt := range m.K.FS.Mounts() {
+		if !mnt.UserMount || mnt.FSType == "fuse" {
 			continue
 		}
-		if mnt.FSType == "fuse" {
-			continue
-		}
-		ok := false
-		for i := range rules {
-			r := &rules[i]
-			if r.Device == mnt.Device && r.MountPoint == mnt.Point &&
-				(r.FSType == "" || r.FSType == "auto" || r.FSType == mnt.FSType) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			res.Violations = append(res.Violations, Violation{Step: idx, Invariant: "mount-whitelist",
+		if !slices.ContainsFunc(rules, func(r core.MountRule) bool {
+			return r.Covers(mnt.Device, mnt.Point, mnt.FSType)
+		}) {
+			out = append(out, Violation{Invariant: "mount-whitelist",
 				Detail: fmt.Sprintf("user mount %s on %s (%s) matches no whitelist rule",
 					mnt.Device, mnt.Point, mnt.FSType)})
 		}
 	}
+	return out
 }

@@ -59,7 +59,8 @@ type Outcome struct {
 	State string
 }
 
-// run executes the scenario on a private clone of the mode's golden image.
+// run executes the scenario on a private clone of the mode's golden image
+// and records the clone's post-run state.
 func (s *Scenario) run(mode kernel.Mode) (*Outcome, error) {
 	snap, err := world.Golden(mode)
 	if err != nil {
@@ -69,6 +70,20 @@ func (s *Scenario) run(mode kernel.Mode) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	out, err := s.ReplayOn(m)
+	if err != nil {
+		return nil, err
+	}
+	out.State = m.FingerprintText()
+	return out, nil
+}
+
+// ReplayOn executes the scenario's setup, session, run and effect on m and
+// returns the outcome without judging it or recording State. The seccomp
+// profiler drives the learning corpus through it, so every syscall the
+// utility issues on that machine is observable by an installed recorder;
+// pass/fail comparison stays Compare's job.
+func (s *Scenario) ReplayOn(m *world.Machine) (*Outcome, error) {
 	if s.Setup != nil {
 		if err := s.Setup(m); err != nil {
 			return nil, fmt.Errorf("setup: %w", err)
@@ -83,30 +98,7 @@ func (s *Scenario) run(mode kernel.Mode) (*Outcome, error) {
 	if s.Effect != nil {
 		out.Effect = s.Effect(m)
 	}
-	out.State = m.FingerprintText()
 	return out, nil
-}
-
-// ReplayOn executes the scenario on m without judging the outcome. The
-// seccomp profiler drives the learning corpus through it: the scenario's
-// setup, session, run, and effect all execute, so every syscall the
-// utility issues on that machine is observable by an installed recorder,
-// but pass/fail comparison stays Compare's job.
-func (s *Scenario) ReplayOn(m *world.Machine) error {
-	if s.Setup != nil {
-		if err := s.Setup(m); err != nil {
-			return fmt.Errorf("setup: %w", err)
-		}
-	}
-	sess, err := m.Session(s.User)
-	if err != nil {
-		return err
-	}
-	_, _, _, _ = m.Run(sess, s.Argv, s.asker())
-	if s.Effect != nil {
-		_ = s.Effect(m)
-	}
-	return nil
 }
 
 // Mismatch describes a divergence between the two systems.

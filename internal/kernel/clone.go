@@ -38,9 +38,6 @@ func (k *Kernel) Clone() *Kernel {
 
 	c.nextPID.Store(k.nextPID.Load())
 	c.unprivNS.Store(k.unprivNS.Load())
-	// The gate is part of machine identity: a clone of a seccomp-enforcing
-	// machine keeps enforcing once the world layer re-registers the module.
-	c.sysGate.Store(k.sysGate.Load())
 	c.binaries.Store(k.binaries.Load())
 	c.devices.Store(k.devices.Load())
 

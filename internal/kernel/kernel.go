@@ -95,11 +95,6 @@ type Kernel struct {
 
 	unprivNS atomic.Bool
 
-	// sysGate arms the TaskSyscall LSM hook inside the enter() prologue.
-	// Off by default; the world builder flips it on when a seccomp module
-	// joins the chain, so machines without one pay a single atomic load.
-	sysGate atomic.Bool
-
 	// faults is the optional fault-injection layer (nil in normal runs).
 	// An atomic pointer so the sweep harness can install/replace it while
 	// syscalls are in flight; checks read the snapshot lock-free.
@@ -209,14 +204,8 @@ func (k *Kernel) LookupBinary(path string) Program {
 	return (*k.binaries.Load())[vfs.CleanPath(path, "/")]
 }
 
-// RegisterDevice installs an ioctl handler for the device at path,
-// publishing a fresh copy-on-write snapshot like RegisterBinary.
-func (k *Kernel) RegisterDevice(path string, h IoctlHandler) {
-	k.RegisterDevices(map[string]IoctlHandler{path: h})
-}
-
 // RegisterDevices installs ioctl handlers by device path, publishing them
-// all in one copy-on-write snapshot.
+// all in one copy-on-write snapshot like RegisterBinary.
 func (k *Kernel) RegisterDevices(handlers map[string]IoctlHandler) {
 	k.regMu.Lock()
 	old := *k.devices.Load()

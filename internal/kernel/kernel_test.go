@@ -635,10 +635,10 @@ func TestIoctlDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gotCmd uint32
-	k.RegisterDevice("/dev/thing", func(t *Task, cmd uint32, arg any, granted bool) error {
+	k.RegisterDevices(map[string]IoctlHandler{"/dev/thing": func(t *Task, cmd uint32, arg any, granted bool) error {
 		gotCmd = cmd
 		return nil
-	})
+	}})
 	user := userTask(k, 1000, 100)
 	if err := k.Ioctl(user, "/dev/thing", 0x42, nil); err != nil {
 		t.Fatal(err)
@@ -661,7 +661,7 @@ func TestIoctlDispatch(t *testing.T) {
 	if _, err := k.FS.Mknod(vfs.RootCred, "/dev/priv", vfs.CharDevice, 10, 3, 0o600, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	k.RegisterDevice("/dev/priv", func(*Task, uint32, any, bool) error { return nil })
+	k.RegisterDevices(map[string]IoctlHandler{"/dev/priv": func(*Task, uint32, any, bool) error { return nil }})
 	if err := k.Ioctl(user, "/dev/priv", 1, nil); err != errno.EACCES {
 		t.Fatalf("ioctl without perm: %v", err)
 	}

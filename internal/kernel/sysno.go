@@ -166,9 +166,8 @@ func Sysnos() []Sysno {
 
 // sysFaultSites maps a Sysno to its syscall-entry fault-injection site.
 // Only the sites the fault sweep has always covered exist; an empty entry
-// means the syscall has no entry-point injection site. The table IS the
-// prologue's fault behavior, so the per-method faultCheck boilerplate
-// could fold into enter() without changing the sweep's expectations.
+// means the syscall has no entry-point injection site. enter() reads it,
+// so the table is the whole of the entry-point fault behaviour.
 var sysFaultSites = [sysnoCount]string{
 	SysOpen:      faultinject.SiteSysOpen,
 	SysRead:      faultinject.SiteSysRead,
@@ -185,18 +184,19 @@ var sysFaultSites = [sysnoCount]string{
 
 // enter is the single syscall-entry prologue: every public syscall method
 // dispatches through it. It (1) begins the trace sample, (2) consults the
-// TaskSyscall LSM hook when the syscall gate is armed — a Deny fails the
-// call closed with ENOSYS before any syscall work happens — and (3)
-// registers the entry-point fault-injection site. The returned token must
-// reach Trace.SyscallExit on every return path (methods defer it); a
-// non-nil error means the syscall body must not run.
+// TaskSyscall LSM hook when a syscall mediator (a seccomp module or
+// recorder) has joined the LSM chain — a Deny fails the call closed with
+// ENOSYS before any syscall work happens — and (3) registers the
+// entry-point fault-injection site. The returned token must reach
+// Trace.SyscallExit on every return path (methods defer it); a non-nil
+// error means the syscall body must not run.
 //
-// With the gate unarmed (no seccomp module installed — every machine
-// until the world builder opts in) the added cost over the old hand-
-// rolled prologues is one atomic load.
+// The gate is the chain's own record that a mediator joined
+// (lsm.Chain.SyscallMediated): a machine without one pays a length check
+// here.
 func (k *Kernel) enter(t *Task, sn Sysno) (trace.SyscallToken, error) {
 	tok := k.sysEnter(sn, t)
-	if k.sysGate.Load() && t != nil {
+	if t != nil && k.LSM.SyscallMediated() {
 		dec, err := k.LSM.TaskSyscall(t, int(sn), sn.String())
 		if dec == lsm.Deny {
 			k.Auditf("syscall denied by seccomp: pid=%d uid=%d sys=%s bin=%s",
@@ -211,11 +211,3 @@ func (k *Kernel) enter(t *Task, sn Sysno) (trace.SyscallToken, error) {
 	}
 	return tok, nil
 }
-
-// SetSyscallGate arms (or disarms) the TaskSyscall hook in the enter()
-// prologue. The world builder arms it when a seccomp module joins the LSM
-// chain; unarmed, syscalls skip the hook entirely.
-func (k *Kernel) SetSyscallGate(on bool) { k.sysGate.Store(on) }
-
-// SyscallGate reports whether the TaskSyscall hook is armed.
-func (k *Kernel) SyscallGate() bool { return k.sysGate.Load() }

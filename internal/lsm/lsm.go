@@ -343,7 +343,8 @@ type Chain struct {
 	links []link
 	// sysLinks is the subset of links whose module implements
 	// SyscallMediator, the only ones TaskSyscall walks (see that hook's
-	// contract).
+	// contract). Non-empty, it is also the kernel's syscall gate
+	// (SyscallMediated).
 	sysLinks []link
 	// tracer, when set, receives one decision event per hook evaluation
 	// (tagged with the winning module) plus per-module decision counts.
@@ -377,6 +378,11 @@ func (c *Chain) Register(m Module) {
 		c.sysLinks = append(c.sysLinks, l)
 	}
 }
+
+// SyscallMediated reports whether a SyscallMediator has joined the chain.
+// The kernel's enter() prologue consults TaskSyscall only when it does, so
+// a machine without a seccomp module skips the hook on every syscall.
+func (c *Chain) SyscallMediated() bool { return len(c.sysLinks) > 0 }
 
 // Modules returns the registered modules in evaluation order.
 func (c *Chain) Modules() []Module {
@@ -497,34 +503,23 @@ func (c *Chain) SetgidCheck(t Task, targetGID int) (Decision, error) {
 }
 
 // ExecCheck runs the hook across the chain; the first non-nil CredUpdate is
-// kept (modules later in the chain still get to veto).
+// kept (modules later in the chain still get to veto). A module's update
+// counts as a Grant, its absence as NoOpinion.
 func (c *Chain) ExecCheck(t Task, req *ExecRequest) (*CredUpdate, error) {
-	start := c.start()
 	var update *CredUpdate
-	winner := ""
-	for i := range c.links {
-		l := &c.links[i]
-		u, err := l.m.ExecCheck(t, req)
-		if err != nil {
-			c.count(hookExec, l, Deny, err)
-			c.observe(hookExec, t, Deny, l.name, err, start)
-			return nil, err
+	_, err := c.run(hookExec, t, func(m Module) (Decision, error) {
+		u, err := m.ExecCheck(t, req)
+		if err != nil || u == nil {
+			return NoOpinion, err
 		}
-		dec := NoOpinion
-		if u != nil {
-			dec = Grant
-		}
-		c.count(hookExec, l, dec, nil)
-		if update == nil && u != nil {
+		if update == nil {
 			update = u
-			winner = l.name
 		}
+		return Grant, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	dec := NoOpinion
-	if update != nil {
-		dec = Grant
-	}
-	c.observe(hookExec, t, dec, winner, nil, start)
 	return update, nil
 }
 

@@ -315,19 +315,11 @@ func (d *Daemon) SyncAll() error {
 	return nil
 }
 
-// Run watches /etc and re-synchronizes the affected policy on each change
-// until stop is closed. Events are debounced so editors that write
-// temp+rename do not trigger half-parsed syncs. The watch is registered
-// before Run returns control to the scheduler only when started via
-// Start; prefer Start to avoid missing edits racing with daemon startup.
-func (d *Daemon) Run(stop <-chan struct{}) {
-	w := d.k.FS.Watch("/etc")
-	d.loop(w, stop)
-}
-
-// Start registers the /etc watch synchronously and then services events on
-// a background goroutine, so configuration edits made immediately after
-// Start returns are guaranteed to be observed.
+// Start registers the /etc watch synchronously and then, on a background
+// goroutine, re-synchronizes the affected policy on each change until stop
+// is closed. Registering first guarantees that configuration edits made
+// immediately after Start returns are observed. Events are debounced so
+// editors that write temp+rename do not trigger half-parsed syncs.
 func (d *Daemon) Start(stop <-chan struct{}) {
 	w := d.k.FS.Watch("/etc")
 	go d.loop(w, stop)

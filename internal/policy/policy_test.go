@@ -517,11 +517,3 @@ func TestParseProcCommandsErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestFormatProcAdd(t *testing.T) {
-	line := FormatProcAdd("25", "tcp", "/usr/sbin/exim4", "101")
-	cmds, err := ParseProcCommands([]byte(line))
-	if err != nil || len(cmds) != 1 || cmds[0].Verb != "add" || len(cmds[0].Args) != 4 {
-		t.Fatalf("round trip: %v %v", cmds, err)
-	}
-}

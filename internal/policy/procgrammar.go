@@ -46,10 +46,3 @@ func ParseProcCommands(data []byte) ([]ProcCommand, error) {
 	}
 	return cmds, nil
 }
-
-// FormatProcAdd renders an "add" command for the given fields; the
-// monitoring daemon uses this to push parsed legacy configuration into the
-// kernel.
-func FormatProcAdd(fields ...string) string {
-	return "add " + strings.Join(fields, " ")
-}

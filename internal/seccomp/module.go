@@ -7,11 +7,6 @@ import (
 	"protego/internal/lsm"
 )
 
-// BlobKey is the task security-blob slot holding the task's active
-// profile. ExecCheck swaps it by binary path; Fork's blob copy inherits
-// it, so children keep the parent image's allowlist until they exec.
-const BlobKey = "seccomp.profile"
-
 // Violation is one syscall outside the task's learned profile, recorded
 // by an audit-mode module instead of denied.
 type Violation struct {
@@ -25,9 +20,14 @@ type Violation struct {
 // standing invariant that no utility ever exceeds its learned profile
 // without perturbing the trace under test.
 //
+// A task's active profile lives in its lock-free syscall-filter slot
+// (lsm.Task.SyscallFilter). ExecCheck swaps it by binary path; fork and
+// machine clone copy the slot, so children keep the parent image's
+// allowlist until they exec.
+//
 // Register it LAST in the chain: its ExecCheck swaps the task's profile
-// blob for the new image, and every module with veto power must have had
-// its chance to short-circuit the exec before that swap happens.
+// for the new image, and every module with veto power must have had its
+// chance to short-circuit the exec before that swap happens.
 type Module struct {
 	lsm.Base
 	set   *ProfileSet
@@ -61,37 +61,21 @@ func (m *Module) Audit() bool { return m.audit }
 func (*Module) MediatesSyscall() {}
 
 // ExecCheck swaps the task's profile for the new image's. An unprofiled
-// binary clears the blob, so TaskSyscall falls back to the machine-wide
-// union rather than inheriting the previous image's allowlist. Both the
-// blob (the inspectable, fork-inherited record) and the task's lock-free
-// syscall-filter slot are rewritten; the slot is what TaskSyscall reads
-// on every syscall.
+// binary stores nil, so TaskSyscall falls back to the machine-wide union
+// rather than inheriting the previous image's allowlist.
 func (m *Module) ExecCheck(t lsm.Task, req *lsm.ExecRequest) (*lsm.CredUpdate, error) {
-	p := m.set.For(req.Path)
-	if p != nil {
-		t.SetSecurityBlob(BlobKey, p)
-	} else {
-		t.SetSecurityBlob(BlobKey, nil)
-	}
-	t.SetSyscallFilter(p)
+	t.SetSyscallFilter(m.set.For(req.Path))
 	return nil, nil
 }
 
-// resolve populates a cold task's syscall-filter slot: the blob a fork
-// inherited, else the profile keyed by the task's binary path (covers
-// tasks that never exec-ed, like init), else nil meaning "unprofiled —
-// machine union applies". Profiles are immutable and the binary path
-// only changes at exec, where ExecCheck rewrites the slot, so the cached
-// value never goes stale. A by-path hit is also written to the blob; the
-// machine-union case deliberately leaves the blob nil — that is how
-// ExecCheck marks "unprofiled", and tests read the distinction back.
+// resolve populates a cold task's syscall-filter slot with the profile
+// keyed by the task's binary path (covers tasks that never exec-ed since
+// the module joined, like init), else nil meaning "unprofiled — machine
+// union applies". Profiles are immutable and the binary path only changes
+// at exec, where ExecCheck rewrites the slot, so the cached value never
+// goes stale.
 func (m *Module) resolve(t lsm.Task) *Profile {
-	p, _ := t.SecurityBlob(BlobKey).(*Profile)
-	if p == nil {
-		if p = m.set.For(t.BinaryPath()); p != nil {
-			t.SetSecurityBlob(BlobKey, p)
-		}
-	}
+	p := m.set.For(t.BinaryPath())
 	t.SetSyscallFilter(p)
 	return p
 }

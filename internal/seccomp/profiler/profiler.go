@@ -37,12 +37,11 @@ func Learn() (linux, protego *seccomp.ProfileSet, err error) {
 		kernel.ModeProtego: seccomp.NewRecorder(kernel.ModeProtego.String()),
 	}
 	// instrument registers the mode's recorder (always last in the chain,
-	// like the enforcing module it stands in for) and arms the syscall
+	// like the enforcing module it stands in for), which arms the syscall
 	// gate, so session setup and scenario syscalls are observed exactly
 	// where enforcement will later mediate them.
 	instrument := func(m *world.Machine) {
 		m.K.LSM.Register(recs[m.K.Mode])
-		m.K.SetSyscallGate(true)
 	}
 
 	// Equiv corpus: every scenario of every utility, each on a private
@@ -60,7 +59,7 @@ func Learn() (linux, protego *seccomp.ProfileSet, err error) {
 					return nil, nil, fmt.Errorf("profiler: clone %s: %w", mode, err)
 				}
 				instrument(m)
-				if err := scenarios[i].ReplayOn(m); err != nil {
+				if _, err := scenarios[i].ReplayOn(m); err != nil {
 					return nil, nil, fmt.Errorf("profiler: %s/%s on %s: %w", u, scenarios[i].Name, mode, err)
 				}
 			}

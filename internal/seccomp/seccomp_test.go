@@ -93,38 +93,26 @@ func TestDecodeRejectsUnknownName(t *testing.T) {
 }
 
 // fakeTask is the minimal lsm.Task for exercising the module without a
-// kernel: a binary path plus a blob map, like task_struct's security slot.
+// kernel: a binary path plus the syscall-filter slot the module owns.
 type fakeTask struct {
 	pid       int
 	binary    string
-	blobs     map[string]any
 	filter    any
 	filterSet bool
 }
 
-func (f *fakeTask) PID() int              { return f.pid }
-func (f *fakeTask) UID() int              { return 1000 }
-func (f *fakeTask) EUID() int             { return 1000 }
-func (f *fakeTask) GID() int              { return 1000 }
-func (f *fakeTask) EGID() int             { return 1000 }
-func (f *fakeTask) Groups() []int         { return nil }
-func (f *fakeTask) Capable(caps.Cap) bool { return false }
-func (f *fakeTask) BinaryPath() string    { return f.binary }
-func (f *fakeTask) SecurityBlob(key string) any {
-	return f.blobs[key]
-}
-func (f *fakeTask) SetSecurityBlob(key string, v any) {
-	if f.blobs == nil {
-		f.blobs = map[string]any{}
-	}
-	if v == nil {
-		delete(f.blobs, key)
-		return
-	}
-	f.blobs[key] = v
-}
-func (f *fakeTask) SyscallFilter() (any, bool) { return f.filter, f.filterSet }
-func (f *fakeTask) SetSyscallFilter(v any)     { f.filter, f.filterSet = v, true }
+func (f *fakeTask) PID() int                    { return f.pid }
+func (f *fakeTask) UID() int                    { return 1000 }
+func (f *fakeTask) EUID() int                   { return 1000 }
+func (f *fakeTask) GID() int                    { return 1000 }
+func (f *fakeTask) EGID() int                   { return 1000 }
+func (f *fakeTask) Groups() []int               { return nil }
+func (f *fakeTask) Capable(caps.Cap) bool       { return false }
+func (f *fakeTask) BinaryPath() string          { return f.binary }
+func (f *fakeTask) SecurityBlob(string) any     { return nil }
+func (f *fakeTask) SetSecurityBlob(string, any) {}
+func (f *fakeTask) SyscallFilter() (any, bool)  { return f.filter, f.filterSet }
+func (f *fakeTask) SetSyscallFilter(v any)      { f.filter, f.filterSet = v, true }
 
 func testSet() *ProfileSet {
 	s := NewSet("linux")
@@ -136,7 +124,7 @@ func testSet() *ProfileSet {
 func TestModuleProfileResolution(t *testing.T) {
 	m := NewModule(testSet(), false)
 
-	// No blob, profiled binary path → that binary's profile.
+	// Cold slot, profiled binary path → that binary's profile.
 	tk := &fakeTask{pid: 1, binary: "/bin/ping"}
 	if dec, _ := m.TaskSyscall(tk, int(kernel.SysSocket), "socket"); dec != lsm.NoOpinion {
 		t.Fatalf("in-profile syscall: dec=%v, want NoOpinion", dec)
@@ -145,7 +133,7 @@ func TestModuleProfileResolution(t *testing.T) {
 		t.Fatalf("out-of-profile syscall: dec=%v, want Deny", dec)
 	}
 
-	// No blob, unprofiled binary → machine union.
+	// Cold slot, unprofiled binary → machine union.
 	tk = &fakeTask{pid: 2, binary: "/bin/unknown"}
 	if dec, _ := m.TaskSyscall(tk, int(kernel.SysWriteFile), "writefile"); dec != lsm.NoOpinion {
 		t.Fatalf("machine-union syscall: dec=%v, want NoOpinion", dec)
@@ -154,24 +142,28 @@ func TestModuleProfileResolution(t *testing.T) {
 		t.Fatalf("outside machine union: dec=%v, want Deny", dec)
 	}
 
-	// ExecCheck into a profiled binary installs its blob; the blob wins
-	// over the (stale) binary-path lookup until the next exec.
+	// ExecCheck into a profiled binary installs its profile in the filter
+	// slot; the slot wins over the (stale) binary-path lookup until the
+	// next exec.
 	tk = &fakeTask{pid: 3, binary: "/bin/ping"}
 	if _, err := m.ExecCheck(tk, &lsm.ExecRequest{Path: "/usr/bin/passwd"}); err != nil {
 		t.Fatal(err)
 	}
-	if p, _ := tk.SecurityBlob(BlobKey).(*Profile); p == nil || p.Binary != "/usr/bin/passwd" {
-		t.Fatalf("exec did not swap the blob: %v", tk.SecurityBlob(BlobKey))
+	if p, _ := tk.filter.(*Profile); p == nil || p.Binary != "/usr/bin/passwd" {
+		t.Fatalf("exec did not swap the filter slot: %v", tk.filter)
 	}
 	if dec, _ := m.TaskSyscall(tk, int(kernel.SysWriteFile), "writefile"); dec != lsm.NoOpinion {
-		t.Fatal("blob profile not consulted after exec")
+		t.Fatal("slot profile not consulted after exec")
 	}
-	// Exec into an unprofiled binary clears the blob → machine union.
+	// Exec into an unprofiled binary stores nil → machine union.
 	if _, err := m.ExecCheck(tk, &lsm.ExecRequest{Path: "/bin/unknown"}); err != nil {
 		t.Fatal(err)
 	}
-	if tk.SecurityBlob(BlobKey) != nil {
-		t.Fatal("exec into unprofiled binary left a stale blob")
+	if p, _ := tk.filter.(*Profile); p != nil || !tk.filterSet {
+		t.Fatalf("exec into unprofiled binary left slot %v (populated %v)", tk.filter, tk.filterSet)
+	}
+	if dec, _ := m.TaskSyscall(tk, int(kernel.SysMount), "mount"); dec != lsm.Deny {
+		t.Fatalf("outside machine union after exec: dec=%v, want Deny", dec)
 	}
 }
 

@@ -482,7 +482,7 @@ func (fs *FS) Remove(c Cred, path string) error {
 		fs.mu.Unlock()
 		return errno.ENOTEMPTY
 	}
-	if fs.isMountPointLocked(clean) {
+	if fs.mountUnderLocked(clean) {
 		fs.mu.Unlock()
 		return errno.EBUSY
 	}
@@ -495,7 +495,8 @@ func (fs *FS) Remove(c Cred, path string) error {
 }
 
 // Rename moves oldPath to newPath, replacing what newPath names under
-// rename(2)'s rules (see replaceErrLocked).
+// rename(2)'s rules (see replaceErrLocked). A mount point, or a directory
+// enclosing one, does not move (EBUSY).
 func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 	if err := fs.faultCheck(faultinject.SiteVFSRename); err != nil {
 		return err
@@ -535,11 +536,18 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 		fs.mu.Unlock()
 		return err
 	}
-	if existing, ok := newParent.children[newBase]; ok {
-		if existing == target { // one inode under both names: a no-op
-			fs.mu.Unlock()
-			return nil
-		}
+	existing, replacing := newParent.children[newBase]
+	if existing == target { // one inode under both names: a no-op
+		fs.mu.Unlock()
+		return nil
+	}
+	// The mount table is keyed by path, so moving a mount point, or a
+	// directory enclosing one, would orphan its mount: refuse it.
+	if fs.mountUnderLocked(oldClean) {
+		fs.mu.Unlock()
+		return errno.EBUSY
+	}
+	if replacing {
 		if err := fs.replaceErrLocked(target, existing, newClean); err != nil {
 			fs.mu.Unlock()
 			return err
@@ -572,7 +580,7 @@ func (fs *FS) replaceErrLocked(target, existing *Inode, path string) error {
 		return errno.EISDIR
 	case len(existing.children) > 0:
 		return errno.ENOTEMPTY
-	case fs.isMountPointLocked(path):
+	case fs.mountUnderLocked(path):
 		return errno.EBUSY
 	}
 	return nil
@@ -681,10 +689,4 @@ func (fs *FS) ReadDir(c Cred, path string) ([]string, error) {
 		return nil, err
 	}
 	return ino.childNames(), nil
-}
-
-// Stat returns the inode at path without permission side effects beyond the
-// directory walk.
-func (fs *FS) Stat(c Cred, path string) (*Inode, error) {
-	return fs.Lookup(c, path)
 }

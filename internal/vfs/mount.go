@@ -130,11 +130,12 @@ func (fs *FS) MountAt(path string) *Mount {
 	return nil
 }
 
-// isMountPointLocked reports whether path is an active mount point. Caller
+// mountUnderLocked reports whether a mount point lies at or under path.
+// For an empty directory that means path itself is a mount point. Caller
 // holds fs.mu.
-func (fs *FS) isMountPointLocked(path string) bool {
+func (fs *FS) mountUnderLocked(path string) bool {
 	for _, m := range fs.mounts {
-		if m.Point == path {
+		if IsUnder(m.Point, path) {
 			return true
 		}
 	}

@@ -503,12 +503,15 @@ func TestRename(t *testing.T) {
 		{"file over dir", "/tmp/f", "/tmp/empty", errno.EISDIR, ""},
 		{"dir over file", "/tmp/d", "/tmp/g", errno.ENOTDIR, "/tmp/g"},
 		{"dir over mount point", "/tmp/d", "/tmp/mnt", errno.EBUSY, ""},
+		{"mount point itself", "/tmp/mnt", "/tmp/empty", errno.EBUSY, ""},
+		{"encloses a mount point", "/tmp/box", "/tmp/empty", errno.EBUSY, ""},
 		{"onto itself", "/tmp/f", "/tmp/f", nil, "/tmp/f"},
 	}
+	mountPoints := []string{"/tmp/mnt", "/tmp/box/mnt"}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			fs := newTestFS(t)
-			for _, dir := range []string{"/tmp/d", "/tmp/full", "/tmp/empty", "/tmp/mnt"} {
+			for _, dir := range []string{"/tmp/d", "/tmp/full", "/tmp/empty", "/tmp/mnt", "/tmp/box", "/tmp/box/mnt"} {
 				if _, err := fs.Mkdir(root, dir, 0o755, 0, 0); err != nil {
 					t.Fatal(err)
 				}
@@ -520,8 +523,10 @@ func TestRename(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := fs.AttachMount(root, &Mount{Device: "tmpfs", Point: "/tmp/mnt", FSType: "tmpfs"}); err != nil {
-				t.Fatal(err)
+			for _, point := range mountPoints {
+				if err := fs.AttachMount(root, &Mount{Device: "tmpfs", Point: point, FSType: "tmpfs"}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			srcIno, err := fs.Lookup(root, c.src)
 			if err != nil {
@@ -539,6 +544,13 @@ func TestRename(t *testing.T) {
 			}
 			if c.dstFile != "" && !fs.Exists(root, c.dstFile) {
 				t.Fatalf("%s missing after the rename", c.dstFile)
+			}
+			// No rename may orphan a mount: each mount point still
+			// resolves, and can be unmounted.
+			for _, point := range mountPoints {
+				if _, err := fs.DetachMount(root, point); err != nil {
+					t.Fatalf("umount %s after the rename: %v", point, err)
+				}
 			}
 		})
 	}

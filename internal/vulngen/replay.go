@@ -84,8 +84,7 @@ func whitelistsPayloadMount(pro *world.Machine) bool {
 		return false
 	}
 	for _, r := range pro.Protego.MountRules() {
-		if r.Device == exploits.PayloadMountDevice && r.MountPoint == exploits.PayloadMountPoint &&
-			(r.FSType == "" || r.FSType == "auto" || r.FSType == exploits.PayloadMountFSType) {
+		if r.Covers(exploits.PayloadMountDevice, exploits.PayloadMountPoint, exploits.PayloadMountFSType) {
 			return true
 		}
 	}
@@ -199,53 +198,8 @@ func evalReplay(cve exploits.CVE, linRes, proRes *exploits.Result, facts envFact
 			res.Concessions++
 		}
 	}
-	checkTasks(cve, proM, res)
-	checkMounts(cve, proM, res)
-}
-
-// checkTasks is difffuzz's no-unauthorized-priv invariant: after a replay
-// no live Protego task but init may hold euid 0 or capabilities.
-func checkTasks(cve exploits.CVE, proM *world.Machine, res *EnvResult) {
-	initPID := proM.Init.PID()
-	for _, t := range proM.K.Tasks() {
-		if t.PID() == initPID {
-			continue
-		}
-		c := t.Creds()
-		if c.EUID == 0 || !c.Effective.IsEmpty() || !c.Permitted.IsEmpty() {
-			res.Problems = append(res.Problems, fmt.Sprintf(
-				"%s: invariant no-unauthorized-priv: task pid=%d holds euid=%d caps=%v/%v",
-				cve.ID, t.PID(), c.EUID, c.Effective, c.Permitted))
-		}
-	}
-}
-
-// checkMounts is difffuzz's mount-whitelist invariant: every user mount
-// on the Protego image must match an in-kernel whitelist row (or be fuse,
-// ownership-checked at grant time).
-func checkMounts(cve exploits.CVE, proM *world.Machine, res *EnvResult) {
-	if proM.Protego == nil {
-		return
-	}
-	rules := proM.Protego.MountRules()
-	for _, mnt := range proM.K.FS.Mounts() {
-		if !mnt.UserMount || mnt.FSType == "fuse" {
-			continue
-		}
-		ok := false
-		for i := range rules {
-			r := &rules[i]
-			if r.Device == mnt.Device && r.MountPoint == mnt.Point &&
-				(r.FSType == "" || r.FSType == "auto" || r.FSType == mnt.FSType) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			res.Problems = append(res.Problems, fmt.Sprintf(
-				"%s: invariant mount-whitelist: user mount %s on %s (%s) matches no rule",
-				cve.ID, mnt.Device, mnt.Point, mnt.FSType))
-		}
+	for _, v := range difffuzz.CheckInvariants(proM) {
+		prob("invariant %s: %s", v.Invariant, v.Detail)
 	}
 }
 

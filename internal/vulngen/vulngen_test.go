@@ -1,10 +1,13 @@
 package vulngen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"protego/internal/exploits"
+	"protego/internal/kernel"
+	"protego/internal/world"
 )
 
 // Two generators with the same seed must emit identical scenario
@@ -122,6 +125,28 @@ func TestBreakMountPolicyCaughtAndShrunk(t *testing.T) {
 	}
 	if !re.Failing() {
 		t.Fatalf("shrunk scenario no longer fails:\n%s", shrunk.Encode())
+	}
+}
+
+// A standing-invariant breach left behind by a replay is reported through
+// difffuzz's checker, prefixed with the CVE id.
+func TestEvalReplayReportsInvariantWithCVE(t *testing.T) {
+	snap, err := world.Golden(kernel.ModeProtego)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proM, err := snap.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaked := proM.K.Fork(proM.Init) // a root task the payload left alive
+	cve := exploits.Corpus[0]
+	res := &EnvResult{}
+	evalReplay(cve, &exploits.Result{Fired: true, Escalated: true},
+		&exploits.Result{Fired: true, EUID: world.UIDBob}, envFacts{}, proM, res)
+	want := fmt.Sprintf("%s: invariant no-unauthorized-priv: task pid=%d holds euid=0 caps=", cve.ID, leaked.PID())
+	if len(res.Problems) != 1 || !strings.HasPrefix(res.Problems[0], want) {
+		t.Fatalf("problems = %q, want one starting %q", res.Problems, want)
 	}
 }
 

@@ -28,20 +28,28 @@ func restrictedInitSet(forbid ...kernel.Sysno) *seccomp.ProfileSet {
 
 func seccompMachine(t *testing.T, set *seccomp.ProfileSet) *Machine {
 	t.Helper()
-	m, err := Build(Options{Mode: kernel.ModeProtego, SeccompProfiles: set})
+	m, err := Build(Options{Mode: kernel.ModeProtego})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Seccomp == nil || !m.K.SyscallGate() {
-		t.Fatal("Build did not install the seccomp module and arm the gate")
+	m.InstallSeccomp(set, false)
+	if m.Seccomp == nil || !m.K.LSM.SyscallMediated() {
+		t.Fatal("InstallSeccomp did not install the module and arm the gate")
 	}
 	return m
 }
 
+// filterProfile reads the profile in the task's syscall-filter slot.
+func filterProfile(tk *kernel.Task) *seccomp.Profile {
+	v, _ := tk.SyscallFilter()
+	p, _ := v.(*seccomp.Profile)
+	return p
+}
+
 // TestSeccompForkInheritExecSwap pins the profile lifecycle: exec installs
-// the new image's profile as the task's blob, fork copies the blob to the
-// child, and exec into an unprofiled binary clears it so the task falls
-// back to the machine union.
+// the new image's profile in the task's filter slot, fork copies the slot
+// to the child, and exec into an unprofiled binary clears it so the task
+// falls back to the machine union.
 func TestSeccompForkInheritExecSwap(t *testing.T) {
 	set := seccomp.NewSet(kernel.ModeProtego.String())
 	set.Machine = seccomp.FullProfile("")
@@ -56,7 +64,7 @@ func TestSeccompForkInheritExecSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pre-exec: no blob, /sbin/init is unprofiled → machine union → allowed.
+	// Pre-exec: /sbin/init is unprofiled → machine union → allowed.
 	if err := k.Kill(sess, sess.PID(), 15); err != nil {
 		t.Fatalf("kill under machine union: %v", err)
 	}
@@ -65,26 +73,26 @@ func TestSeccompForkInheritExecSwap(t *testing.T) {
 	if code, err := k.Exec(child, userspace.BinSh, []string{userspace.BinSh, "-c", "true"}, nil); err != nil || code != 0 {
 		t.Fatalf("exec sh: code=%d err=%v", code, err)
 	}
-	if p, _ := child.SecurityBlob(seccomp.BlobKey).(*seccomp.Profile); p == nil || p.Binary != userspace.BinSh {
-		t.Fatalf("exec did not install the sh profile blob: %v", child.SecurityBlob(seccomp.BlobKey))
+	if p := filterProfile(child); p == nil || p.Binary != userspace.BinSh {
+		t.Fatalf("exec did not install the sh profile: %v", p)
 	}
 	if err := k.Kill(child, child.PID(), 15); !errno.Is(err, errno.ENOSYS) {
 		t.Fatalf("kill outside sh profile: err=%v, want ENOSYS", err)
 	}
 
-	// Fork inherits the blob: the grandchild is still confined to the sh
+	// Fork inherits the slot: the grandchild is still confined to the sh
 	// profile even though it never exec-ed.
 	grand := k.Fork(child)
 	if err := k.Kill(grand, grand.PID(), 15); !errno.Is(err, errno.ENOSYS) {
 		t.Fatalf("kill in forked child of sh: err=%v, want ENOSYS", err)
 	}
 
-	// Exec into an unprofiled binary clears the blob → machine union again.
+	// Exec into an unprofiled binary clears the slot → machine union again.
 	if code, err := k.Exec(grand, userspace.BinID, nil, nil); err != nil || code != 0 {
 		t.Fatalf("exec id: code=%d err=%v", code, err)
 	}
-	if grand.SecurityBlob(seccomp.BlobKey) != nil {
-		t.Fatal("exec into unprofiled binary left a stale profile blob")
+	if p := filterProfile(grand); p != nil {
+		t.Fatalf("exec into unprofiled binary left a stale profile: %v", p.Binary)
 	}
 	if err := k.Kill(grand, grand.PID(), 15); err != nil {
 		t.Fatalf("kill after swap back to machine union: %v", err)
@@ -92,24 +100,24 @@ func TestSeccompForkInheritExecSwap(t *testing.T) {
 }
 
 // TestSeccompFailClosed: an out-of-profile syscall must return ENOSYS
-// through the unified errno helpers, leave no partial state behind, and
-// the identical operation must succeed once the gate is disarmed — the
-// same discipline the fault-injection error paths are held to.
+// through the unified errno helpers and leave the machine's fingerprint
+// unchanged, and the identical operation must succeed on an unarmed clone
+// of the Protego image — the same discipline the fault-injection error
+// paths are held to.
 func TestSeccompFailClosed(t *testing.T) {
 	cases := []struct {
 		name   string
 		forbid kernel.Sysno
 		op     func(k *kernel.Kernel, tk *kernel.Task) error
-		ghost  string // path that must NOT exist after the denial
 	}{
 		{"mkdir", kernel.SysMkdir,
 			func(k *kernel.Kernel, tk *kernel.Task) error {
 				return k.Mkdir(tk, "/tmp/seccomp-dir", 0o755)
-			}, "/tmp/seccomp-dir"},
+			}},
 		{"writefile", kernel.SysWriteFile,
 			func(k *kernel.Kernel, tk *kernel.Task) error {
 				return k.WriteFile(tk, "/tmp/seccomp-file", []byte("x"))
-			}, "/tmp/seccomp-file"},
+			}},
 		{"socket", kernel.SysSocket,
 			func(k *kernel.Kernel, tk *kernel.Task) error {
 				s, err := k.Socket(tk, netstack.AF_INET, netstack.SOCK_DGRAM, netstack.IPPROTO_UDP)
@@ -117,11 +125,11 @@ func TestSeccompFailClosed(t *testing.T) {
 					_ = k.CloseSocket(tk, s)
 				}
 				return err
-			}, ""},
+			}},
 		{"unlink", kernel.SysUnlink,
 			func(k *kernel.Kernel, tk *kernel.Task) error {
 				return k.Unlink(tk, "/etc/motd")
-			}, ""},
+			}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -131,6 +139,7 @@ func TestSeccompFailClosed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := m.Fingerprint()
 			err = c.op(k, sess)
 			if err == nil {
 				t.Fatalf("expected ENOSYS, got success")
@@ -141,22 +150,25 @@ func TestSeccompFailClosed(t *testing.T) {
 			if errno.Of(err) != errno.ENOSYS {
 				t.Fatalf("errno.Of(%v) = %v, want ENOSYS", err, errno.Of(err))
 			}
-			if c.ghost != "" {
-				if _, err := k.Stat(sess, c.ghost); !errno.Is(err, errno.ENOENT) {
-					t.Fatalf("denied syscall left partial state at %s (stat err=%v)", c.ghost, err)
-				}
+			if m.Fingerprint() != before {
+				t.Fatal("denied syscall changed the machine's state")
 			}
-			// Unlink must not have touched its target either.
-			if c.forbid == kernel.SysUnlink {
-				if _, err := k.Stat(sess, "/etc/motd"); err != nil {
-					t.Fatalf("denied unlink damaged /etc/motd: %v", err)
-				}
+			// The denial is the gate's alone: the same operation succeeds
+			// on an unarmed machine.
+			snap, err := Golden(kernel.ModeProtego)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// The denial is spent state-free: disarm the gate and the same
-			// operation succeeds on the same machine.
-			k.SetSyscallGate(false)
-			if err := c.op(k, sess); err != nil {
-				t.Fatalf("operation still failing after gate disarmed: %v", err)
+			plain, err := snap.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plainSess, err := plain.Session("root")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.op(plain.K, plainSess); err != nil {
+				t.Fatalf("operation failing on an unarmed clone: %v", err)
 			}
 		})
 	}
@@ -200,8 +212,7 @@ func TestSeccompDecisionsInTraceStats(t *testing.T) {
 }
 
 // TestSeccompSurvivesSnapshotClone: a stamped clone keeps the parent's
-// profiles (shared by reference), its armed gate, and its denials; blobs
-// installed before the snapshot travel with the cloned tasks.
+// profiles (shared by reference), its armed gate, and its denials.
 func TestSeccompSurvivesSnapshotClone(t *testing.T) {
 	set := restrictedInitSet(kernel.SysMkdir)
 	parent := seccompMachine(t, set)
@@ -216,7 +227,7 @@ func TestSeccompSurvivesSnapshotClone(t *testing.T) {
 	if clone.Seccomp.Set() != set {
 		t.Fatal("clone's module does not share the parent's profile set")
 	}
-	if !clone.K.SyscallGate() {
+	if !clone.K.LSM.SyscallMediated() {
 		t.Fatal("clone's syscall gate is disarmed")
 	}
 	for name, m := range map[string]*Machine{"parent": parent, "clone": clone} {
@@ -230,10 +241,5 @@ func TestSeccompSurvivesSnapshotClone(t *testing.T) {
 		if _, err := m.K.ReadFile(sess, "/etc/passwd"); err != nil {
 			t.Fatalf("%s: allowed syscall failed: %v", name, err)
 		}
-	}
-	// Disarming the clone's gate must not disarm the parent's.
-	clone.K.SetSyscallGate(false)
-	if !parent.K.SyscallGate() {
-		t.Fatal("clone gate state leaked into the parent")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"protego/internal/accountdb"
 	"protego/internal/authsvc"
 	"protego/internal/monitord"
-	"protego/internal/seccomp"
 	"protego/internal/vfs"
 )
 
@@ -78,12 +77,11 @@ func (s *Snapshot) Clone() (*Machine, error) {
 		m.Monitor = monitord.New(k, m.DB, mod)
 	}
 	if p.Seccomp != nil {
-		// Last in the chain, as in Build. Profiles are immutable, so the
-		// clone's module shares the parent's set by reference; tasks keep
-		// their inherited profile blobs through Kernel.Clone's blob copy,
-		// and the syscall gate itself was copied with the kernel.
-		m.Seccomp = seccomp.NewModule(p.Seccomp.Set(), p.Seccomp.Audit())
-		k.LSM.Register(m.Seccomp)
+		// Last in the chain, as on the parent. Profiles are immutable, so
+		// the clone's module shares the parent's set by reference; tasks
+		// keep their active profiles through Kernel.Clone's copy of the
+		// filter slot.
+		m.InstallSeccomp(p.Seccomp.Set(), p.Seccomp.Audit())
 	}
 
 	m.Init = k.Task(p.Init.PID())

@@ -9,6 +9,7 @@ import (
 	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
+	"protego/internal/seccomp"
 	"protego/internal/userspace"
 	"protego/internal/vfs"
 )
@@ -396,18 +397,22 @@ func TestCloneTraceIsolation(t *testing.T) {
 // sealed inodes.
 func TestConcurrentClones(t *testing.T) {
 	images := []struct {
-		name string
-		opts Options
+		name    string
+		mode    kernel.Mode
+		seccomp *seccomp.ProfileSet
 	}{
-		{"linux", Options{Mode: kernel.ModeLinux}},
-		{"protego", Options{Mode: kernel.ModeProtego}},
-		{"protego-seccomp", Options{Mode: kernel.ModeProtego, SeccompProfiles: restrictedInitSet(kernel.SysKill)}},
+		{"linux", kernel.ModeLinux, nil},
+		{"protego", kernel.ModeProtego, nil},
+		{"protego-seccomp", kernel.ModeProtego, restrictedInitSet(kernel.SysKill)},
 	}
 	for _, img := range images {
 		t.Run(img.name, func(t *testing.T) {
-			parent, err := Build(img.opts)
+			parent, err := Build(Options{Mode: img.mode})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if img.seccomp != nil {
+				parent.InstallSeccomp(img.seccomp, false)
 			}
 			base := fingerprintOf(parent)
 			snap := parent.Snapshot()

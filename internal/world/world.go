@@ -57,15 +57,6 @@ const (
 type Options struct {
 	// Mode selects baseline Linux or Protego.
 	Mode kernel.Mode
-	// SeccompProfiles, when non-nil, installs the learned syscall
-	// allowlists as the last LSM module and arms the kernel's syscall
-	// gate, so every syscall entry is checked against the issuing
-	// binary's profile. The set must not be mutated after Build; clones
-	// share it by reference.
-	SeccompProfiles *seccomp.ProfileSet
-	// SeccompAudit makes the installed profiles record violations
-	// instead of denying (the difffuzz invariant configuration).
-	SeccompAudit bool
 }
 
 // Machine is a booted image.
@@ -73,7 +64,7 @@ type Machine struct {
 	K        *kernel.Kernel
 	AppArmor *apparmor.Module
 	Protego  *core.Module    // nil on the baseline
-	Seccomp  *seccomp.Module // nil unless Options.SeccompProfiles was set
+	Seccomp  *seccomp.Module // nil unless InstallSeccomp ran
 	Monitor  *monitord.Daemon
 	Auth     *authsvc.Service
 	DB       *accountdb.DB
@@ -134,17 +125,22 @@ func Build(opts Options) (*Machine, error) {
 		}
 	}
 
-	// The seccomp module registers LAST: its ExecCheck swaps the task's
-	// profile for the new image, and every module with veto power must
-	// have had its chance to short-circuit the exec before that swap.
-	if opts.SeccompProfiles != nil {
-		m.Seccomp = seccomp.NewModule(opts.SeccompProfiles, opts.SeccompAudit)
-		k.LSM.Register(m.Seccomp)
-		k.SetSyscallGate(true)
-	}
-
 	m.Init = k.InitTask()
 	return m, nil
+}
+
+// InstallSeccomp registers a module enforcing the syscall allowlists in
+// set — recording violations instead of denying them when audit is set,
+// the difffuzz invariant configuration — and so arms the kernel's syscall
+// gate: from now on every syscall entry is checked against the issuing
+// binary's profile. Call it after every other LSM module has joined: the
+// module's ExecCheck swaps the task's profile for the new image, and every
+// module with veto power must have had its chance to short-circuit the
+// exec before that swap. The set must not be mutated afterwards; clones
+// share it by reference.
+func (m *Machine) InstallSeccomp(set *seccomp.ProfileSet, audit bool) {
+	m.Seccomp = seccomp.NewModule(set, audit)
+	m.K.LSM.Register(m.Seccomp)
 }
 
 // SetFaultInjector arms a fault-injection plan machine-wide: the kernel
