@@ -26,10 +26,22 @@ const (
 // kernel's LSM and trusted services, never directly by untrusted tasks.
 // Every lookup reads the file afresh, so DAC, fault injection and every
 // write take effect on the next call; only the parse of passwd and group
-// is shared (see memo). What a lookup returns is the caller's own.
+// is shared (see passwdMemo). What a lookup returns is the caller's own.
 type DB struct {
 	fs *vfs.FS
 }
+
+// passwdMemo and groupMemo parse each distinct /etc/passwd and /etc/group
+// content once per process, for every machine, clone and DB view that
+// reads it (one memo per file, so the two lookups never share a lock).
+// The records are shared and never written, so they must not leave this
+// package: DB returns copies.
+var (
+	passwdMemo, groupMemo vfs.Memo
+
+	passwdKind = vfs.NewMemoKind(ParsePasswd)
+	groupKind  = vfs.NewMemoKind(ParseGroup)
+)
 
 // NewDB creates a database view over fs.
 func NewDB(fs *vfs.FS) *DB { return &DB{fs: fs} }
@@ -41,7 +53,7 @@ func (db *DB) users() ([]User, error) {
 	if err != nil {
 		return nil, err
 	}
-	return passwdMemo.parse(data, ParsePasswd)
+	return passwdKind.Parse(&passwdMemo, data)
 }
 
 // groups is users for /etc/group.
@@ -50,7 +62,7 @@ func (db *DB) groups() ([]Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	return groupMemo.parse(data, ParseGroup)
+	return groupKind.Parse(&groupMemo, data)
 }
 
 // Users returns all passwd records (from the legacy shared file).

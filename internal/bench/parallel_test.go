@@ -74,3 +74,30 @@ func BenchmarkParallelMountWhitelistCheck(b *testing.B) {
 func BenchmarkParallelNetfilterVerdict(b *testing.B) { benchmarkParallel(b, "netfilter-verdict") }
 func BenchmarkParallelSudoDelegation(b *testing.B)   { benchmarkParallel(b, "sudo-delegation") }
 func BenchmarkParallelMountFlow(b *testing.B)        { benchmarkParallel(b, "figure1-mount-flow") }
+
+// TestMountFlowAllocs pins the Figure 1 flow's allocations: one mount and
+// one umount through the real binaries on an unchanged fstab. mount(8)
+// finds its fstab entry in the file system's parse memo instead of
+// re-parsing the file (83 allocations before the memo).
+func TestMountFlowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through fmt vary under -race")
+	}
+	const want = 57
+	ops, err := setupMountFlow(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opErr error
+	a := testing.AllocsPerRun(100, func() {
+		if err := ops[0](0); err != nil {
+			opErr = err
+		}
+	})
+	if opErr != nil {
+		t.Fatal(opErr)
+	}
+	if a > want {
+		t.Errorf("%v allocs per mount and umount, want at most %d", a, want)
+	}
+}

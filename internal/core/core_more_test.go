@@ -8,7 +8,6 @@ import (
 	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
-	"protego/internal/policy"
 	"protego/internal/userspace"
 	"protego/internal/vfs"
 	"protego/internal/world"
@@ -29,11 +28,9 @@ func TestSetgidSudoersGroupDelegation(t *testing.T) {
 	// A sudoers rule can delegate a *group* target: "%<group>" in the
 	// runas list, honored by SetgidCheck.
 	m := protegoMachine(t)
-	sudoers, err := policy.ParseSudoers("bob ALL = (%www-data) NOPASSWD: ALL\n")
-	if err != nil {
+	if err := procWrite(t, m, core.ProcDelegation, "bob ALL = (%www-data) NOPASSWD: ALL\n"); err != nil {
 		t.Fatal(err)
 	}
-	m.Protego.SetSudoers(sudoers)
 	bob := session(t, m, "bob")
 	if err := m.K.Setgid(bob, world.GIDWWW); err != nil {
 		t.Fatalf("delegated setgid: %v", err)

@@ -36,11 +36,11 @@ func session(t *testing.T, m *world.Machine, user string) *kernel.Task {
 // --- mount whitelist ---
 
 func TestMountRulesFromFstab(t *testing.T) {
-	entries, err := policy.ParseFstab(`
+	entries, err := policy.MemoFstab(new(vfs.Memo), []byte(`
 /dev/sda1  /           ext4    defaults        0 1
 /dev/cdrom /cdrom      iso9660 ro,user,noauto  0 0
 /dev/sdb1  /media/usb  vfat    rw,users        0 0
-`)
+`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func (m *Module) writeDelegation(c vfs.Cred, data []byte) error {
 	if err := requireRoot(c); err != nil {
 		return err
 	}
-	s, err := policy.ParseSudoers(string(data))
+	s, err := policy.MemoSudoers(m.k.FS.Memo(), data)
 	if err != nil {
 		return errno.EINVAL
 	}
@@ -225,7 +225,7 @@ func (m *Module) writePPP(c vfs.Cred, data []byte) error {
 	if err := requireRoot(c); err != nil {
 		return err
 	}
-	o, err := policy.ParsePPPOptions(string(data))
+	o, err := policy.MemoPPPOptions(m.k.FS.Memo(), data)
 	if err != nil {
 		return errno.EINVAL
 	}

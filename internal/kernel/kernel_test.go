@@ -537,6 +537,66 @@ func TestReadDirAndChdir(t *testing.T) {
 	}
 }
 
+// TestTrailingSlashNamesDir: a path that ends in "/" or "/." must name a
+// directory, with the errno a Linux host returns for each call.
+func TestTrailingSlashNamesDir(t *testing.T) {
+	cases := []struct {
+		name string
+		op   func(k *Kernel, task *Task) error
+		want error
+	}{
+		{`open("file/")`, func(k *Kernel, task *Task) error {
+			_, err := k.Open(task, "/tmp/file/", O_RDONLY)
+			return err
+		}, errno.ENOTDIR},
+		{`stat("file/.")`, func(k *Kernel, task *Task) error {
+			_, err := k.Stat(task, "/tmp/file/.")
+			return err
+		}, errno.ENOTDIR},
+		{`rename("file", "file2/")`, func(k *Kernel, task *Task) error {
+			return k.Rename(task, "/tmp/file", "/tmp/file2/")
+		}, errno.ENOTDIR},
+		{`open("new/", O_CREAT)`, func(k *Kernel, task *Task) error {
+			_, err := k.Open(task, "/tmp/new/", O_WRONLY|O_CREAT)
+			return err
+		}, errno.EISDIR},
+		{`open("dir/")`, func(k *Kernel, task *Task) error {
+			_, err := k.Open(task, "/tmp/dir/", O_RDONLY)
+			return err
+		}, nil},
+		{`stat("dir/.")`, func(k *Kernel, task *Task) error {
+			_, err := k.Stat(task, "/tmp/dir/.")
+			return err
+		}, nil},
+		{`rename("dir", "dir2/")`, func(k *Kernel, task *Task) error {
+			return k.Rename(task, "/tmp/dir", "/tmp/dir2/")
+		}, nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := testKernel(t)
+			task := userTask(k, 1000, 100)
+			if err := k.WriteFile(task, "/tmp/file", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Mkdir(task, "/tmp/dir", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.op(k, task); err != c.want {
+				t.Fatalf("got %v, want %v", err, c.want)
+			}
+			// A refused call leaves the names as they were.
+			if c.want != nil {
+				for path, exists := range map[string]bool{"/tmp/file": true, "/tmp/file2": false, "/tmp/new": false} {
+					if k.FS.Exists(vfs.RootCred, path) != exists {
+						t.Fatalf("%s exists = %v after the call", path, !exists)
+					}
+				}
+			}
+		})
+	}
+}
+
 // --- mount syscall privilege ---
 
 func TestMountRequiresPrivilege(t *testing.T) {

@@ -26,6 +26,19 @@ type FileDesc struct {
 	CloseOnExec bool
 }
 
+// lookupPath resolves path against t's cwd with creds, t's credentials,
+// and returns the cleaned path with its inode. A path that ends in "/" or
+// "/." must name a directory, as on Linux; CleanPath drops the suffix, so
+// the raw path is checked here.
+func (k *Kernel) lookupPath(t *Task, creds *Credentials, path string) (string, *vfs.Inode, error) {
+	clean := vfs.CleanPath(path, t.Cwd())
+	ino, err := k.FS.LookupClean(creds, clean)
+	if err == nil && !ino.Mode.IsDir() && vfs.NamesDir(path) {
+		return clean, nil, errno.ENOTDIR
+	}
+	return clean, ino, err
+}
+
 // fileOpenHook consults the LSM FileOpen hook, combining its decision with
 // the DAC outcome: Grant overrides a DAC failure, Deny overrides a DAC
 // success.
@@ -56,10 +69,12 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 	if err != nil {
 		return -1, err
 	}
-	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.LookupClean(creds, clean)
+	clean, ino, err := k.lookupPath(t, creds, path)
 	if errno.Is(err, errno.ENOENT) && flags&O_CREAT != 0 {
+		if vfs.NamesDir(path) {
+			return -1, errno.EISDIR
+		}
 		want := vfs.MayWrite
 		ino, err = k.FS.Create(creds, clean, 0o644, creds.FUID, creds.FGID)
 		if err != nil {
@@ -217,7 +232,8 @@ func (k *Kernel) Stat(t *Task, path string) (ino *vfs.Inode, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return k.FS.LookupClean(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+	_, ino, err = k.lookupPath(t, t.credsRef(), path)
+	return ino, err
 }
 
 // Access reports whether the task may access path with the given rights.
@@ -227,11 +243,12 @@ func (k *Kernel) Access(t *Task, path string, want int) (err error) {
 	if err != nil {
 		return err
 	}
-	ino, err := k.FS.LookupClean(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+	creds := t.credsRef()
+	_, ino, err := k.lookupPath(t, creds, path)
 	if err != nil {
 		return err
 	}
-	return vfs.CheckAccess(t.credsRef(), ino, want)
+	return vfs.CheckAccess(creds, ino, want)
 }
 
 // ReadFile is the open+read+close convenience used by the utilities. All
@@ -242,9 +259,8 @@ func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
-	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.LookupClean(creds, clean)
+	clean, ino, err := k.lookupPath(t, creds, path)
 	if err != nil {
 		return nil, err
 	}
@@ -273,10 +289,12 @@ func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.LookupClean(creds, clean)
+	clean, ino, err := k.lookupPath(t, creds, path)
 	if errno.Is(err, errno.ENOENT) {
+		if vfs.NamesDir(path) {
+			return errno.EISDIR
+		}
 		return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)
 	}
 	if err != nil {
@@ -300,9 +318,8 @@ func (k *Kernel) AppendFile(t *Task, path string, data []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	clean := vfs.CleanPath(path, t.Cwd())
 	creds := t.credsRef()
-	ino, err := k.FS.LookupClean(creds, clean)
+	clean, ino, err := k.lookupPath(t, creds, path)
 	if err != nil {
 		return err
 	}
@@ -335,14 +352,22 @@ func (k *Kernel) Unlink(t *Task, path string) (err error) {
 	return k.FS.Remove(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
 }
 
-// Rename moves a file.
+// Rename moves a file. As in rename(2), a name that ends in "/" or "/."
+// on either side requires the source to be a directory.
 func (k *Kernel) Rename(t *Task, oldPath, newPath string) (err error) {
 	tok, err := k.enter(t, SysRename)
 	defer func() { k.Trace.SyscallExit(tok, err) }()
 	if err != nil {
 		return err
 	}
-	return k.FS.Rename(t.credsRef(), vfs.CleanPath(oldPath, t.Cwd()), vfs.CleanPath(newPath, t.Cwd()))
+	creds := t.credsRef()
+	oldClean := vfs.CleanPath(oldPath, t.Cwd())
+	if vfs.NamesDir(oldPath) || vfs.NamesDir(newPath) {
+		if ino, err := k.FS.LookupNoFollow(creds, oldClean); err == nil && !ino.Mode.IsDir() {
+			return errno.ENOTDIR
+		}
+	}
+	return k.FS.Rename(creds, oldClean, vfs.CleanPath(newPath, t.Cwd()))
 }
 
 // Chmod changes permission bits.

@@ -161,7 +161,7 @@ func (d *Daemon) syncMounts() error {
 	if err != nil {
 		return err
 	}
-	entries, err := policy.ParseFstab(string(data))
+	entries, err := policy.MemoFstab(d.k.FS.Memo(), data)
 	if err != nil {
 		return fmt.Errorf("monitord: fstab: %w", err)
 	}
@@ -210,7 +210,7 @@ func (d *Daemon) syncBind() error {
 	if err != nil {
 		return err
 	}
-	entries, err := policy.ParseBind(string(data))
+	entries, err := policy.MemoBind(d.k.FS.Memo(), data)
 	if err != nil {
 		return fmt.Errorf("monitord: bind: %w", err)
 	}

@@ -97,13 +97,14 @@ func MountMain(k *kernel.Kernel, t *kernel.Task) int {
 }
 
 // resolveFstab finds the fstab entry matching the positional arguments
-// (by device or by mount point).
+// (by device or by mount point). The entry is the memo's shared parse:
+// callers only read it.
 func resolveFstab(k *kernel.Kernel, t *kernel.Task, positional []string) *policy.FstabEntry {
 	data, err := k.ReadFile(t, "/etc/fstab")
 	if err != nil {
 		return nil
 	}
-	entries, err := policy.ParseFstab(string(data))
+	entries, err := policy.MemoFstab(k.FS.Memo(), data)
 	if err != nil {
 		return nil
 	}

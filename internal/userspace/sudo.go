@@ -2,7 +2,6 @@ package userspace
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"protego/internal/accountdb"
@@ -20,25 +19,23 @@ const BinSudoeditHelper = "/usr/lib/sudoedit-helper"
 const sudoTimestampDir = "/var/run/sudo"
 
 // readSudoers loads and parses /etc/sudoers plus /etc/sudoers.d/* with the
-// task's credentials (euid 0 on the baseline).
+// task's credentials (euid 0 on the baseline). The policy is the memo's
+// shared parse of the concatenation.
 func readSudoers(k *kernel.Kernel, t *kernel.Task) (*policy.Sudoers, error) {
-	var b strings.Builder
 	data, err := k.ReadFile(t, "/etc/sudoers")
 	if err != nil {
 		return nil, err
 	}
-	b.Write(data)
-	b.WriteByte('\n')
+	data = append(data, '\n')
 	if names, err := k.ReadDir(t, "/etc/sudoers.d"); err == nil {
 		for _, name := range names {
 			frag, err := k.ReadFile(t, "/etc/sudoers.d/"+name)
 			if err == nil {
-				b.Write(frag)
-				b.WriteByte('\n')
+				data = append(append(data, frag...), '\n')
 			}
 		}
 	}
-	return policy.ParseSudoers(b.String())
+	return policy.MemoSudoers(k.FS.Memo(), data)
 }
 
 // baselineAuthenticate implements the setuid sudo's own password check:

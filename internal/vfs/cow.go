@@ -54,7 +54,8 @@ func sealTree(ino *Inode) {
 // dcache, no watches, no fault injector, and private copies of the mount
 // table and the saved mount-point directories; inodes stay shared until
 // either side writes, at which point the writer copies the affected path
-// up into private inodes.
+// up into private inodes. Its parse memo reads this one's entries in place
+// and keeps its own apart.
 func (fs *FS) Clone() *FS {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -62,6 +63,7 @@ func (fs *FS) Clone() *FS {
 		root:      fs.root,
 		nextIno:   fs.nextIno,
 		mountSave: make(map[string][]savedDir, len(fs.mountSave)),
+		memo:      Memo{image: &fs.memo},
 	}
 	c.cow.Store(true)
 	c.dcache.init()

@@ -39,6 +39,10 @@ type FS struct {
 	// cowBreaks counts privatized inodes; cowWriteLocked uses it to
 	// detect whether a copy-up happened (guarded by fs.mu).
 	cowBreaks uint64
+
+	// memo keeps the parses of the policy files this FS holds (see
+	// memo.go); a clone falls back to its image's.
+	memo Memo
 }
 
 type savedDir struct {

@@ -24,6 +24,14 @@ func CleanPath(p, cwd string) string {
 	return path.Clean(p)
 }
 
+// NamesDir reports whether p ends in "/" or "/.", so that on Linux it
+// must name a directory. CleanPath drops both suffixes; syscalls check the
+// path they were given.
+func NamesDir(p string) bool {
+	n := len(p)
+	return n > 0 && p[n-1] == '/' || n > 1 && p[n-2:] == "/."
+}
+
 // isClean reports whether p is absolute with no empty, "." or ".."
 // component and no trailing slash (except the root itself): it looks at
 // what follows each slash.
