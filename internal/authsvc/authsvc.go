@@ -238,7 +238,9 @@ func (s *Service) AuthenticateGroup(t lsm.Task, group string) (err error) {
 }
 
 // EnsureRecent authenticates the task's own user unless already recent.
-// This is the entry point the Protego LSM calls on setuid (§4.3).
+// This is the entry point the Protego LSM calls when a delegated
+// transition completes: at exec for a user target, at setgid for a
+// "%group" target (§4.3).
 func (s *Service) EnsureRecent(t lsm.Task, ownUser string) error {
 	if s.RecentlyAuthenticated(t) {
 		s.observe(mechRecency, ownUser, t, true)

@@ -45,6 +45,45 @@ func TestSetgidSudoersGroupDelegation(t *testing.T) {
 	}
 }
 
+// TestSetgidDelegationNeedsAnAllRule: a group switch admits every command,
+// so only a rule that permits every command delegates it, and that rule's
+// NOPASSWD decides. With the usual layout, a password ALL row and a
+// NOPASSWD row for one command, alice must give her password to switch to
+// the shadow group whichever row comes last; the one-command row alone
+// delegates no group switch.
+func TestSetgidDelegationNeedsAnAllRule(t *testing.T) {
+	const all = "alice ALL = (ALL) ALL\n"
+	const ls = "alice ALL = (ALL) NOPASSWD: /bin/ls\n"
+	for _, c := range []struct {
+		name, rules, answer string
+		prompts             int
+		granted             bool
+	}{
+		{"ALL then NOPASSWD, wrong password", all + ls, "wrong", 1, false},
+		{"ALL then NOPASSWD, her password", all + ls, world.AlicePassword, 1, true},
+		{"NOPASSWD then ALL, wrong password", ls + all, "wrong", 1, false},
+		{"NOPASSWD then ALL, her password", ls + all, world.AlicePassword, 1, true},
+		{"NOPASSWD row alone", ls, world.AlicePassword, 0, false},
+		{"NOPASSWD ALL row", "alice ALL = (ALL) NOPASSWD: ALL\n", "wrong", 0, true},
+	} {
+		m := protegoMachine(t)
+		if err := procWrite(t, m, core.ProcDelegation, c.rules); err != nil {
+			t.Fatal(err)
+		}
+		alice := session(t, m, "alice")
+		prompts := 0
+		alice.Asker = func(string) string { prompts++; return c.answer }
+		err := m.K.Setgid(alice, world.GIDShadow)
+		if granted := err == nil && alice.EGID() == world.GIDShadow; granted != c.granted || prompts != c.prompts {
+			t.Errorf("%s: err=%v egid=%d prompts=%d, want granted=%v prompts=%d",
+				c.name, err, alice.EGID(), prompts, c.granted, c.prompts)
+		}
+		if !c.granted && err != errno.EPERM {
+			t.Errorf("%s: err=%v, want EPERM", c.name, err)
+		}
+	}
+}
+
 func TestSetgidUnknownGroupNoOpinion(t *testing.T) {
 	m := protegoMachine(t)
 	bob := session(t, m, "bob")

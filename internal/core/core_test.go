@@ -341,6 +341,34 @@ func TestEnvSanitizedAcrossDeferredTransition(t *testing.T) {
 	}
 }
 
+// TestDeferredExecRefusals: a deferred transition whose exec is refused
+// says why. A binary no rule permits fails with EPERM; a permitted binary
+// whose caller fails to authenticate fails with the authentication
+// service's EACCES. Both answers to the su fallback's prompt are wrong.
+func TestDeferredExecRefusals(t *testing.T) {
+	for _, c := range []struct {
+		user, cmd string
+		want      error
+	}{
+		{"charlie", userspace.BinID, errno.EPERM}, // %wheel: /bin/ls only
+		{"alice", userspace.BinID, errno.EACCES},  // her password rule
+		{"bob", userspace.BinSudoeditHelper, errno.EACCES},
+	} {
+		m := protegoMachine(t)
+		task := session(t, m, c.user)
+		task.Asker = world.AnswerWith("wrong")
+		if err := m.K.Setuid(task, 0); err != nil {
+			t.Fatalf("%s: deferred setuid: %v", c.user, err)
+		}
+		if _, err := m.K.Exec(task, c.cmd, []string{c.cmd}, nil); err != c.want {
+			t.Errorf("%s exec %s: %v, want %v", c.user, c.cmd, err, c.want)
+		}
+		if task.EUID() == 0 {
+			t.Errorf("%s: root after a refused exec", c.user)
+		}
+	}
+}
+
 func copyEnv(in map[string]string) map[string]string {
 	out := make(map[string]string, len(in))
 	for k, v := range in {
@@ -358,28 +386,39 @@ func TestRecencyExpiryForcesReauth(t *testing.T) {
 	alice := session(t, m, "alice")
 	prompts := 0
 	alice.Asker = func(string) string { prompts++; return world.AlicePassword }
-	if err := m.K.Setuid(alice, 0); err != nil {
-		t.Fatal(err)
+	// Each step is sudo's setuid then exec of a command that only alice's
+	// password rule permits, so the exec is where she authenticates.
+	delegate := func(task *kernel.Task) {
+		t.Helper()
+		if err := m.K.Setuid(task, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.K.Exec(task, userspace.BinID, []string{userspace.BinID}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if task.EUID() != 0 {
+			t.Fatalf("euid after exec = %d", task.EUID())
+		}
 	}
+	// forkAlice starts a fresh alice task from the session, which is
+	// root after its exec and keeps its authentication stamp.
+	forkAlice := func() *kernel.Task {
+		child := m.K.Fork(alice)
+		child.SetUserCreds(kernel.UserCreds(world.UIDAlice, world.GIDUsers, world.GIDWheel, world.GIDOps))
+		return child
+	}
+	delegate(alice)
 	if prompts != 1 {
 		t.Fatalf("prompts = %d", prompts)
 	}
 	// Do it again within the window from a fresh fork: stamp inherited.
-	fresh := m.K.Fork(alice)
-	fresh.SetUserCreds(kernel.UserCreds(world.UIDAlice, world.GIDUsers, world.GIDWheel, world.GIDOps))
-	if err := m.K.Setuid(fresh, 0); err != nil {
-		t.Fatal(err)
-	}
+	delegate(forkAlice())
 	if prompts != 1 {
 		t.Fatalf("re-prompted within window: %d", prompts)
 	}
 	// After the window, authentication is demanded again.
 	now = now.Add(6 * time.Minute)
-	again := m.K.Fork(alice)
-	again.SetUserCreds(kernel.UserCreds(world.UIDAlice, world.GIDUsers, world.GIDWheel, world.GIDOps))
-	if err := m.K.Setuid(again, 0); err != nil {
-		t.Fatal(err)
-	}
+	delegate(forkAlice())
 	if prompts != 2 {
 		t.Fatalf("expiry ignored: prompts = %d", prompts)
 	}
@@ -389,8 +428,8 @@ func TestRecencyExpiryForcesReauth(t *testing.T) {
 
 func TestIdentityCacheInvalidation(t *testing.T) {
 	m := protegoMachine(t)
-	if groups, ok := m.Protego.ResolveGroups(world.UIDAlice); !ok || len(groups) != 2 {
-		t.Fatalf("alice groups: %v %v", groups, ok)
+	if gid, groups, ok := m.Protego.ResolveGroups(world.UIDAlice); !ok || gid != world.GIDUsers || len(groups) != 2 {
+		t.Fatalf("alice groups: %d %v %v", gid, groups, ok)
 	}
 	// Add dave behind the cache's back.
 	data, _ := m.K.FS.ReadFile(vfs.RootCred, "/etc/passwd")
@@ -398,11 +437,11 @@ func TestIdentityCacheInvalidation(t *testing.T) {
 	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/passwd", []byte(updated), 0o644, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Protego.ResolveGroups(1003); ok {
+	if _, _, ok := m.Protego.ResolveGroups(1003); ok {
 		t.Fatal("stale cache resolved unknown uid")
 	}
 	m.Protego.InvalidateIdentity()
-	if _, ok := m.Protego.ResolveGroups(1003); !ok {
+	if _, _, ok := m.Protego.ResolveGroups(1003); !ok {
 		t.Fatal("invalidation did not refresh")
 	}
 }

@@ -42,15 +42,15 @@ func PendingSetuid(t lsm.Task) (int, bool) {
 // hook only when base policy already refused (no CAP_SETUID, target not in
 // {ruid, suid}). The decision procedure follows the paper:
 //
-//  1. Look up a delegation rule permitting (user → target) in the
-//     synchronized sudoers policy. No rule → no opinion (base EPERM).
-//  2. Unless the rule says NOPASSWD, require a recent authentication of
-//     the *current* user, invoking the trusted authentication service to
-//     take over the terminal if needed.
-//  3. If the rule permits any command (ALL), grant the change immediately:
-//     every check has succeeded, so privilege may now be conferred.
-//  4. If the rule restricts commands, report success but defer the change
-//     to exec (setuid-on-exec), where the requested binary is validated.
+//  1. If a delegation rule in the synchronized sudoers policy names
+//     (user → target), report success but defer the change to exec
+//     (setuid-on-exec). ExecCheck looks up the requested binary and
+//     authenticates the caller there, so one rule decides both.
+//  2. With no rule, the su policy applies: knowing the *target* user's
+//     password is both authentication and authorization. The trusted
+//     service collects it and the change happens now, where the kernel
+//     applies the target's uid, gid and groups as an exec-time grant
+//     does (ResolveGroups); failure falls through to base policy (EPERM).
 func (m *Module) SetuidCheck(t lsm.Task, targetUID int) (lsm.Decision, error) {
 	sudoers := m.Sudoers()
 	if sudoers == nil {
@@ -61,44 +61,25 @@ func (m *Module) SetuidCheck(t lsm.Task, targetUID int) (lsm.Decision, error) {
 	if user == "" || target == "" {
 		return lsm.NoOpinion, nil
 	}
-	grant, ok := sudoers.LookupTransition(user, m.userGroups(user), target)
-	if !ok {
-		// The su policy (§4.3): with no delegation rule, knowing the
-		// *target* user's password is both authentication and
-		// authorization. The trusted service collects it; failure
-		// falls through to base policy (EPERM).
-		if err := m.auth.AuthenticateUser(t, target, false); err == nil {
-			m.bumpStat(&m.Stats.SetuidGrants)
-			return lsm.Grant, nil
-		}
-		m.bumpStat(&m.Stats.SetuidDenials)
-		return lsm.NoOpinion, nil
+	if sudoers.LookupTransition(user, m.userGroups(user), target) {
+		t.SetSecurityBlob(blobPendingSetuid, pendingSetuid{TargetUID: targetUID})
+		m.bumpStat(&m.Stats.SetuidDefers)
+		return lsm.DeferToExec, nil
 	}
-	if !grant.NoPasswd {
-		if err := m.auth.EnsureRecent(t, user); err != nil {
-			// The caller may be running su, not sudo: knowing the
-			// *target's* password authorizes the transition (§4.3).
-			if m.auth.AuthenticateUser(t, target, false) == nil {
-				m.bumpStat(&m.Stats.SetuidGrants)
-				return lsm.Grant, nil
-			}
-			m.k.Auditf("protego: setuid auth failed: uid=%d target=%d", t.UID(), targetUID)
-			m.bumpStat(&m.Stats.SetuidDenials)
-			return lsm.Deny, errno.EPERM
-		}
-	}
-	if grant.AnyCommand {
+	if err := m.auth.AuthenticateUser(t, target, false); err == nil {
 		m.bumpStat(&m.Stats.SetuidGrants)
 		return lsm.Grant, nil
 	}
-	t.SetSecurityBlob(blobPendingSetuid, pendingSetuid{TargetUID: targetUID})
-	m.bumpStat(&m.Stats.SetuidDefers)
-	return lsm.DeferToExec, nil
+	m.bumpStat(&m.Stats.SetuidDenials)
+	return lsm.NoOpinion, nil
 }
 
 // SetgidCheck mediates group transitions. Two policies grant beyond base:
 // password-protected groups (the newgrp flow — authenticate with the
 // group's password), and explicit sudoers delegation to "%group" targets.
+// A group switch takes effect at once and lets the task run any command
+// with the group, so only a rule that permits every command delegates it,
+// and that rule's NOPASSWD decides whether the caller authenticates.
 func (m *Module) SetgidCheck(t lsm.Task, targetGID int) (lsm.Decision, error) {
 	group, err := m.db.LookupGID(targetGID)
 	if err != nil {
@@ -119,7 +100,7 @@ func (m *Module) SetgidCheck(t lsm.Task, targetGID int) (lsm.Decision, error) {
 	if user == "" {
 		return lsm.NoOpinion, nil
 	}
-	grant, ok := sudoers.LookupTransition(user, m.userGroups(user), "%"+group.Name)
+	grant, ok := sudoers.LookupCommand(user, m.userGroups(user), "%"+group.Name, "ALL")
 	if !ok {
 		return lsm.NoOpinion, nil
 	}
@@ -131,11 +112,19 @@ func (m *Module) SetgidCheck(t lsm.Task, targetGID int) (lsm.Decision, error) {
 	return lsm.Grant, nil
 }
 
-// ExecCheck completes a deferred setuid-on-exec: the requested binary must
-// be permitted for the pending (user → target) pair, or the exec fails
-// with EPERM (the paper's deliberate change in error behaviour). On
-// success the environment is sanitized per the sudoers env_keep policy and
-// the kernel applies the credential change.
+// ExecCheck completes a deferred setuid-on-exec. The sudoers rule that
+// permits (user → target, binary) decides: unless it says NOPASSWD, the
+// caller must have authenticated recently, and the trusted service takes
+// over the terminal if not. With no such rule, or when that
+// authentication fails, "the authentication service may also ask for the
+// target user's password at this point" (§4.3): the su flow, where
+// knowing the target's password authorizes the exec. Otherwise the exec
+// fails: with EPERM when no rule permits the binary (the paper's
+// deliberate change in error behaviour), with the authentication
+// service's EACCES when the caller failed to authenticate, so sudo can
+// tell the two apart as the setuid sudo does. On success the environment
+// is sanitized per the sudoers env_keep policy and the kernel applies the
+// credential change.
 func (m *Module) ExecCheck(t lsm.Task, req *lsm.ExecRequest) (*lsm.CredUpdate, error) {
 	v := t.SecurityBlob(blobPendingSetuid)
 	if v == nil {
@@ -155,31 +144,28 @@ func (m *Module) ExecCheck(t lsm.Task, req *lsm.ExecRequest) (*lsm.CredUpdate, e
 	if user == "" || target == "" {
 		return nil, errno.EPERM
 	}
-	grant, allowed := sudoers.LookupCommand(user, m.userGroups(user), target, req.Path)
-	if !allowed {
-		// "The authentication service may also ask for the target
-		// user's password at this point" (§4.3): the su flow, where
-		// knowing the target's password authorizes the exec.
-		if m.auth.AuthenticateUser(t, target, false) == nil {
-			grant = policy.Grant{}
-		} else {
+	grant, ok := sudoers.LookupCommand(user, m.userGroups(user), target, req.Path)
+	var err error = errno.EPERM // no rule permits the binary
+	if ok {
+		err = nil
+		if !grant.NoPasswd {
+			err = m.auth.EnsureRecent(t, user)
+		}
+	}
+	if err != nil {
+		if m.auth.AuthenticateUser(t, target, false) != nil {
 			m.k.Auditf("protego: setuid-on-exec denied: %s -> %s exec %s", user, target, req.Path)
 			m.bumpStat(&m.Stats.SetuidDenials)
-			return nil, errno.EPERM
+			return nil, err
 		}
+		grant = policy.Grant{}
 	}
 	req.Env = sudoers.SanitizeEnv(req.Env, grant)
 	uid := pending.TargetUID
 	update := &lsm.CredUpdate{UID: &uid, DropGroups: true}
-	if tu, err := m.db.LookupUser(target); err == nil {
-		g := tu.GID
-		update.GID = &g
-		if groups, err := m.db.GroupIDsOf(target); err == nil {
-			update.Groups = groups
-			if update.Groups == nil {
-				update.Groups = []int{}
-			}
-		}
+	if gid, groups, ok := m.ResolveGroups(uid); ok {
+		update.GID = &gid
+		update.Groups = groups
 	}
 	m.bumpStat(&m.Stats.SetuidGrants)
 	return update, nil

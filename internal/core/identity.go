@@ -68,19 +68,24 @@ func (m *Module) userName(uid int) string {
 	return c.uidName[uid]
 }
 
-// ResolveGroups implements lsm.GroupResolver: the supplementary group ids
-// of a uid, consulted by the kernel when it applies a granted credential
-// transition.
-func (m *Module) ResolveGroups(uid int) ([]int, bool) {
+// ResolveGroups implements lsm.GroupResolver: the primary gid and the
+// supplementary group ids of a uid. The kernel applies them when it grants
+// a transition at setuid (the su policy), and ExecCheck when it completes
+// a deferred one, so both grants leave the task with the target's groups.
+func (m *Module) ResolveGroups(uid int) (int, []int, bool) {
 	name := m.userName(uid)
 	if name == "" {
-		return nil, false
+		return 0, nil, false
+	}
+	u, err := m.db.LookupUser(name)
+	if err != nil {
+		return 0, nil, false
 	}
 	groups, err := m.db.GroupIDsOf(name)
 	if err != nil {
-		return nil, false
+		return 0, nil, false
 	}
-	return groups, true
+	return u.GID, groups, true
 }
 
 // userGroups returns the group names of a username.

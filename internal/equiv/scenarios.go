@@ -81,6 +81,11 @@ var Scenarios = map[string][]Scenario{
 			Argv:    []string{userspace.BinSudo, "-u", "alice", userspace.BinLpr, "/tmp/doc.txt"},
 			Answers: map[string]string{"": world.BobPassword},
 			Effect:  queueEffect},
+		// A later sudoers.d row for the same (user, target) decides the
+		// command it names: sudoers(5)'s last match, with no password.
+		{Name: "later nopasswd row decides its command", User: "bob",
+			Setup: addSudoersFragment("/etc/sudoers.d/zz", "bob ALL = (alice) NOPASSWD: /bin/ls\n"),
+			Argv:  []string{userspace.BinSudo, "-u", "alice", userspace.BinLs, "/tmp"}},
 		{Name: "usage", User: "alice", Argv: []string{userspace.BinSudo}},
 	},
 	"sudoedit": {
@@ -102,6 +107,11 @@ var Scenarios = map[string][]Scenario{
 			Argv:    []string{userspace.BinSu, "root", "-c", "/usr/bin/id"},
 			Answers: map[string]string{"": "nope"}},
 		{Name: "lateral move with target password", User: "bob",
+			Argv:    []string{userspace.BinSu, "alice", "-c", "/usr/bin/id"},
+			Answers: map[string]string{"": world.AlicePassword}},
+		// charlie has no sudoers rule to alice, so su's grant happens
+		// at setuid time on the target's password.
+		{Name: "lateral move without a delegation rule", User: "charlie",
 			Argv:    []string{userspace.BinSu, "alice", "-c", "/usr/bin/id"},
 			Answers: map[string]string{"": world.AlicePassword}},
 		{Name: "unknown target user", User: "bob",
@@ -323,6 +333,20 @@ func mountAs(user, device, point string) func(m *world.Machine) error {
 		}
 		_, _, _, err = m.Run(sess, []string{userspace.BinMount, device, point}, nil)
 		return err
+	}
+}
+
+// addSudoersFragment writes a sudoers.d file; on Protego the monitoring
+// daemon then pushes the delegation policy to the kernel.
+func addSudoersFragment(path, content string) func(m *world.Machine) error {
+	return func(m *world.Machine) error {
+		if err := m.K.FS.WriteFile(vfs.RootCred, path, []byte(content), 0o440, 0, 0); err != nil {
+			return err
+		}
+		if m.Monitor != nil {
+			return m.Monitor.SyncDelegation()
+		}
+		return nil
 	}
 }
 

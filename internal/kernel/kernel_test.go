@@ -192,6 +192,10 @@ type fakeLSM struct {
 	setuidDec  lsm.Decision
 	execUpdate *lsm.CredUpdate
 	execErr    error
+	// gid and groups, when groups is non-nil, are what ResolveGroups
+	// reports for any uid.
+	gid    int
+	groups []int
 }
 
 func (f *fakeLSM) Name() string { return "fake" }
@@ -200,6 +204,9 @@ func (f *fakeLSM) SetuidCheck(lsm.Task, int) (lsm.Decision, error) {
 }
 func (f *fakeLSM) ExecCheck(t lsm.Task, req *lsm.ExecRequest) (*lsm.CredUpdate, error) {
 	return f.execUpdate, f.execErr
+}
+func (f *fakeLSM) ResolveGroups(int) (int, []int, bool) {
+	return f.gid, f.groups, f.groups != nil
 }
 
 func TestSetuidLSMGrant(t *testing.T) {
@@ -211,6 +218,22 @@ func TestSetuidLSMGrant(t *testing.T) {
 	}
 	c := task.Creds()
 	if c.RUID != 1001 || c.EUID != 1001 {
+		t.Fatalf("creds: %+v", c)
+	}
+}
+
+// TestSetuidLSMGrantSetsTargetGroups: a granted transition leaves the
+// task with the target's gid and groups, not the caller's, because the
+// task holds no privilege to set them afterwards.
+func TestSetuidLSMGrantSetsTargetGroups(t *testing.T) {
+	k := testKernel(t)
+	k.LSM.Register(&fakeLSM{setuidDec: lsm.Grant, gid: 300, groups: []int{300, 301}})
+	task := userTask(k, 1000, 100)
+	if err := k.Setuid(task, 1001); err != nil {
+		t.Fatal(err)
+	}
+	c := task.Creds()
+	if c.RGID != 300 || c.EGID != 300 || c.SGID != 300 || len(c.Groups) != 2 || c.Groups[1] != 301 {
 		t.Fatalf("creds: %+v", c)
 	}
 }
@@ -591,6 +614,40 @@ func TestTrailingSlashNamesDir(t *testing.T) {
 					if k.FS.Exists(vfs.RootCred, path) != exists {
 						t.Fatalf("%s exists = %v after the call", path, !exists)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestUnlinkDirectory: unlink(2) on Linux refuses a directory with EISDIR,
+// whether it is empty or not, and leaves it in place.
+func TestUnlinkDirectory(t *testing.T) {
+	cases := []struct {
+		name    string
+		entries []string
+	}{
+		{"empty directory", nil},
+		{"non-empty directory", []string{"/tmp/dir/x"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := testKernel(t)
+			task := userTask(k, 1000, 100)
+			if err := k.Mkdir(task, "/tmp/dir", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range c.entries {
+				if err := k.WriteFile(task, path, []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := k.Unlink(task, "/tmp/dir"); err != errno.EISDIR {
+				t.Fatalf("got %v, want EISDIR", err)
+			}
+			for _, path := range append([]string{"/tmp/dir"}, c.entries...) {
+				if !k.FS.Exists(vfs.RootCred, path) {
+					t.Fatalf("%s gone after the refused unlink", path)
 				}
 			}
 		})

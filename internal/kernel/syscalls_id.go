@@ -88,13 +88,16 @@ func (k *Kernel) Setuid(t *Task, uid int) (err error) {
 	switch dec {
 	case lsm.Grant:
 		// Restrict inheritance through granted transitions (§4.3):
-		// the caller's supplementary groups do not carry over; the
-		// kernel establishes the target's groups (the deprivileged
-		// task could not do so itself afterwards).
-		groups, _ := k.LSM.ResolveGroups(uid)
+		// the caller's gid and supplementary groups do not carry
+		// over; the kernel establishes the target's (the task could
+		// not do so itself unless the target is root).
+		gid, groups, ok := k.LSM.ResolveGroups(uid)
 		t.mu.Lock()
 		t.creds = creds.Clone()
 		t.creds.setAllUIDs(uid)
+		if ok {
+			t.creds.setAllGIDs(gid)
+		}
 		t.creds.Groups = append([]int(nil), groups...)
 		t.creds.recomputeCaps()
 		t.mu.Unlock()

@@ -195,12 +195,12 @@ type OpenRequest struct {
 	DACAllowed bool
 }
 
-// GroupResolver is an optional module capability: resolving the
-// supplementary groups of a uid, so the kernel can establish the target's
-// groups when it performs a granted credential transition (the task itself
-// is unprivileged afterwards and could not).
+// GroupResolver is an optional module capability: resolving the primary
+// gid and the supplementary groups of a uid, so the kernel can establish
+// the target's groups when it performs a granted credential transition
+// (the task itself is unprivileged afterwards and could not).
 type GroupResolver interface {
-	ResolveGroups(uid int) ([]int, bool)
+	ResolveGroups(uid int) (gid int, groups []int, ok bool)
 }
 
 // Module is the full set of mediation hooks. Embed Base to get
@@ -565,15 +565,15 @@ func (c *Chain) TaskSyscall(t Task, sysno int, name string) (Decision, error) {
 }
 
 // ResolveGroups queries the first module implementing GroupResolver.
-func (c *Chain) ResolveGroups(uid int) ([]int, bool) {
+func (c *Chain) ResolveGroups(uid int) (int, []int, bool) {
 	for _, l := range c.links {
 		if r, ok := l.m.(GroupResolver); ok {
-			if groups, ok := r.ResolveGroups(uid); ok {
-				return groups, true
+			if gid, groups, ok := r.ResolveGroups(uid); ok {
+				return gid, groups, true
 			}
 		}
 	}
-	return nil, false
+	return 0, nil, false
 }
 
 var _ Module = (*Chain)(nil)

@@ -16,6 +16,7 @@ type scriptedModule struct {
 	mount    Decision
 	mountErr error
 	setuid   Decision
+	gid      int
 	groups   []int
 	update   *CredUpdate
 	execErr  error
@@ -33,11 +34,11 @@ func (m *scriptedModule) SetuidCheck(Task, int) (Decision, error) { return m.set
 func (m *scriptedModule) ExecCheck(Task, *ExecRequest) (*CredUpdate, error) {
 	return m.update, m.execErr
 }
-func (m *scriptedModule) ResolveGroups(int) ([]int, bool) {
+func (m *scriptedModule) ResolveGroups(int) (int, []int, bool) {
 	if m.groups == nil {
-		return nil, false
+		return 0, nil, false
 	}
-	return m.groups, true
+	return m.gid, m.groups, true
 }
 
 // nullTask satisfies Task for chain tests.
@@ -141,15 +142,15 @@ func TestChainExecVeto(t *testing.T) {
 
 func TestChainResolveGroups(t *testing.T) {
 	c := NewChain(
-		&scriptedModule{name: "a"},                      // no resolver data
-		&scriptedModule{name: "b", groups: []int{7, 9}}, // resolves
+		&scriptedModule{name: "a"},                              // no resolver data
+		&scriptedModule{name: "b", gid: 7, groups: []int{7, 9}}, // resolves
 	)
-	groups, ok := c.ResolveGroups(1000)
-	if !ok || len(groups) != 2 {
-		t.Fatalf("groups: %v %v", groups, ok)
+	gid, groups, ok := c.ResolveGroups(1000)
+	if !ok || gid != 7 || len(groups) != 2 {
+		t.Fatalf("groups: %d %v %v", gid, groups, ok)
 	}
 	empty := NewChain(&scriptedModule{name: "a"})
-	if _, ok := empty.ResolveGroups(1000); ok {
+	if _, _, ok := empty.ResolveGroups(1000); ok {
 		t.Fatal("resolved from nothing")
 	}
 }

@@ -92,7 +92,7 @@ func TestSyncDelegationIncludesSudoersD(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Protego.Sudoers()
-	if _, ok := s.LookupTransition("charlie", nil, "bob"); !ok {
+	if !s.LookupTransition("charlie", nil, "bob") {
 		t.Fatal("sudoers.d fragment not merged")
 	}
 }

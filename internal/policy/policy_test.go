@@ -144,35 +144,71 @@ func TestSudoersLookupTransition(t *testing.T) {
 		groups []string
 		target string
 		want   bool
-		noPw   bool
-		anyCmd bool
 	}{
-		{"root", nil, "anyone", true, false, true},
-		{"alice", nil, "root", true, false, true}, // via ADMINS alias
-		{"dave", nil, "root", true, false, true},  // via ADMINS alias
-		{"zed", []string{"wheel"}, "root", true, true, false},
-		{"bob", nil, "alice", true, false, false},
-		{"bob", nil, "root", false, false, false},
-		{"carol", nil, "backup", true, true, false}, // via Runas_Alias
-		{"carol", nil, "archive", true, true, false},
-		{"carol", nil, "root", false, false, false},
-		{"mallory", nil, "root", false, false, false},
+		{"root", nil, "anyone", true},
+		{"alice", nil, "root", true}, // via ADMINS alias
+		{"dave", nil, "root", true},  // via ADMINS alias
+		{"zed", []string{"wheel"}, "root", true},
+		{"bob", nil, "alice", true},
+		{"bob", nil, "root", false},
+		{"carol", nil, "backup", true}, // via Runas_Alias
+		{"carol", nil, "archive", true},
+		{"carol", nil, "root", false},
+		{"mallory", nil, "root", false},
 	}
 	for _, c := range cases {
-		g, ok := s.LookupTransition(c.user, c.groups, c.target)
-		if ok != c.want {
+		if ok := s.LookupTransition(c.user, c.groups, c.target); ok != c.want {
 			t.Errorf("%s->%s: ok=%v want %v", c.user, c.target, ok, c.want)
-			continue
 		}
-		if !ok {
-			continue
+	}
+}
+
+// TestSudoersLastMatchWins checks sudoers(5)'s rule that the last matching
+// row decides, with the same two rows in either order. alice is in wheel,
+// so both rows delegate her to root; only the ALL row covers /usr/bin/id
+// and "ALL", the command Protego's setgid hook asks about because a group
+// switch admits every command.
+func TestSudoersLastMatchWins(t *testing.T) {
+	const all = "alice ALL = (ALL) ALL\n"
+	const ls = "%wheel ALL = (ALL) NOPASSWD: /bin/ls\n"
+	groups := []string{"wheel"}
+	cases := []struct {
+		order, cmd string
+		noPw       bool
+	}{
+		{"ALL then NOPASSWD", "/bin/ls", true},
+		{"ALL then NOPASSWD", "/usr/bin/id", false},
+		{"ALL then NOPASSWD", "ALL", false},
+		{"NOPASSWD then ALL", "/bin/ls", false},
+		{"NOPASSWD then ALL", "/usr/bin/id", false},
+		{"NOPASSWD then ALL", "ALL", false},
+	}
+	files := map[string]string{"ALL then NOPASSWD": all + ls, "NOPASSWD then ALL": ls + all}
+	for _, c := range cases {
+		s, err := ParseSudoers(files[c.order])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.NoPasswd != c.noPw {
-			t.Errorf("%s->%s: NoPasswd=%v want %v", c.user, c.target, g.NoPasswd, c.noPw)
+		for _, target := range []string{"root", "%shadow"} {
+			g, ok := s.LookupCommand("alice", groups, target, c.cmd)
+			if !ok || g.NoPasswd != c.noPw {
+				t.Errorf("%s, %s %q: ok=%v NoPasswd=%v, want NoPasswd=%v", c.order, target, c.cmd, ok, g.NoPasswd, c.noPw)
+			}
 		}
-		if g.AnyCommand != c.anyCmd {
-			t.Errorf("%s->%s: AnyCommand=%v want %v", c.user, c.target, g.AnyCommand, c.anyCmd)
+	}
+	// An empty command is no command: the NOPASSWD row alone delegates
+	// the transition but permits neither "" nor every command.
+	s, err := ParseSudoers(ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range []string{"", "ALL"} {
+		if _, ok := s.LookupCommand("alice", groups, "root", cmd); ok {
+			t.Errorf("/bin/ls row matched command %q", cmd)
 		}
+	}
+	if !s.LookupTransition("alice", groups, "root") {
+		t.Error("/bin/ls row does not delegate alice to root")
 	}
 }
 
@@ -295,7 +331,7 @@ CYC_X ALL = (root) ALL
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.LookupTransition("alice", nil, "root"); ok {
+	if s2.LookupTransition("alice", nil, "root") {
 		t.Fatal("empty user-alias cycle granted a transition")
 	}
 }
@@ -332,9 +368,9 @@ func TestSudoersAliasLookupSemantics(t *testing.T) {
 	if _, ok := s.LookupCommand("bob", nil, "alice", "/usr/bin/vi"); ok {
 		t.Fatal("bob vi should be denied (outside /usr/sbin/)")
 	}
-	// ALL command grants any command and reports AnyCommand.
-	if g, ok := s.LookupTransition("carol", nil, "root"); !ok || !g.AnyCommand {
-		t.Fatalf("carol transition: %+v %v", g, ok)
+	// ALL command grants any command.
+	if _, ok := s.LookupCommand("carol", nil, "root", "/any/command"); !ok {
+		t.Fatal("carol's ALL rule should match any command")
 	}
 	// ALL user row matches anyone, but only for its command.
 	if _, ok := s.LookupCommand("eve", nil, "root", "/bin/ping"); !ok {

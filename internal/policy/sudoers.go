@@ -313,58 +313,40 @@ type Grant struct {
 	Rule *SudoRule
 	// NoPasswd reports that authentication recency is not required.
 	NoPasswd bool
-	// AnyCommand reports the rule permits every command (ALL).
-	AnyCommand bool
 }
 
-// LookupTransition finds a rule permitting user (with groups) to run as
-// target, regardless of command. This answers the Protego setuid hook's
-// question: "could this task exec at least one permissible binary as the
-// pending user?" (§4.3).
-func (s *Sudoers) LookupTransition(user string, groups []string, target string) (Grant, bool) {
-	for i := range s.Rules {
-		rule := &s.Rules[i]
-		if !s.userMatches(rule.User, user, groups) {
-			continue
-		}
-		if !s.runasMatches(rule, target) {
-			continue
-		}
-		return Grant{
-			Rule:       rule,
-			NoPasswd:   rule.NoPasswd,
-			AnyCommand: s.commandMatches(rule, "ALL") || hasALL(rule.Commands),
-		}, true
-	}
-	return Grant{}, false
-}
-
-func hasALL(cmds []string) bool {
-	for _, c := range cmds {
-		if c == "ALL" {
-			return true
-		}
-	}
-	return false
-}
-
-// LookupCommand finds a rule permitting user to run cmd as target — the
-// exec-time half of setuid-on-exec enforcement.
+// LookupCommand finds the rule that decides whether user (with groups)
+// may run cmd as target. As in sudoers(5), when several rules match, the
+// last one wins. cmd "ALL" matches only the rules that permit every
+// command.
 func (s *Sudoers) LookupCommand(user string, groups []string, target, cmd string) (Grant, bool) {
-	for i := range s.Rules {
-		rule := &s.Rules[i]
-		if !s.userMatches(rule.User, user, groups) {
-			continue
-		}
-		if !s.runasMatches(rule, target) {
-			continue
-		}
-		if !s.commandMatches(rule, cmd) {
-			continue
-		}
-		return Grant{Rule: rule, NoPasswd: rule.NoPasswd, AnyCommand: hasALL(rule.Commands)}, true
+	rule := s.lastMatch(user, groups, target, cmd, false)
+	if rule == nil {
+		return Grant{}, false
 	}
-	return Grant{}, false
+	return Grant{Rule: rule, NoPasswd: rule.NoPasswd}, true
+}
+
+// LookupTransition reports whether some rule delegates (user → target),
+// whatever its commands: the question Protego's setuid hook asks before
+// it defers the transition to exec. It names no rule, because which rule
+// decides, and so whether the caller must authenticate, depends on the
+// command.
+func (s *Sudoers) LookupTransition(user string, groups []string, target string) bool {
+	return s.lastMatch(user, groups, target, "", true) != nil
+}
+
+// lastMatch is the one rule scan: the last rule that covers user, runs as
+// target and, unless anyCmd, permits cmd; nil when none does.
+func (s *Sudoers) lastMatch(user string, groups []string, target, cmd string, anyCmd bool) *SudoRule {
+	for i := len(s.Rules) - 1; i >= 0; i-- {
+		rule := &s.Rules[i]
+		if s.userMatches(rule.User, user, groups) && s.runasMatches(rule, target) &&
+			(anyCmd || s.commandMatches(rule, cmd)) {
+			return rule
+		}
+	}
+	return nil
 }
 
 // SanitizeEnv filters env down to the EnvKeep whitelist (unless the

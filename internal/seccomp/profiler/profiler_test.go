@@ -5,11 +5,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"protego/internal/core"
 	"protego/internal/kernel"
 	"protego/internal/seccomp"
 	"protego/internal/seccomp/profiles"
+	"protego/internal/userspace"
+	"protego/internal/world"
 )
 
 var update = flag.Bool("update", false, "regenerate the committed golden profiles")
@@ -80,6 +84,60 @@ func TestLearnDeterminism(t *testing.T) {
 		}
 		if !bytes.Equal(da, db) {
 			t.Errorf("%s: two Learn runs over the same corpus produced different profiles", c.name)
+		}
+	}
+}
+
+// TestGoldenProfileCoversSuGrant runs the setuid-time su grant under the
+// committed Protego profiles, enforcing. With no sudoers rule to root,
+// alice gives root's password to sudo and to su, and the command must run
+// with root's uid, gid and groups, as the baseline su's does. No
+// equivalence scenario reaches sudo's su grant (the baseline sudo refuses
+// it), so the learned profiles cover it only because the kernel, not the
+// utility, sets the target's groups.
+func TestGoldenProfileCoversSuGrant(t *testing.T) {
+	set, err := profiles.Load(kernel.ModeProtego)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mode kernel.Mode, argv []string, arm bool) string {
+		t.Helper()
+		snap, err := world.Golden(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := snap.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arm {
+			m.InstallSeccomp(set, false)
+			root, err := m.Session("root")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.K.WriteFile(root, core.ProcDelegation, []byte("root ALL = (ALL) ALL\n")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		alice, err := m.Session("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, out, errOut, err := m.Run(alice, argv, world.AnswerWith(world.RootPassword))
+		if err != nil || code != 0 {
+			t.Fatalf("%s %v: code=%d err=%v stderr=%q", mode, argv, code, err, errOut)
+		}
+		return out
+	}
+	su := []string{userspace.BinSu, "root", "-c", userspace.BinID}
+	want := run(kernel.ModeLinux, su, false)
+	if !strings.HasPrefix(want, "uid=0 euid=0 gid=0 egid=0 ") {
+		t.Fatalf("baseline su: %q", want)
+	}
+	for _, argv := range [][]string{{userspace.BinSudo, userspace.BinID}, su} {
+		if got := run(kernel.ModeProtego, argv, true); got != want {
+			t.Errorf("%v under the golden profile: %q, want %q", argv, got, want)
 		}
 	}
 }

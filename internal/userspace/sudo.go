@@ -74,10 +74,13 @@ func baselineAuthenticate(k *kernel.Kernel, t *kernel.Task, user *accountdb.User
 // Baseline: the binary runs euid 0 from the moment of exec; it parses
 // sudoers, authenticates, sanitizes the environment, and only then
 // switches uid — every historical exploit in Table 6 ran inside this
-// window. Protego: the process never holds privilege; setuid(2) consults
-// the kernel's delegation policy (authenticating via the trusted service),
-// and for command-restricted rules the transition completes at exec, where
-// the kernel validates the binary.
+// window. Protego: the process never holds privilege. When a sudoers rule
+// delegates (user → target), setuid(2) only records the target and the
+// transition completes at exec, where the kernel looks up the binary and
+// authenticates the caller through the trusted service. With no rule,
+// setuid(2) follows su: the target's password grants at once. Either way
+// the kernel sets the target's gid and groups, so sudo never calls
+// setgid(2) or setgroups(2) here.
 func SudoMain(k *kernel.Kernel, t *kernel.Task) int {
 	args := t.Argv()[1:]
 	targetName := "root"
@@ -160,20 +163,10 @@ func SudoMain(k *kernel.Kernel, t *kernel.Task) int {
 		}
 		return 1
 	}
-	// On an immediately-granted transition the task now holds the
-	// target's privilege and can establish the target's groups; on a
-	// deferred transition these calls fail harmlessly and the kernel
-	// sets the groups at exec.
-	if k.Geteuid(t) == target.UID {
-		db := accountdb.NewDB(k.FS)
-		gids, _ := db.GroupIDsOf(targetName)
-		_ = k.Setgroups(t, gids)
-		_ = k.Setgid(t, target.GID)
-	}
 	code, err := k.Exec(t, cmd, args, env)
 	if err != nil {
-		// The deferred setuid-on-exec check failed: the command is
-		// not whitelisted for this delegation (§4.3).
+		// The deferred setuid-on-exec check failed: no rule permits
+		// the command, or the caller failed to authenticate (§4.3).
 		t.Errorf("sudo: %s: %v\n", cmd, err)
 		return 1
 	}
@@ -240,15 +233,13 @@ func SuMain(k *kernel.Kernel, t *kernel.Task) int {
 	} else {
 		maybeExploit(k, t)
 		// The kernel's su policy collects and verifies the target's
-		// password through the trusted authentication service.
+		// password through the trusted authentication service: at
+		// setuid, or, when a sudoers rule names (user → target), at
+		// the exec of the shell if the rules do not admit it already.
+		// The kernel sets the target's gid and groups with the uid.
 		if err := k.Setuid(t, target.UID); err != nil {
 			t.Errorf("su: Authentication failure\n")
 			return 1
-		}
-		if k.Geteuid(t) == target.UID {
-			gids, _ := accountdb.NewDB(k.FS).GroupIDsOf(targetName)
-			_ = k.Setgroups(t, gids)
-			_ = k.Setgid(t, target.GID)
 		}
 	}
 

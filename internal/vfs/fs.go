@@ -454,8 +454,10 @@ func (fs *FS) writeInode(c Cred, ino *Inode, clean string, data []byte, app bool
 	return nil
 }
 
-// Remove unlinks the file or empty directory at path. The classic sticky-bit
-// rule applies in sticky directories such as /tmp.
+// Remove unlinks the file at path. The classic sticky-bit rule applies in
+// sticky directories such as /tmp. Like unlink(2) on Linux, it refuses a
+// directory, empty or not, with EISDIR; a mount point is a directory, so
+// no mount is ever removed from under its table entry.
 func (fs *FS) Remove(c Cred, path string) error {
 	if err := fs.faultCheck(faultinject.SiteVFSRemove); err != nil {
 		return err
@@ -482,13 +484,9 @@ func (fs *FS) Remove(c Cred, path string) error {
 		fs.mu.Unlock()
 		return errno.EPERM
 	}
-	if target.Mode.IsDir() && len(target.children) > 0 {
+	if target.Mode.IsDir() {
 		fs.mu.Unlock()
-		return errno.ENOTEMPTY
-	}
-	if fs.mountUnderLocked(clean) {
-		fs.mu.Unlock()
-		return errno.EBUSY
+		return errno.EISDIR
 	}
 	delete(parent.children, base)
 	parent.Mtime = time.Now()

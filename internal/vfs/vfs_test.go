@@ -371,19 +371,6 @@ func TestUmountNotMounted(t *testing.T) {
 	}
 }
 
-func TestRemoveMountPointBusy(t *testing.T) {
-	fs := newTestFS(t)
-	if _, err := fs.Mkdir(root, "/mnt", 0o755, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.AttachMount(root, &Mount{Device: "/dev/sdb1", Point: "/mnt", FSType: "ext4"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove(root, "/mnt"); err != errno.EBUSY {
-		t.Fatalf("rmdir of mountpoint: got %v want EBUSY", err)
-	}
-}
-
 func TestFormatMtab(t *testing.T) {
 	fs := newTestFS(t)
 	if _, err := fs.Mkdir(root, "/mnt", 0o755, 0, 0); err != nil {
@@ -603,13 +590,40 @@ func TestAppendFile(t *testing.T) {
 	}
 }
 
-func TestRemoveNonEmptyDir(t *testing.T) {
-	fs := newTestFS(t)
-	if err := fs.WriteFile(root, "/etc/x", []byte("1"), 0o644, 0, 0); err != nil {
-		t.Fatal(err)
+// TestRemoveDirectory: Remove is unlink(2), which refuses a directory with
+// EISDIR on Linux, also one that holds entries or is a mount point.
+// (internal/kernel's TestUnlinkDirectory covers the empty one.)
+func TestRemoveDirectory(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(fs *FS) error
+	}{
+		{"non-empty directory", func(fs *FS) error {
+			if _, err := fs.Mkdir(root, "/mnt", 0o755, 0, 0); err != nil {
+				return err
+			}
+			return fs.WriteFile(root, "/mnt/x", []byte("1"), 0o644, 0, 0)
+		}},
+		{"mount point", func(fs *FS) error {
+			if _, err := fs.Mkdir(root, "/mnt", 0o755, 0, 0); err != nil {
+				return err
+			}
+			return fs.AttachMount(root, &Mount{Device: "/dev/sdb1", Point: "/mnt", FSType: "ext4"})
+		}},
 	}
-	if err := fs.Remove(root, "/etc"); err != errno.ENOTEMPTY {
-		t.Fatalf("remove non-empty: got %v want ENOTEMPTY", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fs := newTestFS(t)
+			if err := c.setup(fs); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove(root, "/mnt"); err != errno.EISDIR {
+				t.Fatalf("remove: got %v want EISDIR", err)
+			}
+			if ino, err := fs.Lookup(root, "/mnt"); err != nil || !ino.Mode.IsDir() {
+				t.Fatalf("directory gone after a refused remove: %v", err)
+			}
+		})
 	}
 }
 
