@@ -5,10 +5,11 @@ import "maps"
 // Clone returns a deep copy of the stack for machine snapshots:
 // interfaces (including modem session parameters), routes, sockets, and
 // the bound-port table are duplicated so the clone's network churn never
-// shows through to the parent. Cloned sockets get fresh queues and no
-// peer link — a cross-machine peer pointer would deliver packets into the
-// wrong machine. The output filter and link partner are deliberately left
-// unset; the owning kernel wires both to the clone's own netfilter table.
+// shows through to the parent. Cloned sockets start with nothing queued
+// and no peer link — a cross-machine peer pointer would deliver packets
+// into the wrong machine. The output filter and link partner are
+// deliberately left unset; the owning kernel wires both to the clone's
+// own netfilter table.
 func (s *Stack) Clone() *Stack {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -43,7 +44,8 @@ func (s *Stack) Clone() *Stack {
 }
 
 // cloneInto copies the socket's identity and state onto a new stack with
-// fresh, empty queues and no peer.
+// nothing queued and no peer: the receive queue is made on the clone's
+// first use, and a listener gets a fresh, empty accept queue.
 func (sock *Socket) cloneInto(c *Stack) *Socket {
 	sock.mu.Lock()
 	defer sock.mu.Unlock()
@@ -60,7 +62,6 @@ func (sock *Socket) cloneInto(c *Stack) *Socket {
 		OwnerBinary: sock.OwnerBinary,
 		UnprivRaw:   sock.UnprivRaw,
 		stack:       c,
-		recvQ:       make(chan *Packet, recvQueueDepth),
 		listening:   sock.listening,
 		connected:   sock.connected,
 		closed:      sock.closed,

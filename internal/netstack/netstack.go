@@ -185,6 +185,7 @@ type Socket struct {
 	UnprivRaw bool
 
 	stack     *Stack
+	recvOnce  sync.Once // makes recvQ on first use (see queue)
 	recvQ     chan *Packet
 	acceptQ   chan *Socket
 	peer      *Socket

@@ -142,6 +142,9 @@ func TestSocketLifecycle(t *testing.T) {
 	if err := s.Close(sock); err != errno.EBADF {
 		t.Fatalf("double close: %v", err)
 	}
+	if sock.recvQ != nil {
+		t.Fatal("a socket that never received made a receive queue")
+	}
 }
 
 func TestBindConflicts(t *testing.T) {
@@ -360,6 +363,9 @@ func TestRecvTimeout(t *testing.T) {
 	s := testStack()
 	sock, _ := s.NewSocket(AF_INET, SOCK_DGRAM, IPPROTO_UDP)
 	_ = s.Bind(sock, 7000)
+	if sock.recvQ != nil {
+		t.Fatal("receive queue made before first use")
+	}
 	start := time.Now()
 	if _, err := s.RecvFrom(sock, 10*time.Millisecond); err != errno.EAGAIN {
 		t.Fatalf("timeout: %v", err)
@@ -510,5 +516,71 @@ func TestPromptStreamOpsFreeTheirTimers(t *testing.T) {
 	if grew > n*32 {
 		t.Fatalf("live heap grew %d bytes over %d prompt stream ops (%.0f B/op): timers outlive their ops",
 			grew, n, float64(grew)/n)
+	}
+}
+
+// TestCloneStartsWithEmptyQueues checks that a cloned socket carries
+// nothing its original had queued, and that the original keeps it.
+func TestCloneStartsWithEmptyQueues(t *testing.T) {
+	s := testStack()
+	server, _ := s.NewSocket(AF_INET, SOCK_DGRAM, IPPROTO_UDP)
+	if err := s.Bind(server, 5353); err != nil {
+		t.Fatal(err)
+	}
+	client, _ := s.NewSocket(AF_INET, SOCK_DGRAM, IPPROTO_UDP)
+	if err := s.SendTo(client, &Packet{Dst: s.HostIP(), DstPort: 5353, Payload: []byte("q")}); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Clone()
+	cs := c.PortOwner(IPPROTO_UDP, 5353)
+	if cs == nil || cs == server {
+		t.Fatalf("clone's port owner = %p, want a copy of %p", cs, server)
+	}
+	if _, err := c.RecvFrom(cs, 10*time.Millisecond); err != errno.EAGAIN {
+		t.Fatalf("clone's socket: %v, want EAGAIN", err)
+	}
+	if got, err := s.RecvFrom(server, time.Second); err != nil || string(got.Payload) != "q" {
+		t.Fatalf("original's socket: %v %v", got, err)
+	}
+}
+
+// TestFirstUseQueueConcurrentDelivery delivers UDP from two goroutines to
+// a socket that has no receive queue yet while a third receives: whoever
+// comes first makes the one queue, and nothing below its depth is lost.
+func TestFirstUseQueueConcurrentDelivery(t *testing.T) {
+	const perSender = recvQueueDepth / 4
+	s := testStack()
+	server, _ := s.NewSocket(AF_INET, SOCK_DGRAM, IPPROTO_UDP)
+	if err := s.Bind(server, 5353); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan int, 1)
+	go func() {
+		n := 0
+		for n < 2*perSender {
+			if _, err := s.RecvFrom(server, time.Second); err != nil {
+				break
+			}
+			n++
+		}
+		got <- n
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		client, _ := s.NewSocket(AF_INET, SOCK_DGRAM, IPPROTO_UDP)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perSender; j++ {
+				if err := s.SendTo(client, &Packet{Dst: s.HostIP(), DstPort: 5353}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := <-got; n != 2*perSender {
+		t.Fatalf("received %d datagrams, want %d", n, 2*perSender)
 	}
 }

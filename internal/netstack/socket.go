@@ -12,6 +12,15 @@ import (
 // dropped like a full sk_buff backlog.
 const recvQueueDepth = 512
 
+// queue returns the socket's receive queue, making it on first use. Like
+// Linux, which charges receive memory per arriving skb rather than at
+// socket(2), a socket pays for its queue only once something is
+// delivered to it or read from it.
+func (sock *Socket) queue() chan *Packet {
+	sock.recvOnce.Do(func() { sock.recvQ = make(chan *Packet, recvQueueDepth) })
+	return sock.recvQ
+}
+
 // NewSocket allocates a socket on the stack. Privilege checks (CAP_NET_RAW
 // for raw sockets) belong to the kernel layer, not here.
 func (s *Stack) NewSocket(family, typ, proto int) (*Socket, error) {
@@ -26,7 +35,6 @@ func (s *Stack) NewSocket(family, typ, proto int) (*Socket, error) {
 		Type:   typ,
 		Proto:  proto,
 		stack:  s,
-		recvQ:  make(chan *Packet, recvQueueDepth),
 	}
 	s.mu.Lock()
 	s.nextSock++
@@ -197,7 +205,6 @@ func (s *Stack) Connect(sock *Socket, dst IP, port int) error {
 		Type:       SOCK_STREAM,
 		Proto:      IPPROTO_TCP,
 		stack:      target,
-		recvQ:      make(chan *Packet, recvQueueDepth),
 		LocalIP:    listener.LocalIP,
 		LocalPort:  listener.LocalPort,
 		RemoteIP:   sock.LocalIP,
@@ -285,7 +292,7 @@ func (s *Stack) Send(sock *Socket, data []byte) (int, error) {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
-		if err := deliver(peer.recvQ, pkt); err != nil {
+		if err := deliver(peer.queue(), pkt); err != nil {
 			return 0, err
 		}
 	}
@@ -309,7 +316,7 @@ func (s *Stack) Recv(sock *Socket, timeout time.Duration) ([]byte, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case pkt, ok := <-sock.recvQ:
+	case pkt, ok := <-sock.queue():
 		if !ok {
 			return nil, errno.ECONNRESET
 		}
@@ -393,7 +400,7 @@ func (s *Stack) deliver(pkt *Packet, origin *Socket) {
 			}
 			if origin != nil {
 				select {
-				case origin.recvQ <- reply:
+				case origin.queue() <- reply:
 				default:
 				}
 			}
@@ -402,21 +409,21 @@ func (s *Stack) deliver(pkt *Packet, origin *Socket) {
 		// TTL exceeded etc. delivered to raw sockets below.
 		if origin != nil {
 			select {
-			case origin.recvQ <- pkt:
+			case origin.queue() <- pkt:
 			default:
 			}
 		}
 	case IPPROTO_UDP:
 		if target := s.PortOwner(IPPROTO_UDP, pkt.DstPort); target != nil {
 			select {
-			case target.recvQ <- pkt:
+			case target.queue() <- pkt:
 			default:
 			}
 		}
 	case IPPROTO_TCP:
 		if target := s.PortOwner(IPPROTO_TCP, pkt.DstPort); target != nil {
 			select {
-			case target.recvQ <- pkt:
+			case target.queue() <- pkt:
 			default:
 			}
 		}
@@ -425,7 +432,7 @@ func (s *Stack) deliver(pkt *Packet, origin *Socket) {
 		// raw-protocol loopback), else drop.
 		if origin != nil && s.isLocal(pkt.Dst) {
 			select {
-			case origin.recvQ <- pkt:
+			case origin.queue() <- pkt:
 			default:
 			}
 		}
@@ -440,7 +447,7 @@ func (s *Stack) RecvFrom(sock *Socket, timeout time.Duration) (*Packet, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case pkt, ok := <-sock.recvQ:
+	case pkt, ok := <-sock.queue():
 		if !ok {
 			return nil, errno.ECONNRESET
 		}

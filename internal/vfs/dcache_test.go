@@ -36,6 +36,20 @@ func warm(t *testing.T, fs *FS, c Cred, path string) {
 	}
 }
 
+// lookupHit looks path up as root and reports whether the dcache served
+// it: each lookup moves exactly one of the hit and miss counters.
+func lookupHit(t *testing.T, fs *FS, path string) (bool, error) {
+	t.Helper()
+	before := fs.DcacheStats()
+	_, err := fs.Lookup(root, path)
+	after := fs.DcacheStats()
+	hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+	if hits+misses != 1 {
+		t.Fatalf("lookup %s: hits +%d, misses +%d, want one of them +1", path, hits, misses)
+	}
+	return hits == 1, err
+}
+
 func TestDcacheHitReturnsSameInode(t *testing.T) {
 	fs := dcacheFS(t)
 	a, err := fs.Lookup(root, "/srv/data/sub/f")
@@ -57,12 +71,66 @@ func TestDcacheHitReturnsSameInode(t *testing.T) {
 
 func TestDcacheUnlinkInvalidates(t *testing.T) {
 	fs := dcacheFS(t)
-	warm(t, fs, root, "/srv/data/sub/f")
+	for _, p := range []string{"/srv/data/sub/g", "/etc/motd"} {
+		if err := fs.WriteFile(root, p, []byte("x"), 0o644, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/srv/data/sub/f", "/srv/data/sub/g", "/etc/motd"} {
+		warm(t, fs, root, p)
+	}
 	if err := fs.Remove(root, "/srv/data/sub/f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Lookup(root, "/srv/data/sub/f"); err != errno.ENOENT {
-		t.Fatalf("lookup after unlink: got %v, want ENOENT", err)
+	// The unlink stales exactly the removed file's entry: a sibling and
+	// an unrelated path still hit.
+	for _, p := range []string{"/srv/data/sub/g", "/etc/motd"} {
+		if hit, err := lookupHit(t, fs, p); err != nil || !hit {
+			t.Fatalf("lookup %s after unlinking a sibling: hit %v, err %v; want a hit", p, hit, err)
+		}
+	}
+	// The stale entry's re-walk fails: the entry is deleted and counted
+	// once, and the next lookup finds nothing to drop.
+	before := fs.DcacheStats()
+	for i := 0; i < 2; i++ {
+		if hit, err := lookupHit(t, fs, "/srv/data/sub/f"); err != errno.ENOENT || hit {
+			t.Fatalf("lookup after unlink: hit %v, err %v; want a miss with ENOENT", hit, err)
+		}
+	}
+	after := fs.DcacheStats()
+	if after.Invalidates != before.Invalidates+1 || after.Entries != before.Entries-1 {
+		t.Fatalf("stale entry: invalidates %d -> %d, entries %d -> %d; want +1 and -1",
+			before.Invalidates, after.Invalidates, before.Entries, after.Entries)
+	}
+}
+
+// TestDcacheMutationThroughSymlinkedDir mutates a directory through a
+// symlink to it: the entry of the path as resolved must go stale too.
+func TestDcacheMutationThroughSymlinkedDir(t *testing.T) {
+	cases := []struct {
+		name, link string
+		mutate     func(fs *FS) error
+	}{
+		{"remove", "/srv/data/sub", func(fs *FS) error { return fs.Remove(root, "/l/f") }},
+		{"rename", "/srv/data", func(fs *FS) error { return fs.Rename(root, "/l/sub", "/srv/moved") }},
+		{"mount", "/srv/data", func(fs *FS) error {
+			return fs.AttachMount(root, &Mount{Device: "/dev/sdb1", Point: "/l", FSType: "ext4"})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := dcacheFS(t)
+			if err := fs.Symlink(root, tc.link, "/l", 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			warm(t, fs, root, "/srv/data/sub/f")
+			if err := tc.mutate(fs); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Lookup(root, "/srv/data/sub/f"); err != errno.ENOENT {
+				t.Fatalf("lookup of the resolved path: got %v, want ENOENT", err)
+			}
+		})
 	}
 }
 
@@ -151,6 +219,9 @@ func TestDcacheSymlinkEntriesInvalidatedOnAnyMutation(t *testing.T) {
 	}
 }
 
+// TestDcacheMountShadowAndUmountRestore checks that a mount and an umount
+// each stale what lies beneath the mount point and nothing else: the
+// mount point's own entry still hits, its children miss.
 func TestDcacheMountShadowAndUmountRestore(t *testing.T) {
 	fs := dcacheFS(t)
 	warm(t, fs, root, "/srv/data/sub/f")
@@ -159,17 +230,26 @@ func TestDcacheMountShadowAndUmountRestore(t *testing.T) {
 	if err := fs.AttachMount(root, m); err != nil {
 		t.Fatal(err)
 	}
+	if hit, err := lookupHit(t, fs, "/srv/data"); err != nil || !hit {
+		t.Fatalf("mount point after mount: hit %v, err %v; want a hit", hit, err)
+	}
 	// The graft emptied the directory: the old contents must not be
 	// served from the cache.
-	if _, err := fs.Lookup(root, "/srv/data/sub/f"); err != errno.ENOENT {
-		t.Fatalf("lookup shadowed path: got %v, want ENOENT", err)
+	if hit, err := lookupHit(t, fs, "/srv/data/sub/f"); err != errno.ENOENT || hit {
+		t.Fatalf("shadowed path after mount: hit %v, err %v; want a miss with ENOENT", hit, err)
 	}
-	// The mount point itself survives (descendants-only invalidation).
-	if _, err := fs.Lookup(root, "/srv/data"); err != nil {
-		t.Fatalf("lookup mount point: %v", err)
+	if err := fs.WriteFile(root, "/srv/data/g", []byte("on the mount"), 0o644, 0, 0); err != nil {
+		t.Fatal(err)
 	}
+	warm(t, fs, root, "/srv/data/g")
 	if _, err := fs.DetachMount(root, "/srv/data"); err != nil {
 		t.Fatal(err)
+	}
+	if hit, err := lookupHit(t, fs, "/srv/data"); err != nil || !hit {
+		t.Fatalf("mount point after umount: hit %v, err %v; want a hit", hit, err)
+	}
+	if hit, err := lookupHit(t, fs, "/srv/data/g"); err != errno.ENOENT || hit {
+		t.Fatalf("mounted file after umount: hit %v, err %v; want a miss with ENOENT", hit, err)
 	}
 	data, err := fs.ReadFile(root, "/srv/data/sub/f")
 	if err != nil {

@@ -18,9 +18,12 @@ type FS struct {
 	root    *Inode
 	nextIno uint64
 
-	// dcache caches repeat path resolutions; structural mutations
-	// invalidate affected prefixes (see dcache.go for the precise rules).
+	// dcache caches repeat path resolutions; each hit re-checks the
+	// generations its walk recorded (see dcache.go for the precise rules).
 	dcache dcache
+	// structGen counts structural changes (unlink, rename, mount,
+	// umount); cached walks that crossed a symlink check it.
+	structGen uint64
 
 	watches   []*Watch
 	watchSeq  int
@@ -490,7 +493,7 @@ func (fs *FS) Remove(c Cred, path string) error {
 	}
 	delete(parent.children, base)
 	parent.Mtime = time.Now()
-	fs.dcache.invalidate(clean, true)
+	fs.unlinkedLocked(target)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpRemove, Path: clean})
 	return nil
@@ -554,14 +557,14 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 			fs.mu.Unlock()
 			return err
 		}
+		fs.unlinkedLocked(existing)
 	}
 	delete(oldParent.children, oldBase)
 	newParent.children[newBase] = target
 	now := time.Now()
 	oldParent.Mtime = now
 	newParent.Mtime = now
-	fs.dcache.invalidate(oldClean, true)
-	fs.dcache.invalidate(newClean, true)
+	fs.unlinkedLocked(target)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpRemove, Path: oldClean})
 	fs.notify(Event{Op: OpWrite, Path: newClean})
@@ -629,11 +632,9 @@ func (fs *FS) Chmod(c Cred, path string, mode Mode) error {
 		}
 		ino = nino
 	}
+	// No dcache work: cached walks hold this inode by pointer and re-run
+	// MayExec against its current mode on every hit.
 	ino.Mode = ino.Mode.Type() | mode.Perm()
-	// Cached chains hold this inode by pointer and re-check MayExec on
-	// every hit, so correctness does not depend on this invalidation; it
-	// keeps the mutation rule uniform (and the generation honest).
-	fs.dcache.invalidate(clean, true)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpChmod, Path: clean})
 	return nil
@@ -670,7 +671,6 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 	if ino.Mode.IsRegular() {
 		ino.Mode &^= ModeSetuid | ModeSetgid
 	}
-	fs.dcache.invalidate(clean, true)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpChmod, Path: clean})
 	return nil

@@ -86,6 +86,15 @@ type Inode struct {
 	// before any mutation. One-way; private copies start unsealed.
 	sealed atomic.Bool
 
+	// gen and below are the dentry cache's generation words, guarded by
+	// the owning FS's mu and written only on private inodes. gen grows
+	// when the inode's directory entry is removed, moved or replaced;
+	// below grows when a mount or umount swaps the directory's children
+	// but keeps the inode. A cached walk records both and is re-walked
+	// once either has moved (see dcache.go). cowCopy starts a copy at
+	// zero: a copy-up clears the dcache.
+	gen, below uint64
+
 	// digest caches a sealed inode's subtree digest, computed at
 	// digestPath (see FS.DigestTree). Private inodes never set it, and
 	// cowCopy does not copy it, so the key string is allocated once per

@@ -70,7 +70,7 @@ func (fs *FS) AttachMount(c Cred, m *Mount) error {
 	// The graft swapped the mount point's children but not its inode:
 	// cached resolutions *of* the mount point stay valid, everything
 	// beneath it does not.
-	fs.dcache.invalidate(clean, false)
+	fs.regraftedLocked(ino)
 	return nil
 }
 
@@ -104,7 +104,7 @@ func (fs *FS) DetachMount(c Cred, point string) (*Mount, error) {
 	ino.children = save.children
 	m := fs.mounts[idx]
 	fs.mounts = append(fs.mounts[:idx], fs.mounts[idx+1:]...)
-	fs.dcache.invalidate(clean, false)
+	fs.regraftedLocked(ino)
 	return m, nil
 }
 

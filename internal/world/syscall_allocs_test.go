@@ -5,13 +5,15 @@ import (
 
 	"protego/internal/errno"
 	"protego/internal/kernel"
+	"protego/internal/netstack"
 )
 
 // TestSyscallAllocs gates the syscall hot path on allocations per call,
 // which are deterministic where nanoseconds are not. Tracing, the LSM
 // chain and path handling must add none: each ceiling is what the call
 // itself returns or creates (the read's buffer; open's descriptor and
-// LSM request; a privileged setuid's new credentials).
+// LSM request; a privileged setuid's new credentials; a socket and its
+// LSM requests).
 func TestSyscallAllocs(t *testing.T) {
 	bothModes(t, func(t *testing.T, m *Machine) {
 		k := m.K
@@ -46,6 +48,19 @@ func TestSyscallAllocs(t *testing.T) {
 				return k.CloseFD(root, fd)
 			}},
 			{"setuid", 1, func() error { return k.Setuid(root, 0) }},
+			// The socket and the socket and bind LSM requests, as in
+			// Table 5's bind row: a socket that never receives makes no
+			// receive queue.
+			{"socket+bind+close", 3, func() error {
+				sock, err := k.Socket(root, netstack.AF_INET, netstack.SOCK_DGRAM, 0)
+				if err != nil {
+					return err
+				}
+				if err := k.Bind(root, sock, 512); err != nil {
+					return err
+				}
+				return k.CloseSocket(root, sock)
+			}},
 		}
 		for _, o := range ops {
 			var opErr error
