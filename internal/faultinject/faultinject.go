@@ -180,11 +180,11 @@ func (in *Injector) hit(site string) (Action, errno.Errno, bool) {
 		}
 		act, e, tr := r.Action, r.Err, in.tracer
 		in.mu.Unlock()
-		name := ""
+		var traced errno.Errno
 		if act == ActErr {
-			name = e.Name()
+			traced = e
 		}
-		tr.FaultInject(site, act.String(), name, h)
+		tr.FaultInject(site, act.String(), traced, h)
 		return act, e, true
 	}
 	in.mu.Unlock()

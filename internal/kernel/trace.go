@@ -9,6 +9,15 @@ import (
 // must fit in its table.
 const _ = uint(trace.MaxSyscalls - NumSysno)
 
+// sysSyms are the catalog's trace names as trace symbols, resolved once,
+// so an event names its syscall without a lookup.
+var sysSyms = func() (syms [sysnoCount]trace.Sym) {
+	for sn := range syms {
+		syms[sn] = trace.Intern(Sysno(sn).String())
+	}
+	return syms
+}()
+
 // sysEnter begins tracing one syscall invocation on behalf of t, tolerating
 // a nil or kernel-less task (events are then tagged pid=0 uid=-1). The
 // returned token must be handed to Trace.SyscallExit on the return path.
@@ -17,7 +26,7 @@ func (k *Kernel) sysEnter(sn Sysno, t *Task) trace.SyscallToken {
 	if t != nil {
 		pid, uid = t.PID(), t.UID()
 	}
-	return k.Trace.SyscallEnterNo(int(sn), sn.String(), pid, uid)
+	return k.Trace.SyscallEnterNo(int(sn), sysSyms[sn], pid, uid)
 }
 
 // Trace proc paths.

@@ -324,15 +324,40 @@ var hookNames = [numHooks]string{
 	hookTaskSyscall: "TaskSyscall",
 }
 
+// hookSyms are the hooks' trace names as trace symbols.
+var hookSyms = func() (syms [numHooks]trace.Sym) {
+	for h, name := range hookNames {
+		syms[h] = trace.Intern(name)
+	}
+	return syms
+}()
+
 // numDecisionSlots covers every Decision plus one slot shared by
 // out-of-range values.
 const numDecisionSlots = int(Deny) + 2
 
-// link is one registered module with its decision counters, resolved on
-// first use: one per (hook, decision).
+// decisionSlot returns dec's slot in the per-decision tables.
+func decisionSlot(dec Decision) int {
+	if dec < NoOpinion || dec > Deny {
+		return numDecisionSlots - 1
+	}
+	return int(dec)
+}
+
+// decisionSyms are the decisions' trace names as trace symbols, by slot.
+var decisionSyms = func() (syms [numDecisionSlots]trace.Sym) {
+	for slot := range syms {
+		syms[slot] = trace.Intern(Decision(slot).String())
+	}
+	return syms
+}()
+
+// link is one registered module with its trace name as a symbol and its
+// decision counters, resolved on first use: one per (hook, decision).
 type link struct {
 	m    Module
 	name string
+	sym  trace.Sym
 	ctrs *[numHooks][numDecisionSlots]trace.CounterRef
 }
 
@@ -372,7 +397,8 @@ func NewChain(modules ...Module) *Chain {
 
 // Register appends a module to the chain.
 func (c *Chain) Register(m Module) {
-	l := link{m: m, name: m.Name(), ctrs: new([numHooks][numDecisionSlots]trace.CounterRef)}
+	name := m.Name()
+	l := link{m: m, name: name, sym: trace.Intern(name), ctrs: new([numHooks][numDecisionSlots]trace.CounterRef)}
 	c.links = append(c.links, l)
 	if _, ok := m.(SyscallMediator); ok {
 		c.sysLinks = append(c.sysLinks, l)
@@ -406,12 +432,12 @@ func (c *Chain) Name() string { return "chain" }
 
 type hookFunc func(m Module) (Decision, error)
 
-// start returns the start time of a traced hook evaluation.
-func (c *Chain) start() time.Time {
+// start returns the start of a traced hook evaluation on the trace clock.
+func (c *Chain) start() time.Duration {
 	if c.tracer == nil {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return trace.Now()
 }
 
 // run evaluates hook h across the chain. A Deny — or an error, which is
@@ -422,18 +448,18 @@ func (c *Chain) start() time.Time {
 func (c *Chain) run(h hook, t Task, f hookFunc) (Decision, error) {
 	start := c.start()
 	acc := NoOpinion
-	winner := ""
+	var winner trace.Sym
 	for i := range c.links {
 		l := &c.links[i]
 		dec, err := f(l.m)
 		c.count(h, l, dec, err)
 		if dec == Deny || err != nil {
-			c.observe(h, t, Deny, l.name, err, start)
+			c.observe(h, t, Deny, l.sym, err, start)
 			return Deny, err
 		}
 		if next := combine(acc, dec); next != acc {
 			acc = next
-			winner = l.name
+			winner = l.sym
 		}
 	}
 	c.observe(h, t, acc, winner, nil, start)
@@ -448,15 +474,12 @@ func (c *Chain) count(h hook, l *link, dec Decision, err error) {
 	if err != nil {
 		dec = Deny
 	}
-	slot := int(dec)
-	if dec < NoOpinion || dec > Deny {
-		slot = numDecisionSlots - 1
-	}
-	c.tracer.CountDecisionRef(&l.ctrs[h][slot], hookNames[h], l.name, dec.String())
+	c.tracer.CountDecisionRef(&l.ctrs[h][decisionSlot(dec)], hookNames[h], l.name, dec.String())
 }
 
-// observe emits the hook's decision event.
-func (c *Chain) observe(h hook, t Task, dec Decision, winner string, err error, start time.Time) {
+// observe emits the hook's decision event; winner is the winning module's
+// symbol (0 for base policy).
+func (c *Chain) observe(h hook, t Task, dec Decision, winner trace.Sym, err error, start time.Duration) {
 	if c.tracer == nil {
 		return
 	}
@@ -464,7 +487,7 @@ func (c *Chain) observe(h hook, t Task, dec Decision, winner string, err error, 
 	if t != nil {
 		pid, uid = t.PID(), t.UID()
 	}
-	c.tracer.HookDecision(&c.hists[h], hookNames[h], pid, uid, dec.String(), winner, err, start)
+	c.tracer.HookDecision(&c.hists[h], hookSyms[h], pid, uid, decisionSyms[decisionSlot(dec)], winner, err, start)
 }
 
 // MountCheck runs the hook across the chain.
@@ -547,7 +570,7 @@ func (c *Chain) TaskSyscall(t Task, sysno int, name string) (Decision, error) {
 		dec, err := l.m.TaskSyscall(t, sysno, name)
 		if dec == Deny || err != nil {
 			c.count(hookTaskSyscall, l, dec, err)
-			c.observe(hookTaskSyscall, t, Deny, l.name, err, c.start())
+			c.observe(hookTaskSyscall, t, Deny, l.sym, err, c.start())
 			return Deny, err
 		}
 		if next := combine(acc, dec); next != acc {
@@ -560,7 +583,7 @@ func (c *Chain) TaskSyscall(t Task, sysno int, name string) (Decision, error) {
 		return NoOpinion, nil
 	}
 	c.count(hookTaskSyscall, winner, acc, nil)
-	c.observe(hookTaskSyscall, t, acc, winner.name, nil, c.start())
+	c.observe(hookTaskSyscall, t, acc, winner.sym, nil, c.start())
 	return acc, nil
 }
 

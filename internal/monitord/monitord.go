@@ -23,6 +23,7 @@ import (
 	"protego/internal/faultinject"
 	"protego/internal/kernel"
 	"protego/internal/policy"
+	"protego/internal/trace"
 	"protego/internal/vfs"
 )
 
@@ -101,9 +102,9 @@ func (d *Daemon) traced(target string, fn func() error) error {
 	var err error
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		start := time.Now()
+		start := trace.Now()
 		err = fn()
-		d.k.Trace.MonitordSync(target, time.Since(start), err)
+		d.k.Trace.MonitordSync(target, start, err)
 		if err == nil {
 			d.bump(target)
 			return nil

@@ -189,6 +189,7 @@ type Socket struct {
 	recvQ     chan *Packet
 	acceptQ   chan *Socket
 	peer      *Socket
+	hup       chan struct{} // closed when the connected peer closes its end
 	listening bool
 	connected bool
 	closed    bool

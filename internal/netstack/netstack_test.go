@@ -212,6 +212,49 @@ func TestTCPConnectAcceptSendRecv(t *testing.T) {
 	}
 }
 
+// TestPeerCloseEndsStream closes the client end of a connection: the
+// server end reads what the client sent, then the end of the stream (zero
+// bytes, no error, long before its 5 s timeout, which would be EAGAIN),
+// and its sends fail with EPIPE.
+func TestPeerCloseEndsStream(t *testing.T) {
+	s := testStack()
+	server, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+	if err := s.Bind(server, 9000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(server, 4); err != nil {
+		t.Fatal(err)
+	}
+	client, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+	if err := s.Connect(client, s.HostIP(), 9000); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := s.Accept(server, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range []string{"last", "words"} {
+		if _, err := s.Send(client, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(client); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"last", "words", "", ""} {
+		data, err := s.Recv(conn, 5*time.Second)
+		if err != nil || string(data) != want {
+			t.Fatalf("Recv after peer close = %q, %v; want %q, nil", data, err, want)
+		}
+	}
+	if n, err := s.Send(conn, []byte("x")); n != 0 || err != errno.EPIPE {
+		t.Fatalf("Send after peer close = %d, %v; want 0, EPIPE", n, err)
+	}
+	if err := s.Close(conn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConnectRefused(t *testing.T) {
 	s := testStack()
 	client, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)

@@ -211,10 +211,12 @@ func (s *Stack) Connect(sock *Socket, dst IP, port int) error {
 		RemotePort: sock.LocalPort,
 		OwnerUID:   listener.OwnerUID,
 		connected:  true,
+		hup:        make(chan struct{}),
 	}
 	server.peer = sock
 	sock.mu.Lock()
 	sock.peer = server
+	sock.hup = make(chan struct{})
 	sock.connected = true
 	sock.RemoteIP = dst
 	sock.RemotePort = port
@@ -264,14 +266,21 @@ func (s *Stack) Accept(sock *Socket, timeout time.Duration) (*Socket, error) {
 	}
 }
 
-// Send transmits stream data to the connected peer.
+// Send transmits stream data to the connected peer. Once the peer has
+// closed its end, Send fails with EPIPE.
 func (s *Stack) Send(sock *Socket, data []byte) (int, error) {
 	sock.mu.Lock()
 	peer := sock.peer
 	connected := sock.connected
+	hup := sock.hup
 	sock.mu.Unlock()
 	if !connected || peer == nil {
 		return 0, errno.ENOTCONN
+	}
+	select {
+	case <-hup:
+		return 0, errno.EPIPE
+	default:
 	}
 	act, ferr := s.faultInjector().CheckSend(faultinject.SiteNetSend)
 	if ferr != nil {
@@ -311,16 +320,29 @@ func deliver(q chan *Packet, pkt *Packet) error {
 	}
 }
 
-// Recv reads stream data from the socket, blocking up to timeout.
+// Recv reads stream data from the socket, blocking up to timeout. Once
+// the peer has closed its end, Recv returns what the peer sent before
+// closing and then zero bytes and no error, the end of the stream, as
+// recv(2) returns 0.
 func (s *Stack) Recv(sock *Socket, timeout time.Duration) ([]byte, error) {
+	sock.mu.Lock()
+	hup := sock.hup
+	sock.mu.Unlock()
+	q := sock.queue()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case pkt, ok := <-sock.queue():
-		if !ok {
-			return nil, errno.ECONNRESET
-		}
+	case pkt := <-q:
 		return pkt.Payload, nil
+	case <-hup:
+		// Send delivers before it returns, so everything the peer sent
+		// is queued by the time it closed.
+		select {
+		case pkt := <-q:
+			return pkt.Payload, nil
+		default:
+			return nil, nil
+		}
 	case <-timer.C:
 		return nil, errno.EAGAIN
 	}
@@ -447,17 +469,15 @@ func (s *Stack) RecvFrom(sock *Socket, timeout time.Duration) (*Packet, error) {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case pkt, ok := <-sock.queue():
-		if !ok {
-			return nil, errno.ECONNRESET
-		}
+	case pkt := <-sock.queue():
 		return pkt, nil
 	case <-timer.C:
 		return nil, errno.EAGAIN
 	}
 }
 
-// Close releases the socket and its port reservation.
+// Close releases the socket and its port reservation. Closing one end of
+// a connected stream ends the peer's stream (see Recv and Send).
 func (s *Stack) Close(sock *Socket) error {
 	sock.mu.Lock()
 	if sock.closed {
@@ -465,7 +485,14 @@ func (s *Stack) Close(sock *Socket) error {
 		return errno.EBADF
 	}
 	sock.closed = true
+	peer := sock.peer
 	sock.mu.Unlock()
+	if peer != nil {
+		// A socket closes once (above), so the peer's hup closes once.
+		peer.mu.Lock()
+		close(peer.hup)
+		peer.mu.Unlock()
+	}
 	s.mu.Lock()
 	if sock.LocalPort != 0 {
 		key := portKey{proto: sock.effectiveProto(), port: sock.LocalPort}

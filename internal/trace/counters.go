@@ -6,12 +6,20 @@ import (
 
 // Decision counters are the hottest tracer write path: every LSM module
 // consulted on every hook bumps one, as does every netfilter verdict and
-// auth check. Each counter is a single atomic.Uint64. The key→counter
-// map is only the slow path: a producer on a hot path resolves its
+// auth check. Each counter is a single atomic.Uint64 in its own small
+// allocation, and the tracer keeps them in a slice: the read side walks
+// it, and resolving a key scans it. A producer on a hot path resolves its
 // counters once into a CounterRef and from then on bumps the atomic
-// directly, with no key to build, no map to hash and no lock to take. A
-// new key costs one map insert under ctrMu, so a fresh clone's tracer
-// pays per key it actually counts, not a copy of every key before it.
+// directly, with no key to build, no scan and no lock to take. A new key
+// costs one allocation and an append under ctrMu, so a fresh clone's
+// tracer pays per key it actually counts, not a copy of every key before
+// it.
+
+// counter is one decision counter and its key.
+type counter struct {
+	n   atomic.Uint64
+	key CounterKey
+}
 
 // CounterRef caches one decision counter of one tracer for a producer
 // that bumps it on every call. The zero value is ready; it resolves on
@@ -44,16 +52,25 @@ func (tr *Tracer) count(ref *CounterRef, group, hook, module, decision string) {
 // counter returns the counter for key, creating it on first use.
 func (tr *Tracer) counter(key CounterKey) *atomic.Uint64 {
 	tr.ctrMu.RLock()
-	c := tr.counters[key]
+	c := findCounter(tr.counters, key)
 	tr.ctrMu.RUnlock()
 	if c != nil {
-		return c
+		return &c.n
 	}
 	tr.ctrMu.Lock()
 	defer tr.ctrMu.Unlock()
-	if c = tr.counters[key]; c == nil {
-		c = new(atomic.Uint64)
-		tr.counters[key] = c
+	if c = findCounter(tr.counters, key); c == nil {
+		c = &counter{key: key}
+		tr.counters = append(tr.counters, c)
 	}
-	return c
+	return &c.n
+}
+
+func findCounter(cs []*counter, key CounterKey) *counter {
+	for _, c := range cs {
+		if c.key == key {
+			return c
+		}
+	}
+	return nil
 }

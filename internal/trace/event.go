@@ -1,12 +1,13 @@
 // Package trace is the simulated kernel's observability substrate, modeled
 // on Linux ftrace/perf plus the audit subsystem. Producers — the syscall
 // dispatch layer, the LSM hook chain, netfilter, the monitoring daemon,
-// and the authentication service — emit structured Event records into a
+// and the authentication service — emit structured events into a
 // fixed-capacity ring buffer with overwrite-oldest semantics, and feed
 // per-syscall / per-hook latency histograms and per-module decision
-// counters. Consumers (internal/bench, the /proc/trace files, and
-// cmd/protego-trace) read snapshots; nothing in this package blocks a
-// producer.
+// counters. An event costs one read of the trace clock (Now) and one
+// 64-byte, pointer-free ring slot. Consumers (internal/bench, the
+// /proc/trace files, and cmd/protego-trace) read snapshots as Event
+// values; nothing in this package blocks a producer.
 package trace
 
 import (
@@ -76,8 +77,9 @@ func KindNames() []string {
 	return out
 }
 
-// Event is one trace record. The zero value is invalid; Seq is assigned by
-// the ring at emission.
+// Event is one trace record as consumers read it: the ring stores a
+// compact form (see record) and a snapshot decodes it. The zero value is
+// invalid; Seq is assigned by the ring at emission.
 type Event struct {
 	// Seq is the global emission sequence number (dense, starts at 0).
 	Seq uint64
@@ -96,11 +98,13 @@ type Event struct {
 	Decision string
 	// Latency is the measured duration (exit, decision, and sync events).
 	Latency time.Duration
-	// Err is the error the operation returned, if any.
+	// Err is the error the operation returned, if any (a fault's errno
+	// by symbolic name).
 	Err string
-	// Msg carries free-form detail (audit lines, sync targets).
+	// Msg carries free-form detail (audit lines, fault hit counts).
 	Msg string
-	// Time is the wall-clock emission time.
+	// Time is the emission time: the trace clock's reading (Now), as wall
+	// time from the process's trace epoch.
 	Time time.Time
 }
 

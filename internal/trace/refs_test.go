@@ -3,7 +3,6 @@ package trace
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestResolvedSlotsExact: producers that resolve their histograms and
@@ -19,15 +18,17 @@ func TestResolvedSlotsExact(t *testing.T) {
 	)
 	var hook HistogramRef
 	var grant, nfDrop, authOK CounterRef
+	getpid, mountCheck := Intern("getpid"), Intern("MountCheck")
+	symGrant, protego := Intern("grant"), Intern("protego")
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
-				tr.SyscallExit(tr.SyscallEnterNo(7, "getpid", 1, 0), nil)
+				tr.SyscallExit(tr.SyscallEnterNo(7, getpid, 1, 0), nil)
 				tr.SyscallExit(tr.SyscallEnter("getpid", 1, 0), nil)
-				tr.HookDecision(&hook, "MountCheck", 1, 0, "grant", "protego", nil, time.Now())
+				tr.HookDecision(&hook, mountCheck, 1, 0, symGrant, protego, nil, Now())
 				tr.CountDecisionRef(&grant, "MountCheck", "protego", "grant")
 				tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
 				tr.NetfilterVerdictRef(&nfDrop, "OUTPUT", "r1", "DROP", 0)
@@ -58,8 +59,8 @@ func TestResolvedSlotsExact(t *testing.T) {
 	}
 
 	if a := testing.AllocsPerRun(100, func() {
-		tr.SyscallExit(tr.SyscallEnterNo(7, "getpid", 1, 0), nil)
-		tr.HookDecision(&hook, "MountCheck", 1, 0, "grant", "protego", nil, time.Now())
+		tr.SyscallExit(tr.SyscallEnterNo(7, getpid, 1, 0), nil)
+		tr.HookDecision(&hook, mountCheck, 1, 0, symGrant, protego, nil, Now())
 		tr.CountDecisionRef(&grant, "MountCheck", "protego", "grant")
 		tr.NetfilterVerdictRef(&nfDrop, "OUTPUT", "r1", "DROP", 0)
 		tr.AuthCheckRef(&authOK, "password", "alice", 1, 0, true)

@@ -7,23 +7,38 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"protego/internal/errno"
 )
+
+// newRing makes a ring with at least the requested capacity.
+func newRing(capacity int) *ring {
+	r := &ring{}
+	r.init(capacity)
+	return r
+}
 
 func TestRingCapacityRounding(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {1000, 1024}, {4096, 4096},
 	}
 	for _, c := range cases {
-		if got := NewRing(c.in).Cap(); got != c.want {
-			t.Errorf("NewRing(%d).Cap() = %d, want %d", c.in, got, c.want)
+		if got := newRing(c.in).Cap(); got != c.want {
+			t.Errorf("newRing(%d).Cap() = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
 
+// appendAudit appends one audit record carrying msg.
+func appendAudit(r *ring, msg string) {
+	rec := record{kind: KindAudit, time: Now()}
+	r.append(&rec, rec.withText(textMsg, msg))
+}
+
 func TestRingOverwriteOldest(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4)
 	for i := 0; i < 10; i++ {
-		r.Append(Event{Kind: KindAudit, Msg: "m", Time: time.Now()})
+		appendAudit(r, fmt.Sprint("m", i))
 	}
 	if r.Emitted() != 10 {
 		t.Fatalf("Emitted = %d, want 10", r.Emitted())
@@ -31,24 +46,25 @@ func TestRingOverwriteOldest(t *testing.T) {
 	if r.Dropped() != 6 {
 		t.Fatalf("Dropped = %d, want 6", r.Dropped())
 	}
-	evs := r.Snapshot()
+	evs := r.snapshot(allKinds)
 	if len(evs) != 4 {
 		t.Fatalf("Snapshot len = %d, want 4", len(evs))
 	}
-	// Oldest retained event is seq 6; sequence must be dense and ordered.
+	// Oldest retained event is seq 6; sequence must be dense and ordered,
+	// and each slot's text must be its own event's.
 	for i, ev := range evs {
-		if ev.Seq != uint64(6+i) {
-			t.Errorf("Snapshot[%d].Seq = %d, want %d", i, ev.Seq, 6+i)
+		if ev.Seq != uint64(6+i) || ev.Msg != fmt.Sprint("m", 6+i) {
+			t.Errorf("Snapshot[%d] = seq %d msg %q, want %d m%d", i, ev.Seq, ev.Msg, 6+i, 6+i)
 		}
 	}
 }
 
 func TestRingSnapshotBeforeWrap(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8)
 	for i := 0; i < 3; i++ {
-		r.Append(Event{Kind: KindAudit, Time: time.Now()})
+		appendAudit(r, "")
 	}
-	if got := len(r.Snapshot()); got != 3 {
+	if got := len(r.snapshot(allKinds)); got != 3 {
 		t.Fatalf("Snapshot len = %d, want 3", got)
 	}
 	if r.Dropped() != 0 {
@@ -64,14 +80,22 @@ func TestRingConcurrentWriters(t *testing.T) {
 		writers   = 8
 		perWriter = 5000
 	)
-	r := NewRing(1024)
+	r := newRing(1024)
+	getpid := Intern("getpid")
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				r.Append(Event{Kind: KindSyscallExit, Name: "getpid", PID: w, Time: time.Now()})
+				// Every third event carries text, so writers also race
+				// to make the chunks' side arrays.
+				rec := record{kind: KindSyscallExit, name: getpid, pid: int32(w), time: Now()}
+				text := ""
+				if i%3 == 0 {
+					text = rec.withText(textErr, "boom")
+				}
+				r.append(&rec, text)
 			}
 		}(w)
 	}
@@ -83,7 +107,7 @@ func TestRingConcurrentWriters(t *testing.T) {
 			case <-done:
 				return
 			default:
-				r.Snapshot()
+				r.snapshot(allKinds)
 			}
 		}
 	}()
@@ -95,7 +119,7 @@ func TestRingConcurrentWriters(t *testing.T) {
 	}
 	// After writers quiesce the identity retained == emitted - dropped
 	// holds exactly.
-	evs := r.Snapshot()
+	evs := r.snapshot(allKinds)
 	want := r.Emitted() - r.Dropped()
 	if uint64(len(evs)) != want {
 		t.Fatalf("retained %d events, want emitted-dropped = %d", len(evs), want)
@@ -177,15 +201,18 @@ func TestTracerSyscallRoundTrip(t *testing.T) {
 		t.Fatal("unknown syscall should report zero stats")
 	}
 
-	// Once its histogram exists, a by-name enter/exit pair allocates at
-	// most once and records exactly its two events. This is what is
-	// deterministic about the tracer's cost per simulated syscall; the
-	// time itself is the benchmark's trace.syscall_pair_ns.
+	// Once its histogram and the ring's chunks exist, a by-name
+	// enter/exit pair allocates nothing and records exactly its two
+	// events. This is what is deterministic about the tracer's cost per
+	// simulated syscall; the time itself is the benchmark's
+	// trace.syscall_pair_ns.
 	t.Run("by-name-pair", func(t *testing.T) {
 		pair := func() { tr.SyscallExit(tr.SyscallEnter("getpid", 1, 1000), nil) }
-		pair()
-		if allocs := testing.AllocsPerRun(1000, pair); allocs > 1 {
-			t.Errorf("one enter/exit pair allocates %v times, want at most 1", allocs)
+		for i := 0; i < tr.ring.Cap(); i++ {
+			pair()
+		}
+		if allocs := testing.AllocsPerRun(1000, pair); allocs != 0 {
+			t.Errorf("one enter/exit pair allocates %v times, want 0", allocs)
 		}
 		before := tr.Stats()
 		pair()
@@ -204,7 +231,7 @@ func TestTracerSyscallRoundTrip(t *testing.T) {
 func TestTracerCountersAndStats(t *testing.T) {
 	tr := New(64)
 	var hook HistogramRef
-	tr.HookDecision(&hook, "MountCheck", 1, 1000, "grant", "protego", nil, time.Now().Add(-time.Microsecond))
+	tr.HookDecision(&hook, Intern("MountCheck"), 1, 1000, Intern("grant"), Intern("protego"), nil, Now()-time.Microsecond)
 	tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
 	tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
 	tr.CountDecisionRef(nil, "MountCheck", "apparmor", "no-opinion")
@@ -242,13 +269,13 @@ func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tok := tr.SyscallEnter("open", 1, 2)
 	tr.SyscallExit(tok, nil)
-	tr.HookDecision(nil, "MountCheck", 1, 2, "deny", "", nil, time.Time{})
+	tr.HookDecision(nil, Intern("MountCheck"), 1, 2, Intern("deny"), 0, nil, 0)
 	tr.CountDecisionRef(nil, "h", "m", "d")
 	tr.NetfilterVerdictRef(nil, "OUTPUT", "", "ACCEPT", 0)
 	tr.MonitordSync("mounts", 0, nil)
 	tr.AuthCheckRef(nil, "password", "alice", 1, 2, true)
+	tr.FaultInject("sys.open", "err", errno.EIO, 1)
 	tr.Audit("x")
-	tr.Emit(Event{Kind: KindAudit})
 }
 
 func TestSnapshotKindFiltering(t *testing.T) {
@@ -265,6 +292,7 @@ func TestSnapshotKindFiltering(t *testing.T) {
 func TestTracerConcurrentMixedUse(t *testing.T) {
 	tr := New(256)
 	var hook HistogramRef
+	fileOpen, noOpinion := Intern("FileOpen"), Intern("no-opinion")
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -275,11 +303,17 @@ func TestTracerConcurrentMixedUse(t *testing.T) {
 				case 0:
 					tr.SyscallExit(tr.SyscallEnter("getpid", w, w), nil)
 				case 1:
-					tr.HookDecision(&hook, "FileOpen", w, w, "no-opinion", "", nil, time.Now())
+					tr.HookDecision(&hook, fileOpen, w, w, noOpinion, 0, nil, Now())
 				case 2:
 					tr.CountDecisionRef(nil, "FileOpen", "apparmor", "no-opinion")
 				case 3:
-					tr.Audit("line")
+					// Writers intern rule names concurrently with
+					// snapshots decoding them.
+					if i%8 == 3 {
+						tr.Audit("line")
+					} else {
+						tr.NetfilterVerdictRef(nil, "OUTPUT", fmt.Sprint("mixed-rule-", w, "-", i%16), "DROP", w)
+					}
 				}
 				if i%512 == 0 {
 					tr.Snapshot()
@@ -293,6 +327,11 @@ func TestTracerConcurrentMixedUse(t *testing.T) {
 	wg.Wait()
 	if tr.Histogram("getpid").Count != 6*500 {
 		t.Fatalf("getpid histogram count = %d, want %d", tr.Histogram("getpid").Count, 6*500)
+	}
+	for _, ev := range tr.SnapshotKind(KindNetfilterVerdict) {
+		if ev.Name != "OUTPUT" || !strings.HasPrefix(ev.Module, "mixed-rule-") || ev.Decision != "DROP" {
+			t.Fatalf("netfilter event decoded as %+v", ev)
+		}
 	}
 }
 
@@ -321,12 +360,12 @@ func BenchmarkEmissionParallel(b *testing.B) {
 
 // BenchmarkRingAppend isolates the ring's append path.
 func BenchmarkRingAppend(b *testing.B) {
-	r := NewRing(DefaultCapacity)
-	ev := Event{Kind: KindAudit, Name: "x", Time: time.Now()}
+	r := newRing(DefaultCapacity)
+	x := Intern("x")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Append(ev)
+		r.append(&record{kind: KindAudit, name: x}, "")
 	}
 }
 

@@ -3,16 +3,28 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"protego/internal/errno"
 )
 
 // DefaultCapacity is the default ring size: 4096 events (a power of two).
 // This is also the retention cap of the legacy kernel audit log, which is
 // a filtered view of the same ring.
 const DefaultCapacity = 4096
+
+// epoch is the process's trace epoch: Now counts from it, and a snapshot
+// turns a reading back into wall time from it.
+var epoch = time.Now()
+
+// Now returns the trace clock: the monotonic time since the process's
+// trace epoch. It reads one clock where time.Now reads the wall clock and
+// the monotonic clock; producers pass it as the start of a latency sample.
+func Now() time.Duration { return time.Since(epoch) }
 
 // CounterKey identifies one (hook, module, decision) decision counter.
 type CounterKey struct {
@@ -32,32 +44,47 @@ const (
 	groupMonitord = "monitord"
 )
 
-// histKey names one histogram.
-type histKey struct {
+// Symbols of the auth outcomes.
+var (
+	symOK   = Intern("ok")
+	symFail = Intern("fail")
+)
+
+// keyedHist is one histogram, its (group, name) key and the name's
+// symbol.
+type keyedHist struct {
 	group, name string
+	sym         Sym
+	h           Histogram
+}
+
+// fastpathEntry is one registered fast-path counter.
+type fastpathEntry struct {
+	name string
+	n    *atomic.Uint64
 }
 
 // Tracer owns the event ring, the latency histograms, and the decision
 // counters. One tracer is created per simulated kernel; every producer in
 // the kernel emits through it. All methods are safe for concurrent use.
 type Tracer struct {
-	ring Ring
+	ring ring
 
 	// emitted counts events per kind (never decremented), so consumers
 	// can compute per-kind drop counts against a ring snapshot.
 	emitted [numKinds]atomic.Uint64
 
-	// hists is every histogram by key, the slow path and the read side.
-	// Hot producers resolve their histogram once into a HistogramRef:
-	// sys holds the syscall histograms by syscall number, and the LSM
-	// chain holds its hooks' refs.
+	// hists is every histogram, walked by the read side and scanned by
+	// the by-key slow path. Hot producers resolve their histogram once
+	// into a HistogramRef: sys holds the syscall histograms by syscall
+	// number, and the LSM chain holds its hooks' refs.
 	histMu sync.RWMutex
-	hists  map[histKey]*Histogram
+	hists  []*keyedHist
 	sys    [MaxSyscalls]HistogramRef
 
-	// counters maps CounterKey to its counter (see counters.go).
+	// counters is every decision counter (see counters.go).
 	ctrMu    sync.RWMutex
-	counters map[CounterKey]*atomic.Uint64
+	counters []*counter
 
 	// fastpath holds lazily-read monotonic counters registered by other
 	// subsystems (the dcache, the mount-whitelist index, the seccomp
@@ -65,7 +92,14 @@ type Tracer struct {
 	// reads it at snapshot/render time, so registration adds zero
 	// hot-path cost.
 	fpMu     sync.RWMutex
-	fastpath map[string]*atomic.Uint64
+	fastpath []fastpathEntry
+
+	// The first entries of each list live in the tracer itself, so a
+	// fresh clone's tracer allocates nothing for the lists, only the
+	// histograms and counters its keys need.
+	histBuf [24]*keyedHist
+	ctrBuf  [16]*counter
+	fpBuf   [8]fastpathEntry
 }
 
 // New creates a tracer whose ring holds at least capacity events
@@ -74,11 +108,10 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	tr := &Tracer{
-		hists:    make(map[histKey]*Histogram),
-		counters: make(map[CounterKey]*atomic.Uint64),
-		fastpath: make(map[string]*atomic.Uint64),
-	}
+	tr := &Tracer{}
+	tr.hists = tr.histBuf[:0]
+	tr.counters = tr.ctrBuf[:0]
+	tr.fastpath = tr.fpBuf[:0]
 	tr.ring.init(capacity)
 	return tr
 }
@@ -92,8 +125,14 @@ func (tr *Tracer) RegisterAtomic(name string, n *atomic.Uint64) {
 		return
 	}
 	tr.fpMu.Lock()
-	tr.fastpath[name] = n
-	tr.fpMu.Unlock()
+	defer tr.fpMu.Unlock()
+	for i := range tr.fastpath {
+		if tr.fastpath[i].name == name {
+			tr.fastpath[i].n = n
+			return
+		}
+	}
+	tr.fastpath = append(tr.fastpath, fastpathEntry{name, n})
 }
 
 // FastpathCounters reads every registered fast-path counter.
@@ -104,39 +143,25 @@ func (tr *Tracer) FastpathCounters() map[string]uint64 {
 	tr.fpMu.RLock()
 	defer tr.fpMu.RUnlock()
 	out := make(map[string]uint64, len(tr.fastpath))
-	for k, n := range tr.fastpath {
-		out[k] = n.Load()
+	for _, e := range tr.fastpath {
+		out[e.name] = e.n.Load()
 	}
 	return out
 }
 
-// Emit stamps and appends an arbitrary event.
-func (tr *Tracer) Emit(ev Event) {
-	if tr == nil {
-		return
-	}
-	tr.emit(&ev)
-}
-
-// emit is Emit for an event the caller built: it is copied once, into
-// its ring slot.
-func (tr *Tracer) emit(ev *Event) {
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	if ev.Kind < numKinds {
-		tr.emitted[ev.Kind].Add(1)
-	}
-	tr.ring.append(ev)
+// emit counts the record's kind and stores it, with its side text, in the
+// ring: the record is copied once, into its slot.
+func (tr *Tracer) emit(rec *record, text string) {
+	tr.emitted[rec.kind].Add(1)
+	tr.ring.append(rec, text)
 }
 
 // SyscallToken carries the state between a syscall's enter and exit event.
 type SyscallToken struct {
-	hist  *Histogram
-	name  string
-	pid   int
-	uid   int
-	start time.Time
+	hist     *Histogram
+	name     Sym
+	pid, uid int32
+	start    time.Duration
 }
 
 // SyscallEnter emits the enter event and returns the token the matching
@@ -146,14 +171,16 @@ func (tr *Tracer) SyscallEnter(name string, pid, uid int) SyscallToken {
 	if tr == nil {
 		return SyscallToken{}
 	}
-	return tr.syscallEnter(tr.histogram(groupSyscall, name), name, pid, uid)
+	kh := tr.histogram(groupSyscall, name)
+	return tr.syscallEnter(&kh.h, kh.sym, pid, uid)
 }
 
 // SyscallEnterNo is SyscallEnter for syscall number no (the kernel's
-// Sysno): the histogram comes from the tracer's slot for no, resolved on
-// the number's first use, so a repeat syscall takes no lock and hashes
-// no key. Numbers outside [0, MaxSyscalls) fall back to the name.
-func (tr *Tracer) SyscallEnterNo(no int, name string, pid, uid int) SyscallToken {
+// Sysno) named by the symbol name: the histogram comes from the tracer's
+// slot for no, resolved on the number's first use, so a repeat syscall
+// takes no lock and compares no key. Numbers outside [0, MaxSyscalls)
+// fall back to the name.
+func (tr *Tracer) SyscallEnterNo(no int, name Sym, pid, uid int) SyscallToken {
 	if tr == nil {
 		return SyscallToken{}
 	}
@@ -161,14 +188,14 @@ func (tr *Tracer) SyscallEnterNo(no int, name string, pid, uid int) SyscallToken
 	if uint(no) < MaxSyscalls {
 		h = tr.histogramRef(&tr.sys[no], groupSyscall, name)
 	} else {
-		h = tr.histogram(groupSyscall, name)
+		h = &tr.histogram(groupSyscall, name.String()).h
 	}
 	return tr.syscallEnter(h, name, pid, uid)
 }
 
-func (tr *Tracer) syscallEnter(h *Histogram, name string, pid, uid int) SyscallToken {
-	tok := SyscallToken{hist: h, name: name, pid: pid, uid: uid, start: time.Now()}
-	tr.emit(&Event{Kind: KindSyscallEnter, Name: name, PID: pid, UID: uid, Time: tok.start})
+func (tr *Tracer) syscallEnter(h *Histogram, name Sym, pid, uid int) SyscallToken {
+	tok := SyscallToken{hist: h, name: name, pid: int32(pid), uid: int32(uid), start: Now()}
+	tr.emit(&record{kind: KindSyscallEnter, name: name, pid: tok.pid, uid: tok.uid, time: tok.start}, "")
 	return tok
 }
 
@@ -179,34 +206,27 @@ func (tr *Tracer) SyscallExit(tok SyscallToken, err error) {
 	if tr == nil || tok.hist == nil {
 		return
 	}
-	now := time.Now()
-	lat := now.Sub(tok.start)
-	ev := Event{Kind: KindSyscallExit, Name: tok.name, PID: tok.pid, UID: tok.uid, Latency: lat, Time: now}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	tr.emit(&ev)
-	tok.hist.Observe(lat)
+	now := Now()
+	rec := record{kind: KindSyscallExit, name: tok.name, pid: tok.pid, uid: tok.uid,
+		lat: now - tok.start, time: now}
+	tr.emit(&rec, rec.setErr(err))
+	tok.hist.Observe(rec.lat)
 }
 
-// HookDecision records one chain hook evaluation that began at start: the
-// final decision, the module whose opinion won (empty for base policy),
-// and the hook latency, into the hook's histogram, which the producer
-// keeps in ref. One clock read ends the latency sample and stamps the
-// event.
-func (tr *Tracer) HookDecision(ref *HistogramRef, hook string, pid, uid int, decision, winner string, err error, start time.Time) {
+// HookDecision records one chain hook evaluation that began at start (a
+// Now reading): the final decision, the module whose opinion won (0 for
+// base policy), and the hook latency, into the hook's histogram, which
+// the producer keeps in ref. One clock read ends the latency sample and
+// stamps the event.
+func (tr *Tracer) HookDecision(ref *HistogramRef, hook Sym, pid, uid int, decision, winner Sym, err error, start time.Duration) {
 	if tr == nil {
 		return
 	}
-	now := time.Now()
-	lat := now.Sub(start)
-	ev := Event{Kind: KindLSMDecision, Name: hook, PID: pid, UID: uid,
-		Module: winner, Decision: decision, Latency: lat, Time: now}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	tr.emit(&ev)
-	tr.histogramRef(ref, groupLSM, hook).Observe(lat)
+	now := Now()
+	rec := record{kind: KindLSMDecision, name: hook, pid: int32(pid), uid: int32(uid),
+		module: winner, decision: decision, lat: now - start, time: now}
+	tr.emit(&rec, rec.setErr(err))
+	tr.histogramRef(ref, groupLSM, hook).Observe(rec.lat)
 }
 
 // CountDecisionRef bumps the (hook, module, decision) counter — one bump
@@ -227,8 +247,8 @@ func (tr *Tracer) NetfilterVerdictRef(ref *CounterRef, chain, rule, verdict stri
 	if tr == nil {
 		return
 	}
-	tr.emit(&Event{Kind: KindNetfilterVerdict, Name: chain, UID: senderUID,
-		Module: rule, Decision: verdict})
+	tr.emit(&record{kind: KindNetfilterVerdict, name: Intern(chain), uid: int32(senderUID),
+		module: Intern(rule), decision: Intern(verdict), time: Now()}, "")
 	tr.count(ref, "netfilter", chain, ruleOrPolicy(rule), verdict)
 }
 
@@ -239,17 +259,17 @@ func ruleOrPolicy(rule string) string {
 	return rule
 }
 
-// MonitordSync stamps one monitoring-daemon reparse/push cycle.
-func (tr *Tracer) MonitordSync(target string, lat time.Duration, err error) {
+// MonitordSync stamps one monitoring-daemon reparse/push cycle that began
+// at start (a Now reading).
+func (tr *Tracer) MonitordSync(target string, start time.Duration, err error) {
 	if tr == nil {
 		return
 	}
-	ev := Event{Kind: KindMonitordSync, Name: target, Latency: lat}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	tr.emit(&ev)
-	tr.histogram(groupMonitord, target).Observe(lat)
+	kh := tr.histogram(groupMonitord, target)
+	now := Now()
+	rec := record{kind: KindMonitordSync, name: kh.sym, lat: now - start, time: now}
+	tr.emit(&rec, rec.setErr(err))
+	kh.h.Observe(rec.lat)
 }
 
 // AuthCheckRef records an authentication-service check: mechanism is
@@ -260,26 +280,28 @@ func (tr *Tracer) AuthCheckRef(ref *CounterRef, mechanism, subject string, pid, 
 	if tr == nil {
 		return
 	}
-	outcome := "ok"
+	outcome := symOK
 	if !ok {
-		outcome = "fail"
+		outcome = symFail
 	}
-	tr.emit(&Event{Kind: KindAuthCheck, Name: subject, PID: pid, UID: uid,
-		Module: mechanism, Decision: outcome})
-	tr.count(ref, "auth", mechanism, mechanism, outcome)
+	rec := record{kind: KindAuthCheck, pid: int32(pid), uid: int32(uid),
+		module: Intern(mechanism), decision: outcome, time: Now()}
+	tr.emit(&rec, rec.withText(textName, subject))
+	tr.count(ref, "auth", mechanism, mechanism, outcome.String())
 }
 
 // FaultInject records one deliberate fault injection: site is the
 // registered injection site, action the fault kind ("err", "drop", "dup",
-// "torn"), errname the injected errno's symbolic name (empty for non-error
-// actions), and hit the site's 1-based hit count at injection time. The
-// record is what makes a failing sweep run replayable.
-func (tr *Tracer) FaultInject(site, action, errname string, hit uint64) {
+// "torn"), e the injected errno (0 for non-error actions), and hit the
+// site's 1-based hit count at injection time. The record is what makes a
+// failing sweep run replayable.
+func (tr *Tracer) FaultInject(site, action string, e errno.Errno, hit uint64) {
 	if tr == nil {
 		return
 	}
-	tr.emit(&Event{Kind: KindFaultInject, Name: site, Module: action,
-		Err: errname, Msg: fmt.Sprintf("hit=%d", hit)})
+	rec := record{kind: KindFaultInject, name: Intern(site), module: Intern(action),
+		errno: int32(e), time: Now()}
+	tr.emit(&rec, rec.withText(textMsg, "hit="+strconv.FormatUint(hit, 10)))
 	tr.count(nil, "fault", site, action, "injected")
 }
 
@@ -288,7 +310,8 @@ func (tr *Tracer) Audit(msg string) {
 	if tr == nil {
 		return
 	}
-	tr.emit(&Event{Kind: KindAudit, Msg: msg})
+	rec := record{kind: KindAudit, time: Now()}
+	tr.emit(&rec, rec.withText(textMsg, msg))
 }
 
 // HistogramRef caches one histogram of one tracer for a producer that
@@ -300,83 +323,83 @@ type HistogramRef struct {
 
 // histogramRef returns ref's histogram, resolving (group, name) on first
 // use.
-func (tr *Tracer) histogramRef(ref *HistogramRef, group, name string) *Histogram {
+func (tr *Tracer) histogramRef(ref *HistogramRef, group string, name Sym) *Histogram {
 	if h := ref.p.Load(); h != nil {
 		return h
 	}
-	h := tr.histogram(group, name)
+	h := &tr.histogram(group, name.String()).h
 	ref.p.Store(h)
 	return h
 }
 
-// histogram returns the (group, name) histogram, creating it on first
-// use.
-func (tr *Tracer) histogram(group, name string) *Histogram {
-	key := histKey{group, name}
+// histogram returns the (group, name) histogram's entry, creating it on
+// first use.
+func (tr *Tracer) histogram(group, name string) *keyedHist {
 	tr.histMu.RLock()
-	h := tr.hists[key]
+	kh := findHist(tr.hists, group, name)
 	tr.histMu.RUnlock()
-	if h != nil {
-		return h
+	if kh != nil {
+		return kh
 	}
 	tr.histMu.Lock()
 	defer tr.histMu.Unlock()
-	if h = tr.hists[key]; h == nil {
-		h = &Histogram{}
-		tr.hists[key] = h
+	if kh = findHist(tr.hists, group, name); kh == nil {
+		kh = &keyedHist{group: group, name: name, sym: Intern(name)}
+		tr.hists = append(tr.hists, kh)
 	}
-	return h
+	return kh
+}
+
+func findHist(hs []*keyedHist, group, name string) *keyedHist {
+	for _, kh := range hs {
+		if kh.name == name && kh.group == group {
+			return kh
+		}
+	}
+	return nil
 }
 
 // --- consumer API ---
 
+func allKinds(Kind) bool { return true }
+
 // Snapshot returns the retained events, oldest first.
-func (tr *Tracer) Snapshot() []Event { return tr.ring.Snapshot() }
+func (tr *Tracer) Snapshot() []Event { return tr.ring.snapshot(allKinds) }
 
 // SnapshotKind returns the retained events of one kind, oldest first.
 func (tr *Tracer) SnapshotKind(k Kind) []Event {
-	all := tr.ring.Snapshot()
-	out := make([]Event, 0, len(all))
-	for _, ev := range all {
-		if ev.Kind == k {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return tr.ring.snapshot(func(kind Kind) bool { return kind == k })
 }
 
 // Histogram returns the latency stats for one syscall (zero stats when the
 // syscall was never observed).
 func (tr *Tracer) Histogram(syscall string) HistStats {
-	return tr.histStats(histKey{groupSyscall, syscall})
+	return tr.histStats(groupSyscall, syscall)
 }
 
 // HookHistogram returns the latency stats for one LSM hook.
 func (tr *Tracer) HookHistogram(hook string) HistStats {
-	return tr.histStats(histKey{groupLSM, hook})
+	return tr.histStats(groupLSM, hook)
 }
 
-func (tr *Tracer) histStats(key histKey) HistStats {
+func (tr *Tracer) histStats(group, name string) HistStats {
 	tr.histMu.RLock()
-	h := tr.hists[key]
+	kh := findHist(tr.hists, group, name)
 	tr.histMu.RUnlock()
-	if h == nil {
+	if kh == nil {
 		return HistStats{}
 	}
-	return h.Stats()
+	return kh.h.Stats()
 }
 
 // Histograms returns every histogram's stats keyed by "<group>:<name>".
 func (tr *Tracer) Histograms() map[string]HistStats {
 	tr.histMu.RLock()
-	hists := make(map[histKey]*Histogram, len(tr.hists))
-	for k, h := range tr.hists {
-		hists[k] = h
-	}
+	hists := append([]*keyedHist(nil), tr.hists...)
 	tr.histMu.RUnlock()
 	out := make(map[string]HistStats, len(hists))
-	for k, h := range hists {
-		out[k.group+":"+k.name] = h.Stats()
+	for _, kh := range hists {
+		out[kh.group+":"+kh.name] = kh.h.Stats()
 	}
 	return out
 }
@@ -386,8 +409,8 @@ func (tr *Tracer) Counters() map[CounterKey]uint64 {
 	tr.ctrMu.RLock()
 	defer tr.ctrMu.RUnlock()
 	out := make(map[CounterKey]uint64, len(tr.counters))
-	for k, c := range tr.counters {
-		out[k] = c.Load()
+	for _, c := range tr.counters {
+		out[c.key] = c.n.Load()
 	}
 	return out
 }
