@@ -9,6 +9,7 @@ package protego_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,35 +106,31 @@ func BenchmarkTable4PolicyChecks(b *testing.B) {
 	})
 }
 
-// --- Table 5: one sub-benchmark per lmbench-style row per kernel, plus
-// the three macro workloads. ---
+// --- Table 5: one sub-benchmark per lmbench-style row per kernel, each
+// timing the row's closure from bench.Table5Ops on one root session,
+// plus the three macro workloads. ---
 
 func BenchmarkTable5Micro(b *testing.B) {
 	for _, mode := range modes {
 		m := mustBuild(b, mode)
-		for _, test := range bench.MicroSuite() {
-			test := test
-			sess := mustSession(b, m, test.User())
-			b.Run(fmt.Sprintf("%s/%s", mode, sanitize(test.Name)), func(b *testing.B) {
-				if err := test.Run(m, sess, b.N); err != nil {
-					b.Fatal(err)
+		root := mustSession(b, m, "root")
+		for _, row := range bench.Table5Ops {
+			op, finish, err := row.Start(m, root)
+			if err != nil {
+				b.Fatalf("%s: %v", row.Name, err)
+			}
+			b.Run(fmt.Sprintf("%s/%s", mode, strings.ReplaceAll(row.Name, "/", "_")), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := op(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
+			if err := finish(); err != nil {
+				b.Fatalf("%s: %v", row.Name, err)
+			}
 		}
 	}
-}
-
-func sanitize(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, r := range name {
-		switch r {
-		case '/', ' ':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
 }
 
 func BenchmarkTable5Postal(b *testing.B) {

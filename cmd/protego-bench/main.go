@@ -13,8 +13,10 @@
 //	protego-bench -all         everything
 //	protego-bench -cve ID      one Table 6 CVE with a per-action log
 //
-// Table 5 reports each row as mean ± 95% CI over alternating rounds on
-// the two kernels; Table 1's worst-overhead line reads its micro rows.
+// Table 5 reports each row as the median of alternating rounds on the
+// two kernels, with an order-statistic 95% CI; a micro row's round calls
+// its one-op closure from bench.Table5Ops as often as fits in about half
+// a millisecond. Table 1's worst-overhead line reads the same micro rows.
 // -quick shrinks the macro workloads for a fast smoke run. -faults runs the
 // deterministic fault-injection sweep (seeded by -faultseed) over both
 // configurations instead of the tables, exiting non-zero on any panic,
@@ -170,9 +172,9 @@ func main() {
 func printTable5(quick bool) error {
 	cfg := bench.DefaultTable5Config()
 	if quick {
-		cfg.PostalMessages = 50
+		cfg.PostalMessages = 30
 		cfg.CompileFiles = 50
-		cfg.WebRequests = 400
+		cfg.WebRequests = 100
 		cfg.WebConcurrency = []int{25, 50}
 	}
 	rows, err := bench.RunTable5(cfg)

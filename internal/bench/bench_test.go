@@ -1,34 +1,74 @@
 package bench
 
 import (
+	"math/rand"
 	"testing"
 
-	"protego/internal/kernel"
 	"protego/internal/world"
 )
 
-// TestMicroSuiteRunsBothModes smoke-tests every microbenchmark on both
-// kernels with tiny iteration counts.
-func TestMicroSuiteRunsBothModes(t *testing.T) {
-	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+// TestTable5RowsShareOneMachine starts every Table-5 row on one root
+// session per image and replays a seeded deck of their closures, as the
+// repository benchmark's lmbench-mix replays its ops: a row that disturbs
+// another (a handler that sig overhead counts, a port, the remote rows'
+// peer stack) fails an op or a finish. The read and write rows then run
+// past their file's end, where they reopen it. Every finish must pass, the
+// image must end with its set-up task count and mount table, and the write
+// file must stay within its bound.
+func TestTable5RowsShareOneMachine(t *testing.T) {
+	for _, mode := range modes {
 		m, err := world.Build(world.Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, test := range MicroSuite() {
-			sess, err := m.Session(test.User())
-			if err != nil {
-				t.Fatal(err)
+		root, err := m.Session("root")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, mtab := m.K.TaskCount(), m.K.FS.FormatMtab()
+		ops := make([]func() error, len(Table5Ops))
+		finishes := make([]func() error, len(Table5Ops))
+		for i, row := range Table5Ops {
+			if ops[i], finishes[i], err = row.Start(m, root); err != nil {
+				t.Fatalf("%s: start on %s: %v", row.Name, mode, err)
 			}
-			if err := test.Run(m, sess, 8); err != nil {
-				t.Errorf("%s on %s: %v", test.Name, mode, err)
+		}
+		// The deck deals every row 20 times, in a seeded order.
+		for _, card := range rand.New(rand.NewSource(1)).Perm(20 * len(ops)) {
+			i := card % len(ops)
+			if err := ops[i](); err != nil {
+				t.Fatalf("%s on %s: %v", Table5Ops[i].Name, mode, err)
 			}
+		}
+		for i, row := range Table5Ops {
+			if row.Name != "read" && row.Name != "write" {
+				continue
+			}
+			for n := 0; n <= fileSize; n++ {
+				if err := ops[i](); err != nil {
+					t.Fatalf("%s on %s, op %d past the deck: %v", row.Name, mode, n, err)
+				}
+			}
+		}
+		for i, finish := range finishes {
+			if err := finish(); err != nil {
+				t.Errorf("%s: finish on %s: %v", Table5Ops[i].Name, mode, err)
+			}
+		}
+		if n := m.K.TaskCount(); n != tasks {
+			t.Errorf("%s: %d tasks live, %d at set-up", mode, n, tasks)
+		}
+		if got := m.K.FS.FormatMtab(); got != mtab {
+			t.Errorf("%s: mount table changed:\n%s\nset-up:\n%s", mode, got, mtab)
+		}
+		if data, err := m.K.ReadFile(root, writePath); err != nil || len(data) > fileSize {
+			t.Errorf("%s: write file: %v, %d bytes", mode, err, len(data))
 		}
 	}
 }
 
 func TestPostalSmoke(t *testing.T) {
-	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+	for _, mode := range modes {
 		res, err := RunPostal(mode, 10)
 		if err != nil {
 			t.Fatalf("postal %s: %v", mode, err)
@@ -40,7 +80,7 @@ func TestPostalSmoke(t *testing.T) {
 }
 
 func TestCompileSmoke(t *testing.T) {
-	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+	for _, mode := range modes {
 		res, err := RunCompile(mode, 20)
 		if err != nil {
 			t.Fatalf("compile %s: %v", mode, err)
@@ -52,7 +92,7 @@ func TestCompileSmoke(t *testing.T) {
 }
 
 func TestWebSmoke(t *testing.T) {
-	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+	for _, mode := range modes {
 		res, err := RunWeb(mode, 5, 50)
 		if err != nil {
 			t.Fatalf("web %s: %v", mode, err)
@@ -72,11 +112,11 @@ func TestRowOverheadSign(t *testing.T) {
 	if oh := r.OverheadPct(); oh != -10 {
 		t.Fatalf("throughput overhead = %v, want -10", oh)
 	}
-	r = Row{Linux: 100, LinuxCI: 5, Protego: 108, ProtegoCI: 4}
+	r = Row{Linux: 100, LinuxCI: [2]float64{96, 105}, Protego: 108, ProtegoCI: [2]float64{104, 112}}
 	if !r.Noise() {
 		t.Fatal("overlapping CIs not marked as noise")
 	}
-	r.ProtegoCI = 2
+	r.ProtegoCI[0] = 106
 	if r.Noise() {
 		t.Fatal("disjoint CIs marked as noise")
 	}
@@ -93,7 +133,7 @@ func TestTable5SmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(MicroSuite()) {
+	if len(rows) != len(Table5Ops) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	var sum float64

@@ -10,15 +10,13 @@ import (
 	"protego/internal/world"
 )
 
-// Row is one Table 5 row: the measurement under both kernels, with the
-// ±95% confidence half-widths the paper's +/- columns report.
+// Row is one Table 5 row: each image's median over the timed rounds, with
+// the 95% confidence interval of the median as [low, high].
 type Row struct {
-	Name      string
-	Unit      string
-	Linux     float64
-	LinuxCI   float64
-	Protego   float64
-	ProtegoCI float64
+	Name               string
+	Unit               string
+	Linux, Protego     float64
+	LinuxCI, ProtegoCI [2]float64
 	// HigherIsBetter flips the overhead sign convention (bandwidth,
 	// throughput rows).
 	HigherIsBetter bool
@@ -42,23 +40,11 @@ func (r *Row) OverheadPct() float64 {
 // Noise reports whether the row's two 95% confidence intervals overlap:
 // the paper's criterion for a difference that is noise.
 func (r *Row) Noise() bool {
-	return Sample{Mean: r.Linux, CI95: r.LinuxCI}.Overlaps(Sample{Mean: r.Protego, CI95: r.ProtegoCI})
+	return r.LinuxCI[0] <= r.ProtegoCI[1] && r.ProtegoCI[0] <= r.LinuxCI[1]
 }
 
-// paperOverheads maps microbenchmark names to the paper's % OH column.
-var paperOverheads = map[string]float64{
-	"syscall": 0.00, "read": 0.00, "write": 0.00, "stat": -2.94,
-	"open/close": 0.00, "mount/umnt": 1.13, "setuid": 1.22, "setgid": 1.22,
-	"ioctl": 0.72, "bind": 2.25, "sig install": 0.00, "sig overhead": 0.00,
-	"prot. fault": 0.00, "fork+exit": -0.63, "fork+execve": 3.43,
-	"fork+/bin/sh": 3.90, "0KB create": -2.51, "10KB create": -1.82,
-	"AF_UNIX": 4.19, "Pipe": 2.23, "TCP connect": 3.05,
-	"Local TCP lat": 6.32, "Local UDP lat": 7.19,
-	"Rem. UDP lat": 6.38, "Rem. TCP lat": 7.38, "BW 64KB xfer": 2.74,
-}
-
-// Table5Config scales the workloads (smaller for tests, larger for the
-// published run).
+// Table5Config scales the macro workloads (smaller for tests, larger for
+// the published run).
 type Table5Config struct {
 	PostalMessages int
 	CompileFiles   int
@@ -68,57 +54,52 @@ type Table5Config struct {
 }
 
 // DefaultTable5Config mirrors the paper's workload mix at
-// simulation-appropriate scale.
+// simulation-appropriate scale: each of abba's rounds runs every workload
+// once per image, so a round stays short. WebRequests must be at least
+// the highest concurrency, or its clients issue none.
 func DefaultTable5Config() Table5Config {
 	return Table5Config{
-		PostalMessages: 300,
-		CompileFiles:   400,
-		WebRequests:    2000,
+		PostalMessages: 100,
+		CompileFiles:   200,
+		WebRequests:    300,
 		WebConcurrency: []int{25, 50, 100, 200},
 	}
 }
 
+// modes are the two images, in abba's side order.
+var modes = [2]kernel.Mode{kernel.ModeLinux, kernel.ModeProtego}
+
 // RunTable5 measures every row under both kernels through one loop,
-// abba, and reports each as mean ± 95% CI.
+// abba, and reports each image's median with its 95% CI. The micro rows
+// all run on one root session per image.
 func RunTable5(cfg Table5Config) ([]Row, error) {
-	machines := map[kernel.Mode]*world.Machine{}
-	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+	var machines [2]*world.Machine
+	var roots [2]*kernel.Task
+	for side, mode := range modes {
 		m, err := world.Build(world.Options{Mode: mode})
 		if err != nil {
 			return nil, err
 		}
-		machines[mode] = m
+		if roots[side], err = m.Session("root"); err != nil {
+			return nil, err
+		}
+		machines[side] = m
 	}
 	var rows []Row
-	for _, test := range MicroSuite() {
-		sessions := map[kernel.Mode]*kernel.Task{}
-		for mode, m := range machines {
-			t, err := m.Session(test.User())
-			if err != nil {
-				return nil, err
-			}
-			sessions[mode] = t
-		}
-		micro := []Row{{Name: test.Name, Unit: "us", PaperOverheadPct: paperOverheads[test.Name]}}
-		micro, err := abba(micro, func(mode kernel.Mode) ([]float64, error) {
-			start := time.Now()
-			if err := test.Run(machines[mode], sessions[mode], test.Iters); err != nil {
-				return nil, err
-			}
-			return []float64{float64(time.Since(start).Nanoseconds()) / 1000 / float64(test.Iters)}, nil
-		})
+	for _, op := range Table5Ops {
+		row, err := timeOp(op, machines, roots)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, micro...)
+		rows = append(rows, row)
 	}
 	if cfg.SkipMacro {
 		return rows, nil
 	}
 
 	postal := []Row{{Name: "Postal msgs/min", Unit: "msgs/min", HigherIsBetter: true, PaperOverheadPct: -0.04}}
-	postal, err := abba(postal, func(mode kernel.Mode) ([]float64, error) {
-		res, err := RunPostal(mode, cfg.PostalMessages)
+	postal, err := abba(postal, func(side int) ([]float64, error) {
+		res, err := RunPostal(modes[side], cfg.PostalMessages)
 		if err != nil {
 			return nil, err
 		}
@@ -130,8 +111,8 @@ func RunTable5(cfg Table5Config) ([]Row, error) {
 	rows = append(rows, postal...)
 
 	compile := []Row{{Name: "Kernel compile", Unit: "ms", PaperOverheadPct: 1.44}}
-	compile, err = abba(compile, func(mode kernel.Mode) ([]float64, error) {
-		res, err := RunCompile(mode, cfg.CompileFiles)
+	compile, err = abba(compile, func(side int) ([]float64, error) {
+		res, err := RunCompile(modes[side], cfg.CompileFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -150,8 +131,8 @@ func RunTable5(cfg Table5Config) ([]Row, error) {
 			{Name: fmt.Sprintf("Web KB/s %d conc", conc), Unit: "KB/s", HigherIsBetter: true, PaperOverheadPct: kbPaper[conc]},
 		}
 		// One RunWeb yields both of the concurrency level's rows.
-		web, err := abba(web, func(mode kernel.Mode) ([]float64, error) {
-			res, err := RunWeb(mode, conc, cfg.WebRequests)
+		web, err := abba(web, func(side int) ([]float64, error) {
+			res, err := RunWeb(modes[side], conc, cfg.WebRequests)
 			if err != nil {
 				return nil, err
 			}
@@ -165,21 +146,62 @@ func RunTable5(cfg Table5Config) ([]Row, error) {
 	return rows, nil
 }
 
+// roundLen is about how long one round of a micro row lasts on one
+// image: the row's first warm-up round calls its op until roundLen has
+// passed, and every later round makes that many calls.
+const roundLen = 500 * time.Microsecond
+
+// timeOp starts op on both images, measures it through abba in
+// microseconds per call, and finishes it.
+func timeOp(op Op, machines [2]*world.Machine, roots [2]*kernel.Task) (row Row, err error) {
+	var calls [2]func() error
+	finishes := [2]func() error{noCheck, noCheck}
+	defer func() {
+		for side, finish := range finishes {
+			if ferr := finish(); ferr != nil && err == nil {
+				err = fmt.Errorf("%s (%s): %w", op.Name, modes[side], ferr)
+			}
+		}
+	}()
+	for side := range modes {
+		call, finish, err := op.Start(machines[side], roots[side])
+		if err != nil {
+			return row, fmt.Errorf("%s (%s): %w", op.Name, modes[side], err)
+		}
+		calls[side], finishes[side] = call, finish
+	}
+	n := 0
+	rows, err := abba([]Row{{Name: op.Name, Unit: "us", PaperOverheadPct: op.PaperOverheadPct}}, func(side int) ([]float64, error) {
+		i, start := 0, time.Now()
+		for ; i < n || n == 0 && time.Since(start) < roundLen; i++ {
+			if err := calls[side](); err != nil {
+				return nil, err
+			}
+		}
+		elapsed := time.Since(start)
+		n = i
+		return []float64{float64(elapsed.Nanoseconds()) / 1000 / float64(n)}, nil
+	})
+	if err == nil {
+		row = rows[0]
+	}
+	return row, err
+}
+
 // table5Rounds is the number of timed rounds per image. It is even, so
 // each image runs first in half of them.
-const table5Rounds = 6
+const table5Rounds = 40
 
-// abba measures rows on both images and fills in their means and 95%
-// CIs. round runs once on an image and returns one value per row. One
-// warm-up round per image is discarded and the heap collected; the timed
-// rounds then alternate which image runs first (Linux, Protego; Protego,
-// Linux; ...), so drift, GC debt and cache warmth land on both images
-// alike — the fair comparison the paper gets from separately booted
-// kernels.
-func abba(rows []Row, round func(mode kernel.Mode) ([]float64, error)) ([]Row, error) {
-	modes := [2]kernel.Mode{kernel.ModeLinux, kernel.ModeProtego}
-	for _, mode := range modes {
-		if _, err := round(mode); err != nil {
+// abba measures rows on both images and fills in each image's median
+// and its 95% CI. round runs once on one image (side 0 is Linux, side 1
+// Protego) and returns one value per row. One warm-up round per image is
+// discarded and the heap collected; the timed rounds then alternate which
+// image runs first (Linux, Protego; Protego, Linux; ...), so drift, GC
+// debt and cache warmth land on both images alike — the fair comparison
+// the paper gets from separately booted kernels.
+func abba(rows []Row, round func(side int) ([]float64, error)) ([]Row, error) {
+	for side, mode := range modes {
+		if _, err := round(side); err != nil {
 			return nil, fmt.Errorf("%s warm-up (%s): %w", rows[0].Name, mode, err)
 		}
 	}
@@ -188,7 +210,7 @@ func abba(rows []Row, round func(mode kernel.Mode) ([]float64, error)) ([]Row, e
 	for r := 0; r < table5Rounds; r++ {
 		for k := range modes {
 			side := (k + r) % 2
-			v, err := round(modes[side])
+			v, err := round(side)
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", rows[0].Name, modes[side], err)
 			}
@@ -198,9 +220,8 @@ func abba(rows []Row, round func(mode kernel.Mode) ([]float64, error)) ([]Row, e
 		}
 	}
 	for i := range rows {
-		l, p := Summarize(vals[0][i]), Summarize(vals[1][i])
-		rows[i].Linux, rows[i].LinuxCI = l.Mean, l.CI95
-		rows[i].Protego, rows[i].ProtegoCI = p.Mean, p.CI95
+		rows[i].Linux, rows[i].LinuxCI = medianCI(vals[0][i])
+		rows[i].Protego, rows[i].ProtegoCI = medianCI(vals[1][i])
 	}
 	return rows, nil
 }
@@ -219,10 +240,11 @@ func FormatTable5(rows []Row) string {
 			noise = " ~"
 		}
 		fmt.Fprintf(&b, "%-22s %12.3f %8.3f %12.3f %8.3f %+9.2f %+9.2f  %s%s\n",
-			r.Name, r.Linux, r.LinuxCI, r.Protego, r.ProtegoCI,
+			r.Name, r.Linux, (r.LinuxCI[1]-r.LinuxCI[0])/2, r.Protego, (r.ProtegoCI[1]-r.ProtegoCI[0])/2,
 			r.OverheadPct(), r.PaperOverheadPct, r.Unit, noise)
 	}
-	b.WriteString("\n'~' marks rows whose 95% CIs overlap (differences within noise).\n")
+	fmt.Fprintf(&b, "\nEach value is the median of %d rounds per kernel; +/- is half the width of\n", table5Rounds)
+	b.WriteString("its order-statistic 95% CI. '~' marks rows whose two CIs overlap (differences\nwithin noise).\n")
 	b.WriteString("Paper range: 0-7.4% overhead; kernel compile 1.44%.\n")
 	return b.String()
 }

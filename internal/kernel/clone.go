@@ -54,9 +54,10 @@ func (k *Kernel) Clone() *Kernel {
 	return c
 }
 
-// cloneInto deep-copies the task onto kernel c: credentials, environment,
-// security blobs (including a private network namespace, if any), and
-// descriptors are private to the clone; stdio buffers start fresh.
+// cloneInto copies the task onto kernel c: environment, security blobs
+// (including a private network namespace, if any), and descriptors are
+// private to the clone, which shares the immutable credentials; stdio
+// buffers start fresh.
 func (t *Task) cloneInto(c *Kernel, fdMap map[*FileDesc]*FileDesc) *Task {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -65,7 +66,6 @@ func (t *Task) cloneInto(c *Kernel, fdMap map[*FileDesc]*FileDesc) *Task {
 		k:           c,
 		pid:         t.pid,
 		ppid:        t.ppid,
-		creds:       t.creds.Clone(),
 		cwd:         t.cwd,
 		binary:      t.binary,
 		argv:        append([]string(nil), t.argv...),
@@ -90,8 +90,10 @@ func (t *Task) cloneInto(c *Kernel, fdMap map[*FileDesc]*FileDesc) *Task {
 		}
 		nt.fds[fd] = nf
 	}
-	// The syscall-entry slot carries a profile the clone's re-registered
-	// seccomp module shares by reference, so the pointer copies over.
+	// Credentials are never written in place, and the syscall-entry slot
+	// carries a profile the clone's re-registered seccomp module shares by
+	// reference, so both pointers copy over.
+	nt.creds.Store(t.creds.Load())
 	nt.sysFilter.Store(t.sysFilter.Load())
 	return nt
 }

@@ -3,7 +3,10 @@ package kernel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"protego/internal/caps"
 )
 
 // TestTaskTableConcurrent exercises the task table under its one lock:
@@ -72,5 +75,51 @@ func TestTaskTableConcurrent(t *testing.T) {
 		if got := k.Task(task.PID()); got != task {
 			t.Fatalf("snapshot task %d not resolvable", task.PID())
 		}
+	}
+}
+
+// TestCredentialsConcurrent: a task's own goroutine changes its ids while
+// other goroutines read them, fork from the task and signal it.
+// Credentials are replaced whole, never written in place, so every reader
+// sees one state the writer stored: effective and filesystem uid agree,
+// and the effective capabilities are full exactly when the euid is 0.
+func TestCredentialsConcurrent(t *testing.T) {
+	k := New(ModeLinux)
+	init := k.InitTask()
+	task := k.Fork(init)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer stop.Store(true)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for killer := k.Fork(init); !stop.Load(); {
+				_, _, _, _ = task.UID(), task.EUID(), task.GID(), task.EGID()
+				_, _ = task.Groups(), task.Capable(caps.CAP_KILL)
+				child := k.Fork(task)
+				for _, c := range []*Credentials{task.Creds(), child.Creds()} {
+					if c.EUID != c.FUID || c.Capable(caps.CAP_SETUID) != (c.EUID == 0) {
+						t.Errorf("torn credentials %v", c)
+						return
+					}
+				}
+				k.Exit(child, 0)
+				if err := k.Kill(killer, task.PID(), 0); err != nil {
+					t.Errorf("kill: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		for _, err := range []error{k.Setgroups(task, []int{i}), k.Setgid(task, i),
+			k.Seteuid(task, 1000), k.Seteuid(task, 0), k.Setuid(task, 0)} {
+			if err != nil {
+				t.Fatalf("iteration %d: %v", i, err)
+			}
+		}
+		task.SetUserCreds(RootCreds())
 	}
 }

@@ -232,7 +232,6 @@ func (k *Kernel) InitTask() *Task {
 	stdio := new([3]bytes.Buffer) // one allocation for the terminal
 	t := &Task{
 		k:           k,
-		creds:       RootCreds(),
 		cwd:         "/",
 		binary:      "/sbin/init",
 		argv:        []string{"/sbin/init"},
@@ -244,6 +243,7 @@ func (k *Kernel) InitTask() *Task {
 		Stderr:      &stdio[1],
 		Stdin:       &stdio[2],
 	}
+	t.creds.Store(RootCreds())
 	t.pid = int(k.nextPID.Add(1))
 	k.addTask(t)
 	return t
@@ -257,7 +257,6 @@ func (k *Kernel) Fork(parent *Task) *Task {
 	child := &Task{
 		k:           k,
 		ppid:        parent.pid,
-		creds:       parent.creds.Clone(),
 		cwd:         parent.cwd,
 		binary:      parent.binary,
 		argv:        append([]string(nil), parent.argv...),
@@ -275,8 +274,9 @@ func (k *Kernel) Fork(parent *Task) *Task {
 	for fd, f := range parent.fds {
 		child.fds[fd] = f
 	}
-	// Like seccomp filters across fork(2): the syscall-entry slot is
-	// inherited (boxes are immutable, so the pointer is shared).
+	// Credentials and syscall-entry boxes are never written in place, so
+	// the child shares the parent's, as fork(2) inherits seccomp filters.
+	child.creds.Store(parent.creds.Load())
 	child.sysFilter.Store(parent.sysFilter.Load())
 	parent.mu.Unlock()
 
@@ -436,8 +436,8 @@ func (k *Kernel) Exec(t *Task, path string, argv []string, env map[string]string
 		}
 	}
 
+	t.creds.Store(newCreds)
 	t.mu.Lock()
-	t.creds = newCreds
 	t.binary = clean
 	t.argv = append([]string(nil), argv...)
 	t.env = req.Env // possibly filtered by the LSM

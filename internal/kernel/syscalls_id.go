@@ -68,20 +68,12 @@ func (k *Kernel) Setuid(t *Task, uid int) (err error) {
 	creds := t.credsRef()
 
 	if creds.Capable(caps.CAP_SETUID) {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllUIDs(uid)
-		t.creds.recomputeCaps()
-		t.mu.Unlock()
+		t.commitCreds(creds, func(c *Credentials) { c.setAllUIDs(uid); c.recomputeCaps() })
 		return nil
 	}
 	// Unprivileged: may move the effective uid between real and saved.
 	if uid == creds.RUID || uid == creds.SUID {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.EUID = uid
-		t.creds.FUID = uid
-		t.mu.Unlock()
+		t.commitCreds(creds, func(c *Credentials) { c.EUID, c.FUID = uid, uid })
 		return nil
 	}
 	dec, err := k.LSM.SetuidCheck(t, uid)
@@ -92,15 +84,14 @@ func (k *Kernel) Setuid(t *Task, uid int) (err error) {
 		// over; the kernel establishes the target's (the task could
 		// not do so itself unless the target is root).
 		gid, groups, ok := k.LSM.ResolveGroups(uid)
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllUIDs(uid)
-		if ok {
-			t.creds.setAllGIDs(gid)
-		}
-		t.creds.Groups = append([]int(nil), groups...)
-		t.creds.recomputeCaps()
-		t.mu.Unlock()
+		t.commitCreds(creds, func(c *Credentials) {
+			c.setAllUIDs(uid)
+			if ok {
+				c.setAllGIDs(gid)
+			}
+			c.Groups = append([]int(nil), groups...)
+			c.recomputeCaps()
+		})
 		return nil
 	case lsm.DeferToExec:
 		// Success is reported to the caller; the credential change is
@@ -122,12 +113,7 @@ func (k *Kernel) Seteuid(t *Task, uid int) (err error) {
 	}
 	creds := t.credsRef()
 	if creds.Capable(caps.CAP_SETUID) || uid == creds.RUID || uid == creds.EUID || uid == creds.SUID {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.EUID = uid
-		t.creds.FUID = uid
-		t.creds.recomputeCaps()
-		t.mu.Unlock()
+		t.commitCreds(creds, func(c *Credentials) { c.EUID, c.FUID = uid, uid; c.recomputeCaps() })
 		return nil
 	}
 	return errno.EPERM
@@ -146,27 +132,17 @@ func (k *Kernel) Setgid(t *Task, gid int) (err error) {
 	}
 	creds := t.credsRef()
 	if creds.Capable(caps.CAP_SETGID) {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllGIDs(gid)
-		t.mu.Unlock()
+		t.commitCreds(creds, func(c *Credentials) { c.setAllGIDs(gid) })
 		return nil
 	}
 	if gid == creds.RGID || gid == creds.SGID || creds.InGroup(gid) {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.EGID = gid
-		t.creds.FGID = gid
-		t.mu.Unlock()
+		t.commitCreds(creds, func(c *Credentials) { c.EGID, c.FGID = gid, gid })
 		return nil
 	}
 	dec, err := k.LSM.SetgidCheck(t, gid)
 	switch dec {
 	case lsm.Grant:
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllGIDs(gid)
-		t.mu.Unlock()
+		t.commitCreds(creds, func(c *Credentials) { c.setAllGIDs(gid) })
 		return nil
 	case lsm.DeferToExec:
 		return nil
@@ -187,9 +163,6 @@ func (k *Kernel) Setgroups(t *Task, groups []int) (err error) {
 	if !creds.Capable(caps.CAP_SETGID) {
 		return errno.EPERM
 	}
-	t.mu.Lock()
-	t.creds = creds.Clone()
-	t.creds.Groups = append([]int(nil), groups...)
-	t.mu.Unlock()
+	t.commitCreds(creds, func(c *Credentials) { c.Groups = append([]int(nil), groups...) })
 	return nil
 }

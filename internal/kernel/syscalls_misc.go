@@ -3,6 +3,7 @@ package kernel
 import (
 	"time"
 
+	"protego/internal/caps"
 	"protego/internal/errno"
 	"protego/internal/lsm"
 	"protego/internal/vfs"
@@ -93,7 +94,7 @@ func (k *Kernel) Kill(t *Task, pid, sig int) (err error) {
 	}
 	tc := t.credsRef()
 	oc := target.credsRef()
-	if tc.EUID != 0 && tc.RUID != oc.RUID && tc.EUID != oc.RUID && !t.Capable(5 /* CAP_KILL */) {
+	if tc.EUID != 0 && tc.RUID != oc.RUID && tc.EUID != oc.RUID && !t.Capable(caps.CAP_KILL) {
 		return errno.EPERM
 	}
 	target.mu.Lock()

@@ -20,8 +20,11 @@ type Task struct {
 	pid  int
 	ppid int
 
+	// creds is replaced, never written in place (commitCreds), like
+	// Linux's copy-on-write struct cred: a reader loads it without a lock.
+	creds atomic.Pointer[Credentials]
+
 	mu     sync.Mutex
-	creds  *Credentials
 	cwd    string
 	binary string
 	argv   []string
@@ -65,30 +68,22 @@ func (t *Task) Kernel() *Kernel { return t.k }
 func (t *Task) PPID() int { return t.ppid }
 
 // UID implements lsm.Task (real uid).
-func (t *Task) UID() int { t.mu.Lock(); defer t.mu.Unlock(); return t.creds.RUID }
+func (t *Task) UID() int { return t.creds.Load().RUID }
 
 // EUID implements lsm.Task.
-func (t *Task) EUID() int { t.mu.Lock(); defer t.mu.Unlock(); return t.creds.EUID }
+func (t *Task) EUID() int { return t.creds.Load().EUID }
 
 // GID implements lsm.Task.
-func (t *Task) GID() int { t.mu.Lock(); defer t.mu.Unlock(); return t.creds.RGID }
+func (t *Task) GID() int { return t.creds.Load().RGID }
 
 // EGID implements lsm.Task.
-func (t *Task) EGID() int { t.mu.Lock(); defer t.mu.Unlock(); return t.creds.EGID }
+func (t *Task) EGID() int { return t.creds.Load().EGID }
 
 // Groups implements lsm.Task.
-func (t *Task) Groups() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]int(nil), t.creds.Groups...)
-}
+func (t *Task) Groups() []int { return append([]int(nil), t.creds.Load().Groups...) }
 
 // Capable implements lsm.Task.
-func (t *Task) Capable(c caps.Cap) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.creds.Capable(c)
-}
+func (t *Task) Capable(c caps.Cap) bool { return t.creds.Load().Capable(c) }
 
 // BinaryPath implements lsm.Task.
 func (t *Task) BinaryPath() string { t.mu.Lock(); defer t.mu.Unlock(); return t.binary }
@@ -127,30 +122,24 @@ func (t *Task) SyscallFilter() (any, bool) {
 func (t *Task) SetSyscallFilter(v any) { t.sysFilter.Store(&sysFilterSlot{v: v}) }
 
 // Creds returns a snapshot copy of the task's credentials.
-func (t *Task) Creds() *Credentials {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.creds.Clone()
-}
+func (t *Task) Creds() *Credentials { return t.creds.Load().Clone() }
 
-// credsRef returns the live credentials (internal use under kernel control).
-func (t *Task) credsRef() *Credentials {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.creds
-}
+// credsRef returns the live credentials, which no one may write.
+func (t *Task) credsRef() *Credentials { return t.creds.Load() }
 
-// setCreds replaces the task's credentials.
-func (t *Task) setCreds(c *Credentials) {
-	t.mu.Lock()
-	t.creds = c
-	t.mu.Unlock()
+// commitCreds replaces the task's credentials with a clone of c that edit
+// has changed, as Linux's commit_creds installs a prepared cred: the
+// credentials a task holds are never written.
+func (t *Task) commitCreds(c *Credentials, edit func(next *Credentials)) {
+	next := c.Clone()
+	edit(next)
+	t.creds.Store(next)
 }
 
 // SetUserCreds replaces the task's credentials wholesale. It models a
 // privileged login/session setup and is used by the world builder and
 // tests; simulated userspace must go through the setuid family instead.
-func (t *Task) SetUserCreds(c *Credentials) { t.setCreds(c.Clone()) }
+func (t *Task) SetUserCreds(c *Credentials) { t.creds.Store(c.Clone()) }
 
 // Cwd returns the task's working directory.
 func (t *Task) Cwd() string { t.mu.Lock(); defer t.mu.Unlock(); return t.cwd }

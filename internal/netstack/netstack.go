@@ -304,6 +304,9 @@ func Link(a, b *Stack) {
 	b.mu.Unlock()
 }
 
+// Linked returns the stack Link joined this one to, or nil.
+func (s *Stack) Linked() *Stack { s.mu.RLock(); defer s.mu.RUnlock(); return s.linked }
+
 // AddIface registers an additional interface (e.g. a ppp modem device).
 func (s *Stack) AddIface(i *Iface) {
 	s.mu.Lock()

@@ -285,6 +285,42 @@ func TestConnectTwiceEISCONN(t *testing.T) {
 	}
 }
 
+// TestConnectFullBacklogLeavesSocketUnconnected: a connect refused for a
+// full backlog makes no connection. The socket sends as one that never
+// connected, holds no port, and connects on a retry once the listener has
+// accepted the first connection.
+func TestConnectFullBacklogLeavesSocketUnconnected(t *testing.T) {
+	s := testStack()
+	server, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+	_ = s.Bind(server, 9000)
+	_ = s.Listen(server, 1)
+	first, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+	second, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+	never, _ := s.NewSocket(AF_INET, SOCK_STREAM, IPPROTO_TCP)
+	if err := s.Connect(first, s.HostIP(), 9000); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Connect(second, s.HostIP(), 9000); err != errno.ECONNREFUSED {
+		t.Fatalf("connect past a full backlog: %v, want ECONNREFUSED", err)
+	}
+	wantN, wantErr := s.Send(never, []byte("x"))
+	if n, err := s.Send(second, []byte("x")); n != wantN || err != wantErr {
+		t.Fatalf("Send on the refused socket = %d, %v; want %d, %v", n, err, wantN, wantErr)
+	}
+	if second.LocalPort != 0 || second.RemotePort != 0 {
+		t.Fatalf("refused socket keeps ports local %d remote %d", second.LocalPort, second.RemotePort)
+	}
+	if _, err := s.Accept(server, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Connect(second, s.HostIP(), 9000); err != nil {
+		t.Fatalf("retry after accept: %v", err)
+	}
+	if conn, err := s.Accept(server, time.Second); err != nil || conn.peer != second {
+		t.Fatalf("Accept after the retry: %v", err)
+	}
+}
+
 func TestUDPDelivery(t *testing.T) {
 	s := testStack()
 	server, _ := s.NewSocket(AF_INET, SOCK_DGRAM, IPPROTO_UDP)

@@ -195,7 +195,8 @@ func (s *Stack) Connect(sock *Socket, dst IP, port int) error {
 		return errno.ECONNREFUSED
 	}
 	// Auto-bind an ephemeral local port.
-	if sock.LocalPort == 0 {
+	autoBound := sock.LocalPort == 0
+	if autoBound {
 		if err := s.Bind(sock, 0); err != nil {
 			return err
 		}
@@ -214,19 +215,27 @@ func (s *Stack) Connect(sock *Socket, dst IP, port int) error {
 		hup:        make(chan struct{}),
 	}
 	server.peer = sock
+	// The client connects only once the listener has queued its end. It
+	// holds its lock across the enqueue, so an acceptor that closes the
+	// server end at once waits to hang up the client's stream.
 	sock.mu.Lock()
-	sock.peer = server
-	sock.hup = make(chan struct{})
-	sock.connected = true
-	sock.RemoteIP = dst
-	sock.RemotePort = port
-	sock.mu.Unlock()
 	select {
 	case acceptQ <- server:
+		sock.peer, sock.hup, sock.connected = server, make(chan struct{}), true
+		sock.RemoteIP, sock.RemotePort = dst, port
+		sock.mu.Unlock()
 		return nil
 	default:
-		return errno.ECONNREFUSED // backlog full
+		sock.mu.Unlock()
 	}
+	// Backlog full: nothing connected, so the port bound above goes back.
+	if autoBound {
+		s.mu.Lock()
+		s.unbindLocked(sock)
+		sock.LocalIP, sock.LocalPort = 0, 0
+		s.mu.Unlock()
+	}
+	return errno.ECONNREFUSED
 }
 
 // resolveTarget returns the stack owning dst (this one, or the linked peer).
@@ -494,13 +503,19 @@ func (s *Stack) Close(sock *Socket) error {
 		peer.mu.Unlock()
 	}
 	s.mu.Lock()
+	s.unbindLocked(sock)
+	delete(s.sockets, sock.ID)
+	s.mu.Unlock()
+	return nil
+}
+
+// unbindLocked releases the socket's port reservation, if it holds one.
+// The caller holds s.mu.
+func (s *Stack) unbindLocked(sock *Socket) {
 	if sock.LocalPort != 0 {
 		key := portKey{proto: sock.effectiveProto(), port: sock.LocalPort}
 		if s.ports[key] == sock {
 			delete(s.ports, key)
 		}
 	}
-	delete(s.sockets, sock.ID)
-	s.mu.Unlock()
-	return nil
 }

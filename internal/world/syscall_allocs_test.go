@@ -12,8 +12,8 @@ import (
 // which are deterministic where nanoseconds are not. Tracing, the LSM
 // chain and path handling must add none: each ceiling is what the call
 // itself returns or creates (the read's buffer; open's descriptor and
-// LSM request; a privileged setuid's new credentials; a socket and its
-// LSM requests).
+// LSM request; a privileged setuid's new credentials; a forked task; a
+// socket and its LSM requests).
 func TestSyscallAllocs(t *testing.T) {
 	bothModes(t, func(t *testing.T, m *Machine) {
 		k := m.K
@@ -48,6 +48,9 @@ func TestSyscallAllocs(t *testing.T) {
 				return k.CloseFD(root, fd)
 			}},
 			{"setuid", 1, func() error { return k.Setuid(root, 0) }},
+			// The child's task, argv and maps, and the descriptor map Exit
+			// leaves it; the child shares its parent's credentials.
+			{"fork+exit", 9, func() error { k.Exit(k.Fork(root), 0); return nil }},
 			// The socket and the socket and bind LSM requests, as in
 			// Table 5's bind row: a socket that never receives makes no
 			// receive queue.
