@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"protego/internal/kernel"
+	"protego/internal/userspace"
 	"protego/internal/world"
 )
 
@@ -100,6 +104,55 @@ func TestWebSmoke(t *testing.T) {
 		if res.Requests != 50 || res.TransferKBps <= 0 {
 			t.Fatalf("web %s: %+v", mode, res)
 		}
+	}
+}
+
+// TestWebRejectsTooFewRequests: a web run in which some client would
+// issue no request is an input error, returned before any machine is
+// built.
+func TestWebRejectsTooFewRequests(t *testing.T) {
+	for _, c := range []struct{ concurrency, requests int }{{200, 150}, {0, 10}, {-1, 10}, {5, 0}, {5, -5}} {
+		if _, err := RunWeb(kernel.ModeProtego, c.concurrency, c.requests); !errors.Is(err, errWebInput) {
+			t.Errorf("RunWeb(%d clients, %d requests) = %v, want %v", c.concurrency, c.requests, err, errWebInput)
+		}
+	}
+}
+
+// TestShellRowDrainsTerminal: the fork+/bin/sh row's sh -c id prints on
+// the root session's terminal, which 10,000 ops must leave at most one
+// output long.
+func TestShellRowDrainsTerminal(t *testing.T) {
+	m, err := world.Build(world.Options{Mode: kernel.ModeProtego})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := m.Session("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	argv := []string{userspace.BinSh, "-c", userspace.BinID}
+	res, err := m.K.Spawn(root, argv[0], argv, nil, kernel.SpawnOpts{Capture: true})
+	if err != nil || res.Stdout == "" {
+		t.Fatalf("sh -c id: %q, %v", res.Stdout, err)
+	}
+	var op, finish func() error
+	for _, row := range Table5Ops {
+		if row.Name == "fork+/bin/sh" {
+			if op, finish, err = row.Start(m, root); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 10000; i++ {
+		if err := op(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	if n := root.Stdout.(*bytes.Buffer).Len(); n > len(res.Stdout) {
+		t.Fatalf("10,000 ops left %d bytes on the terminal, want at most one output, %d", n, len(res.Stdout))
 	}
 }
 

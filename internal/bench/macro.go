@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -153,10 +154,19 @@ type WebResult struct {
 	TransferKBps float64
 }
 
+// errWebInput rejects a web run in which some client would issue no
+// request.
+var errWebInput = errors.New("web: want a positive concurrency and at least one request per client")
+
 // RunWeb drives the httpd server with `concurrency` parallel clients
 // issuing `requests` total requests, reporting time-per-request and
-// transfer rate like ApacheBench.
+// transfer rate like ApacheBench. Each client issues
+// requests/concurrency of them, so requests must be at least
+// concurrency.
 func RunWeb(mode kernel.Mode, concurrency, requests int) (*WebResult, error) {
+	if concurrency <= 0 || requests < concurrency {
+		return nil, fmt.Errorf("%w: %d requests, %d clients", errWebInput, requests, concurrency)
+	}
 	m, err := world.Build(world.Options{Mode: mode})
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -205,9 +206,15 @@ func statMissing(k *kernel.Kernel, t *kernel.Task) error {
 	return nil
 }
 
+// spawn runs argv in a child of t on t's terminal, then empties t's
+// stdout buffer, keeping its capacity, so that no timed round pays for
+// the buffer growing.
 func spawn(argv ...string) func(k *kernel.Kernel, t *kernel.Task) error {
 	return func(k *kernel.Kernel, t *kernel.Task) error {
 		res, err := k.Spawn(t, argv[0], argv, nil, kernel.SpawnOpts{})
+		if out, ok := t.Stdout.(*bytes.Buffer); ok {
+			out.Reset()
+		}
 		if err == nil && res.Code != 0 {
 			err = fmt.Errorf("%v exited %d", argv, res.Code)
 		}

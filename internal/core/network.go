@@ -144,8 +144,7 @@ func (m *Module) checkPPPAttach(t lsm.Task, req *lsm.IoctlRequest) (lsm.Decision
 	if !ok {
 		return lsm.Deny, errno.EINVAL
 	}
-	iface := m.k.Net.Iface(name)
-	if iface != nil && iface.InUse && iface.Owner != t.UID() {
+	if m.k.Net.ModemBusy(name, t.UID()) {
 		return lsm.Deny, errno.EBUSY
 	}
 	return lsm.Grant, nil

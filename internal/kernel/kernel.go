@@ -86,6 +86,9 @@ type Kernel struct {
 	tasksMu sync.RWMutex
 	tasks   map[int]*Task
 	nextPID atomic.Int64
+	// gen is the generation of the task table and of the tasks'
+	// credentials (see Generation).
+	gen atomic.Uint64
 
 	// regMu serializes the (rare, boot-time) registry writers; readers
 	// load the current snapshot without any lock.
@@ -289,8 +292,18 @@ func (k *Kernel) Fork(parent *Task) *Task {
 func (k *Kernel) addTask(t *Task) {
 	k.tasksMu.Lock()
 	k.tasks[t.pid] = t
+	k.moved()
 	k.tasksMu.Unlock()
 }
+
+// Generation returns a counter that only grows, and that every change to
+// the task table (fork, exit) or to a task's credentials moves. A caller
+// that reads it before reading that state may keep what it derived for as
+// long as the generation reads the same.
+func (k *Kernel) Generation() uint64 { return k.gen.Load() }
+
+// moved records a change Generation covers, once it is made.
+func (k *Kernel) moved() { k.gen.Add(1) }
 
 func copyEnv(env map[string]string) map[string]string {
 	out := make(map[string]string, len(env))
@@ -321,6 +334,7 @@ func (k *Kernel) Exit(t *Task, code int) {
 	t.mu.Unlock()
 	k.tasksMu.Lock()
 	delete(k.tasks, t.pid)
+	k.moved()
 	k.tasksMu.Unlock()
 }
 
@@ -437,6 +451,7 @@ func (k *Kernel) Exec(t *Task, path string, argv []string, env map[string]string
 	}
 
 	t.creds.Store(newCreds)
+	k.moved()
 	t.mu.Lock()
 	t.binary = clean
 	t.argv = append([]string(nil), argv...)

@@ -103,7 +103,7 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 		// A sealed inode is shared with a snapshot: truncate a private
 		// copy, never the shared one.
 		ino = k.FS.BreakSealInode(clean, ino)
-		ino.Data = nil
+		k.FS.Truncate(ino)
 	}
 	desc := &FileDesc{
 		Ino:         ino,
@@ -144,17 +144,8 @@ func (k *Kernel) Read(t *Task, fd, n int) (buf []byte, err error) {
 	if f.Ino.ReadFn != nil {
 		return f.Ino.ReadFn(t.credsRef())
 	}
-	data := f.Ino.Data
-	if f.Pos >= len(data) {
-		return nil, nil // EOF
-	}
-	end := f.Pos + n
-	if end > len(data) {
-		end = len(data)
-	}
-	out := make([]byte, end-f.Pos)
-	copy(out, data[f.Pos:end])
-	f.Pos = end
+	out := f.Ino.ReadAt(f.Pos, n) // nil at EOF
+	f.Pos += len(out)
 	return out, nil
 }
 
@@ -185,11 +176,7 @@ func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
 		// anonymous and the write stays fd-local.
 		f.Ino = k.FS.BreakSealInode(f.Path, f.Ino)
 	}
-	if f.Flags&O_APPEND != 0 {
-		f.Pos = len(f.Ino.Data)
-	}
-	f.Ino.WriteAt(f.Pos, data)
-	f.Pos += len(data)
+	f.Pos = k.FS.WriteAt(f.Ino, f.Pos, data, f.Flags&O_APPEND != 0)
 	return len(data), nil
 }
 
@@ -276,9 +263,7 @@ func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
 	if ino.ReadFn != nil {
 		return ino.ReadFn(creds)
 	}
-	out := make([]byte, len(ino.Data))
-	copy(out, ino.Data)
-	return out, nil
+	return ino.Contents(), nil
 }
 
 // WriteFile is the open+write+close convenience (creates with mode 0644

@@ -134,12 +134,16 @@ func (t *Task) commitCreds(c *Credentials, edit func(next *Credentials)) {
 	next := c.Clone()
 	edit(next)
 	t.creds.Store(next)
+	t.k.moved()
 }
 
 // SetUserCreds replaces the task's credentials wholesale. It models a
 // privileged login/session setup and is used by the world builder and
 // tests; simulated userspace must go through the setuid family instead.
-func (t *Task) SetUserCreds(c *Credentials) { t.creds.Store(c.Clone()) }
+func (t *Task) SetUserCreds(c *Credentials) {
+	t.creds.Store(c.Clone())
+	t.k.moved()
+}
 
 // Cwd returns the task's working directory.
 func (t *Task) Cwd() string { t.mu.Lock(); defer t.mu.Unlock(); return t.cwd }

@@ -48,14 +48,12 @@ func (k *Kernel) InstallTraceProc() error {
 	if err := k.FS.MkdirAll(vfs.RootCred, ProcTrace, 0o555, 0, 0); err != nil {
 		return err
 	}
-	dir, err := k.FS.Lookup(vfs.RootCred, ProcTrace)
-	if err != nil {
+	if err := k.FS.RebindProc(ProcTrace, func(vfs.Cred) ([]byte, error) {
+		return []byte(k.Trace.RenderEvents(0)), nil
+	}, nil); err != nil {
 		return err
 	}
-	dir.ReadFn = func(vfs.Cred) ([]byte, error) {
-		return []byte(k.Trace.RenderEvents(0)), nil
-	}
-	_, err = k.FS.CreateProc(ProcTraceStats, 0o444, func(vfs.Cred) ([]byte, error) {
+	_, err := k.FS.CreateProc(ProcTraceStats, 0o444, func(vfs.Cred) ([]byte, error) {
 		return []byte(k.Trace.RenderStats()), nil
 	}, nil)
 	return err

@@ -7,6 +7,7 @@ package netstack
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -221,6 +222,9 @@ type Stack struct {
 	sockets  map[int]*Socket     // made on first socket
 	nextSock int
 	linked   *Stack // simple point-to-point peer (PPP tests)
+	// gen is the generation of the port, route and interface tables (see
+	// Generation). A mutator moves it under mu, once its change is made.
+	gen atomic.Uint64
 
 	filter atomic.Pointer[filterBox]
 
@@ -252,6 +256,16 @@ func NewStack(hostIP IP) *Stack {
 
 // HostIP returns the stack's primary address.
 func (s *Stack) HostIP() IP { return s.hostIP }
+
+// Generation returns a counter that only grows, and that every change to
+// the bound ports, the routes or an interface's state moves. Lookups and
+// sends never move it. A caller that reads it before reading that state
+// may keep what it derived for as long as the generation reads the same.
+func (s *Stack) Generation() uint64 { return s.gen.Load() }
+
+// movedLocked records a change Generation covers. The caller holds mu
+// and has made the change.
+func (s *Stack) movedLocked() { s.gen.Add(1) }
 
 // SetFilter installs the output packet filter (netfilter hook).
 //
@@ -314,25 +328,88 @@ func (s *Stack) AddIface(i *Iface) {
 		i.Params = map[string]string{}
 	}
 	s.ifaces[i.Name] = i
+	s.movedLocked()
 	s.mu.Unlock()
 }
 
-// Iface returns the named interface or nil.
+// Iface returns the named interface or nil. Its Name, Addr and Modem
+// never change; its other fields change under the stack's lock, so read
+// them through Ifaces or ModemBusy.
 func (s *Stack) Iface(name string) *Iface {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.ifaces[name]
 }
 
-// Ifaces returns all interfaces.
-func (s *Stack) Ifaces() []*Iface {
+// Ifaces returns a copy of every interface, session parameters
+// included, in no particular order.
+func (s *Stack) Ifaces() []Iface {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*Iface, 0, len(s.ifaces))
+	out := make([]Iface, 0, len(s.ifaces))
 	for _, i := range s.ifaces {
-		out = append(out, i)
+		c := *i
+		c.Params = maps.Clone(i.Params)
+		out = append(out, c)
 	}
 	return out
+}
+
+// ModemBusy reports whether the interface name is in use by a uid other
+// than uid.
+func (s *Stack) ModemBusy(name string, uid int) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	i := s.ifaces[name]
+	return i != nil && i.InUse && i.Owner != uid
+}
+
+// AttachModem brings the modem interface name up in use by uid
+// (PPPIOCATTACH). A modem another uid uses is EBUSY.
+func (s *Stack) AttachModem(name string, uid int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := s.ifaces[name]
+	switch {
+	case i == nil || !i.Modem:
+		return errno.ENODEV
+	case i.InUse && i.Owner != uid:
+		return errno.EBUSY
+	}
+	i.InUse, i.Owner, i.Up = true, uid, true
+	s.movedLocked()
+	return nil
+}
+
+// DetachModem takes the interface name down and releases it
+// (PPPIOCDETACH). Only the uid using it may, unless admin is set: EPERM
+// otherwise.
+func (s *Stack) DetachModem(name string, uid int, admin bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := s.ifaces[name]
+	switch {
+	case i == nil:
+		return errno.ENODEV
+	case i.Owner != uid && !admin:
+		return errno.EPERM
+	}
+	i.InUse, i.Up, i.Owner = false, false, 0
+	s.movedLocked()
+	return nil
+}
+
+// SetModemParam sets one session parameter on every modem uid uses
+// (PPPIOCSPARAM).
+func (s *Stack) SetModemParam(uid int, key, value string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, i := range s.ifaces {
+		if i.Modem && i.Owner == uid {
+			i.Params[key] = value
+			s.movedLocked()
+		}
+	}
 }
 
 // Routes returns a snapshot of the routing table.
@@ -362,6 +439,7 @@ func (s *Stack) RouteConflicts(r Route) bool {
 func (s *Stack) AddRoute(r Route) {
 	s.mu.Lock()
 	s.routes = append(s.routes, r)
+	s.movedLocked()
 	s.mu.Unlock()
 }
 
@@ -373,6 +451,7 @@ func (s *Stack) DelRoute(dest IP, prefixLen int) bool {
 	for i, r := range s.routes {
 		if r.Dest == dest && r.PrefixLen == prefixLen {
 			s.routes = append(s.routes[:i], s.routes[i+1:]...)
+			s.movedLocked()
 			return true
 		}
 	}

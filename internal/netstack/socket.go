@@ -81,6 +81,7 @@ func (s *Stack) Bind(sock *Socket, port int) error {
 	s.ports[key] = sock
 	sock.LocalIP = s.hostIP
 	sock.LocalPort = port
+	s.movedLocked()
 	return nil
 }
 
@@ -516,6 +517,7 @@ func (s *Stack) unbindLocked(sock *Socket) {
 		key := portKey{proto: sock.effectiveProto(), port: sock.LocalPort}
 		if s.ports[key] == sock {
 			delete(s.ports, key)
+			s.movedLocked()
 		}
 	}
 }

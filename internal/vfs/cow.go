@@ -222,5 +222,6 @@ func (fs *FS) RebindProc(path string, read ProcReadFunc, write ProcWriteFunc) er
 	}
 	ino.ReadFn = read
 	ino.WriteFn = write
+	fs.moved() // a file with no handlers left is no longer synthetic
 	return nil
 }

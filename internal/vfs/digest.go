@@ -17,7 +17,8 @@ package vfs
 // Because the sums outlive the call, leaf must depend on nothing but the
 // path and the inode's own fields, and compute the same function for
 // every caller in the process. The path slice is valid only during the
-// call. The walk runs with kernel privilege under the FS read lock.
+// call. The walk runs with kernel privilege under the FS read lock, and
+// leaf runs under the inode's own lock as well.
 func (fs *FS) DigestTree(leaf func(path []byte, ino *Inode) (uint64, bool)) uint64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -38,7 +39,9 @@ func (w *digestWalk) visit(ino *Inode) uint64 {
 			return d
 		}
 	}
+	ino.mu.Lock() // a private file's data changes under it (FS.WriteAt)
 	d, ok := w.leaf(w.path, ino)
+	ino.mu.Unlock()
 	if !ok {
 		return 0
 	}

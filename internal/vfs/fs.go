@@ -24,6 +24,9 @@ type FS struct {
 	// structGen counts structural changes (unlink, rename, mount,
 	// umount); cached walks that crossed a symlink check it.
 	structGen uint64
+	// gen is the file system's generation (see Generation). A mutator
+	// moves it once its change is made, inside the lock it holds.
+	gen atomic.Uint64
 
 	watches   []*Watch
 	watchSeq  int
@@ -91,6 +94,17 @@ func (fs *FS) newInode(mode Mode, uid, gid int) *Inode {
 	}
 	return ino
 }
+
+// Generation returns a counter that only grows, and that every change to
+// the tree, to a file's data, mode or ownership, or to the mount table
+// moves. Lookups, dentry-cache fills, copy-ups and reads never move it.
+// A caller that reads it before reading that state may keep what it
+// derived for as long as the generation reads the same.
+func (fs *FS) Generation() uint64 { return fs.gen.Load() }
+
+// moved records a change Generation covers. The caller has made it and
+// still holds the lock that guards it.
+func (fs *FS) moved() { fs.gen.Add(1) }
 
 // SetFaultInjector installs (or removes, with nil) the fault-injection
 // layer for VFS operations. Normally called through
@@ -216,6 +230,7 @@ func (fs *FS) Mkdir(c Cred, path string, mode Mode, uid, gid int) (*Inode, error
 	ino := fs.newInode(TypeDir|mode.Perm(), uid, gid)
 	parent.children[base] = ino
 	parent.Mtime = time.Now()
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -265,6 +280,7 @@ func (fs *FS) Create(c Cred, path string, mode Mode, uid, gid int) (*Inode, erro
 	ino := fs.newInode(TypeRegular|mode.Perm(), uid, gid)
 	parent.children[base] = ino
 	parent.Mtime = time.Now()
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -290,6 +306,7 @@ func (fs *FS) Symlink(c Cred, target, path string, uid, gid int) error {
 	ino := fs.newInode(TypeSymlink|0o777, uid, gid)
 	ino.Data = []byte(target)
 	parent.children[base] = ino
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return nil
@@ -318,6 +335,7 @@ func (fs *FS) Mknod(c Cred, path string, devType DeviceType, major, minor int, m
 	ino := fs.newInode(t|mode.Perm(), uid, gid)
 	ino.Major, ino.Minor, ino.DevType = major, minor, devType
 	parent.children[base] = ino
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -341,6 +359,7 @@ func (fs *FS) CreateProc(path string, mode Mode, read ProcReadFunc, write ProcWr
 	ino.ReadFn = read
 	ino.WriteFn = write
 	parent.children[base] = ino
+	fs.moved()
 	fs.mu.Unlock()
 	return ino, nil
 }
@@ -366,11 +385,7 @@ func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
 	if ino.ReadFn != nil {
 		return ino.ReadFn(c)
 	}
-	ino.mu.Lock()
-	data := make([]byte, len(ino.Data))
-	copy(data, ino.Data)
-	ino.mu.Unlock()
-	return data, nil
+	return ino.Contents(), nil
 }
 
 // WriteFile replaces the contents of the file at path, creating it with the
@@ -452,6 +467,7 @@ func (fs *FS) writeInode(c Cred, ino *Inode, clean string, data []byte, app bool
 		ino.Mode &^= ModeSetuid | ModeSetgid
 	}
 	ino.Mtime = time.Now()
+	fs.moved()
 	ino.mu.Unlock()
 	fs.notify(Event{Op: OpWrite, Path: clean})
 	return nil
@@ -494,6 +510,7 @@ func (fs *FS) Remove(c Cred, path string) error {
 	delete(parent.children, base)
 	parent.Mtime = time.Now()
 	fs.unlinkedLocked(target)
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpRemove, Path: clean})
 	return nil
@@ -565,6 +582,7 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 	oldParent.Mtime = now
 	newParent.Mtime = now
 	fs.unlinkedLocked(target)
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpRemove, Path: oldClean})
 	fs.notify(Event{Op: OpWrite, Path: newClean})
@@ -635,6 +653,7 @@ func (fs *FS) Chmod(c Cred, path string, mode Mode) error {
 	// No dcache work: cached walks hold this inode by pointer and re-run
 	// MayExec against its current mode on every hit.
 	ino.Mode = ino.Mode.Type() | mode.Perm()
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpChmod, Path: clean})
 	return nil
@@ -671,6 +690,7 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 	if ino.Mode.IsRegular() {
 		ino.Mode &^= ModeSetuid | ModeSetgid
 	}
+	fs.moved()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpChmod, Path: clean})
 	return nil

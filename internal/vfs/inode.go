@@ -72,8 +72,8 @@ type Inode struct {
 	// it).
 	Mtime time.Time
 
-	// mu guards Data for concurrent file IO on the same inode, and the
-	// digest cache below.
+	// mu guards Data and the setuid bits a write clears, for concurrent
+	// file IO on the same inode, and the digest cache below.
 	mu sync.Mutex
 
 	// dataShared marks Data as possibly sharing its array with another
@@ -107,13 +107,12 @@ type Inode struct {
 // be copied up before mutation (see FS.BreakSealInode).
 func (ino *Inode) Sealed() bool { return ino.sealed.Load() }
 
-// WriteAt writes data at byte offset off, as pwrite(2) does: bytes before
+// writeAt writes data at byte offset off, as pwrite(2) does: bytes before
 // off+len(data) that already exist are overwritten and the tail is kept,
 // a gap past the end reads as zeros, and writing at the end appends in
 // place when capacity allows. An array shared with a snapshot is copied
-// before any of its bytes change. The caller owns the descriptor; ino
-// must not be sealed.
-func (ino *Inode) WriteAt(off int, data []byte) {
+// before any of its bytes change. Caller holds ino.mu; ino is not sealed.
+func (ino *Inode) writeAt(off int, data []byte) {
 	if off < len(ino.Data) && ino.dataShared {
 		ino.Data = append(make([]byte, 0, max(len(ino.Data), off+len(data))), ino.Data...)
 		ino.dataShared = false
@@ -123,6 +122,50 @@ func (ino *Inode) WriteAt(off int, data []byte) {
 	}
 	n := copy(ino.Data[off:], data)
 	ino.Data = append(ino.Data, data[n:]...)
+}
+
+// WriteAt writes data into ino, a regular file a descriptor holds, at
+// offset off, or at its end when app is set, as pwrite(2) and an O_APPEND
+// write(2) do, and returns the offset just past the bytes written. ino
+// must not be sealed (see BreakSealInode).
+func (fs *FS) WriteAt(ino *Inode, off int, data []byte, app bool) int {
+	ino.mu.Lock()
+	if app {
+		off = len(ino.Data)
+	}
+	ino.writeAt(off, data)
+	fs.moved()
+	ino.mu.Unlock()
+	return off + len(data)
+}
+
+// Truncate empties ino, a regular file being opened with O_TRUNC. ino
+// must not be sealed (see BreakSealInode).
+func (fs *FS) Truncate(ino *Inode) {
+	ino.mu.Lock()
+	ino.Data = nil
+	fs.moved()
+	ino.mu.Unlock()
+}
+
+// ReadAt returns a copy of up to n bytes of the file's data from offset
+// off, or nil at or past its end, as pread(2) does.
+func (ino *Inode) ReadAt(off, n int) []byte {
+	ino.mu.Lock()
+	defer ino.mu.Unlock()
+	if off >= len(ino.Data) {
+		return nil
+	}
+	out := make([]byte, min(off+n, len(ino.Data))-off)
+	copy(out, ino.Data[off:])
+	return out
+}
+
+// Contents returns a copy of the file's data.
+func (ino *Inode) Contents() []byte {
+	ino.mu.Lock()
+	defer ino.mu.Unlock()
+	return append(make([]byte, 0, len(ino.Data)), ino.Data...)
 }
 
 // IsProc reports whether the inode is a synthetic (proc-style) file.

@@ -71,6 +71,7 @@ func (fs *FS) AttachMount(c Cred, m *Mount) error {
 	// cached resolutions *of* the mount point stay valid, everything
 	// beneath it does not.
 	fs.regraftedLocked(ino)
+	fs.moved()
 	return nil
 }
 
@@ -105,6 +106,7 @@ func (fs *FS) DetachMount(c Cred, point string) (*Mount, error) {
 	m := fs.mounts[idx]
 	fs.mounts = append(fs.mounts[:idx], fs.mounts[idx+1:]...)
 	fs.regraftedLocked(ino)
+	fs.moved()
 	return m, nil
 }
 

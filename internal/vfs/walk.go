@@ -6,8 +6,9 @@ import "sort"
 // sorted by name, calling fn with each absolute path. For directories, fn
 // returning false prunes the subtree. The walk runs with kernel privilege
 // (no DAC checks) under the FS read lock, so it observes a consistent
-// snapshot of the tree structure; it exists for state-fingerprint
-// serializers, which must see the whole image regardless of permissions.
+// snapshot of the tree structure, and calls fn under the inode's own lock
+// as well; it exists for state-fingerprint serializers, which must see
+// the whole image regardless of permissions.
 func (fs *FS) Walk(fn func(path string, ino *Inode) bool) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -15,7 +16,10 @@ func (fs *FS) Walk(fn func(path string, ino *Inode) bool) {
 }
 
 func walkLocked(path string, ino *Inode, fn func(path string, ino *Inode) bool) {
-	if !fn(path, ino) {
+	ino.mu.Lock() // a private file's data changes under it (FS.WriteAt)
+	more := fn(path, ino)
+	ino.mu.Unlock()
+	if !more {
 		return
 	}
 	if !ino.Mode.IsDir() {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"protego/internal/accountdb"
 	"protego/internal/errno"
@@ -96,25 +97,89 @@ func (m *Machine) FingerprintText() string {
 // hashes, which needs no sorting, and the mount table, whose order
 // matters, is hashed whole.
 //
-// It is cheap where FingerprintText is not. No line becomes a string. The
-// VFS section is vfs.FS.DigestTree, where sealed inodes keep their
-// subtree's sum, so a clone of a golden image rehashes only what it has
-// copied up. The accounts section is kept per snapshot while a clone's
-// account files are still the snapshot's sealed inodes.
+// It is cheap where FingerprintText is not, and cheapest where nothing
+// changed. The machine keeps each section's digest with the generation
+// of the subsystem it reads (Kernel.Generation for the tasks, FS for the
+// tree, accounts and mounts, Stack for the ports, routes and
+// interfaces), read before the section was computed, and recomputes a
+// section only once that generation has moved. The Protego account sync
+// runs only once the file system has moved since a sync that succeeded.
+// A recomputed VFS section is vfs.FS.DigestTree, where sealed inodes keep
+// their subtree's sum, so a clone of a golden image rehashes only what it
+// has copied up; the accounts section is kept per snapshot while a
+// clone's account files are still the snapshot's sealed inodes.
 func (m *Machine) Fingerprint() Digest {
-	pristine := m.convergeAccounts()
-	l := newLines(false)
-	l.tasks(m)
-	d := mix64(l.flush())
-	d = mix64(d ^ m.K.FS.DigestTree(l.inodeHash))
-	d = mix64(d ^ m.accountsSum(l, pristine))
-	d = mix64(d ^ fnv64a(m.K.FS.FormatMtab()))
-	l.ports(m)
-	d = mix64(d ^ l.flush())
-	l.routes(m)
-	d = mix64(d ^ l.flush())
-	l.ifaces(m)
-	return Digest(mix64(d ^ l.flush()))
+	c := &m.fp
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fs := m.K.FS
+	if m.Monitor != nil && (!c.synced || c.syncGen != fs.Generation()) {
+		// Read after the sync, so its own rewrite of the legacy files
+		// does not run it again (a fragment written while it runs is
+		// converged after the next move); an error runs it again next
+		// time.
+		err := m.convergeAccounts()
+		c.synced, c.syncGen = err == nil, fs.Generation()
+	}
+	gens := [...]uint64{m.K.Generation(), fs.Generation(), m.K.Net.Generation()}
+	if c.l == nil {
+		c.l = newLines(false)
+	}
+	var d uint64
+	for i, sec := range fingerprintSections {
+		kept := &c.sections[i]
+		if g := gens[sec.gen]; !kept.ok || kept.gen != g {
+			*kept = keptSection{gen: g, sum: sec.sum(m, c.l), ok: true}
+		}
+		d = mix64(d ^ kept.sum)
+	}
+	return Digest(d)
+}
+
+// fingerprintCache is what Fingerprint keeps between calls on one
+// machine, behind its own lock: each section's digest, the encoder whose
+// buffer the sections reuse, and the file system generation read after
+// the last account sync. A clone starts with it empty.
+type fingerprintCache struct {
+	mu       sync.Mutex
+	sections [numSections]keptSection
+	l        *lines
+	synced   bool // the sync at syncGen succeeded
+	syncGen  uint64
+}
+
+// keptSection is one section's digest and the generation it was
+// computed at.
+type keptSection struct {
+	gen, sum uint64
+	ok       bool
+}
+
+// The generations the sections are kept at, indexes into Fingerprint's
+// gens.
+const (
+	genKernel = iota
+	genFS
+	genNet
+)
+
+// numSections counts Fingerprint's sections: tasks, vfs, accounts,
+// mounts, ports, routes and ifaces.
+const numSections = 7
+
+// fingerprintSections are Fingerprint's sections in digest order, each
+// with the generation that covers what it reads.
+var fingerprintSections = [numSections]struct {
+	gen int
+	sum func(m *Machine, l *lines) uint64
+}{
+	{genKernel, func(m *Machine, l *lines) uint64 { l.tasks(m); return l.flush() }},
+	{genFS, func(m *Machine, l *lines) uint64 { return m.K.FS.DigestTree(l.inodeHash) }},
+	{genFS, func(m *Machine, l *lines) uint64 { return m.accountsSum(l) }},
+	{genFS, func(m *Machine, _ *lines) uint64 { return fnv64a(m.K.FS.FormatMtab()) }},
+	{genNet, func(m *Machine, l *lines) uint64 { l.ports(m); return l.flush() }},
+	{genNet, func(m *Machine, l *lines) uint64 { l.routes(m); return l.flush() }},
+	{genNet, func(m *Machine, l *lines) uint64 { l.ifaces(m); return l.flush() }},
 }
 
 // DiffText reports the lines in which two FingerprintText renderings a and
@@ -165,6 +230,8 @@ type lines struct {
 	keep bool // collect text instead of summing hashes
 	text []string
 	sum  uint64
+	// leaves counts inodeHash calls: the inodes DigestTree hashed.
+	leaves int
 }
 
 func newLines(keep bool) *lines {
@@ -223,6 +290,7 @@ func (l *lines) tasks(m *Machine) {
 
 // inodeHash is the DigestTree leaf: the hash of the inode's [vfs] line.
 func (l *lines) inodeHash(path []byte, ino *vfs.Inode) (uint64, bool) {
+	l.leaves++
 	line, ok := appendInode(l.buf, path, ino)
 	l.buf = line[:0]
 	return lineHash(line), ok
@@ -497,32 +565,31 @@ func (m *Machine) pristineAccounts() bool {
 
 // convergeAccounts converges the Protego-only fragment tree into the
 // legacy account files first, mirroring what the monitoring daemon does
-// continuously. The sync is skipped on a clone whose account files are
-// still the snapshot's, once a sync has found those converged: it would
-// rewrite nothing. It reports whether the files are pristine afterwards.
-func (m *Machine) convergeAccounts() bool {
+// continuously, and returns the sync's error. The sync is skipped on a
+// clone whose account files are still the snapshot's, once a sync has
+// found those converged: it would rewrite nothing.
+func (m *Machine) convergeAccounts() error {
+	if m.Monitor == nil {
+		return nil
+	}
 	pristine := m.pristineAccounts()
-	if m.Monitor == nil || pristine && m.image.converged.Load() {
-		return pristine
+	if pristine && m.image.converged.Load() {
+		return nil
 	}
 	err := m.Monitor.SyncAccountsFromFragments()
-	if !pristine {
-		return false // a sync only ever writes private copies
-	}
 	// A sync that rewrote a file copied it up; one that did not left the
 	// snapshot's files as they are, converged.
-	pristine = m.pristineAccounts()
-	if err == nil && pristine {
+	if err == nil && pristine && m.pristineAccounts() {
 		m.image.converged.Store(true)
 	}
-	return pristine
+	return err
 }
 
 // accountsSum is the digest of the [accounts] section. A clone whose
 // account files are pristine shares it with every such clone, so the
 // snapshot keeps it.
-func (m *Machine) accountsSum(l *lines, pristine bool) uint64 {
-	if pristine {
+func (m *Machine) accountsSum(l *lines) uint64 {
+	if m.pristineAccounts() {
 		s := m.image
 		s.accountsOnce.Do(func() {
 			l.users(m)

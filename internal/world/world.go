@@ -73,6 +73,8 @@ type Machine struct {
 	// image is the snapshot this machine was cloned from, nil for a
 	// Build.
 	image *Snapshot
+	// fp is what Fingerprint keeps between calls.
+	fp fingerprintCache
 }
 
 // Build constructs a machine image.
@@ -341,7 +343,8 @@ func (m *Machine) registerDeviceHandlers() {
 	})
 }
 
-// pppIoctl serves /dev/ppp: modem attach/detach/session parameters.
+// pppIoctl serves /dev/ppp: modem attach/detach/session parameters. The
+// interface state it changes is the netstack's, written under its lock.
 func pppIoctl(t *kernel.Task, cmd uint32, arg any, granted bool) error {
 	net := t.Kernel().Net
 	switch cmd {
@@ -350,36 +353,19 @@ func pppIoctl(t *kernel.Task, cmd uint32, arg any, granted bool) error {
 		if !ok {
 			return errno.EINVAL
 		}
-		iface := net.Iface(name)
-		if iface == nil || !iface.Modem {
+		if iface := net.Iface(name); iface == nil || !iface.Modem {
 			return errno.ENODEV
 		}
 		if !granted && !t.Capable(caps.CAP_NET_ADMIN) {
 			return errno.EPERM
 		}
-		if iface.InUse && iface.Owner != t.UID() {
-			return errno.EBUSY
-		}
-		iface.InUse = true
-		iface.Owner = t.UID()
-		iface.Up = true
-		return nil
+		return net.AttachModem(name, t.UID())
 	case kernel.PPPIOCDETACH:
 		name, ok := arg.(string)
 		if !ok {
 			return errno.EINVAL
 		}
-		iface := net.Iface(name)
-		if iface == nil {
-			return errno.ENODEV
-		}
-		if iface.Owner != t.UID() && !t.Capable(caps.CAP_NET_ADMIN) {
-			return errno.EPERM
-		}
-		iface.InUse = false
-		iface.Up = false
-		iface.Owner = 0
-		return nil
+		return net.DetachModem(name, t.UID(), t.Capable(caps.CAP_NET_ADMIN))
 	case kernel.PPPIOCSPARAM:
 		kv, ok := arg.([2]string)
 		if !ok {
@@ -388,11 +374,7 @@ func pppIoctl(t *kernel.Task, cmd uint32, arg any, granted bool) error {
 		if !granted && !t.Capable(caps.CAP_NET_ADMIN) {
 			return errno.EPERM
 		}
-		for _, iface := range net.Ifaces() {
-			if iface.Modem && iface.Owner == t.UID() {
-				iface.Params[kv[0]] = kv[1]
-			}
-		}
+		net.SetModemParam(t.UID(), kv[0], kv[1])
 		return nil
 	default:
 		return errno.ENOTTY
