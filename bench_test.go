@@ -14,13 +14,13 @@ import (
 	"time"
 
 	"protego/internal/bench"
-	"protego/internal/core"
 	"protego/internal/equiv"
 	"protego/internal/exploits"
 	"protego/internal/kernel"
 	"protego/internal/monitord"
 	"protego/internal/netfilter"
 	"protego/internal/netstack"
+	"protego/internal/policy"
 	"protego/internal/survey"
 	"protego/internal/userspace"
 	"protego/internal/vfs"
@@ -231,24 +231,25 @@ func BenchmarkFigure1MountFlow(b *testing.B) {
 }
 
 // --- Ablation 1 (DESIGN.md): mount whitelist lookup cost vs size. The
-// whitelist is compiled into a (device, mountpoint) index on rule change,
-// so the cost should stay flat as the table grows — this verifies it. ---
+// whitelist is indexed by (device, mountpoint) on rule change, so the
+// cost should stay flat as the table grows — this verifies it. ---
 
 func BenchmarkAblationMountLookup(b *testing.B) {
 	for _, size := range []int{1, 16, 256, 4096} {
 		size := size
 		b.Run(fmt.Sprintf("whitelist-%d", size), func(b *testing.B) {
 			m := mustBuild(b, kernel.ModeProtego)
-			rules := make([]core.MountRule, size)
+			rules := make([]policy.FstabEntry, size)
 			for i := range rules {
-				rules[i] = core.MountRule{
+				rules[i] = policy.FstabEntry{
 					Device:     fmt.Sprintf("/dev/disk%d", i),
 					MountPoint: fmt.Sprintf("/mnt/disk%d", i),
 					FSType:     "ext4",
+					Options:    []string{"user"},
 				}
 			}
 			// The probed entry sits at the end — worst case.
-			rules[size-1] = core.MountRule{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660", Options: []string{"ro"}}
+			rules[size-1] = policy.FstabEntry{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660", Options: []string{"ro", "user"}}
 			m.Protego.SetMountRules(rules)
 			alice := mustSession(b, m, "alice")
 			b.ResetTimer()

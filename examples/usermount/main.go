@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"protego/internal/kernel"
@@ -15,6 +16,10 @@ import (
 	"protego/internal/vfs"
 	"protego/internal/world"
 )
+
+// syncWait bounds the wait for the monitoring daemon to push an fstab
+// edit into the kernel; a sync takes microseconds.
+const syncWait = 5 * time.Second
 
 func main() {
 	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
@@ -54,17 +59,19 @@ func main() {
 		if mode == kernel.ModeProtego {
 			// Live policy update: the administrator edits fstab; the
 			// monitoring daemon pushes the change into the kernel.
-			fmt.Println("  [admin] whitelists /mnt/backup in /etc/fstab; monitord syncs it")
+			fmt.Println("  [admin] marks /mnt/backup 'user' in /etc/fstab; monitord syncs it")
 			stop := make(chan struct{})
 			m.Monitor.Start(stop)
 			baseline := m.Monitor.SyncCount("mounts")
 			fstab, _ := m.K.FS.ReadFile(vfs.RootCred, "/etc/fstab")
-			newFstab := string(fstab) + "/dev/sdc1 /mnt/backup ext4 rw,user 0 0\n"
+			newFstab := strings.Replace(string(fstab), "ext4     rw   ", "ext4     rw,user", 1)
 			if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", []byte(newFstab), 0o644, 0, 0); err != nil {
 				log.Fatal(err)
 			}
-			for m.Monitor.SyncCount("mounts") <= baseline {
-				time.Sleep(time.Millisecond)
+			for deadline := time.Now().Add(syncWait); m.Monitor.SyncCount("mounts") <= baseline; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					log.Fatalf("monitord did not sync /etc/fstab within %v", syncWait)
+				}
 			}
 			close(stop)
 			code, out, errOut, _ = m.Run(alice, []string{userspace.BinMount, "/dev/sdc1", "/mnt/backup"}, nil)

@@ -64,8 +64,8 @@ func setupProbe(op func(k *kernel.Kernel, t *kernel.Task) error) func(workers in
 	}
 }
 
-// setupMountCheck: the pure LSM read path — probe the compiled mount
-// whitelist with the fstab's cdrom rule; the decision must be Grant.
+// setupMountCheck: the pure LSM read path — probe the mount whitelist
+// with the fstab's cdrom row; the decision must be Grant.
 func setupMountCheck(workers int) ([]ParallelOp, error) {
 	m, err := world.BuildProtego()
 	if err != nil {
@@ -79,7 +79,7 @@ func setupMountCheck(workers int) ([]ParallelOp, error) {
 		}
 		req := &lsm.MountRequest{
 			Device: "/dev/cdrom", Point: "/cdrom", FSType: "iso9660",
-			Options: []string{"ro"}, ReadOnly: true,
+			Options: []string{"ro"},
 		}
 		ops[w] = func(int) error {
 			dec, err := m.K.LSM.MountCheck(t, req)

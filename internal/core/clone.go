@@ -17,18 +17,17 @@ import (
 // cloned table already carries them) and no monitord sync runs — the
 // golden image was synced before the snapshot.
 //
-// Parsed policy objects (sudoers, ppp options) and the compiled mount
-// index are immutable once installed (a reload replaces them whole), so
-// the pointers are shared; everything mutable — mount whitelist, bind
-// table, file grants, the raw-socket and broken-policy switches — is
-// copied. Decision statistics and the identity cache start fresh, giving
+// Parsed policy objects (sudoers, ppp options) and the mount whitelist
+// with its index are immutable once installed (a reload replaces them
+// whole), so they are shared; everything mutable — bind table, file
+// grants, the raw-socket and broken-policy switches — is copied.
+// Decision statistics and the identity cache start fresh, giving
 // per-clone counters.
 func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) (*Module, error) {
 	c := New(k, db, auth)
 	m.mu.RLock()
-	c.mounts = append([]MountRule(nil), m.mounts...)
+	c.mounts, c.mountIdx = m.mounts, m.mountIdx
 	c.bindTable = maps.Clone(m.bindTable)
-	c.mountIdx, c.umountUsers = m.mountIdx, m.umountUsers
 	c.sudoers = m.sudoers
 	c.ppp = m.ppp
 	for path, bins := range m.fileGrants {

@@ -35,36 +35,35 @@ func session(t *testing.T, m *world.Machine, user string) *kernel.Task {
 
 // --- mount whitelist ---
 
+// TestMountRulesFromFstab: monitord's sync pushes the user-mountable rows
+// of /etc/fstab, and each keeps its user or users marker.
 func TestMountRulesFromFstab(t *testing.T) {
-	entries, err := policy.MemoFstab(new(vfs.Memo), []byte(`
+	m := protegoMachine(t)
+	fstab := `
 /dev/sda1  /           ext4    defaults        0 1
 /dev/cdrom /cdrom      iso9660 ro,user,noauto  0 0
 /dev/sdb1  /media/usb  vfat    rw,users        0 0
-`))
-	if err != nil {
+`
+	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", []byte(fstab), 0o644, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	rules := core.MountRulesFromFstab(entries)
+	if err := m.Monitor.SyncMounts(); err != nil {
+		t.Fatal(err)
+	}
+	rules := m.Protego.MountRules()
 	if len(rules) != 2 {
 		t.Fatalf("rules = %d (root fs must be excluded)", len(rules))
 	}
-	var cdrom, usb *core.MountRule
-	for i := range rules {
-		switch rules[i].MountPoint {
-		case "/cdrom":
-			cdrom = &rules[i]
-		case "/media/usb":
-			usb = &rules[i]
-		}
-	}
+	cdrom := m.Protego.MountRow("/dev/cdrom", "/cdrom")
+	usb := m.Protego.MountRow("/dev/sdb1", "/media/usb")
 	if cdrom == nil || usb == nil {
 		t.Fatalf("rules: %+v", rules)
 	}
-	if cdrom.AnyUserUnmount {
-		t.Fatal("'user' entry marked users")
+	if cdrom.HasOption("users") || !cdrom.HasOption("user") || !cdrom.HasOption("ro") {
+		t.Fatalf("'user' entry: %+v", cdrom)
 	}
-	if !usb.AnyUserUnmount {
-		t.Fatal("'users' entry not marked")
+	if !usb.HasOption("users") {
+		t.Fatalf("'users' entry not marked: %+v", usb)
 	}
 }
 
@@ -96,15 +95,18 @@ func TestMountWhitelistMatching(t *testing.T) {
 }
 
 func TestMountRuleString(t *testing.T) {
-	r := core.MountRule{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660",
-		Options: []string{"ro"}, AnyUserUnmount: false}
-	if r.String() != "/dev/cdrom /cdrom iso9660 ro user" {
-		t.Fatalf("string: %q", r.String())
+	r := policy.FstabEntry{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660",
+		Options: []string{"ro", "user"}}
+	if got := core.ProcMountRow(&r); got != "/dev/cdrom /cdrom iso9660 ro,user user" {
+		t.Fatalf("string: %q", got)
+	}
+	r.Options, r.FSType = []string{"users"}, ""
+	if got := core.ProcMountRow(&r); got != "/dev/cdrom /cdrom auto users users" {
+		t.Fatalf("string: %q", got)
 	}
 	r.Options = nil
-	r.AnyUserUnmount = true
-	if r.String() != "/dev/cdrom /cdrom iso9660 - users" {
-		t.Fatalf("string: %q", r.String())
+	if got := core.ProcMountRow(&r); got != "/dev/cdrom /cdrom auto - user" {
+		t.Fatalf("string: %q", got)
 	}
 }
 
@@ -125,7 +127,7 @@ func TestProcMountsGrammar(t *testing.T) {
 		t.Fatal(err)
 	}
 	rules := m.Protego.MountRules()
-	if len(rules) != 1 || rules[0].Device != "/dev/z" || !rules[0].AnyUserUnmount {
+	if len(rules) != 1 || rules[0].Device != "/dev/z" || !rules[0].HasOption("users") {
 		t.Fatalf("rules: %+v", rules)
 	}
 	if err := procWrite(t, m, core.ProcMounts, "del /dev/z /mnt\n"); err != nil {
@@ -140,12 +142,17 @@ func TestProcMountsGrammar(t *testing.T) {
 			t.Errorf("accepted %q", bad)
 		}
 	}
-	// Reads render the current rules.
+	// Reads render the current rules in the grammar add takes.
+	if err := procWrite(t, m, core.ProcMounts, "add /dev/z /mnt/./z ext4 ro user\n"); err != nil {
+		t.Fatal(err)
+	}
 	data, err := m.K.FS.ReadFile(vfs.RootCred, core.ProcMounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = data
+	if got := string(data); got != "/dev/z /mnt/z ext4 ro,user user\n" {
+		t.Fatalf("read: %q", got)
+	}
 }
 
 func TestProcBindGrammar(t *testing.T) {

@@ -38,18 +38,18 @@ type Module struct {
 	mu sync.RWMutex
 
 	// Policy state (the in-kernel mirrors of the legacy config files).
-	mounts     []MountRule
+	mounts     []policy.FstabEntry
 	bindTable  map[bindKey]BindTarget
 	sudoers    *policy.Sudoers
 	ppp        *policy.PPPOptions
 	fileGrants map[string][]string // path -> binaries allowed despite DAC
 
-	// Compiled mount-whitelist indexes, rebuilt on every rule change so
-	// MountCheck/UmountCheck are map probes instead of linear scans.
-	mountIdx    map[mountKey][]compiledMountRule
-	umountUsers map[string]bool // mount points carrying "users"
+	// mountIdx indexes the whitelist rows by (device, point), rebuilt on
+	// every rule change so MountCheck/UmountCheck are map probes instead
+	// of linear scans.
+	mountIdx map[mountKey]*policy.FstabEntry
 
-	// mountIdxHits counts MountCheck decisions resolved via the compiled
+	// mountIdxHits counts MountCheck decisions that found a row in the
 	// index (exported through the tracer as "mountidx.hit").
 	mountIdxHits atomic.Uint64
 

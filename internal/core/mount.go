@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"protego/internal/errno"
@@ -11,98 +9,31 @@ import (
 	"protego/internal/vfs"
 )
 
-// MountRule is one row of the in-kernel user-mount whitelist, mirroring a
-// "user"/"users" entry of /etc/fstab. A mount(2) call from a task without
-// CAP_SYS_ADMIN succeeds only if its arguments match a rule (Figure 1).
-type MountRule struct {
-	Device     string
-	MountPoint string
-	FSType     string // "" or "auto" matches any fs type
-	Options    []string
-	// AnyUserUnmount corresponds to the "users" option: anyone may
-	// unmount; "user" restricts unmounting to the mounting uid.
-	AnyUserUnmount bool
-}
-
-// safeUserMountOptions are options a user may always request (mount(8)
-// forces nosuid/nodev on user mounts; ro is always safe).
-var safeUserMountOptions = map[string]bool{
-	"ro": true, "nosuid": true, "nodev": true, "noexec": true,
-	"user": true, "users": true, "noauto": true, "sync": true,
-}
-
-// mountKey is the compiled whitelist's dispatch key: every rule pins both
-// a device and a mount point, so the per-call check reduces to one map
-// probe plus the fstype/option comparison of the (usually single)
-// candidate row.
+// mountKey is the whitelist's dispatch key: every row pins both a device
+// and a mount point, so a decision is one map probe plus the row's own
+// check (policy.FstabEntry's user-mount decision).
 type mountKey struct {
 	device string
 	point  string
 }
 
-// compiledMountRule is one whitelist row with its allowed-options set
-// precomputed at install time — the per-call map allocation the linear
-// scan paid on every mount(2) is paid once per rule change instead.
-type compiledMountRule struct {
-	fsType  string
-	allowed map[string]bool
-}
-
-// compileMountRule precomputes the rule's allowed-options set (the rule's
-// own options merged with safeUserMountOptions).
-func compileMountRule(r *MountRule) compiledMountRule {
-	allowed := make(map[string]bool, len(r.Options)+len(safeUserMountOptions))
-	for o := range safeUserMountOptions {
-		allowed[o] = true
-	}
-	for _, o := range r.Options {
-		allowed[o] = true
-	}
-	return compiledMountRule{fsType: r.FSType, allowed: allowed}
-}
-
-// matches reports whether the request's fstype and options are covered;
-// device and mount point were already matched by the index key.
-func (r *compiledMountRule) matches(req *lsm.MountRequest) bool {
-	if r.fsType != "" && r.fsType != "auto" && req.FSType != r.fsType && req.FSType != "auto" {
-		return false
-	}
-	for _, o := range req.Options {
-		if !r.allowed[o] {
-			return false
-		}
-	}
-	return true
-}
-
-// rebuildMountIndexLocked recompiles the whitelist indexes from m.mounts.
+// rebuildMountIndexLocked re-indexes m.mounts by (device, point). The
+// first row at a key decides, as the first fstab row does for mount(8).
 // Caller holds m.mu exclusively.
 func (m *Module) rebuildMountIndexLocked() {
-	idx := make(map[mountKey][]compiledMountRule, len(m.mounts))
-	users := make(map[string]bool)
+	idx := make(map[mountKey]*policy.FstabEntry, len(m.mounts))
 	for i := range m.mounts {
 		r := &m.mounts[i]
-		key := mountKey{device: r.Device, point: r.MountPoint}
-		idx[key] = append(idx[key], compileMountRule(r))
-		if r.AnyUserUnmount {
-			users[r.MountPoint] = true
+		if key := (mountKey{device: r.Device, point: r.MountPoint}); idx[key] == nil {
+			idx[key] = r
 		}
 	}
 	m.mountIdx = idx
-	m.umountUsers = users
 }
 
-// Covers reports whether the row whitelists a mount of device on point
-// with fstype: device and mount point equal, and the row's fstype "",
-// "auto" or fstype itself. Options are not compared. The harnesses'
-// mount-whitelist invariant judges every attached user mount with it.
-func (r *MountRule) Covers(device, point, fstype string) bool {
-	return r.Device == device && r.MountPoint == point &&
-		(r.FSType == "" || r.FSType == "auto" || r.FSType == fstype)
-}
-
-// String renders the rule in the /proc grammar's field order.
-func (r *MountRule) String() string {
+// ProcMountRow renders a whitelist row as the fields of a
+// /proc/protego/mounts add line.
+func ProcMountRow(r *policy.FstabEntry) string {
 	opts := strings.Join(r.Options, ",")
 	if opts == "" {
 		opts = "-"
@@ -112,50 +43,40 @@ func (r *MountRule) String() string {
 		fstype = "auto"
 	}
 	who := "user"
-	if r.AnyUserUnmount {
+	if r.HasOption("users") {
 		who = "users"
 	}
-	return fmt.Sprintf("%s %s %s %s %s", r.Device, r.MountPoint, fstype, opts, who)
+	return r.Device + " " + r.MountPoint + " " + fstype + " " + opts + " " + who
 }
 
-// SetMountRules replaces the whitelist and recompiles the dispatch index.
-func (m *Module) SetMountRules(rules []MountRule) {
+// SetMountRules replaces the whitelist and re-indexes it. The rows are
+// copied; their option slices are shared and must not be written.
+func (m *Module) SetMountRules(rows []policy.FstabEntry) {
 	m.mu.Lock()
-	m.mounts = append([]MountRule(nil), rules...)
+	m.mounts = append([]policy.FstabEntry(nil), rows...)
 	m.rebuildMountIndexLocked()
 	m.mu.Unlock()
 }
 
 // MountRules returns a snapshot of the whitelist.
-func (m *Module) MountRules() []MountRule {
+func (m *Module) MountRules() []policy.FstabEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]MountRule(nil), m.mounts...)
+	return append([]policy.FstabEntry(nil), m.mounts...)
 }
 
-// MountRulesFromFstab converts the user-mountable entries of a parsed
-// fstab into whitelist rows (the monitoring daemon's translation).
-func MountRulesFromFstab(entries []policy.FstabEntry) []MountRule {
-	var rules []MountRule
-	for i := range entries {
-		e := &entries[i]
-		if !e.UserMountable() {
-			continue
-		}
-		rules = append(rules, MountRule{
-			Device:         e.Device,
-			MountPoint:     vfs.CleanPath(e.MountPoint, "/"),
-			FSType:         e.FSType,
-			Options:        append([]string(nil), e.Options...),
-			AnyUserUnmount: e.AnyUserUnmountable(),
-		})
-	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].MountPoint < rules[j].MountPoint })
-	return rules
+// MountRow returns the whitelist row that decides a user's mount or
+// unmount of device on point, or nil. The row is shared: only read it.
+func (m *Module) MountRow(device, point string) *policy.FstabEntry {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.mountIdx[mountKey{device: device, point: point}]
 }
 
 // MountCheck implements the Figure 1 flow: an unprivileged mount succeeds
-// iff its arguments match the whitelist.
+// iff the whitelist row at its (device, point) permits it, and then mounts
+// what the row yields (the request is rewritten, as ExecCheck filters an
+// exec's environment).
 func (m *Module) MountCheck(t lsm.Task, req *lsm.MountRequest) (lsm.Decision, error) {
 	if t.Capable(capSysAdmin) {
 		return lsm.NoOpinion, nil // administrator path: base policy
@@ -180,58 +101,40 @@ func (m *Module) MountCheck(t lsm.Task, req *lsm.MountRequest) (lsm.Decision, er
 		m.bumpStat(&m.Stats.MountDenials)
 		return lsm.NoOpinion, nil
 	}
-	m.mu.RLock()
-	cands := m.mountIdx[mountKey{device: req.Device, point: req.Point}]
-	m.mu.RUnlock()
-	if len(cands) > 0 {
-		// The (device, point) probe found whitelist rows: the decision is
-		// resolved from the compiled index without scanning the table.
+	row := m.MountRow(req.Device, req.Point)
+	if row != nil {
 		m.mountIdxHits.Add(1)
 	}
-	matched := false
-	for i := range cands {
-		if cands[i].matches(req) {
-			matched = true
-			break
-		}
+	if row == nil || !row.PermitsUserMount(req.FSType, req.Options) {
+		m.bumpStat(&m.Stats.MountDenials)
+		return lsm.NoOpinion, nil // base policy denies (EPERM)
 	}
-	if matched {
-		m.bumpStat(&m.Stats.MountGrants)
-		return lsm.Grant, nil
-	}
-	m.bumpStat(&m.Stats.MountDenials)
-	return lsm.NoOpinion, nil // base policy denies (EPERM)
+	req.FSType, req.Options = row.MountWith(req.FSType, req.Options)
+	m.bumpStat(&m.Stats.MountGrants)
+	return lsm.Grant, nil
 }
 
-// UmountCheck grants unprivileged unmounts of user mounts: the mounting
-// user always may; anyone may when the whitelist row says "users".
+// UmountCheck grants an unprivileged unmount when the row at the mount's
+// (device, point) allows it, as umount(8) and fusermount -u decide.
 func (m *Module) UmountCheck(t lsm.Task, req *lsm.UmountRequest) (lsm.Decision, error) {
 	if t.Capable(capSysAdmin) {
 		return lsm.NoOpinion, nil
 	}
-	if !req.UserMount {
-		return lsm.NoOpinion, nil // only user mounts are user-unmountable
-	}
-	if req.MountedBy == t.UID() {
-		return lsm.Grant, nil
-	}
-	m.mu.RLock()
-	anyUser := m.umountUsers[req.Point]
-	m.mu.RUnlock()
-	if anyUser {
+	if m.MountRow(req.Device, req.Point).MayUnmount(req.FSType, req.MountedBy, t.UID()) {
 		return lsm.Grant, nil
 	}
 	return lsm.NoOpinion, nil
 }
 
-// parseMountRuleArgs parses the /proc grammar fields:
+// parseMountRow parses the /proc grammar fields into a whitelist row; the
+// row carries its user or users marker among its options:
 //
 //	add <device> <mountpoint> <fstype> <options|-> <user|users>
-func parseMountRuleArgs(args []string) (MountRule, error) {
-	if len(args) != 5 {
-		return MountRule{}, errno.EINVAL
+func parseMountRow(args []string) (policy.FstabEntry, error) {
+	if len(args) != 5 || args[4] != "user" && args[4] != "users" {
+		return policy.FstabEntry{}, errno.EINVAL
 	}
-	r := MountRule{
+	r := policy.FstabEntry{
 		Device:     args[0],
 		MountPoint: vfs.CleanPath(args[1], "/"),
 		FSType:     args[2],
@@ -239,12 +142,8 @@ func parseMountRuleArgs(args []string) (MountRule, error) {
 	if args[3] != "-" {
 		r.Options = strings.Split(args[3], ",")
 	}
-	switch args[4] {
-	case "user":
-	case "users":
-		r.AnyUserUnmount = true
-	default:
-		return MountRule{}, errno.EINVAL
+	if !r.HasOption(args[4]) {
+		r.Options = append(r.Options, args[4])
 	}
 	return r, nil
 }

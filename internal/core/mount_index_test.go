@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"protego/internal/caps"
 	"protego/internal/lsm"
+	"protego/internal/policy"
 	"protego/internal/vfs"
 )
 
@@ -27,11 +29,14 @@ func (t idxTask) SetSecurityBlob(string, any) {}
 
 func idxModule() *Module {
 	m := &Module{}
-	m.SetMountRules([]MountRule{
+	m.SetMountRules([]policy.FstabEntry{
 		{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660",
-			Options: []string{"uid=1000"}},
+			Options: []string{"uid=1000", "user"}},
 		{Device: "/dev/sdb1", MountPoint: "/media/usb", FSType: "vfat",
-			AnyUserUnmount: true},
+			Options: []string{"users"}},
+		// A later row at the same pair never decides.
+		{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "ext4",
+			Options: []string{"suid", "users"}},
 	})
 	return m
 }
@@ -71,6 +76,15 @@ func TestMountIndexGrantsWhitelisted(t *testing.T) {
 		if got != c.want {
 			t.Errorf("MountCheck(%+v) = %v, want %v", c.req, got, c.want)
 		}
+	}
+	// A grant rewrites the request to what the row yields: its fstype,
+	// and its options followed by the safe ones the caller added.
+	req := mountReq("/dev/cdrom", "/cdrom", "auto", "sync")
+	if d, _ := m.MountCheck(alice, req); d != lsm.Grant {
+		t.Fatalf("sync: %v", d)
+	}
+	if req.FSType != "iso9660" || !slices.Equal(req.Options, []string{"uid=1000", "user", "sync"}) {
+		t.Fatalf("granted request: %s %v", req.FSType, req.Options)
 	}
 }
 
@@ -113,26 +127,30 @@ func TestMountIndexTracksRuleMutations(t *testing.T) {
 
 func TestUmountUsersIndex(t *testing.T) {
 	m := idxModule()
-	bob := idxTask{uid: 1001}
-	// "users" mount point: anyone may unmount.
-	d, _ := m.UmountCheck(bob, &lsm.UmountRequest{
-		Point: "/media/usb", Device: "/dev/sdb1", MountedBy: 1000, UserMount: true,
-	})
-	if d != lsm.Grant {
-		t.Fatalf("users umount by other uid: %v", d)
-	}
-	// "user" mount point: only the mounting uid.
-	d, _ = m.UmountCheck(bob, &lsm.UmountRequest{
-		Point: "/cdrom", Device: "/dev/cdrom", MountedBy: 1000, UserMount: true,
-	})
-	if d != lsm.NoOpinion {
-		t.Fatalf("user umount by other uid: %v", d)
-	}
-	// The mounting uid always may.
-	d, _ = m.UmountCheck(idxTask{uid: 1000}, &lsm.UmountRequest{
-		Point: "/cdrom", Device: "/dev/cdrom", MountedBy: 1000, UserMount: true,
-	})
-	if d != lsm.Grant {
-		t.Fatalf("user umount by owner: %v", d)
+	bob, alice := idxTask{uid: 1001}, idxTask{uid: 1000}
+	for _, c := range []struct {
+		name string
+		who  idxTask
+		req  lsm.UmountRequest
+		want lsm.Decision
+	}{
+		{"users row: anyone", bob,
+			lsm.UmountRequest{Point: "/media/usb", Device: "/dev/sdb1", FSType: "vfat", MountedBy: 1000}, lsm.Grant},
+		{"users row: root's mount too", bob,
+			lsm.UmountRequest{Point: "/media/usb", Device: "/dev/sdb1", FSType: "vfat", MountedBy: 0}, lsm.Grant},
+		{"user row: not another uid", bob,
+			lsm.UmountRequest{Point: "/cdrom", Device: "/dev/cdrom", FSType: "iso9660", MountedBy: 1000}, lsm.NoOpinion},
+		{"user row: the mounting uid", alice,
+			lsm.UmountRequest{Point: "/cdrom", Device: "/dev/cdrom", FSType: "iso9660", MountedBy: 1000}, lsm.Grant},
+		{"no row: not even the mounting uid", alice,
+			lsm.UmountRequest{Point: "/mnt", Device: "/dev/cdrom", FSType: "iso9660", MountedBy: 1000}, lsm.NoOpinion},
+		{"fuse: the mounting uid", alice,
+			lsm.UmountRequest{Point: "/home/alice", Device: "user-fs", FSType: "fuse", MountedBy: 1000}, lsm.Grant},
+		{"fuse: not another uid", bob,
+			lsm.UmountRequest{Point: "/home/alice", Device: "user-fs", FSType: "fuse", MountedBy: 1000}, lsm.NoOpinion},
+	} {
+		if d, _ := m.UmountCheck(c.who, &c.req); d != c.want {
+			t.Errorf("%s: %v, want %v", c.name, d, c.want)
+		}
 	}
 }

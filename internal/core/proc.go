@@ -62,7 +62,7 @@ func requireRoot(c vfs.Cred) error {
 func (m *Module) readMounts(vfs.Cred) ([]byte, error) {
 	var b strings.Builder
 	for _, r := range m.MountRules() {
-		b.WriteString(r.String())
+		b.WriteString(ProcMountRow(&r))
 		b.WriteByte('\n')
 	}
 	return []byte(b.String()), nil
@@ -90,11 +90,11 @@ func (m *Module) writeMounts(c vfs.Cred, data []byte) error {
 	for _, cmd := range cmds {
 		switch cmd.Verb {
 		case "add":
-			rule, err := parseMountRuleArgs(cmd.Args)
+			row, err := parseMountRow(cmd.Args)
 			if err != nil {
 				return err
 			}
-			staged = append(staged, rule)
+			staged = append(staged, row)
 		case "del":
 			if len(cmd.Args) != 2 {
 				return errno.EINVAL

@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"protego/internal/core"
 	"protego/internal/kernel"
+	"protego/internal/policy"
 	"protego/internal/vfs"
 	"protego/internal/world"
 )
@@ -16,9 +16,9 @@ func TestCheckInvariants(t *testing.T) {
 	privileged := func(t *testing.T, m *world.Machine) {
 		m.K.Fork(m.Init) // root with full capabilities, left alive
 	}
-	userMount := func(fstype string) func(*testing.T, *world.Machine) {
+	userMount := func(fstype string, opts ...string) func(*testing.T, *world.Machine) {
 		return func(t *testing.T, m *world.Machine) {
-			mnt := &vfs.Mount{Device: "/dev/sdc1", Point: "/mnt/backup", FSType: fstype,
+			mnt := &vfs.Mount{Device: "/dev/sdc1", Point: "/mnt/backup", FSType: fstype, Options: opts,
 				MountedBy: world.UIDAlice, UserMount: true}
 			if err := m.K.FS.AttachMount(vfs.RootCred, mnt); err != nil {
 				t.Fatal(err)
@@ -27,8 +27,18 @@ func TestCheckInvariants(t *testing.T) {
 	}
 	autoRow := func(t *testing.T, m *world.Machine) {
 		m.Protego.SetMountRules(append(m.Protego.MountRules(),
-			core.MountRule{Device: "/dev/sdc1", MountPoint: "/mnt/backup", FSType: "auto"}))
-		userMount("ext4")(t, m)
+			policy.FstabEntry{Device: "/dev/sdc1", MountPoint: "/mnt/backup", FSType: "auto", Options: []string{"user"}}))
+		userMount("ext4", "user")(t, m)
+	}
+	// cdrom mounts under the image's ro,user,noauto iso9660 row.
+	cdrom := func(fstype string, opts ...string) func(*testing.T, *world.Machine) {
+		return func(t *testing.T, m *world.Machine) {
+			mnt := &vfs.Mount{Device: "/dev/cdrom", Point: "/cdrom", FSType: fstype, Options: opts,
+				MountedBy: world.UIDAlice, UserMount: true}
+			if err := m.K.FS.AttachMount(vfs.RootCred, mnt); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	cases := []struct {
 		name  string
@@ -43,6 +53,14 @@ func TestCheckInvariants(t *testing.T) {
 			[]string{"mount-whitelist"}},
 		{"fuse mount", kernel.ModeProtego, []func(*testing.T, *world.Machine){userMount("fuse")}, nil},
 		{"auto row covers ext4", kernel.ModeProtego, []func(*testing.T, *world.Machine){autoRow}, nil},
+		{"row's options plus safe ones", kernel.ModeProtego,
+			[]func(*testing.T, *world.Machine){cdrom("iso9660", "noauto", "ro", "sync", "user")}, nil},
+		{"row's ro dropped", kernel.ModeProtego,
+			[]func(*testing.T, *world.Machine){cdrom("iso9660", "noauto", "sync", "user")}, []string{"mount-whitelist"}},
+		{"unsafe option added", kernel.ModeProtego,
+			[]func(*testing.T, *world.Machine){cdrom("iso9660", "noauto", "ro", "suid", "user")}, []string{"mount-whitelist"}},
+		{"row's fstype changed", kernel.ModeProtego,
+			[]func(*testing.T, *world.Machine){cdrom("auto", "noauto", "ro", "user")}, []string{"mount-whitelist"}},
 		{"baseline checks tasks only", kernel.ModeLinux,
 			[]func(*testing.T, *world.Machine){privileged, userMount("ext4")},
 			[]string{"no-unauthorized-priv"}},

@@ -1,15 +1,16 @@
 package difffuzz
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 
-	"protego/internal/core"
 	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
+	"protego/internal/policy"
 	"protego/internal/seccomp"
 	"protego/internal/userspace"
+	"protego/internal/vfs"
 	"protego/internal/world"
 )
 
@@ -308,16 +309,13 @@ func execStep(lin, pro *machineCtx, s Step, res *Result, idx int) stepOutcome {
 		errL := lin.m.K.Mount(lin.sess(s.Actor), spec.device, spec.point, spec.fstype, spec.options)
 		errP := pro.m.K.Mount(pro.sess(s.Actor), spec.device, spec.point, spec.fstype, spec.options)
 		out := reconcile(lin, res, errL, errP, fmt.Sprintf("mount %s %s", spec.device, spec.point),
-			func(root *kernel.Task) error {
-				return lin.m.K.Mount(root, spec.device, spec.point, spec.fstype, spec.options)
-			})
+			func(root *kernel.Task) error { return setuidMount(lin.m, root, spec) })
 		if out.unexplained == "" && errP == nil && errL != nil {
 			// The replay ran as root, but setuid mount(8) records the
 			// invoking user in mtab so that user may unmount later; mirror
 			// that, or the images' umount policies drift apart.
 			if mnt := lin.m.K.FS.MountAt(spec.point); mnt != nil {
 				mnt.MountedBy = lin.sess(s.Actor).UID()
-				mnt.UserMount = true
 			}
 		}
 		return out
@@ -416,6 +414,31 @@ func reconcile(lin *machineCtx, res *Result, errL, errP error, what string, repl
 	default:
 		return stepOutcome{}
 	}
+}
+
+// setuidMount makes, as root on the baseline image m, the mount that the
+// setuid helper would make for spec: the fstab row at (device, point)
+// decides, and the mount gets what the row yields. A FUSE mount is
+// fusermount's, granted over a directory the caller owns, and is made as
+// asked.
+func setuidMount(m *world.Machine, root *kernel.Task, spec mountSpec) error {
+	fstype, opts := spec.fstype, spec.options
+	if fstype != "fuse" {
+		data, err := m.K.FS.ReadFile(vfs.RootCred, "/etc/fstab")
+		if err != nil {
+			return err
+		}
+		entries, err := policy.MemoFstab(m.K.FS.Memo(), data)
+		if err != nil {
+			return err
+		}
+		row := policy.FindPair(entries, spec.device, spec.point)
+		if row == nil || !row.PermitsUserMount(fstype, opts) {
+			return errors.New("no fstab row permits it")
+		}
+		fstype, opts = row.MountWith(fstype, opts)
+	}
+	return m.K.Mount(root, spec.device, spec.point, fstype, opts)
 }
 
 // execCredStep runs setuid/seteuid inside a disposable child — mirroring
@@ -562,10 +585,12 @@ func execIoctlStep(lin, pro *machineCtx, s Step, res *Result, idx int) stepOutco
 //     no legitimate elevation outlives a step (transient elevated children,
 //     e.g. a NOPASSWD sudo, exit inside their utility run).
 //   - mount-whitelist: every user mount is authorized — a fuse mount
-//     (ownership-checked at grant time) or a row of the in-kernel
-//     whitelist. This is what catches a broken MountCheck even though the
-//     reconciler "explains" the grant. The baseline image has no
-//     whitelist, so only the task invariant applies there.
+//     (ownership-checked at grant time) or what the in-kernel whitelist
+//     row at its (device, point) yields: the row's fstype, and the row's
+//     options plus safe ones. It catches a broken MountCheck on a mount
+//     the baseline's row would also permit, where the reconciler's
+//     replay succeeds. The baseline image has no whitelist, so only the
+//     task invariant applies there.
 func CheckInvariants(m *world.Machine) []Violation {
 	var out []Violation
 	initPID := m.Init.PID()
@@ -583,17 +608,14 @@ func CheckInvariants(m *world.Machine) []Violation {
 	if m.Protego == nil {
 		return out
 	}
-	rules := m.Protego.MountRules()
 	for _, mnt := range m.K.FS.Mounts() {
 		if !mnt.UserMount || mnt.FSType == "fuse" {
 			continue
 		}
-		if !slices.ContainsFunc(rules, func(r core.MountRule) bool {
-			return r.Covers(mnt.Device, mnt.Point, mnt.FSType)
-		}) {
+		if row := m.Protego.MountRow(mnt.Device, mnt.Point); row == nil || !row.Yields(mnt.FSType, mnt.Options) {
 			out = append(out, Violation{Invariant: "mount-whitelist",
-				Detail: fmt.Sprintf("user mount %s on %s (%s) matches no whitelist rule",
-					mnt.Device, mnt.Point, mnt.FSType)})
+				Detail: fmt.Sprintf("user mount %s on %s (%s %v) matches no whitelist rule",
+					mnt.Device, mnt.Point, mnt.FSType, mnt.Options)})
 		}
 	}
 	return out

@@ -456,8 +456,8 @@ func (k *Kernel) Exec(t *Task, path string, argv []string, env map[string]string
 	t.binary = clean
 	t.argv = append([]string(nil), argv...)
 	t.env = req.Env // possibly filtered by the LSM
-	// Close-on-exec descriptors are closed, per POSIX; Protego marks the
-	// shadow file handle CLOEXEC so it cannot be inherited (§4.4).
+	// Close-on-exec descriptors (opened with O_CLOEXEC) are closed, per
+	// POSIX.
 	for fd, f := range t.fds {
 		if f.CloseOnExec {
 			delete(t.fds, fd)

@@ -75,12 +75,10 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 		if vfs.NamesDir(path) {
 			return -1, errno.EISDIR
 		}
-		want := vfs.MayWrite
 		ino, err = k.FS.Create(creds, clean, 0o644, creds.FUID, creds.FGID)
 		if err != nil {
 			return -1, err
 		}
-		_ = want
 	} else if err != nil {
 		return -1, err
 	}
@@ -90,6 +88,9 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 	write := flags&(O_WRONLY|O_RDWR|O_APPEND|O_TRUNC) != 0
 	var want int
 	if write {
+		if err := k.FS.CheckReadOnly(ino); err != nil {
+			return -1, err
+		}
 		want = vfs.MayWrite
 	}
 	if flags&O_RDWR != 0 || flags&0x3 == O_RDONLY {
@@ -103,7 +104,7 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 		// A sealed inode is shared with a snapshot: truncate a private
 		// copy, never the shared one.
 		ino = k.FS.BreakSealInode(clean, ino)
-		k.FS.Truncate(ino)
+		k.FS.Truncate(creds, ino)
 	}
 	desc := &FileDesc{
 		Ino:         ino,
@@ -176,7 +177,7 @@ func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
 		// anonymous and the write stays fd-local.
 		f.Ino = k.FS.BreakSealInode(f.Path, f.Ino)
 	}
-	f.Pos = k.FS.WriteAt(f.Ino, f.Pos, data, f.Flags&O_APPEND != 0)
+	f.Pos = k.FS.WriteAt(t.credsRef(), f.Ino, f.Pos, data, f.Flags&O_APPEND != 0)
 	return len(data), nil
 }
 
@@ -196,22 +197,6 @@ func (k *Kernel) CloseFD(t *Task, fd int) (err error) {
 	return nil
 }
 
-// SetCloseOnExec marks a descriptor close-on-exec (Protego marks shadow
-// file handles this way so they cannot be inherited, §4.4).
-func (k *Kernel) SetCloseOnExec(t *Task, fd int, on bool) (err error) {
-	tok, err := k.enter(t, SysFcntl)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	f, err := t.fdesc(fd)
-	if err != nil {
-		return err
-	}
-	f.CloseOnExec = on
-	return nil
-}
-
 // Stat returns the inode at path.
 func (k *Kernel) Stat(t *Task, path string) (ino *vfs.Inode, err error) {
 	tok, err := k.enter(t, SysStat)
@@ -221,21 +206,6 @@ func (k *Kernel) Stat(t *Task, path string) (ino *vfs.Inode, err error) {
 	}
 	_, ino, err = k.lookupPath(t, t.credsRef(), path)
 	return ino, err
-}
-
-// Access reports whether the task may access path with the given rights.
-func (k *Kernel) Access(t *Task, path string, want int) (err error) {
-	tok, err := k.enter(t, SysAccess)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	creds := t.credsRef()
-	_, ino, err := k.lookupPath(t, creds, path)
-	if err != nil {
-		return err
-	}
-	return vfs.CheckAccess(creds, ino, want)
 }
 
 // ReadFile is the open+read+close convenience used by the utilities. All
@@ -267,7 +237,9 @@ func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
 }
 
 // WriteFile is the open+write+close convenience (creates with mode 0644
-// owned by the task's fsuid when absent). LSM open mediation applies.
+// owned by the task's fsuid when absent). LSM open mediation applies, and
+// the write is the task's: no module grants a write DAC refuses, and a
+// write by a non-root fsuid clears the file's setuid and setgid bits.
 func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
 	tok, err := k.enter(t, SysWriteFile)
 	defer func() { k.Trace.SyscallExit(tok, err) }()
@@ -276,24 +248,23 @@ func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
 	}
 	creds := t.credsRef()
 	clean, ino, err := k.lookupPath(t, creds, path)
-	if errno.Is(err, errno.ENOENT) {
+	switch {
+	case errno.Is(err, errno.ENOENT):
 		if vfs.NamesDir(path) {
 			return errno.EISDIR
 		}
-		return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)
-	}
-	if err != nil {
+	case err != nil:
 		return err
+	default:
+		dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
+		if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
+			return hookErr
+		}
+		if ino.WriteFn != nil {
+			return ino.WriteFn(creds, data)
+		}
 	}
-	dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
-	if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
-		return hookErr
-	}
-	if ino.WriteFn != nil {
-		return ino.WriteFn(creds, data)
-	}
-	// Passed mediation: perform the write as the file's own logic would.
-	return k.FS.WriteFile(vfs.RootCred, clean, data, ino.Mode, ino.UID, ino.GID)
+	return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)
 }
 
 // AppendFile appends to an existing file with LSM mediation.
@@ -312,7 +283,7 @@ func (k *Kernel) AppendFile(t *Task, path string, data []byte) (err error) {
 	if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
 		return hookErr
 	}
-	return k.FS.AppendFile(vfs.RootCred, clean, data)
+	return k.FS.AppendFile(creds, clean, data)
 }
 
 // Mkdir creates a directory owned by the task's fsuid.

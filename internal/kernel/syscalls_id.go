@@ -8,35 +8,14 @@ import (
 
 // The get*id family cannot fail on Linux and returns no error here either:
 // a seccomp denial is recorded on the trace (and in the profile stats) but
-// the id is still returned, matching how an errno-returning getuid would be
-// read by callers that never check it.
-
-// Getuid returns the real uid.
-func (k *Kernel) Getuid(t *Task) int {
-	tok, err := k.enter(t, SysGetuid)
-	k.Trace.SyscallExit(tok, err)
-	return t.UID()
-}
+// the id is still returned, matching how an errno-returning geteuid would
+// be read by callers that never check it.
 
 // Geteuid returns the effective uid.
 func (k *Kernel) Geteuid(t *Task) int {
 	tok, err := k.enter(t, SysGeteuid)
 	k.Trace.SyscallExit(tok, err)
 	return t.EUID()
-}
-
-// Getgid returns the real gid.
-func (k *Kernel) Getgid(t *Task) int {
-	tok, err := k.enter(t, SysGetgid)
-	k.Trace.SyscallExit(tok, err)
-	return t.GID()
-}
-
-// Getegid returns the effective gid.
-func (k *Kernel) Getegid(t *Task) int {
-	tok, err := k.enter(t, SysGetegid)
-	k.Trace.SyscallExit(tok, err)
-	return t.EGID()
 }
 
 // Getpid returns the process id; it is the "null syscall" used by the

@@ -1,26 +1,19 @@
 package kernel
 
 import (
+	"slices"
+
 	"protego/internal/caps"
 	"protego/internal/errno"
 	"protego/internal/lsm"
 	"protego/internal/vfs"
 )
 
-// hasOpt reports whether opts contains opt.
-func hasOpt(opts []string, opt string) bool {
-	for _, o := range opts {
-		if o == opt {
-			return true
-		}
-	}
-	return false
-}
-
 // Mount implements mount(2). Base policy: CAP_SYS_ADMIN required (the
 // coarse check that forced /bin/mount to be setuid root). On Protego, the
 // LSM hook consults the in-kernel user-mount whitelist synchronized from
-// /etc/fstab and may Grant the call for an unprivileged task — the right
+// /etc/fstab and may Grant the call for an unprivileged task, rewriting
+// the fstype and options to what the whitelist row yields — the right
 // half of the paper's Figure 1.
 func (k *Kernel) Mount(t *Task, device, point, fstype string, options []string) (err error) {
 	tok, err := k.enter(t, SysMount)
@@ -29,11 +22,10 @@ func (k *Kernel) Mount(t *Task, device, point, fstype string, options []string) 
 		return err
 	}
 	req := &lsm.MountRequest{
-		Device:   device,
-		Point:    vfs.CleanPath(point, t.Cwd()),
-		FSType:   fstype,
-		Options:  append([]string(nil), options...),
-		ReadOnly: hasOpt(options, "ro"),
+		Device:  device,
+		Point:   vfs.CleanPath(point, t.Cwd()),
+		FSType:  fstype,
+		Options: append([]string(nil), options...),
 	}
 	dec, err := k.LSM.MountCheck(t, req)
 	if dec == lsm.Deny {
@@ -46,14 +38,14 @@ func (k *Kernel) Mount(t *Task, device, point, fstype string, options []string) 
 		return errno.EPERM
 	}
 	// Mechanism. The attach resolves the mount point with the caller's
-	// credentials, so a user cannot mount over a directory she cannot
+	// credentials, so a user cannot mount over a directory they cannot
 	// even reach.
 	m := &vfs.Mount{
 		Device:    device,
 		Point:     req.Point,
-		FSType:    fstype,
+		FSType:    req.FSType,
 		Options:   req.Options,
-		ReadOnly:  req.ReadOnly,
+		ReadOnly:  slices.Contains(req.Options, "ro"),
 		MountedBy: t.UID(),
 		UserMount: !privileged,
 	}
@@ -76,8 +68,8 @@ func (k *Kernel) Umount(t *Task, point string) (err error) {
 	req := &lsm.UmountRequest{
 		Point:     clean,
 		Device:    existing.Device,
+		FSType:    existing.FSType,
 		MountedBy: existing.MountedBy,
-		UserMount: existing.UserMount,
 	}
 	dec, err := k.LSM.UmountCheck(t, req)
 	if dec == lsm.Deny {

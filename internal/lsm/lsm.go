@@ -109,25 +109,23 @@ func (d Decision) String() string {
 	}
 }
 
-// MountRequest carries the arguments of a mount(2) call to the hook.
+// MountRequest carries the arguments of a mount(2) call to the hook. A
+// module that grants may rewrite FSType and Options (with a slice of its
+// own); the kernel mounts what the request holds after the hook.
 type MountRequest struct {
-	Device   string
-	Point    string
-	FSType   string
-	Options  []string
-	ReadOnly bool
+	Device  string
+	Point   string
+	FSType  string
+	Options []string
 }
 
-// UmountRequest carries the arguments of umount(2).
+// UmountRequest carries the arguments of umount(2) and what is mounted.
 type UmountRequest struct {
-	Point string
-	// Device that is mounted there, if any.
+	Point  string
 	Device string
+	FSType string
 	// MountedBy is the uid that created the mount.
 	MountedBy int
-	// UserMount records whether the mount was created by a non-root user
-	// through the user-mount whitelist.
-	UserMount bool
 }
 
 // SocketRequest carries the arguments of socket(2).

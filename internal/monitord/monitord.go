@@ -166,13 +166,16 @@ func (d *Daemon) syncMounts() error {
 	if err != nil {
 		return fmt.Errorf("monitord: fstab: %w", err)
 	}
-	rules := core.MountRulesFromFstab(entries)
 	var b strings.Builder
 	b.WriteString("clear\n")
-	for _, r := range rules {
-		b.WriteString("add ")
-		b.WriteString(r.String())
-		b.WriteByte('\n')
+	for i := range entries {
+		// The first row of a (device, point) pair decides for it, as the
+		// setuid mount(8) reads fstab; a later row is never pushed.
+		if e := &entries[i]; e.UserMountable() && policy.FindPair(entries, e.Device, e.MountPoint) == e {
+			b.WriteString("add ")
+			b.WriteString(core.ProcMountRow(e))
+			b.WriteByte('\n')
+		}
 	}
 	return d.writeProc(core.ProcMounts, b.String())
 }

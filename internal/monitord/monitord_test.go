@@ -24,6 +24,25 @@ func protegoMachine(t *testing.T) *world.Machine {
 	return m
 }
 
+// userBackupFstab is the image's fstab with its root-only /mnt/backup row
+// made user-mountable: a row appended for the pair would not count, since
+// the first row of a (device, point) pair decides for it.
+func userBackupFstab(t *testing.T, m *world.Machine) []byte {
+	t.Helper()
+	fstab, err := m.K.FS.ReadFile(vfs.RootCred, "/etc/fstab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(string(fstab), "\n") {
+		if !strings.HasPrefix(line, "/dev/sdc1 ") {
+			b.WriteString(line)
+		}
+	}
+	b.WriteString("/dev/sdc1 /mnt/backup ext4 rw,user 0 0\n")
+	return []byte(b.String())
+}
+
 func TestSyncAllAtBoot(t *testing.T) {
 	m := protegoMachine(t) // Build runs SyncAll
 	if got := len(m.Protego.MountRules()); got != 2 {
@@ -43,9 +62,7 @@ func TestSyncAllAtBoot(t *testing.T) {
 
 func TestSyncMountsReflectsFstabEdits(t *testing.T) {
 	m := protegoMachine(t)
-	fstab, _ := m.K.FS.ReadFile(vfs.RootCred, "/etc/fstab")
-	updated := string(fstab) + "/dev/sdc1 /mnt/backup ext4 rw,user 0 0\n"
-	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", []byte(updated), 0o644, 0, 0); err != nil {
+	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", userBackupFstab(t, m), 0o644, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Monitor.SyncMounts(); err != nil {
@@ -157,9 +174,7 @@ func TestWatcherLoopEndToEnd(t *testing.T) {
 	defer close(stop)
 
 	baseline := m.Monitor.SyncCount("mounts")
-	fstab, _ := m.K.FS.ReadFile(vfs.RootCred, "/etc/fstab")
-	updated := string(fstab) + "/dev/sdc1 /mnt/backup ext4 rw,user 0 0\n"
-	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", []byte(updated), 0o644, 0, 0); err != nil {
+	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", userBackupFstab(t, m), 0o644, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -220,12 +235,7 @@ func TestTornFstabReloadKeepsLastGoodWhitelist(t *testing.T) {
 	if len(before) == 0 {
 		t.Fatal("boot sync left an empty whitelist")
 	}
-	fstab, err := m.K.FS.ReadFile(vfs.RootCred, "/etc/fstab")
-	if err != nil {
-		t.Fatal(err)
-	}
-	updated := string(fstab) + "/dev/sdc1 /mnt/backup ext4 rw,user 0 0\n"
-	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", []byte(updated), 0o644, 0, 0); err != nil {
+	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", userBackupFstab(t, m), 0o644, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 

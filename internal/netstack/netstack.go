@@ -381,15 +381,16 @@ func (s *Stack) AttachModem(name string, uid int) error {
 	return nil
 }
 
-// DetachModem takes the interface name down and releases it
-// (PPPIOCDETACH). Only the uid using it may, unless admin is set: EPERM
+// DetachModem takes the modem interface name down and releases it
+// (PPPIOCDETACH). Like AttachModem it refuses any other interface
+// (ENODEV). Only the uid using it may, unless admin is set: EPERM
 // otherwise.
 func (s *Stack) DetachModem(name string, uid int, admin bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i := s.ifaces[name]
 	switch {
-	case i == nil:
+	case i == nil || !i.Modem:
 		return errno.ENODEV
 	case i.Owner != uid && !admin:
 		return errno.EPERM

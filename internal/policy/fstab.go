@@ -10,8 +10,11 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+
+	"protego/internal/vfs"
 )
 
 // FstabEntry is one line of /etc/fstab.
@@ -35,19 +38,113 @@ func (e *FstabEntry) HasOption(opt string) bool {
 }
 
 // UserMountable reports whether the administrator marked the entry
-// mountable by unprivileged users via the "user" or "users" option — the
-// operational constraint the mount utilities (and now the Protego LSM)
-// enforce.
+// mountable by unprivileged users via the "user" or "users" option.
 func (e *FstabEntry) UserMountable() bool {
 	return e.HasOption("user") || e.HasOption("users")
 }
 
-// AnyUserUnmountable reports whether any user may unmount the entry
-// ("users"), as opposed to only the user who mounted it ("user").
-func (e *FstabEntry) AnyUserUnmountable() bool { return e.HasOption("users") }
+// The user-mount decision below is the one copy of the rule that
+// util-linux's setuid mount(8) and umount(8) enforce for a caller without
+// CAP_SYS_ADMIN. The baseline utilities call it on the row they read from
+// /etc/fstab, the Protego LSM on the row of its whitelist, and the test
+// harnesses to judge both; none of it allocates but MountWith.
 
-// ReadOnly reports whether the entry mounts read-only.
-func (e *FstabEntry) ReadOnly() bool { return e.HasOption("ro") }
+// safeUserOption reports whether a user may add opt to any user mount: it
+// only narrows what the mount allows, or marks it as a user mount.
+func safeUserOption(opt string) bool {
+	switch opt {
+	case "ro", "nosuid", "nodev", "noexec", "user", "users", "noauto", "sync":
+		return true
+	}
+	return false
+}
+
+// autoFSType reports whether fstype leaves the type to be probed.
+func autoFSType(fstype string) bool { return fstype == "" || fstype == "auto" }
+
+// PermitsUserMount reports whether a caller without CAP_SYS_ADMIN may
+// mount under the entry, the row at the request's (device, point), with
+// fstype and opts: the entry is a user or users row, the fstypes agree
+// (either may be auto or empty), and every requested option is safe or
+// one of the entry's own.
+func (e *FstabEntry) PermitsUserMount(fstype string, opts []string) bool {
+	if !e.UserMountable() || !autoFSType(e.FSType) && !autoFSType(fstype) && fstype != e.FSType {
+		return false
+	}
+	for _, o := range opts {
+		if !safeUserOption(o) && !e.HasOption(o) {
+			return false
+		}
+	}
+	return true
+}
+
+// MountWith returns the fstype and options of a mount made under the entry
+// for the requested ones: the entry's fstype when the request leaves it to
+// be probed, and the entry's options followed by each requested option the
+// entry lacks, so a request cannot drop the entry's ro. The slice is new:
+// the entry's own is shared through the parse memo, and vfs.AttachMount
+// sorts what it is given in place.
+func (e *FstabEntry) MountWith(fstype string, opts []string) (string, []string) {
+	if autoFSType(fstype) {
+		fstype = e.FSType
+	}
+	out := make([]string, len(e.Options), len(e.Options)+len(opts))
+	copy(out, e.Options)
+	for _, o := range opts {
+		if !slices.Contains(out, o) {
+			out = append(out, o)
+		}
+	}
+	return fstype, out
+}
+
+// Yields reports whether a mount of fstype with opts is one MountWith makes
+// under the entry for a request PermitsUserMount allows: it has the
+// entry's fstype (any when the entry says auto), and its options are the
+// entry's own plus safe ones.
+func (e *FstabEntry) Yields(fstype string, opts []string) bool {
+	if !autoFSType(e.FSType) && fstype != e.FSType || !e.PermitsUserMount(fstype, opts) {
+		return false
+	}
+	for _, o := range e.Options {
+		if !slices.Contains(opts, o) {
+			return false
+		}
+	}
+	return true
+}
+
+// MayUnmount reports whether uid, lacking CAP_SYS_ADMIN, may unmount a
+// mount of fstype that mountedBy made, where e is the fstab row at the
+// mount's (device, point), or nil when there is none. A FUSE mount may be
+// unmounted only by the uid that mounted it (fusermount's user= check).
+// Otherwise util-linux's rule holds: anyone under a users row, only the
+// uid that mounted it under a user row, and no one without a row.
+func (e *FstabEntry) MayUnmount(fstype string, mountedBy, uid int) bool {
+	switch {
+	case fstype == "fuse":
+		return mountedBy == uid
+	case e == nil:
+		return false
+	case e.HasOption("users"):
+		return true
+	}
+	return e.HasOption("user") && mountedBy == uid
+}
+
+// FindPair returns the first entry that names device on point, comparing
+// mount points as clean paths, or nil: the row whose rule decides a user's
+// mount or unmount of that pair.
+func FindPair(entries []FstabEntry, device, point string) *FstabEntry {
+	point = vfs.CleanPath(point, "/")
+	for i := range entries {
+		if e := &entries[i]; e.Device == device && vfs.CleanPath(e.MountPoint, "/") == point {
+			return e
+		}
+	}
+	return nil
+}
 
 // String renders the entry in fstab format.
 func (e *FstabEntry) String() string {

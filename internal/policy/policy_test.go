@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,14 +38,14 @@ func TestParseFstabBasic(t *testing.T) {
 		t.Fatal("root fs should not be user-mountable")
 	}
 	cdrom := entries[1]
-	if !cdrom.UserMountable() || cdrom.AnyUserUnmountable() {
+	if !cdrom.UserMountable() || cdrom.HasOption("users") {
 		t.Fatalf("cdrom options: %+v", cdrom)
 	}
-	if !cdrom.ReadOnly() {
+	if !cdrom.HasOption("ro") {
 		t.Fatal("cdrom should be ro")
 	}
 	usb := entries[2]
-	if !usb.UserMountable() || !usb.AnyUserUnmountable() {
+	if !usb.UserMountable() || !usb.HasOption("users") {
 		t.Fatalf("usb options: %+v", usb)
 	}
 	if usb.Dump != 0 || usb.Pass != 2 {
@@ -74,6 +75,117 @@ func TestFstabRoundTrip(t *testing.T) {
 	}
 	if len(parsed) != 1 || parsed[0].Device != e.Device || !parsed[0].UserMountable() || parsed[0].Pass != 2 {
 		t.Fatalf("round trip: %+v", parsed)
+	}
+}
+
+// TestUserMountDecision is the user-mount rule both images enforce, row
+// by row: which requests a user may make, what the mount gets, which
+// mounts the rule could have made, and who may unmount.
+func TestUserMountDecision(t *testing.T) {
+	entries, err := ParseFstab(`
+/dev/sda1  /           ext4    defaults              0 1
+/dev/cdrom /cdrom      iso9660 ro,user,noauto        0 0
+/dev/sdb1  /media/usb  vfat    rw,users,noauto,uid=7 0 0
+/dev/sdd1  /mnt/any    auto    user                  0 0
+/dev/cdrom /cdrom      ext4    suid,users            0 0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, cdrom, usb, anyfs := &entries[0], &entries[1], &entries[2], &entries[3]
+	if FindPair(entries, "/dev/cdrom", "/cdrom/") != cdrom || FindPair(entries, "/dev/cdrom", "/mnt") != nil {
+		t.Fatal("FindPair must return the first row of the pair, compared as clean paths")
+	}
+	for _, c := range []struct {
+		name   string
+		row    *FstabEntry
+		fstype string
+		opts   []string
+		ok     bool
+		// what the mount gets
+		mountType string
+		mountOpts []string
+	}{
+		{"row as is", cdrom, "iso9660", nil, true, "iso9660", []string{"ro", "user", "noauto"}},
+		{"probed fstype", cdrom, "auto", nil, true, "iso9660", []string{"ro", "user", "noauto"}},
+		{"empty fstype", cdrom, "", nil, true, "iso9660", []string{"ro", "user", "noauto"}},
+		{"safe options keep ro", cdrom, "iso9660", []string{"sync", "nosuid"}, true,
+			"iso9660", []string{"ro", "user", "noauto", "sync", "nosuid"}},
+		{"row's option repeated", usb, "vfat", []string{"uid=7", "rw"}, true,
+			"vfat", []string{"rw", "users", "noauto", "uid=7"}},
+		{"auto row takes the request's type", anyfs, "ext4", []string{"ro"}, true, "ext4", []string{"user", "ro"}},
+		{"rw is not safe", cdrom, "iso9660", []string{"rw"}, false, "", nil},
+		{"suid is not safe", cdrom, "iso9660", []string{"suid"}, false, "", nil},
+		{"another row's option", cdrom, "iso9660", []string{"uid=7"}, false, "", nil},
+		{"wrong fstype", cdrom, "ext4", nil, false, "", nil},
+		{"not a user row", root, "ext4", nil, false, "", nil},
+	} {
+		if got := c.row.PermitsUserMount(c.fstype, c.opts); got != c.ok {
+			t.Errorf("%s: PermitsUserMount = %v, want %v", c.name, got, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		typ, opts := c.row.MountWith(c.fstype, c.opts)
+		if typ != c.mountType || !slices.Equal(opts, c.mountOpts) {
+			t.Errorf("%s: MountWith = %s %v, want %s %v", c.name, typ, opts, c.mountType, c.mountOpts)
+		}
+		if !c.row.Yields(typ, opts) {
+			t.Errorf("%s: Yields(%s %v) = false for what MountWith made", c.name, typ, opts)
+		}
+		// The caller owns the slice: sorting it (as vfs.AttachMount
+		// does) leaves the shared row alone.
+		slices.Sort(opts)
+		if c.row == cdrom && !slices.Equal(cdrom.Options, []string{"ro", "user", "noauto"}) {
+			t.Fatalf("%s: row options changed to %v", c.name, cdrom.Options)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		fstype string
+		opts   []string
+	}{
+		{"ro dropped", "iso9660", []string{"user", "noauto", "sync"}},
+		{"unsafe option", "iso9660", []string{"ro", "user", "noauto", "suid"}},
+		{"type left to probe", "auto", []string{"ro", "user", "noauto"}},
+	} {
+		if cdrom.Yields(c.fstype, c.opts) {
+			t.Errorf("%s: cdrom row yields %s %v", c.name, c.fstype, c.opts)
+		}
+	}
+	const alice, bob = 1000, 1001
+	for _, c := range []struct {
+		name           string
+		row            *FstabEntry
+		fstype         string
+		mountedBy, uid int
+		want           bool
+	}{
+		{"user row, the mounter", cdrom, "iso9660", alice, alice, true},
+		{"user row, another user", cdrom, "iso9660", alice, bob, false},
+		{"user row, root's mount", cdrom, "iso9660", 0, alice, false},
+		{"users row, another user", usb, "vfat", alice, bob, true},
+		{"users row, root's mount", usb, "vfat", 0, bob, true},
+		{"not a user row", root, "ext4", alice, alice, false},
+		{"no row", nil, "ext4", alice, alice, false},
+		{"fuse, the mounter", nil, "fuse", alice, alice, true},
+		{"fuse, another user", nil, "fuse", alice, bob, false},
+	} {
+		if got := c.row.MayUnmount(c.fstype, c.mountedBy, c.uid); got != c.want {
+			t.Errorf("%s: MayUnmount = %v, want %v", c.name, got, c.want)
+		}
+	}
+	req := []string{"sync", "nosuid"}
+	for name, f := range map[string]func(){
+		"PermitsUserMount": func() { cdrom.PermitsUserMount("iso9660", req) },
+		"Yields":           func() { cdrom.Yields("iso9660", cdrom.Options) },
+		"MayUnmount":       func() { usb.MayUnmount("vfat", alice, bob) },
+		"FindPair":         func() { FindPair(entries, "/dev/sdb1", "/media/usb") },
+	} {
+		if a := testing.AllocsPerRun(100, f); a != 0 {
+			t.Errorf("%s: %v allocs, want 0", name, a)
+		}
 	}
 }
 

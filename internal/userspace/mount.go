@@ -64,12 +64,7 @@ func MountMain(k *kernel.Kernel, t *kernel.Task) int {
 		return 1
 	}
 	if entry != nil {
-		if fstype == "auto" {
-			fstype = entry.FSType
-		}
-		if len(opts) == 0 {
-			opts = append(opts, entry.Options...)
-		}
+		fstype, opts = entry.MountWith(fstype, opts)
 	}
 
 	// The injection point: argument/fstab parsing is where mount's
@@ -77,16 +72,12 @@ func MountMain(k *kernel.Kernel, t *kernel.Task) int {
 	// On the baseline the process is euid 0 here.
 	maybeExploit(k, t)
 
-	if !protego(k) && t.UID() != 0 {
-		// Trusted-binary policy enforcement (baseline only).
-		if entry == nil || !entry.UserMountable() {
-			t.Errorf("mount: only root can mount %s on %s\n", device, point)
-			return 1
-		}
-		if !optionsAllowed(opts, entry) {
-			t.Errorf("mount: option not permitted for user mount\n")
-			return 1
-		}
+	if !protego(k) && t.UID() != 0 && (entry == nil || !entry.PermitsUserMount(fstype, opts)) {
+		// Trusted-binary policy enforcement (baseline only): the fstab
+		// row at (device, point) decides, by the rule Protego's kernel
+		// applies to its copy of the row.
+		t.Errorf("mount: only root can mount %s on %s\n", device, point)
+		return 1
 	}
 	if err := k.Mount(t, device, point, fstype, opts); err != nil {
 		t.Errorf("mount: %s: %v\n", point, err)
@@ -96,48 +87,34 @@ func MountMain(k *kernel.Kernel, t *kernel.Task) int {
 	return 0
 }
 
-// resolveFstab finds the fstab entry matching the positional arguments
-// (by device or by mount point). The entry is the memo's shared parse:
-// callers only read it.
-func resolveFstab(k *kernel.Kernel, t *kernel.Task, positional []string) *policy.FstabEntry {
+// readFstab returns the parsed /etc/fstab, or nil when it cannot be read
+// or parsed, so that an unreadable or malformed file permits no user
+// mount. The entries are the memo's shared parse: callers only read them.
+func readFstab(k *kernel.Kernel, t *kernel.Task) []policy.FstabEntry {
 	data, err := k.ReadFile(t, "/etc/fstab")
 	if err != nil {
 		return nil
 	}
-	entries, err := policy.MemoFstab(k.FS.Memo(), data)
-	if err != nil {
-		return nil
-	}
-	want := positional[0]
-	wantPoint := want
+	entries, _ := policy.MemoFstab(k.FS.Memo(), data)
+	return entries
+}
+
+// resolveFstab finds the fstab entry the positional arguments name: the
+// row of the (device, mountpoint) pair, or the first row whose device or
+// mount point is the one argument.
+func resolveFstab(k *kernel.Kernel, t *kernel.Task, positional []string) *policy.FstabEntry {
+	entries := readFstab(k, t)
 	if len(positional) == 2 {
-		wantPoint = positional[1]
+		return policy.FindPair(entries, positional[0], vfs.CleanPath(positional[1], t.Cwd()))
 	}
+	want, wantPoint := positional[0], vfs.CleanPath(positional[0], t.Cwd())
 	for i := range entries {
 		e := &entries[i]
-		if e.Device == want || vfs.CleanPath(e.MountPoint, "/") == vfs.CleanPath(wantPoint, "/") {
+		if e.Device == want || vfs.CleanPath(e.MountPoint, "/") == wantPoint {
 			return e
 		}
 	}
 	return nil
-}
-
-// optionsAllowed checks requested options against a user fstab entry (the
-// baseline utility's userspace version of the kernel whitelist check).
-func optionsAllowed(opts []string, entry *policy.FstabEntry) bool {
-	allowed := map[string]bool{
-		"ro": true, "nosuid": true, "nodev": true, "noexec": true,
-		"user": true, "users": true, "noauto": true, "sync": true,
-	}
-	for _, o := range entry.Options {
-		allowed[o] = true
-	}
-	for _, o := range opts {
-		if !allowed[o] {
-			return false
-		}
-	}
-	return true
 }
 
 // UmountMain implements umount(8).
@@ -169,23 +146,27 @@ func UmountMain(k *kernel.Kernel, t *kernel.Task) int {
 	return 0
 }
 
-// userMayUnmount is the setuid umount binary's fstab rule, which eject
-// shares on the baseline: a "users" entry lets anyone unmount point, a
-// "user" entry only the user who mounted it.
+// userMayUnmount is the check the setuid unmounters (umount, eject and
+// fusermount -u) make on the baseline: the fstab row at the mount's
+// (device, point) decides, by the rule Protego's kernel applies.
 func userMayUnmount(k *kernel.Kernel, t *kernel.Task, point string) bool {
-	entry := resolveFstab(k, t, []string{point})
 	m := k.FS.MountAt(point)
-	return entry != nil &&
-		(entry.HasOption("users") || (entry.HasOption("user") && m != nil && m.MountedBy == t.UID()))
+	return m != nil && policy.FindPair(readFstab(k, t), m.Device, m.Point).MayUnmount(m.FSType, m.MountedBy, t.UID())
 }
 
 // FusermountMain is the FUSE mount helper. Its policy — a user may mount a
-// FUSE file system over a directory she owns — is enforced by the trusted
-// binary on the baseline and by the kernel on Protego.
+// FUSE file system over a directory they own, and only that user may
+// unmount it — is enforced by the trusted binary on the baseline and by
+// the kernel on Protego.
 func FusermountMain(k *kernel.Kernel, t *kernel.Task) int {
 	args := t.Argv()[1:]
 	if len(args) == 2 && args[0] == "-u" {
-		if err := k.Umount(t, args[1]); err != nil {
+		point := vfs.CleanPath(args[1], t.Cwd())
+		if !protego(k) && t.UID() != 0 && !userMayUnmount(k, t, point) {
+			t.Errorf("fusermount: failed to unmount %s: Operation not permitted\n", point)
+			return 1
+		}
+		if err := k.Umount(t, point); err != nil {
 			t.Errorf("fusermount: %v\n", err)
 			return 1
 		}

@@ -8,6 +8,7 @@ import (
 	"protego/internal/kernel"
 	"protego/internal/netfilter"
 	"protego/internal/netstack"
+	"protego/internal/policy"
 )
 
 // PppDevice is the PPP control device. Protego changed its file system
@@ -21,9 +22,10 @@ const PppDevice = "/dev/ppp"
 //
 // Baseline: setuid root; when invoked by a non-root user it enforces the
 // /etc/ppp/options policy itself (safe session parameters only; routes
-// only if enabled and non-conflicting) and then issues the privileged
-// ioctls with euid 0. Protego: it just issues the ioctls; the kernel's
-// LSM enforces the same policy (and the route-conflict check).
+// only if enabled and non-conflicting), read through the parser the
+// kernel's policy uses, and then issues the privileged ioctls with euid 0.
+// Protego: it just issues the ioctls; the kernel's LSM enforces the same
+// policy (and the route-conflict check).
 func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 	args := t.Argv()[1:]
 	if len(args) < 1 {
@@ -62,9 +64,14 @@ func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 			t.Errorf("pppd: must be setuid root\n")
 			return 1
 		}
-		opts, err := readPPPOptions(k, t)
+		data, err := k.ReadFile(t, "/etc/ppp/options")
 		if err != nil {
 			t.Errorf("pppd: cannot read options: %v\n", err)
+			return 1
+		}
+		opts, err := policy.MemoPPPOptions(k.FS.Memo(), data)
+		if err != nil {
+			t.Errorf("pppd: %v\n", err)
 			return 1
 		}
 		if !opts.DeviceAllowed(PppDevice) {
@@ -78,7 +85,7 @@ func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 			}
 		}
 		for _, r := range routes {
-			if !opts.AllowUserRoutes() || k.Net.RouteConflicts(r) {
+			if !opts.AllowUserRoutes || k.Net.RouteConflicts(r) {
 				t.Errorf("pppd: route %s not permitted\n", r)
 				return 1
 			}
@@ -113,53 +120,6 @@ func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 	t.Printf("pppd: %s up\n", iface)
 	return 0
 }
-
-func readPPPOptions(k *kernel.Kernel, t *kernel.Task) (*pppOptions, error) {
-	data, err := k.ReadFile(t, "/etc/ppp/options")
-	if err != nil {
-		return nil, err
-	}
-	return parsePPPOptionsLite(string(data)), nil
-}
-
-// pppOptions is the utility's own view of the options file (the baseline
-// duplicates the kernel parser — that duplication is exactly the trusted
-// code the paper deprivileges).
-type pppOptions struct {
-	safe    map[string]bool
-	routes  bool
-	devices map[string]bool
-}
-
-func parsePPPOptionsLite(data string) *pppOptions {
-	o := &pppOptions{
-		safe:    map[string]bool{"bsdcomp": true, "deflate": true, "vj-max-slots": true, "mtu": true, "mru": true, "asyncmap": true, "lcp-echo-interval": true},
-		devices: map[string]bool{},
-	}
-	for _, line := range strings.Split(data, "\n") {
-		fields := strings.Fields(strings.TrimSpace(line))
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		switch fields[0] {
-		case "safe-param":
-			if len(fields) == 2 {
-				o.safe[fields[1]] = true
-			}
-		case "user-routes":
-			o.routes = true
-		case "device":
-			if len(fields) == 2 {
-				o.devices[fields[1]] = true
-			}
-		}
-	}
-	return o
-}
-
-func (o *pppOptions) ParamSafe(name string) bool     { return o.safe[name] }
-func (o *pppOptions) DeviceAllowed(path string) bool { return o.devices[path] }
-func (o *pppOptions) AllowUserRoutes() bool          { return o.routes }
 
 func parseRouteSpec(spec, iface string) (netstack.Route, error) {
 	slash := strings.IndexByte(spec, '/')

@@ -347,6 +347,30 @@ func TestPppdBadRoute(t *testing.T) {
 	})
 }
 
+// TestPppdMalformedOptionsRefused: the baseline pppd reads
+// /etc/ppp/options with the kernel's parser, so a malformed line refuses
+// the user's session instead of being skipped.
+func TestPppdMalformedOptionsRefused(t *testing.T) {
+	m, err := world.Build(world.Options{Mode: kernel.ModeLinux})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := m.Session("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	options := "device /dev/ppp\nuser-routes\ndevice ttyS0\n"
+	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/ppp/options", []byte(options), 0o644, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, errOut, _ := m.Run(alice, []string{userspace.BinPppd, "ppp0"}, nil); code == 0 || !strings.Contains(errOut, "device needs an absolute path") {
+		t.Fatalf("pppd under a malformed options file: exit %d, %q", code, errOut)
+	}
+	if m.K.Net.Iface("ppp0").InUse {
+		t.Fatal("ppp0 attached")
+	}
+}
+
 // --- iptables parsing ---
 
 func TestIptablesAppendAndFlush(t *testing.T) {

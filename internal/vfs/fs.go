@@ -190,7 +190,9 @@ func (fs *FS) Exists(c Cred, path string) bool {
 }
 
 // lookupParent resolves the parent directory of path and returns it together
-// with the base name.
+// with the base name. Every caller changes that directory, so one that
+// lies in a read-only mount is EROFS, before any permission check, as on
+// Linux. Caller holds fs.mu.
 func (fs *FS) lookupParent(c Cred, path string) (*Inode, string, error) {
 	clean := CleanPath(path, "/")
 	dir, base := SplitPath(clean)
@@ -203,6 +205,9 @@ func (fs *FS) lookupParent(c Cred, path string) (*Inode, string, error) {
 	}
 	if !parent.Mode.IsDir() {
 		return nil, "", errno.ENOTDIR
+	}
+	if err := fs.checkReadOnlyLocked(parent); err != nil {
+		return nil, "", err
 	}
 	return parent, base, nil
 }
@@ -272,10 +277,6 @@ func (fs *FS) Create(c Cred, path string, mode Mode, uid, gid int) (*Inode, erro
 	if _, exists := parent.children[base]; exists {
 		fs.mu.Unlock()
 		return nil, errno.EEXIST
-	}
-	if err := fs.checkReadOnlyLocked(path); err != nil {
-		fs.mu.Unlock()
-		return nil, err
 	}
 	ino := fs.newInode(TypeRegular|mode.Perm(), uid, gid)
 	parent.children[base] = ino
@@ -428,11 +429,8 @@ func (fs *FS) writeInode(c Cred, ino *Inode, clean string, data []byte, app bool
 	if err := checkPerm(c, ino, MayWrite); err != nil {
 		return err
 	}
-	fs.mu.RLock()
-	roErr := fs.checkReadOnlyLocked(clean)
-	fs.mu.RUnlock()
-	if roErr != nil {
-		return roErr
+	if err := fs.CheckReadOnly(ino); err != nil {
+		return err
 	}
 	if ino.WriteFn != nil {
 		return ino.WriteFn(c, data)
@@ -460,12 +458,7 @@ func (fs *FS) writeInode(c Cred, ino *Inode, clean string, data []byte, app bool
 	} else {
 		ino.Data = append(ino.Data[:0:0], data...)
 	}
-	// Writing by a non-owner clears setuid/setgid, as Linux does; this is
-	// one of the classic hardening rules from the secure-Unix literature
-	// cited in §6.
-	if c.FSUID() != 0 {
-		ino.Mode &^= ModeSetuid | ModeSetgid
-	}
+	dropSetIDLocked(c, ino)
 	ino.Mtime = time.Now()
 	fs.moved()
 	ino.mu.Unlock()
@@ -631,6 +624,9 @@ func (fs *FS) Chmod(c Cred, path string, mode Mode) error {
 	if err != nil {
 		return err
 	}
+	if err := fs.CheckReadOnly(ino); err != nil {
+		return err
+	}
 	if c.FSUID() != ino.UID && !c.Capable(caps.CAP_FOWNER) {
 		return errno.EPERM
 	}
@@ -665,6 +661,9 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 	clean := CleanPath(path, "/")
 	ino, err := fs.Lookup(c, clean)
 	if err != nil {
+		return err
+	}
+	if err := fs.CheckReadOnly(ino); err != nil {
 		return err
 	}
 	if uid != ino.UID && !c.Capable(caps.CAP_CHOWN) {

@@ -126,26 +126,38 @@ func (ino *Inode) writeAt(off int, data []byte) {
 
 // WriteAt writes data into ino, a regular file a descriptor holds, at
 // offset off, or at its end when app is set, as pwrite(2) and an O_APPEND
-// write(2) do, and returns the offset just past the bytes written. ino
-// must not be sealed (see BreakSealInode).
-func (fs *FS) WriteAt(ino *Inode, off int, data []byte, app bool) int {
+// write(2) do, and returns the offset just past the bytes written. c is
+// the writer. ino must not be sealed (see BreakSealInode).
+func (fs *FS) WriteAt(c Cred, ino *Inode, off int, data []byte, app bool) int {
 	ino.mu.Lock()
 	if app {
 		off = len(ino.Data)
 	}
 	ino.writeAt(off, data)
+	dropSetIDLocked(c, ino)
 	fs.moved()
 	ino.mu.Unlock()
 	return off + len(data)
 }
 
-// Truncate empties ino, a regular file being opened with O_TRUNC. ino
+// Truncate empties ino, a regular file c is opening with O_TRUNC. ino
 // must not be sealed (see BreakSealInode).
-func (fs *FS) Truncate(ino *Inode) {
+func (fs *FS) Truncate(c Cred, ino *Inode) {
 	ino.mu.Lock()
 	ino.Data = nil
+	dropSetIDLocked(c, ino)
 	fs.moved()
 	ino.mu.Unlock()
+}
+
+// dropSetIDLocked is the rule every change of a file's data follows, as
+// Linux's file_remove_privs: a writer whose fsuid is not 0 clears the
+// setuid and setgid bits — one of the classic hardening rules from the
+// secure-Unix literature cited in §6. Caller holds ino.mu.
+func dropSetIDLocked(c Cred, ino *Inode) {
+	if c.FSUID() != 0 && ino.Mode&(ModeSetuid|ModeSetgid) != 0 {
+		ino.Mode &^= ModeSetuid | ModeSetgid
+	}
 }
 
 // ReadAt returns a copy of up to n bytes of the file's data from offset

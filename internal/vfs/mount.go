@@ -144,20 +144,27 @@ func (fs *FS) mountUnderLocked(path string) bool {
 	return false
 }
 
-// checkReadOnlyLocked returns EROFS when path lies under a read-only mount.
-// Caller holds fs.mu (read or write).
-func (fs *FS) checkReadOnlyLocked(path string) error {
-	clean := CleanPath(path, "/")
-	best := ""
-	ro := false
+// CheckReadOnly returns EROFS when ino lies in a read-only mount: what a
+// chmod, chown, data write or an open for writing of ino must check first.
+func (fs *FS) CheckReadOnly(ino *Inode) error {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return fs.checkReadOnlyLocked(ino)
+}
+
+// checkReadOnlyLocked returns EROFS when ino lies in a read-only mount's
+// tree, however the caller's path reached it (a symlink may lead into the
+// mount from outside). A mount is grafted onto its mount point's
+// directory, which is the root of that tree. Caller holds fs.mu (read or
+// write).
+func (fs *FS) checkReadOnlyLocked(ino *Inode) error {
 	for _, m := range fs.mounts {
-		if IsUnder(clean, m.Point) && len(m.Point) > len(best) {
-			best = m.Point
-			ro = m.ReadOnly
+		if !m.ReadOnly {
+			continue
 		}
-	}
-	if ro {
-		return errno.EROFS
+		if root, err := fs.lookupLocked(RootCred, m.Point, true); err == nil && root.encloses(ino) {
+			return errno.EROFS
+		}
 	}
 	return nil
 }

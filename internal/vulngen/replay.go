@@ -83,12 +83,8 @@ func whitelistsPayloadMount(pro *world.Machine) bool {
 	if pro.Protego == nil {
 		return false
 	}
-	for _, r := range pro.Protego.MountRules() {
-		if r.Covers(exploits.PayloadMountDevice, exploits.PayloadMountPoint, exploits.PayloadMountFSType) {
-			return true
-		}
-	}
-	return false
+	row := pro.Protego.MountRow(exploits.PayloadMountDevice, exploits.PayloadMountPoint)
+	return row != nil && row.PermitsUserMount(exploits.PayloadMountFSType, nil)
 }
 
 // expectedOnProtego is the per-action containment expectation: true means

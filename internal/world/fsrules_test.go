@@ -1,0 +1,136 @@
+package world
+
+import (
+	"testing"
+
+	"protego/internal/errno"
+	"protego/internal/kernel"
+	"protego/internal/vfs"
+)
+
+// goldenClones runs fn on a fresh clone of each image's golden build.
+func goldenClones(t *testing.T, fn func(t *testing.T, m *Machine)) {
+	t.Helper()
+	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+		t.Run(mode.String(), func(t *testing.T) {
+			snap, err := Golden(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := snap.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(t, m)
+		})
+	}
+}
+
+// TestNonRootWriteClearsSetID: every path that changes a file's data
+// applies one rule, as Linux's file_remove_privs: a writer whose fsuid is
+// not 0 clears the setuid and setgid bits, and root's write keeps them.
+func TestNonRootWriteClearsSetID(t *testing.T) {
+	const path = "/tmp/setid"
+	writes := []struct {
+		name  string
+		write func(k *kernel.Kernel, t *kernel.Task) error
+	}{
+		{"WriteFile", func(k *kernel.Kernel, t *kernel.Task) error { return k.WriteFile(t, path, []byte("x")) }},
+		{"AppendFile", func(k *kernel.Kernel, t *kernel.Task) error { return k.AppendFile(t, path, []byte("x")) }},
+		{"open+write", func(k *kernel.Kernel, t *kernel.Task) error {
+			fd, err := k.Open(t, path, kernel.O_WRONLY)
+			if err != nil {
+				return err
+			}
+			defer k.CloseFD(t, fd)
+			_, err = k.Write(t, fd, []byte("x"))
+			return err
+		}},
+		{"open O_TRUNC", func(k *kernel.Kernel, t *kernel.Task) error {
+			fd, err := k.Open(t, path, kernel.O_WRONLY|kernel.O_TRUNC)
+			if err != nil {
+				return err
+			}
+			return k.CloseFD(t, fd)
+		}},
+	}
+	goldenClones(t, func(t *testing.T, m *Machine) {
+		for _, w := range writes {
+			for _, c := range []struct {
+				user string
+				want vfs.Mode
+			}{{"alice", 0o777}, {"root", 0o6777}} {
+				if err := m.K.FS.WriteFile(vfs.RootCred, path, []byte("data"), 0o6777, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.K.FS.Chmod(vfs.RootCred, path, 0o6777); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.write(m.K, session(t, m, c.user)); err != nil {
+					t.Fatalf("%s by %s: %v", w.name, c.user, err)
+				}
+				ino, err := m.K.FS.Lookup(vfs.RootCred, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := ino.Mode.Perm(); got != c.want {
+					t.Errorf("%s by %s: mode %o, want %o", w.name, c.user, got, c.want)
+				}
+			}
+		}
+	})
+}
+
+// TestReadOnlyMountRefusesMutation: under a read-only mount every
+// mutation is EROFS, even root's and even through a symlink: one that
+// changes a directory in the mount, and a chmod, chown or open for
+// writing of an inode in it. The mount point's own parent is writable, so
+// renaming it stays EBUSY.
+func TestReadOnlyMountRefusesMutation(t *testing.T) {
+	goldenClones(t, func(t *testing.T, m *Machine) {
+		root := session(t, m, "root")
+		if err := m.K.Mount(root, "/dev/cdrom", "/cdrom", "iso9660", []string{"ro"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.K.WriteFile(root, "/tmp/f", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.K.FS.Symlink(vfs.RootCred, "/cdrom", "/tmp/ro", 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		open := func(path string, flags int) error {
+			fd, err := m.K.Open(root, path, flags)
+			if err == nil {
+				m.K.CloseFD(root, fd)
+			}
+			return err
+		}
+		for _, c := range []struct {
+			name string
+			call func() error
+			want error
+		}{
+			{"mkdir", func() error { return m.K.Mkdir(root, "/cdrom/x", 0o755) }, errno.EROFS},
+			{"create", func() error { return open("/cdrom/f", kernel.O_WRONLY|kernel.O_CREAT) }, errno.EROFS},
+			{"symlink", func() error { return m.K.FS.Symlink(vfs.RootCred, "/tmp/f", "/cdrom/l", 0, 0) }, errno.EROFS},
+			{"mknod", func() error {
+				_, err := m.K.FS.Mknod(vfs.RootCred, "/cdrom/d", vfs.BlockDevice, 8, 1, 0o600, 0, 0)
+				return err
+			}, errno.EROFS},
+			{"unlink", func() error { return m.K.Unlink(root, "/cdrom/f") }, errno.EROFS},
+			{"rename within", func() error { return m.K.Rename(root, "/cdrom/x", "/cdrom/y") }, errno.EROFS},
+			{"rename into", func() error { return m.K.Rename(root, "/tmp/f", "/cdrom/f") }, errno.EROFS},
+			{"chmod", func() error { return m.K.Chmod(root, "/cdrom", 0o700) }, errno.EROFS},
+			{"chown", func() error { return m.K.Chown(root, "/cdrom", UIDAlice, -1) }, errno.EROFS},
+			{"open O_TRUNC", func() error { return open("/cdrom", kernel.O_RDONLY|kernel.O_TRUNC) }, errno.EROFS},
+			{"mkdir through a symlink", func() error { return m.K.Mkdir(root, "/tmp/ro/x", 0o755) }, errno.EROFS},
+			{"chmod through a symlink", func() error { return m.K.Chmod(root, "/tmp/ro", 0o700) }, errno.EROFS},
+			{"rename the mount point", func() error { return m.K.Rename(root, "/cdrom", "/cdrom2") }, errno.EBUSY},
+			{"open for reading", func() error { return open("/cdrom", kernel.O_RDONLY) }, nil},
+		} {
+			if err := c.call(); err != c.want {
+				t.Errorf("%s: %v, want %v", c.name, err, c.want)
+			}
+		}
+	})
+}
