@@ -383,7 +383,7 @@ func BenchmarkAblationMonitorSync(b *testing.B) {
 			if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", []byte(fstab), 0o644, 0, 0); err != nil {
 				b.Fatal(err)
 			}
-			d := monitord.New(m.K, m.DB, m.Protego)
+			d := monitord.New(m.K, m.Protego)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := d.SyncMounts(); err != nil {

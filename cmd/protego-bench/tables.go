@@ -139,7 +139,7 @@ func printFigure1() error {
 			fmt.Println("  [trusted /bin/mount] reads /etc/fstab, checks the 'user' option itself")
 			fmt.Println("  [trusted /bin/mount] issues mount(2) with CAP_SYS_ADMIN")
 		} else {
-			fmt.Println("  [trusted protegod] parsed /etc/fstab -> wrote whitelist to /proc/protego/mounts")
+			fmt.Println("  [trusted protegod] copied /etc/fstab -> /proc/protego/mounts, where the kernel parses it")
 			fmt.Println("  [user alice] exec /bin/mount (no setuid bit: stays uid 1000)")
 			fmt.Println("  [untrusted /bin/mount] issues mount(2) without privilege")
 			fmt.Println("  [kernel LSM] checks arguments against the in-kernel whitelist")

@@ -245,7 +245,7 @@ func faultWorkload(m *world.Machine, root *kernel.Task) {
 	if d == nil {
 		// The baseline has no daemon; a throwaway one still exercises the
 		// config-read sites (its /proc pushes fail harmlessly).
-		d = monitord.New(k, m.DB, nil)
+		d = monitord.New(k, nil)
 	}
 	_ = d.SyncMounts()
 	_ = d.SyncDelegation()

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"protego/internal/errno"
 	"protego/internal/lsm"
@@ -64,31 +63,4 @@ func (m *Module) BindCheck(t lsm.Task, req *lsm.BindRequest) (lsm.Decision, erro
 	}
 	m.bumpStat(&m.Stats.BindDenials)
 	return lsm.Deny, errno.EACCES
-}
-
-// parseBindArgs parses the /proc grammar fields:
-//
-//	add <port> <tcp|udp> <binary> <uid>
-func parseBindArgs(args []string) (bindKey, BindTarget, error) {
-	if len(args) != 4 {
-		return bindKey{}, BindTarget{}, errno.EINVAL
-	}
-	port, err := strconv.Atoi(args[0])
-	if err != nil || port <= 0 || port >= 1024 {
-		return bindKey{}, BindTarget{}, errno.EINVAL
-	}
-	var proto int
-	switch args[1] {
-	case "tcp":
-		proto = netstack.IPPROTO_TCP
-	case "udp":
-		proto = netstack.IPPROTO_UDP
-	default:
-		return bindKey{}, BindTarget{}, errno.EINVAL
-	}
-	uid, err := strconv.Atoi(args[3])
-	if err != nil || uid < 0 {
-		return bindKey{}, BindTarget{}, errno.EINVAL
-	}
-	return bindKey{proto: proto, port: port}, BindTarget{Binary: args[2], UID: uid}, nil
 }

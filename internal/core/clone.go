@@ -6,7 +6,6 @@ import (
 	"protego/internal/accountdb"
 	"protego/internal/authsvc"
 	"protego/internal/kernel"
-	"protego/internal/vfs"
 )
 
 // CloneInto copies the module's policy state onto a freshly cloned
@@ -50,18 +49,7 @@ func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Ser
 // the shared snapshot inodes are copied up first so the parent machine's
 // policy interface stays its own.
 func (m *Module) rebindProc() error {
-	files := []struct {
-		path  string
-		read  vfs.ProcReadFunc
-		write vfs.ProcWriteFunc
-	}{
-		{ProcMounts, m.readMounts, m.writeMounts},
-		{ProcBind, m.readBind, m.writeBind},
-		{ProcDelegation, m.readDelegation, m.writeDelegation},
-		{ProcPPP, m.readPPP, m.writePPP},
-		{ProcStatus, m.readStatus, nil},
-	}
-	for _, f := range files {
+	for _, f := range m.procFiles() {
 		if err := m.k.FS.RebindProc(f.path, f.read, f.write); err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +11,6 @@ import (
 	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
-	"protego/internal/policy"
 	"protego/internal/userspace"
 	"protego/internal/vfs"
 	"protego/internal/world"
@@ -94,22 +95,6 @@ func TestMountWhitelistMatching(t *testing.T) {
 	}
 }
 
-func TestMountRuleString(t *testing.T) {
-	r := policy.FstabEntry{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660",
-		Options: []string{"ro", "user"}}
-	if got := core.ProcMountRow(&r); got != "/dev/cdrom /cdrom iso9660 ro,user user" {
-		t.Fatalf("string: %q", got)
-	}
-	r.Options, r.FSType = []string{"users"}, ""
-	if got := core.ProcMountRow(&r); got != "/dev/cdrom /cdrom auto users users" {
-		t.Fatalf("string: %q", got)
-	}
-	r.Options = nil
-	if got := core.ProcMountRow(&r); got != "/dev/cdrom /cdrom auto - user" {
-		t.Fatalf("string: %q", got)
-	}
-}
-
 // --- /proc interface ---
 
 func procWrite(t *testing.T, m *world.Machine, path, data string) error {
@@ -121,58 +106,89 @@ func procWrite(t *testing.T, m *world.Machine, path, data string) error {
 	return ino.WriteFn(vfs.RootCred, []byte(data))
 }
 
+// TestProcMountsGrammar: /proc/protego/mounts takes /etc/fstab text and
+// installs the first row of each (device, point) pair, points compared
+// clean, when that row says user or users; a read renders each installed
+// row as an fstab line.
 func TestProcMountsGrammar(t *testing.T) {
 	m := protegoMachine(t)
-	if err := procWrite(t, m, core.ProcMounts, "clear\nadd /dev/z /mnt auto - users\n"); err != nil {
-		t.Fatal(err)
-	}
-	rules := m.Protego.MountRules()
-	if len(rules) != 1 || rules[0].Device != "/dev/z" || !rules[0].HasOption("users") {
-		t.Fatalf("rules: %+v", rules)
-	}
-	if err := procWrite(t, m, core.ProcMounts, "del /dev/z /mnt\n"); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Protego.MountRules()) != 0 {
-		t.Fatal("del failed")
-	}
-	// Bad grammar is rejected.
-	for _, bad := range []string{"add /dev/z /mnt auto -", "add /dev/z /mnt auto - wat", "explode"} {
-		if err := procWrite(t, m, core.ProcMounts, bad); err == nil {
-			t.Errorf("accepted %q", bad)
+	for _, c := range []struct {
+		name, fstab, want string
+	}{
+		{"user and users rows; others left out",
+			"/dev/sda1 / ext4 defaults 0 1\n/dev/z /mnt auto users\n/dev/y /media/y vfat rw,user 0 0\n",
+			"/dev/z /mnt auto users 0 0\n/dev/y /media/y vfat rw,user 0 0\n"},
+		{"the point is cleaned", "/dev/z /mnt/./z ext4 ro,user 0 0\n", "/dev/z /mnt/z ext4 ro,user 0 0\n"},
+		{"a non-user first row blocks a later user row",
+			"/dev/z /mnt/z ext4 ro 0 0\n/dev/z /mnt/./z/ ext4 ro,user 0 0\n", ""},
+		{"the first user row decides",
+			"/dev/z /mnt ext4 ro,user 0 0\n/dev/z /mnt vfat users 0 0\n", "/dev/z /mnt ext4 ro,user 0 0\n"},
+		{"no rows", "# empty\n", ""},
+	} {
+		if err := procWrite(t, m, core.ProcMounts, c.fstab); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	// Reads render the current rules in the grammar add takes.
-	if err := procWrite(t, m, core.ProcMounts, "add /dev/z /mnt/./z ext4 ro user\n"); err != nil {
-		t.Fatal(err)
-	}
-	data, err := m.K.FS.ReadFile(vfs.RootCred, core.ProcMounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(data); got != "/dev/z /mnt/z ext4 ro,user user\n" {
-		t.Fatalf("read: %q", got)
+		data, err := m.K.FS.ReadFile(vfs.RootCred, core.ProcMounts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(data); got != c.want {
+			t.Errorf("%s: read %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 
+// TestProcBindGrammar: /proc/protego/bind takes /etc/bind text and
+// resolves each user name to its uid.
 func TestProcBindGrammar(t *testing.T) {
 	m := protegoMachine(t)
-	if err := procWrite(t, m, core.ProcBind, "clear\nadd 99 tcp /bin/thing 1000\n"); err != nil {
+	if err := procWrite(t, m, core.ProcBind, "# ports\n25 tcp /usr/sbin/exim4 Debian-exim\n514 udp /usr/sbin/syslogd root\n"); err != nil {
 		t.Fatal(err)
 	}
 	allocs := m.Protego.BindAllocations()
-	if len(allocs) != 1 || allocs[0] != "99 tcp /bin/thing 1000" {
-		t.Fatalf("allocs: %v", allocs)
+	if want := []string{"25 tcp /usr/sbin/exim4 101", "514 udp /usr/sbin/syslogd 0"}; !slices.Equal(allocs, want) {
+		t.Fatalf("allocs: %v, want %v", allocs, want)
 	}
-	if err := procWrite(t, m, core.ProcBind, "del 99 tcp\n"); err != nil {
+	if err := procWrite(t, m, core.ProcBind, ""); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Protego.BindAllocations()) != 0 {
-		t.Fatal("del failed")
+		t.Fatal("empty /etc/bind text left allocations")
 	}
-	for _, bad := range []string{"add 0 tcp /b 1", "add 2000 tcp /b 1", "add 99 sctp /b 1", "add 99 tcp /b x"} {
-		if err := procWrite(t, m, core.ProcBind, bad); err == nil {
-			t.Errorf("accepted %q", bad)
+}
+
+// TestProcPolicyRejectsBadText: each policy file takes only its legacy
+// file's text. Anything else, the old add/del/clear lines included, and
+// an /etc/bind row naming an unknown user, is EINVAL naming the bad line,
+// and the policy read back is the one before the write.
+func TestProcPolicyRejectsBadText(t *testing.T) {
+	m := protegoMachine(t)
+	for _, c := range []struct {
+		file, text, names string
+	}{
+		{core.ProcMounts, "/dev/z /mnt auto users 0 0\nbroken line\n", "fstab line 2"},
+		{core.ProcMounts, "clear\n", "fstab line 1"},
+		{core.ProcMounts, "add /dev/z /mnt auto - users\n", "fstab line 1"},
+		{core.ProcBind, "99 tcp /b root\n0 tcp /b root\n", "bind line 2"},
+		{core.ProcBind, "2000 tcp /b root\n", "bind line 1"},
+		{core.ProcBind, "99 sctp /b root\n", "bind line 1"},
+		{core.ProcBind, "99 tcp b root\n", "bind line 1"},
+		{core.ProcBind, "99 tcp /b root\n99 tcp /c root\n", "bind line 2"},
+		{core.ProcBind, "add 99 tcp /bin/thing 1000\n", "bind line 1"},
+		{core.ProcBind, "99 tcp /b root\n98 udp /b ghost\n", `"98 udp /b ghost"`},
+		{core.ProcDelegation, "root ALL = (ALL) ALL\nbroken =\n", "sudoers line 2"},
+		{core.ProcPPP, "user-routes\ndevice ttyS0\n", "ppp options line 2"},
+	} {
+		before, err := m.K.FS.ReadFile(vfs.RootCred, c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = procWrite(t, m, c.file, c.text)
+		if !errno.Is(err, errno.EINVAL) || !strings.Contains(fmt.Sprint(err), c.names) {
+			t.Errorf("%s <- %q: %v, want EINVAL naming %s", c.file, c.text, err, c.names)
+		}
+		if after, _ := m.K.FS.ReadFile(vfs.RootCred, c.file); string(after) != string(before) {
+			t.Errorf("%s <- %q: policy changed to %q", c.file, c.text, after)
 		}
 	}
 }
@@ -190,16 +206,13 @@ func TestProcDelegationRoundTrip(t *testing.T) {
 	if err != nil || !strings.Contains(string(data), "dave") {
 		t.Fatalf("read: %q %v", data, err)
 	}
-	if err := procWrite(t, m, core.ProcDelegation, "broken ="); err == nil {
-		t.Fatal("bad sudoers accepted")
-	}
 }
 
 func TestProcWritesRequireRoot(t *testing.T) {
 	m := protegoMachine(t)
 	alice := session(t, m, "alice")
 	// DAC already blocks (0600 root), so go through the kernel path.
-	if err := m.K.WriteFile(alice, core.ProcMounts, []byte("clear")); err == nil {
+	if err := m.K.WriteFile(alice, core.ProcMounts, []byte("/dev/z /mnt auto users 0 0\n")); err == nil {
 		t.Fatal("unprivileged policy write accepted")
 	}
 }

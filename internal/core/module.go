@@ -10,9 +10,10 @@
 //   - PPP route/modem policies with route-conflict checking (§4.1.2)
 //   - per-account credential files and trusted-binary file grants (§4.4)
 //
-// The module exposes /proc/protego/* configuration files using a simple
-// grammar; the monitoring daemon (internal/monitord) keeps them
-// synchronized with the legacy configuration files.
+// The module exposes /proc/protego/* configuration files, each taking the
+// text of the legacy file it mirrors; the monitoring daemon
+// (internal/monitord) copies each legacy file into its /proc file when it
+// changes.
 package core
 
 import (

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"strings"
-
-	"protego/internal/errno"
 	"protego/internal/lsm"
 	"protego/internal/policy"
 	"protego/internal/vfs"
@@ -29,24 +26,6 @@ func (m *Module) rebuildMountIndexLocked() {
 		}
 	}
 	m.mountIdx = idx
-}
-
-// ProcMountRow renders a whitelist row as the fields of a
-// /proc/protego/mounts add line.
-func ProcMountRow(r *policy.FstabEntry) string {
-	opts := strings.Join(r.Options, ",")
-	if opts == "" {
-		opts = "-"
-	}
-	fstype := r.FSType
-	if fstype == "" {
-		fstype = "auto"
-	}
-	who := "user"
-	if r.HasOption("users") {
-		who = "users"
-	}
-	return r.Device + " " + r.MountPoint + " " + fstype + " " + opts + " " + who
 }
 
 // SetMountRules replaces the whitelist and re-indexes it. The rows are
@@ -124,26 +103,4 @@ func (m *Module) UmountCheck(t lsm.Task, req *lsm.UmountRequest) (lsm.Decision, 
 		return lsm.Grant, nil
 	}
 	return lsm.NoOpinion, nil
-}
-
-// parseMountRow parses the /proc grammar fields into a whitelist row; the
-// row carries its user or users marker among its options:
-//
-//	add <device> <mountpoint> <fstype> <options|-> <user|users>
-func parseMountRow(args []string) (policy.FstabEntry, error) {
-	if len(args) != 5 || args[4] != "user" && args[4] != "users" {
-		return policy.FstabEntry{}, errno.EINVAL
-	}
-	r := policy.FstabEntry{
-		Device:     args[0],
-		MountPoint: vfs.CleanPath(args[1], "/"),
-		FSType:     args[2],
-	}
-	if args[3] != "-" {
-		r.Options = strings.Split(args[3], ",")
-	}
-	if !r.HasOption(args[4]) {
-		r.Options = append(r.Options, args[4])
-	}
-	return r, nil
 }

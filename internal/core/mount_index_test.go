@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"protego/internal/caps"
+	"protego/internal/kernel"
 	"protego/internal/lsm"
 	"protego/internal/policy"
 	"protego/internal/vfs"
@@ -28,7 +29,7 @@ func (t idxTask) SecurityBlob(string) any     { return nil }
 func (t idxTask) SetSecurityBlob(string, any) {}
 
 func idxModule() *Module {
-	m := &Module{}
+	m := New(kernel.New(kernel.ModeProtego), nil, nil)
 	m.SetMountRules([]policy.FstabEntry{
 		{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660",
 			Options: []string{"uid=1000", "user"}},
@@ -111,13 +112,13 @@ func TestMountIndexTracksRuleMutations(t *testing.T) {
 		t.Fatalf("before add: %v", d)
 	}
 	// The /proc/protego/mounts writer is the one path that edits rules.
-	if err := m.writeMounts(vfs.RootCred, []byte("add /dev/sdc1 /mnt/extra ext4 - user\n")); err != nil {
+	if err := m.writeMounts(vfs.RootCred, []byte("/dev/sdc1 /mnt/extra ext4 user 0 0\n")); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := m.MountCheck(alice, req); d != lsm.Grant {
 		t.Fatalf("after add: %v", d)
 	}
-	if err := m.writeMounts(vfs.RootCred, []byte("del /dev/sdc1 /mnt/extra\n")); err != nil {
+	if err := m.writeMounts(vfs.RootCred, []byte("/dev/sdc1 /mnt/extra ext4 defaults 0 0\n")); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := m.MountCheck(alice, req); d != lsm.NoOpinion {

@@ -5,13 +5,16 @@ import (
 	"strings"
 
 	"protego/internal/errno"
+	"protego/internal/netstack"
 	"protego/internal/policy"
 	"protego/internal/vfs"
 )
 
 // /proc configuration paths (Figure 1: "a trusted daemon reads the
 // policies from /etc/fstab and configures the Protego LSM through a file
-// in /proc").
+// in /proc"). Each policy file takes the text of the legacy file it
+// mirrors, and only that text: mounts takes /etc/fstab, bind /etc/bind,
+// delegation /etc/sudoers and ppp /etc/ppp/options.
 const (
 	ProcDir        = "/proc/protego"
 	ProcMounts     = ProcDir + "/mounts"
@@ -21,26 +24,34 @@ const (
 	ProcStatus     = ProcDir + "/status"
 )
 
-// setupProc creates the /proc/protego files. They are root-owned mode 0600:
-// only the administrator (or the trusted monitoring daemon) may configure
-// policy.
-func (m *Module) setupProc() error {
-	if err := m.k.FS.MkdirAll(vfs.RootCred, ProcDir, 0o555, 0, 0); err != nil {
-		return err
-	}
-	type procFile struct {
-		path  string
-		read  vfs.ProcReadFunc
-		write vfs.ProcWriteFunc
-	}
-	files := []procFile{
+// procFile is one /proc/protego file with this module's handlers; a file
+// with no writer is read-only.
+type procFile struct {
+	path  string
+	read  vfs.ProcReadFunc
+	write vfs.ProcWriteFunc
+}
+
+// procFiles is the one table of /proc/protego files: setupProc creates
+// them, and a clone's rebindProc repoints them at its own module.
+func (m *Module) procFiles() []procFile {
+	return []procFile{
 		{ProcMounts, m.readMounts, m.writeMounts},
 		{ProcBind, m.readBind, m.writeBind},
 		{ProcDelegation, m.readDelegation, m.writeDelegation},
 		{ProcPPP, m.readPPP, m.writePPP},
 		{ProcStatus, m.readStatus, nil},
 	}
-	for _, f := range files {
+}
+
+// setupProc creates the /proc/protego files. The policy files are
+// root-owned mode 0600: only the administrator (or the trusted monitoring
+// daemon) may configure policy.
+func (m *Module) setupProc() error {
+	if err := m.k.FS.MkdirAll(vfs.RootCred, ProcDir, 0o555, 0, 0); err != nil {
+		return err
+	}
+	for _, f := range m.procFiles() {
 		mode := vfs.Mode(0o600)
 		if f.write == nil {
 			mode = 0o444
@@ -52,66 +63,49 @@ func (m *Module) setupProc() error {
 	return nil
 }
 
-func requireRoot(c vfs.Cred) error {
+// parsePolicy is the first half of every policy writer: only root may
+// write, and the text is parsed once, through the file system's memo. A
+// malformed text is EINVAL wrapping the parser's line-numbered error. The
+// writer then swaps the parse in whole, so a failed write leaves the old
+// policy in force.
+func parsePolicy[T any](m *Module, c vfs.Cred, data []byte, parse func(*vfs.Memo, []byte) (T, error)) (T, error) {
+	var p T
 	if c.FSUID() != 0 {
-		return errno.EPERM
+		return p, errno.EPERM
 	}
-	return nil
+	p, err := parse(m.k.FS.Memo(), data)
+	if err != nil {
+		return p, fmt.Errorf("%w: %w", errno.EINVAL, err)
+	}
+	return p, nil
 }
 
 func (m *Module) readMounts(vfs.Cred) ([]byte, error) {
 	var b strings.Builder
 	for _, r := range m.MountRules() {
-		b.WriteString(ProcMountRow(&r))
+		b.WriteString(r.String())
 		b.WriteByte('\n')
 	}
 	return []byte(b.String()), nil
 }
 
-// writeMounts accepts the grammar:
-//
-//	add <device> <mountpoint> <fstype> <options|-> <user|users>
-//	del <device> <mountpoint>
-//	clear
-//
-// The batch is staged against a copy of the whitelist and swapped in only
-// if every command parses: a failure halfway through the usual
-// "clear\nadd…" reload must never leave the kernel with a
-// partially-applied (possibly empty) whitelist.
+// writeMounts installs the whitelist from /etc/fstab text: the first row
+// of each (device, point) pair, points compared clean, when that row says
+// user or users. It is the row util-linux's mount(8) decides by.
 func (m *Module) writeMounts(c vfs.Cred, data []byte) error {
-	if err := requireRoot(c); err != nil {
+	entries, err := parsePolicy(m, c, data, policy.MemoFstab)
+	if err != nil {
 		return err
 	}
-	cmds, err := policy.ParseProcCommands(data)
-	if err != nil {
-		return errno.EINVAL
-	}
-	staged := m.MountRules()
-	for _, cmd := range cmds {
-		switch cmd.Verb {
-		case "add":
-			row, err := parseMountRow(cmd.Args)
-			if err != nil {
-				return err
-			}
-			staged = append(staged, row)
-		case "del":
-			if len(cmd.Args) != 2 {
-				return errno.EINVAL
-			}
-			dev, point := cmd.Args[0], vfs.CleanPath(cmd.Args[1], "/")
-			kept := staged[:0]
-			for _, r := range staged {
-				if !(r.Device == dev && r.MountPoint == point) {
-					kept = append(kept, r)
-				}
-			}
-			staged = kept
-		case "clear":
-			staged = staged[:0]
+	var rows []policy.FstabEntry
+	for i := range entries {
+		if e := &entries[i]; e.UserMountable() && policy.FindPair(entries, e.Device, e.MountPoint) == e {
+			r := *e
+			r.MountPoint = vfs.CleanPath(r.MountPoint, "/")
+			rows = append(rows, r)
 		}
 	}
-	m.SetMountRules(staged)
+	m.SetMountRules(rows)
 	return nil
 }
 
@@ -119,51 +113,30 @@ func (m *Module) readBind(vfs.Cred) ([]byte, error) {
 	return []byte(strings.Join(m.BindAllocations(), "\n") + "\n"), nil
 }
 
-// writeBind accepts:
-//
-//	add <port> <tcp|udp> <binary> <uid>
-//	del <port> <tcp|udp>
-//	clear
-//
-// Like writeMounts, the batch is staged against a copy of the allocation
-// table and swapped in only when every command parses.
+// writeBind installs the port allocation table from /etc/bind text, each
+// user name resolved to its uid; an unknown user is EINVAL.
 func (m *Module) writeBind(c vfs.Cred, data []byte) error {
-	if err := requireRoot(c); err != nil {
+	entries, err := parsePolicy(m, c, data, policy.MemoBind)
+	if err != nil {
 		return err
 	}
-	cmds, err := policy.ParseProcCommands(data)
-	if err != nil {
-		return errno.EINVAL
-	}
-	m.mu.RLock()
-	staged := make(map[bindKey]BindTarget, len(m.bindTable))
-	for k, v := range m.bindTable {
-		staged[k] = v
-	}
-	m.mu.RUnlock()
-	for _, cmd := range cmds {
-		switch cmd.Verb {
-		case "add":
-			key, target, err := parseBindArgs(cmd.Args)
-			if err != nil {
-				return err
-			}
-			staged[key] = target
-		case "del":
-			if len(cmd.Args) != 2 {
-				return errno.EINVAL
-			}
-			key, _, err := parseBindArgs(append(cmd.Args, "/", "0"))
-			if err != nil {
-				return err
-			}
-			delete(staged, key)
-		case "clear":
-			staged = make(map[bindKey]BindTarget)
+	table := make(map[bindKey]BindTarget, len(entries))
+	for i := range entries {
+		e := &entries[i]
+		u, err := m.db.LookupUser(e.User)
+		if errno.Is(err, errno.ENOENT) {
+			return fmt.Errorf("%w: bind: unknown user %q in %q", errno.EINVAL, e.User, e.String())
+		} else if err != nil {
+			return err
 		}
+		proto := netstack.IPPROTO_TCP
+		if e.Proto == "udp" {
+			proto = netstack.IPPROTO_UDP
+		}
+		table[bindKey{proto: proto, port: e.Port}] = BindTarget{Binary: e.Binary, UID: u.UID}
 	}
 	m.mu.Lock()
-	m.bindTable = staged
+	m.bindTable = table
 	m.mu.Unlock()
 	return nil
 }
@@ -187,19 +160,14 @@ func (m *Module) readDelegation(vfs.Cred) ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-// writeDelegation replaces the delegation policy with the sudoers-format
-// text written to the file (the paper: "an /etc/sudoers-like syntax for
-// delegation").
+// writeDelegation replaces the delegation policy with sudoers text (the
+// paper: "an /etc/sudoers-like syntax for delegation").
 func (m *Module) writeDelegation(c vfs.Cred, data []byte) error {
-	if err := requireRoot(c); err != nil {
-		return err
+	s, err := parsePolicy(m, c, data, policy.MemoSudoers)
+	if err == nil {
+		m.SetSudoers(s)
 	}
-	s, err := policy.MemoSudoers(m.k.FS.Memo(), data)
-	if err != nil {
-		return errno.EINVAL
-	}
-	m.SetSudoers(s)
-	return nil
+	return err
 }
 
 func (m *Module) readPPP(vfs.Cred) ([]byte, error) {
@@ -220,17 +188,13 @@ func (m *Module) readPPP(vfs.Cred) ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-// writePPP replaces the PPP policy with /etc/ppp/options-format text.
+// writePPP replaces the PPP policy with /etc/ppp/options text.
 func (m *Module) writePPP(c vfs.Cred, data []byte) error {
-	if err := requireRoot(c); err != nil {
-		return err
+	o, err := parsePolicy(m, c, data, policy.MemoPPPOptions)
+	if err == nil {
+		m.SetPPP(o)
 	}
-	o, err := policy.MemoPPPOptions(m.k.FS.Memo(), data)
-	if err != nil {
-		return errno.EINVAL
-	}
-	m.SetPPP(o)
-	return nil
+	return err
 }
 
 func (m *Module) readStatus(vfs.Cred) ([]byte, error) {

@@ -116,10 +116,11 @@ func cloneBlobs(blobs map[string]any) map[string]any {
 	return out
 }
 
-// RebindTraceProc repoints /proc/trace and /proc/trace/stats at this
-// kernel's tracer. Machine cloning calls it after Kernel.Clone — the
-// cloned FS still holds the parent's render closures; RebindProc
-// privatizes the shared inodes before swapping handlers.
+// RebindTraceProc points /proc/trace and /proc/trace/stats at this
+// kernel's tracer. InstallTraceProc calls it once the files exist, and
+// machine cloning after Kernel.Clone — the cloned FS still holds the
+// parent's render closures; RebindProc privatizes the shared inodes before
+// swapping handlers.
 func (k *Kernel) RebindTraceProc() error {
 	if err := k.FS.RebindProc(ProcTrace, func(vfs.Cred) ([]byte, error) {
 		return []byte(k.Trace.RenderEvents(0)), nil

@@ -82,10 +82,12 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 	} else if err != nil {
 		return -1, err
 	}
-	if ino.Mode.IsDir() && flags&(O_WRONLY|O_RDWR) != 0 {
+	// O_TRUNC asks for write permission, as Linux adds MAY_WRITE for it;
+	// O_APPEND alone asks for none.
+	write := flags&(O_WRONLY|O_RDWR|O_TRUNC) != 0
+	if ino.Mode.IsDir() && write {
 		return -1, errno.EISDIR
 	}
-	write := flags&(O_WRONLY|O_RDWR|O_APPEND|O_TRUNC) != 0
 	var want int
 	if write {
 		if err := k.FS.CheckReadOnly(ino); err != nil {
@@ -142,6 +144,9 @@ func (k *Kernel) Read(t *Task, fd, n int) (buf []byte, err error) {
 	if err != nil {
 		return nil, err
 	}
+	if f.Flags&0x3 == O_WRONLY {
+		return nil, errno.EBADF
+	}
 	if f.Ino.ReadFn != nil {
 		return f.Ino.ReadFn(t.credsRef())
 	}
@@ -161,7 +166,7 @@ func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if f.Flags&0x3 == O_RDONLY && f.Flags&(O_APPEND|O_TRUNC) == 0 {
+	if f.Flags&0x3 == O_RDONLY {
 		return 0, errno.EBADF
 	}
 	if f.Ino.WriteFn != nil {

@@ -42,19 +42,16 @@ const (
 
 // InstallTraceProc exposes the tracer read-only under /proc: reading
 // /proc/trace returns the event log, /proc/trace/stats the aggregate view.
-// /proc must already exist (the world builder creates it in both modes so
-// the observability surface never skews a mode comparison).
+// It makes the two files and binds them through RebindTraceProc, the one
+// place that builds their render closures. /proc must already exist (the
+// world builder creates it in both modes so the observability surface
+// never skews a mode comparison).
 func (k *Kernel) InstallTraceProc() error {
 	if err := k.FS.MkdirAll(vfs.RootCred, ProcTrace, 0o555, 0, 0); err != nil {
 		return err
 	}
-	if err := k.FS.RebindProc(ProcTrace, func(vfs.Cred) ([]byte, error) {
-		return []byte(k.Trace.RenderEvents(0)), nil
-	}, nil); err != nil {
+	if _, err := k.FS.CreateProc(ProcTraceStats, 0o444, nil, nil); err != nil {
 		return err
 	}
-	_, err := k.FS.CreateProc(ProcTraceStats, 0o444, func(vfs.Cred) ([]byte, error) {
-		return []byte(k.Trace.RenderStats()), nil
-	}, nil)
-	return err
+	return k.RebindTraceProc()
 }

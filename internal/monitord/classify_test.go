@@ -3,13 +3,12 @@ package monitord
 import (
 	"testing"
 
-	"protego/internal/accountdb"
 	"protego/internal/kernel"
 )
 
 func TestClassify(t *testing.T) {
 	k := kernel.New(kernel.ModeProtego)
-	d := New(k, accountdb.NewDB(k.FS), nil)
+	d := New(k, nil)
 	cases := map[string]string{
 		"/etc/fstab":           "mounts",
 		"/etc/sudoers":         "delegation",

@@ -1,19 +1,18 @@
 // Package monitord implements the trusted monitoring daemon of the Protego
 // design (Table 2: 400 lines of Python in the paper, built on inotify).
 // It watches the legacy, policy-relevant configuration files — /etc/fstab,
-// /etc/sudoers (+/etc/sudoers.d), /etc/bind, /etc/ppp/options — and pushes
-// their parsed contents into the kernel through the /proc/protego files,
-// exactly the flow of Figure 1. It also keeps the fragmented per-account
-// credential files and the legacy shared databases synchronized in both
-// directions for backward compatibility (§2, §4.4). The daemon is only
-// required for backward compatibility: an administrator can write the
-// /proc files directly.
+// /etc/sudoers (+/etc/sudoers.d), /etc/bind, /etc/ppp/options — and copies
+// each file's text into the /proc/protego file that takes it, where the
+// Protego LSM parses it: the flow of Figure 1. It also keeps the
+// fragmented per-account credential files and the legacy shared databases
+// synchronized in both directions for backward compatibility (§2, §4.4).
+// The daemon is only required for backward compatibility: an
+// administrator can write the same text to the /proc files directly.
 package monitord
 
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"protego/internal/errno"
 	"protego/internal/faultinject"
 	"protego/internal/kernel"
-	"protego/internal/policy"
 	"protego/internal/trace"
 	"protego/internal/vfs"
 )
@@ -54,7 +52,6 @@ const (
 // of the trusted computing base, alongside the authentication service).
 type Daemon struct {
 	k   *kernel.Kernel
-	db  *accountdb.DB
 	mod *core.Module
 
 	mu    sync.Mutex
@@ -69,10 +66,9 @@ type Daemon struct {
 
 // New creates a daemon for the kernel. mod may be nil when the daemon is
 // used only for account synchronization; policy syncs then fail.
-func New(k *kernel.Kernel, db *accountdb.DB, mod *core.Module) *Daemon {
+func New(k *kernel.Kernel, mod *core.Module) *Daemon {
 	return &Daemon{
 		k:     k,
-		db:    db,
 		mod:   mod,
 		syncs: make(map[string]int),
 	}
@@ -93,11 +89,11 @@ func (d *Daemon) bump(target string) {
 	d.mu.Unlock()
 }
 
-// traced runs one reparse/push cycle with bounded retry. Each attempt is
-// timed and emitted on the trace ring; a pass that keeps failing after
-// maxRetries retries is abandoned, leaving the last good in-kernel policy
-// in place (the /proc writers swap atomically, so a failed attempt never
-// applies partially).
+// traced runs one sync with bounded retry. Each attempt is timed and
+// emitted on the trace ring; a pass that keeps failing after maxRetries
+// retries is abandoned, leaving the last good in-kernel policy in place
+// (the /proc writers swap atomically, so a failed attempt never applies
+// partially).
 func (d *Daemon) traced(target string, fn func() error) error {
 	var err error
 	backoff := retryBackoff
@@ -140,107 +136,67 @@ func (d *Daemon) readConfig(site, path string) ([]byte, error) {
 	return data, nil
 }
 
-// writeProc writes data to a /proc policy file with root credentials (the
-// daemon is root; the file is mode 0600 root).
-func (d *Daemon) writeProc(path string, data string) error {
-	ino, err := d.k.FS.Lookup(vfs.RootCred, path)
-	if err != nil {
-		return err
-	}
-	if ino.WriteFn == nil {
-		return fmt.Errorf("monitord: %s is not a policy file: %w", path, errno.EINVAL)
-	}
-	return ino.WriteFn(vfs.RootCred, []byte(data))
+// policyFile is one legacy policy file the daemon copies into the kernel:
+// its sync target, its path, the directory whose files follow its text
+// (sudoers.d), the /proc/protego file that takes the text, and the fault
+// site of its reads. The kernel parses the text; the daemon only reads and
+// copies bytes.
+type policyFile struct {
+	target, path, fragDir, proc, site string
 }
 
-// SyncMounts translates the user entries of /etc/fstab into the kernel's
-// mount whitelist.
-func (d *Daemon) SyncMounts() error { return d.traced("mounts", d.syncMounts) }
-
-func (d *Daemon) syncMounts() error {
-	data, err := d.readConfig(faultinject.SiteMonFstab, FstabPath)
-	if err != nil {
-		return err
-	}
-	entries, err := policy.MemoFstab(d.k.FS.Memo(), data)
-	if err != nil {
-		return fmt.Errorf("monitord: fstab: %w", err)
-	}
-	var b strings.Builder
-	b.WriteString("clear\n")
-	for i := range entries {
-		// The first row of a (device, point) pair decides for it, as the
-		// setuid mount(8) reads fstab; a later row is never pushed.
-		if e := &entries[i]; e.UserMountable() && policy.FindPair(entries, e.Device, e.MountPoint) == e {
-			b.WriteString("add ")
-			b.WriteString(core.ProcMountRow(e))
-			b.WriteByte('\n')
-		}
-	}
-	return d.writeProc(core.ProcMounts, b.String())
+// policyFiles drives the policy syncs, classify, the watch loop's dispatch
+// and SyncAll.
+var policyFiles = []policyFile{
+	{"mounts", FstabPath, "", core.ProcMounts, faultinject.SiteMonFstab},
+	{"delegation", SudoersPath, SudoersDir, core.ProcDelegation, faultinject.SiteMonSudoers},
+	{"bind", BindPath, "", core.ProcBind, faultinject.SiteMonBind},
+	{"ppp", PPPOptionsPath, "", core.ProcPPP, faultinject.SiteMonPPP},
 }
 
-// SyncDelegation concatenates /etc/sudoers and /etc/sudoers.d/* and pushes
-// the result to the kernel's delegation policy.
-func (d *Daemon) SyncDelegation() error { return d.traced("delegation", d.syncDelegation) }
-
-func (d *Daemon) syncDelegation() error {
-	var b strings.Builder
-	data, err := d.readConfig(faultinject.SiteMonSudoers, SudoersPath)
-	if err != nil {
-		return err
-	}
-	b.Write(data)
-	b.WriteByte('\n')
-	if names, err := d.k.FS.ReadDir(vfs.RootCred, SudoersDir); err == nil {
-		for _, name := range names {
-			frag, err := d.readConfig(faultinject.SiteMonSudoers, SudoersDir+"/"+name)
-			if err != nil {
-				return err
-			}
-			b.Write(frag)
-			b.WriteByte('\n')
-		}
-	}
-	return d.writeProc(core.ProcDelegation, b.String())
-}
-
-// SyncBind pushes /etc/bind (usernames resolved to uids) into the kernel's
-// port allocation table.
-func (d *Daemon) SyncBind() error { return d.traced("bind", d.syncBind) }
-
-func (d *Daemon) syncBind() error {
-	data, err := d.readConfig(faultinject.SiteMonBind, BindPath)
-	if err != nil {
-		return err
-	}
-	entries, err := policy.MemoBind(d.k.FS.Memo(), data)
-	if err != nil {
-		return fmt.Errorf("monitord: bind: %w", err)
-	}
-	var b strings.Builder
-	b.WriteString("clear\n")
-	for i := range entries {
-		e := &entries[i]
-		u, err := d.db.LookupUser(e.User)
+// syncPolicy copies f's text, with its fragments each after a newline,
+// into f's /proc file as root (the daemon is root; the file is mode 0600
+// root).
+func (d *Daemon) syncPolicy(f *policyFile) error {
+	return d.traced(f.target, func() error {
+		data, err := d.readConfig(f.site, f.path)
 		if err != nil {
-			return fmt.Errorf("monitord: bind: unknown user %q", e.User)
+			return err
 		}
-		fmt.Fprintf(&b, "add %d %s %s %d\n", e.Port, e.Proto, e.Binary, u.UID)
-	}
-	return d.writeProc(core.ProcBind, b.String())
+		if f.fragDir != "" {
+			data = append(data[:len(data):len(data)], '\n')
+			names, _ := d.k.FS.ReadDir(vfs.RootCred, f.fragDir) // no directory: no fragments
+			for _, name := range names {
+				frag, err := d.readConfig(f.site, f.fragDir+"/"+name)
+				if err != nil {
+					return err
+				}
+				data = append(append(data, frag...), '\n')
+			}
+		}
+		ino, err := d.k.FS.Lookup(vfs.RootCred, f.proc)
+		if err != nil {
+			return err
+		}
+		if ino.WriteFn == nil {
+			return fmt.Errorf("monitord: %s is not a policy file: %w", f.proc, errno.EINVAL)
+		}
+		return ino.WriteFn(vfs.RootCred, data)
+	})
 }
 
-// SyncPPP pushes /etc/ppp/options into the kernel's PPP policy.
-func (d *Daemon) SyncPPP() error { return d.traced("ppp", d.syncPPP) }
+// SyncMounts copies /etc/fstab into the kernel's mount whitelist.
+func (d *Daemon) SyncMounts() error { return d.sync("mounts") }
 
-func (d *Daemon) syncPPP() error {
-	data, err := d.readConfig(faultinject.SiteMonPPP, PPPOptionsPath)
-	if err != nil {
-		return err
-	}
-	return d.writeProc(core.ProcPPP, string(data))
-}
+// SyncDelegation copies /etc/sudoers and /etc/sudoers.d/* into the
+// kernel's delegation policy.
+func (d *Daemon) SyncDelegation() error { return d.sync("delegation") }
+
+// SyncBind copies /etc/bind into the kernel's port allocation table.
+func (d *Daemon) SyncBind() error { return d.sync("bind") }
+
+// SyncPPP copies /etc/ppp/options into the kernel's PPP policy.
+func (d *Daemon) SyncPPP() error { return d.sync("ppp") }
 
 // SyncAccountsFromFragments rebuilds the legacy shared database files from
 // the per-account fragments (called when a fragment changes — e.g. a user
@@ -293,27 +249,18 @@ func (d *Daemon) SyncAccountsToFragments() error {
 // Missing optional files (/etc/bind, /etc/ppp/options, fragments) are
 // skipped silently; a malformed present file is an error.
 func (d *Daemon) SyncAll() error {
-	type step struct {
-		name    string
-		fn      func() error
-		present func() bool
-	}
-	exists := func(path string) func() bool {
-		return func() bool { return d.k.FS.Exists(vfs.RootCred, path) }
-	}
-	steps := []step{
-		{"mounts", d.SyncMounts, exists(FstabPath)},
-		{"delegation", d.SyncDelegation, exists(SudoersPath)},
-		{"bind", d.SyncBind, exists(BindPath)},
-		{"ppp", d.SyncPPP, exists(PPPOptionsPath)},
-		{"accounts", d.SyncAccountsToFragments, exists(accountdb.PasswdFile)},
-	}
-	for _, s := range steps {
-		if !s.present() {
+	for i := range policyFiles {
+		f := &policyFiles[i]
+		if !d.k.FS.Exists(vfs.RootCred, f.path) {
 			continue
 		}
-		if err := s.fn(); err != nil {
-			return fmt.Errorf("monitord: sync %s: %w", s.name, err)
+		if err := d.syncPolicy(f); err != nil {
+			return fmt.Errorf("monitord: sync %s: %w", f.target, err)
+		}
+	}
+	if d.k.FS.Exists(vfs.RootCred, accountdb.PasswdFile) {
+		if err := d.SyncAccountsToFragments(); err != nil {
+			return fmt.Errorf("monitord: sync accounts: %w", err)
 		}
 	}
 	return nil
@@ -351,7 +298,9 @@ func (d *Daemon) loop(w *vfs.Watch, stop <-chan struct{}) {
 			}
 		case <-timerC:
 			for target := range pending {
-				d.dispatch(target)
+				if err := d.sync(target); err != nil {
+					d.k.Auditf("monitord: sync %s failed: %v", target, err)
+				}
 			}
 			pending = make(map[string]bool)
 			timerC = nil
@@ -363,15 +312,12 @@ func (d *Daemon) loop(w *vfs.Watch, stop <-chan struct{}) {
 
 // classify maps a changed path to the sync target it affects.
 func (d *Daemon) classify(path string) string {
+	for _, f := range policyFiles {
+		if path == f.path || f.fragDir != "" && vfs.IsUnder(path, f.fragDir) {
+			return f.target
+		}
+	}
 	switch {
-	case path == FstabPath:
-		return "mounts"
-	case path == SudoersPath || vfs.IsUnder(path, SudoersDir):
-		return "delegation"
-	case path == BindPath:
-		return "bind"
-	case path == PPPOptionsPath:
-		return "ppp"
 	case vfs.IsUnder(path, accountdb.PasswdsDir),
 		vfs.IsUnder(path, accountdb.ShadowsDir),
 		vfs.IsUnder(path, accountdb.GroupsDir):
@@ -383,23 +329,18 @@ func (d *Daemon) classify(path string) string {
 	}
 }
 
-func (d *Daemon) dispatch(target string) {
-	var err error
+// sync runs the synchronization of target.
+func (d *Daemon) sync(target string) error {
+	for i := range policyFiles {
+		if policyFiles[i].target == target {
+			return d.syncPolicy(&policyFiles[i])
+		}
+	}
 	switch target {
-	case "mounts":
-		err = d.SyncMounts()
-	case "delegation":
-		err = d.SyncDelegation()
-	case "bind":
-		err = d.SyncBind()
-	case "ppp":
-		err = d.SyncPPP()
 	case "accounts-legacy":
-		err = d.SyncAccountsFromFragments()
+		return d.SyncAccountsFromFragments()
 	case "accounts-fragments":
-		err = d.SyncAccountsToFragments()
+		return d.SyncAccountsToFragments()
 	}
-	if err != nil {
-		d.k.Auditf("monitord: sync %s failed: %v", target, err)
-	}
+	return fmt.Errorf("monitord: unknown sync target %q", target)
 }

@@ -264,9 +264,9 @@ func TestTornFstabReloadKeepsLastGoodWhitelist(t *testing.T) {
 	}
 }
 
-// A partially parsed /proc/protego/mounts batch must not be applied: the
-// write fails with EINVAL and the whitelist is untouched (the swap-on-
-// success guarantee behind every monitord reload path).
+// An fstab text that parses only in part must not be applied: the write
+// fails with EINVAL and the whitelist is untouched (the swap-on-success
+// guarantee behind every monitord reload path).
 func TestProcMountsWriteIsAtomic(t *testing.T) {
 	m := protegoMachine(t)
 	before := m.Protego.MountRules()
@@ -274,7 +274,7 @@ func TestProcMountsWriteIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := "clear\nadd /dev/x /media/x vfat rw user\nadd broken-rule\n"
+	batch := "/dev/x /media/x vfat rw,user 0 0\nbroken-rule\n"
 	err = ino.WriteFn(vfs.RootCred, []byte(batch))
 	if err == nil {
 		t.Fatal("malformed batch accepted")

@@ -1,11 +1,11 @@
 // Package policy implements parsers for the legacy, policy-relevant
 // configuration files the paper's study identifies: /etc/fstab (user
 // mounts), /etc/sudoers and /etc/sudoers.d (delegation), /etc/bind
-// (privileged-port allocation), and /etc/ppp/options (PPP session policy),
-// plus the simple line-oriented grammar Protego uses on its /proc
-// configuration files. The monitoring daemon parses these files and pushes
-// the results into the kernel; administrators can also write the /proc
-// grammar directly.
+// (privileged-port allocation), and /etc/ppp/options (PPP session policy).
+// The baseline's setuid utilities parse these files, and so do the
+// Protego /proc writers, which take each file's text as it is: the
+// monitoring daemon copies the files in, and an administrator can write
+// the same text directly.
 package policy
 
 import (

@@ -633,35 +633,3 @@ func TestDefaultPPPOptions(t *testing.T) {
 		t.Fatal("devices must default empty")
 	}
 }
-
-// --- proc grammar ---
-
-func TestParseProcCommands(t *testing.T) {
-	cmds, err := ParseProcCommands([]byte(`
-# setup
-clear
-add /dev/cdrom /cdrom iso9660 ro user
-del /dev/cdrom /cdrom
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmds) != 3 {
-		t.Fatalf("cmds = %d", len(cmds))
-	}
-	if cmds[0].Verb != "clear" || cmds[1].Verb != "add" || cmds[2].Verb != "del" {
-		t.Fatalf("verbs: %+v", cmds)
-	}
-	if len(cmds[1].Args) != 5 {
-		t.Fatalf("add args: %v", cmds[1].Args)
-	}
-}
-
-func TestParseProcCommandsErrors(t *testing.T) {
-	cases := []string{"add", "del", "clear x", "frobnicate a b"}
-	for _, in := range cases {
-		if _, err := ParseProcCommands([]byte(in)); err == nil {
-			t.Errorf("no error for %q", in)
-		}
-	}
-}

@@ -85,7 +85,9 @@ func TestNonRootWriteClearsSetID(t *testing.T) {
 // mutation is EROFS, even root's and even through a symlink: one that
 // changes a directory in the mount, and a chmod, chown or open for
 // writing of an inode in it. The mount point's own parent is writable, so
-// renaming it stays EBUSY.
+// renaming it stays EBUSY. The tree starts empty, so the O_TRUNC open names
+// the mount's root directory: EISDIR, as on Linux, whose directory check
+// comes before the read-only one.
 func TestReadOnlyMountRefusesMutation(t *testing.T) {
 	goldenClones(t, func(t *testing.T, m *Machine) {
 		root := session(t, m, "root")
@@ -122,13 +124,62 @@ func TestReadOnlyMountRefusesMutation(t *testing.T) {
 			{"rename into", func() error { return m.K.Rename(root, "/tmp/f", "/cdrom/f") }, errno.EROFS},
 			{"chmod", func() error { return m.K.Chmod(root, "/cdrom", 0o700) }, errno.EROFS},
 			{"chown", func() error { return m.K.Chown(root, "/cdrom", UIDAlice, -1) }, errno.EROFS},
-			{"open O_TRUNC", func() error { return open("/cdrom", kernel.O_RDONLY|kernel.O_TRUNC) }, errno.EROFS},
+			{"open O_TRUNC", func() error { return open("/cdrom", kernel.O_RDONLY|kernel.O_TRUNC) }, errno.EISDIR},
 			{"mkdir through a symlink", func() error { return m.K.Mkdir(root, "/tmp/ro/x", 0o755) }, errno.EROFS},
 			{"chmod through a symlink", func() error { return m.K.Chmod(root, "/tmp/ro", 0o700) }, errno.EROFS},
 			{"rename the mount point", func() error { return m.K.Rename(root, "/cdrom", "/cdrom2") }, errno.EBUSY},
 			{"open for reading", func() error { return open("/cdrom", kernel.O_RDONLY) }, nil},
 		} {
 			if err := c.call(); err != c.want {
+				t.Errorf("%s: %v, want %v", c.name, err, c.want)
+			}
+		}
+	})
+}
+
+// TestDescriptorAccessModes: open(2) and a descriptor's reads and writes
+// follow Linux's access modes, as a Linux 6.18 host answers as root and as
+// an unprivileged uid. O_TRUNC asks for write permission, so a directory
+// opened with it is EISDIR whatever the access mode; O_APPEND alone asks
+// for none; read(2) needs a descriptor open for reading and write(2) one
+// open for writing.
+func TestDescriptorAccessModes(t *testing.T) {
+	read := func(k *kernel.Kernel, t *kernel.Task, fd int) error { _, err := k.Read(t, fd, 8); return err }
+	write := func(k *kernel.Kernel, t *kernel.Task, fd int) error {
+		_, err := k.Write(t, fd, []byte("x"))
+		return err
+	}
+	goldenClones(t, func(t *testing.T, m *Machine) {
+		// Root owns both files: alice may read /tmp/r and only write /tmp/w.
+		for path, mode := range map[string]vfs.Mode{"/tmp/r": 0o644, "/tmp/w": 0o622} {
+			if err := m.K.FS.WriteFile(vfs.RootCred, path, []byte("data"), mode, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			name, user, path string
+			flags            int
+			op               func(*kernel.Kernel, *kernel.Task, int) error // nil: the open alone
+			want             error
+		}{
+			{"directory O_RDONLY|O_TRUNC", "root", "/tmp", kernel.O_RDONLY | kernel.O_TRUNC, nil, errno.EISDIR},
+			{"O_RDONLY|O_APPEND needs read permission only", "alice", "/tmp/r", kernel.O_RDONLY | kernel.O_APPEND, nil, nil},
+			{"O_RDONLY|O_TRUNC needs write permission", "alice", "/tmp/r", kernel.O_RDONLY | kernel.O_TRUNC, nil, errno.EACCES},
+			{"read on O_WRONLY", "alice", "/tmp/w", kernel.O_WRONLY, read, errno.EBADF},
+			{"read on O_RDWR", "root", "/tmp/w", kernel.O_RDWR, read, nil},
+			{"write on O_RDONLY|O_APPEND", "root", "/tmp/w", kernel.O_RDONLY | kernel.O_APPEND, write, errno.EBADF},
+			{"write on O_RDONLY|O_TRUNC", "root", "/tmp/w", kernel.O_RDONLY | kernel.O_TRUNC, write, errno.EBADF},
+			{"write on O_WRONLY|O_APPEND", "alice", "/tmp/w", kernel.O_WRONLY | kernel.O_APPEND, write, nil},
+		} {
+			task := session(t, m, c.user)
+			fd, err := m.K.Open(task, c.path, c.flags)
+			if err == nil && c.op != nil {
+				err = c.op(m.K, task, fd)
+			}
+			if err == nil {
+				m.K.CloseFD(task, fd)
+			}
+			if err != c.want {
 				t.Errorf("%s: %v, want %v", c.name, err, c.want)
 			}
 		}

@@ -74,7 +74,7 @@ func (s *Snapshot) Clone() (*Machine, error) {
 			return nil, fmt.Errorf("world: clone protego: %w", err)
 		}
 		m.Protego = mod
-		m.Monitor = monitord.New(k, m.DB, mod)
+		m.Monitor = monitord.New(k, mod)
 	}
 	if p.Seccomp != nil {
 		// Last in the chain, as on the parent. Profiles are immutable, so

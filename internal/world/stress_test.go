@@ -1,9 +1,12 @@
 package world
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"protego/internal/core"
+	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/userspace"
 	"protego/internal/vfs"
@@ -124,5 +127,127 @@ func TestConcurrentKernelStress(t *testing.T) {
 	}
 	if len(stats) == 0 {
 		t.Fatal("empty /proc/trace/stats after stress")
+	}
+}
+
+// TestPolicyReloadConcurrent races policy reloads against their users
+// (run it with -race -count=10). A writer flips /etc/fstab and /etc/bind
+// between two contents and syncs after each write, while alice mounts and
+// unmounts /mnt/backup, the row the flip makes user-mountable and back,
+// and a reader reads /proc/protego/mounts and /proc/protego/bind. Each
+// /proc writer swaps its policy whole, so every outcome is the one of
+// either content; once the writer stops, the policy is the final files'.
+func TestPolicyReloadConcurrent(t *testing.T) {
+	const rounds = 100
+	img, err := Golden(kernel.ModeProtego)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := img.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	userRow := strings.Replace(fstabContent, "ext4     rw  ", "ext4     rw,user", 1)
+	if userRow == fstabContent {
+		t.Fatal("the image's /mnt/backup row moved")
+	}
+	fstab := [2]string{fstabContent, userRow}
+	bind := [2]string{bindContent, bindContent + "587 tcp /usr/sbin/exim4 Debian-exim\n"}
+	apply := func(i int) error {
+		if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", []byte(fstab[i]), 0o644, 0, 0); err != nil {
+			return err
+		}
+		if err := m.Monitor.SyncMounts(); err != nil {
+			return err
+		}
+		if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/bind", []byte(bind[i]), 0o644, 0, 0); err != nil {
+			return err
+		}
+		return m.Monitor.SyncBind()
+	}
+	read := func(path string) string {
+		data, err := m.K.FS.ReadFile(vfs.RootCred, path)
+		if err != nil {
+			t.Errorf("read %s: %v", path, err)
+		}
+		return string(data)
+	}
+	// The policy each content installs, as /proc reads it back.
+	var mounts, binds [2]string
+	for i := range 2 {
+		if err := apply(i); err != nil {
+			t.Fatal(err)
+		}
+		mounts[i], binds[i] = read(core.ProcMounts), read(core.ProcBind)
+	}
+	if mounts[0] == mounts[1] || binds[0] == binds[1] {
+		t.Fatal("the two contents install the same policy")
+	}
+	alice, root := session(t, m, "alice"), session(t, m, "root")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for r := range rounds {
+			if err := apply(r % 2); err != nil {
+				t.Errorf("reload %d: %v", r, err)
+				return
+			}
+		}
+	}()
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	go func() {
+		defer wg.Done()
+		mounted := false
+		for !stopped() {
+			var err error
+			if mounted {
+				err = m.K.Umount(alice, "/mnt/backup")
+			} else {
+				err = m.K.Mount(alice, "/dev/sdc1", "/mnt/backup", "ext4", nil)
+			}
+			if err == nil {
+				mounted = !mounted
+			} else if err != errno.EPERM {
+				t.Errorf("alice's mount or umount (mounted: %v): %v, want success or EPERM", mounted, err)
+				return
+			}
+		}
+		if mounted {
+			if err := m.K.Umount(root, "/mnt/backup"); err != nil {
+				t.Errorf("root's umount: %v", err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for !stopped() {
+			if got := read(core.ProcMounts); got != mounts[0] && got != mounts[1] {
+				t.Errorf("/proc/protego/mounts reads %q, the policy of neither content", got)
+				return
+			}
+			if got := read(core.ProcBind); got != binds[0] && got != binds[1] {
+				t.Errorf("/proc/protego/bind reads %q, the policy of neither content", got)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	last := (rounds - 1) % 2
+	if got := read(core.ProcMounts); got != mounts[last] {
+		t.Errorf("final /proc/protego/mounts %q, want %q", got, mounts[last])
+	}
+	if got := read(core.ProcBind); got != binds[last] {
+		t.Errorf("final /proc/protego/bind %q, want %q", got, binds[last])
 	}
 }

@@ -121,7 +121,7 @@ func Build(opts Options) (*Machine, error) {
 			return nil, fmt.Errorf("world: protego: %w", err)
 		}
 		m.Protego.AllowFileReaders(userspace.HostKeyPath, userspace.BinSSHKeysign)
-		m.Monitor = monitord.New(k, m.DB, m.Protego)
+		m.Monitor = monitord.New(k, m.Protego)
 		if err := m.Monitor.SyncAll(); err != nil {
 			return nil, fmt.Errorf("world: initial sync: %w", err)
 		}
