@@ -15,13 +15,16 @@ type bindKey struct {
 }
 
 // BindTarget is the single application instance a privileged port is
-// allocated to: a (binary path, uid) pair (§4.1.3).
+// allocated to: a (binary path, uid) pair (§4.1.3). User is the name the
+// /etc/bind row gave, resolved to UID when the row was written.
 type BindTarget struct {
 	Binary string
 	UID    int
+	User   string
 }
 
-// BindAllocations renders the table sorted by port for /proc reads.
+// BindAllocations renders the table as /etc/bind rows, sorted, for /proc
+// reads: the text read back is text the bind writer takes.
 func (m *Module) BindAllocations() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -31,7 +34,7 @@ func (m *Module) BindAllocations() []string {
 		if k.proto == netstack.IPPROTO_UDP {
 			proto = "udp"
 		}
-		lines = append(lines, fmt.Sprintf("%d %s %s %d", k.port, proto, v.Binary, v.UID))
+		lines = append(lines, fmt.Sprintf("%d %s %s %s", k.port, proto, v.Binary, v.User))
 	}
 	sort.Strings(lines)
 	return lines

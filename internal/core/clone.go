@@ -10,11 +10,11 @@ import (
 
 // CloneInto copies the module's policy state onto a freshly cloned
 // kernel and installs it there: the new module is registered in k's LSM
-// chain, its mount-index counter lands on k's tracer, and the shared
-// /proc/protego inodes are privatized and rebound to the new module's
-// handlers. Unlike Install, no default netfilter rules are appended (the
-// cloned table already carries them) and no monitord sync runs — the
-// golden image was synced before the snapshot.
+// chain, its mount-index counter lands on k's tracer, and k's proc table
+// binds the shared /proc/protego inodes to the new module's handlers.
+// Unlike Install, no default netfilter rules are appended (the cloned
+// table already carries them) and no monitord sync runs — the golden
+// image was synced before the snapshot.
 //
 // Parsed policy objects (sudoers, ppp options) and the mount whitelist
 // with its index are immutable once installed (a reload replaces them
@@ -45,9 +45,9 @@ func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Ser
 	return c, nil
 }
 
-// rebindProc repoints the /proc/protego files at this module's handlers;
-// the shared snapshot inodes are copied up first so the parent machine's
-// policy interface stays its own.
+// rebindProc binds the /proc/protego files to this module's handlers in
+// its kernel's proc table; the shared snapshot inodes are not copied up,
+// and the parent machine's table keeps its own module's handlers.
 func (m *Module) rebindProc() error {
 	for _, f := range m.procFiles() {
 		if err := m.k.FS.RebindProc(f.path, f.read, f.write); err != nil {

@@ -19,7 +19,7 @@ func TestProcBindRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "25 tcp /usr/sbin/exim4 101") {
+	if !strings.Contains(string(data), "25 tcp /usr/sbin/exim4 Debian-exim\n") {
 		t.Fatalf("bind proc read: %q", data)
 	}
 }

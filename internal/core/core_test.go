@@ -103,7 +103,8 @@ func procWrite(t *testing.T, m *world.Machine, path, data string) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ino.WriteFn(vfs.RootCred, []byte(data))
+	_, write := m.K.FS.ProcHandlers(ino)
+	return write(vfs.RootCred, []byte(data))
 }
 
 // TestProcMountsGrammar: /proc/protego/mounts takes /etc/fstab text and
@@ -138,15 +139,15 @@ func TestProcMountsGrammar(t *testing.T) {
 	}
 }
 
-// TestProcBindGrammar: /proc/protego/bind takes /etc/bind text and
-// resolves each user name to its uid.
+// TestProcBindGrammar: /proc/protego/bind takes /etc/bind text, each user
+// name resolved to its uid, and reads back /etc/bind rows.
 func TestProcBindGrammar(t *testing.T) {
 	m := protegoMachine(t)
 	if err := procWrite(t, m, core.ProcBind, "# ports\n25 tcp /usr/sbin/exim4 Debian-exim\n514 udp /usr/sbin/syslogd root\n"); err != nil {
 		t.Fatal(err)
 	}
 	allocs := m.Protego.BindAllocations()
-	if want := []string{"25 tcp /usr/sbin/exim4 101", "514 udp /usr/sbin/syslogd 0"}; !slices.Equal(allocs, want) {
+	if want := []string{"25 tcp /usr/sbin/exim4 Debian-exim", "514 udp /usr/sbin/syslogd root"}; !slices.Equal(allocs, want) {
 		t.Fatalf("allocs: %v, want %v", allocs, want)
 	}
 	if err := procWrite(t, m, core.ProcBind, ""); err != nil {

@@ -133,7 +133,7 @@ func (m *Module) writeBind(c vfs.Cred, data []byte) error {
 		if e.Proto == "udp" {
 			proto = netstack.IPPROTO_UDP
 		}
-		table[bindKey{proto: proto, port: e.Port}] = BindTarget{Binary: e.Binary, UID: u.UID}
+		table[bindKey{proto: proto, port: e.Port}] = BindTarget{Binary: e.Binary, UID: u.UID, User: e.User}
 	}
 	m.mu.Lock()
 	m.bindTable = table

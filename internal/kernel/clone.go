@@ -12,15 +12,17 @@ import (
 // Clone returns an independent copy of the kernel backed by a
 // copy-on-write snapshot of its file system. The FS is frozen (idempotent
 // and cheap when already frozen) and shared until first write; the
-// netstack, netfilter table, task table, and credentials are deep-copied;
-// the clone gets its own tracer and its own empty LSM chain. The binary
-// and device registry snapshots are shared — programs and ioctl handlers
-// reach their machine through the task, and registration is already
-// copy-on-write.
+// netstack and the task table are deep-copied, the tasks sharing their
+// immutable credentials, and the netfilter table is copied with its
+// immutable rules shared; the clone gets its own tracer and its own empty
+// LSM chain. The binary and device registry snapshots are shared —
+// programs and ioctl handlers reach their machine through the task, and
+// registration is already copy-on-write.
 //
 // The world layer finishes the job (LSM modules, proc handler rebinding)
 // in Snapshot.Clone; a bare Kernel.Clone still runs syscalls, but its
-// /proc/trace and /proc/protego files point at the parent until rebound.
+// proc table binds /proc/trace and /proc/protego to the parent's handlers
+// until rebound.
 func (k *Kernel) Clone() *Kernel {
 	k.FS.Freeze()
 	c := &Kernel{
@@ -118,9 +120,9 @@ func cloneBlobs(blobs map[string]any) map[string]any {
 
 // RebindTraceProc points /proc/trace and /proc/trace/stats at this
 // kernel's tracer. InstallTraceProc calls it once the files exist, and
-// machine cloning after Kernel.Clone — the cloned FS still holds the
-// parent's render closures; RebindProc privatizes the shared inodes before
-// swapping handlers.
+// machine cloning after Kernel.Clone — the cloned FS's proc table still
+// holds the parent's render closures; RebindProc replaces them in the
+// clone's table and leaves the shared inodes as they are.
 func (k *Kernel) RebindTraceProc() error {
 	if err := k.FS.RebindProc(ProcTrace, func(vfs.Cred) ([]byte, error) {
 		return []byte(k.Trace.RenderEvents(0)), nil

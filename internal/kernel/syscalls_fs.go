@@ -147,8 +147,8 @@ func (k *Kernel) Read(t *Task, fd, n int) (buf []byte, err error) {
 	if f.Flags&0x3 == O_WRONLY {
 		return nil, errno.EBADF
 	}
-	if f.Ino.ReadFn != nil {
-		return f.Ino.ReadFn(t.credsRef())
+	if read, _ := k.FS.ProcHandlers(f.Ino); read != nil {
+		return read(t.credsRef())
 	}
 	out := f.Ino.ReadAt(f.Pos, n) // nil at EOF
 	f.Pos += len(out)
@@ -169,8 +169,8 @@ func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
 	if f.Flags&0x3 == O_RDONLY {
 		return 0, errno.EBADF
 	}
-	if f.Ino.WriteFn != nil {
-		if err := f.Ino.WriteFn(t.credsRef(), data); err != nil {
+	if _, write := k.FS.ProcHandlers(f.Ino); write != nil {
+		if err := write(t.credsRef(), data); err != nil {
 			return 0, err
 		}
 		return len(data), nil
@@ -228,15 +228,16 @@ func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
 	}
 	// A directory with a read handler is a synthetic proc file rendered on
 	// read (e.g. /proc/trace); plain directories stay EISDIR.
-	if ino.Mode.IsDir() && ino.ReadFn == nil {
+	read, _ := k.FS.ProcHandlers(ino)
+	if ino.Mode.IsDir() && read == nil {
 		return nil, errno.EISDIR
 	}
 	dacErr := vfs.CheckAccess(creds, ino, vfs.MayRead)
 	if err := k.fileOpenHook(t, clean, ino, false, dacErr); err != nil {
 		return nil, err
 	}
-	if ino.ReadFn != nil {
-		return ino.ReadFn(creds)
+	if read != nil {
+		return read(creds)
 	}
 	return ino.Contents(), nil
 }
@@ -265,8 +266,8 @@ func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
 		if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
 			return hookErr
 		}
-		if ino.WriteFn != nil {
-			return ino.WriteFn(creds, data)
+		if _, write := k.FS.ProcHandlers(ino); write != nil {
+			return write(creds, data)
 		}
 	}
 	return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)

@@ -354,7 +354,6 @@ var decisionSyms = func() (syms [numDecisionSlots]trace.Sym) {
 // decision counters, resolved on first use: one per (hook, decision).
 type link struct {
 	m    Module
-	name string
 	sym  trace.Sym
 	ctrs *[numHooks][numDecisionSlots]trace.CounterRef
 }
@@ -395,8 +394,7 @@ func NewChain(modules ...Module) *Chain {
 
 // Register appends a module to the chain.
 func (c *Chain) Register(m Module) {
-	name := m.Name()
-	l := link{m: m, name: name, sym: trace.Intern(name), ctrs: new([numHooks][numDecisionSlots]trace.CounterRef)}
+	l := link{m: m, sym: trace.Intern(m.Name()), ctrs: new([numHooks][numDecisionSlots]trace.CounterRef)}
 	c.links = append(c.links, l)
 	if _, ok := m.(SyscallMediator); ok {
 		c.sysLinks = append(c.sysLinks, l)
@@ -472,7 +470,8 @@ func (c *Chain) count(h hook, l *link, dec Decision, err error) {
 	if err != nil {
 		dec = Deny
 	}
-	c.tracer.CountDecisionRef(&l.ctrs[h][decisionSlot(dec)], hookNames[h], l.name, dec.String())
+	slot := decisionSlot(dec)
+	c.tracer.CountDecisionRef(&l.ctrs[h][slot], hookSyms[h], l.sym, decisionSyms[slot])
 }
 
 // observe emits the hook's decision event; winner is the winning module's

@@ -178,10 +178,11 @@ func (d *Daemon) syncPolicy(f *policyFile) error {
 		if err != nil {
 			return err
 		}
-		if ino.WriteFn == nil {
+		_, write := d.k.FS.ProcHandlers(ino)
+		if write == nil {
 			return fmt.Errorf("monitord: %s is not a policy file: %w", f.proc, errno.EINVAL)
 		}
-		return ino.WriteFn(vfs.RootCred, data)
+		return write(vfs.RootCred, data)
 	})
 }
 

@@ -124,7 +124,7 @@ func TestSyncBindResolvesUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := m.Protego.BindAllocations()
-	if len(allocs) != 1 || !strings.Contains(allocs[0], "587 tcp /usr/sbin/exim4 101") {
+	if len(allocs) != 1 || !strings.Contains(allocs[0], "587 tcp /usr/sbin/exim4 Debian-exim") {
 		t.Fatalf("allocations: %v", allocs)
 	}
 	// Unknown users abort the sync.
@@ -275,7 +275,8 @@ func TestProcMountsWriteIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := "/dev/x /media/x vfat rw,user 0 0\nbroken-rule\n"
-	err = ino.WriteFn(vfs.RootCred, []byte(batch))
+	_, write := m.K.FS.ProcHandlers(ino)
+	err = write(vfs.RootCred, []byte(batch))
 	if err == nil {
 		t.Fatal("malformed batch accepted")
 	}

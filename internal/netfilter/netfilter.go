@@ -33,7 +33,9 @@ const AnyProto = -1
 // Rule matches packets on the OUTPUT path. Zero-valued match fields are
 // wildcards. The UnprivRawOnly field is the paper's netfilter extension:
 // such rules consider only packets from raw sockets created without
-// CAP_NET_RAW.
+// CAP_NET_RAW. A rule is a definition only, never changed once appended:
+// tables cloned from one another share it, and each keeps the rule's
+// match count and verdict counters in its own ruleStats.
 type Rule struct {
 	Name string
 
@@ -46,12 +48,15 @@ type Rule struct {
 	SpoofedOnly   bool  // match only packets with a forged source endpoint
 
 	Verdict Verdict
+}
 
-	// hits counts packets this rule matched. An atomic on the rule
-	// itself so the verdict fast path never write-locks the table.
+// ruleStats is one table's state for one of its rules.
+type ruleStats struct {
+	// hits counts packets the rule matched: an atomic, so the verdict
+	// fast path never write-locks the table.
 	hits atomic.Uint64
-	// verdicts caches the rule's decision counter on the owning table's
-	// tracer, one per verdict name (see verdictSlot).
+	// verdicts caches the rule's decision counter on the table's tracer,
+	// one per verdict name (see verdictSlot).
 	verdicts [2]trace.CounterRef
 }
 
@@ -147,7 +152,11 @@ func (r *Rule) String() string {
 type Chain struct {
 	Name   string
 	Policy Verdict
-	rules  []*Rule
+	// rules are the definitions, and stats this chain's state for each,
+	// index for index. Both are only appended to or replaced whole, under
+	// the table's lock.
+	rules []*Rule
+	stats []*ruleStats
 	// policyVerdicts caches the default policy's decision counters, one
 	// per verdict name (see verdictSlot).
 	policyVerdicts [2]trace.CounterRef
@@ -189,6 +198,7 @@ func (t *Table) Append(chain string, r *Rule) error {
 		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
 	}
 	c.rules = append(c.rules, r)
+	c.stats = append(c.stats, new(ruleStats))
 	return nil
 }
 
@@ -200,7 +210,7 @@ func (t *Table) Flush(chain string) error {
 	if !ok {
 		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
 	}
-	c.rules = nil
+	c.rules, c.stats = nil, nil
 	return nil
 }
 
@@ -235,13 +245,14 @@ func (t *Table) Rules(chain string) []*Rule {
 func (t *Table) Output(pkt *netstack.Packet) Verdict {
 	t.mu.RLock()
 	c := t.chains["OUTPUT"]
-	rules := c.rules
+	rules, stats := c.rules, c.stats
 	policy := c.Policy
 	t.mu.RUnlock()
-	for _, r := range rules {
+	for i, r := range rules {
 		if r.matches(pkt) {
-			r.hits.Add(1)
-			t.tracer.NetfilterVerdictRef(&r.verdicts[verdictSlot(r.Verdict)], "OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
+			st := stats[i]
+			st.hits.Add(1)
+			t.tracer.NetfilterVerdictRef(&st.verdicts[verdictSlot(r.Verdict)], "OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
 			return r.Verdict
 		}
 	}
@@ -252,7 +263,7 @@ func (t *Table) Output(pkt *netstack.Packet) Verdict {
 // TableStats is a point-in-time snapshot of the table's counters.
 type TableStats struct {
 	// Matched holds every rule's match count by rule name, summed across
-	// chains. Counts live on the rules themselves (per-rule atomics), so
+	// chains. Counts live beside the chain's rules (per-rule atomics), so
 	// they do not survive a Flush of the owning chain.
 	Matched map[string]uint64
 }
@@ -264,8 +275,8 @@ func (t *Table) Stats() TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, c := range t.chains {
-		for _, r := range c.rules {
-			s.Matched[r.Name] += r.hits.Load()
+		for i, r := range c.rules {
+			s.Matched[r.Name] += c.stats[i].hits.Load()
 		}
 	}
 	return s

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"protego/internal/netstack"
+	"protego/internal/trace"
 )
 
 func icmpEcho(unpriv bool) *netstack.Packet {
@@ -245,5 +246,61 @@ func TestSpoofedAlwaysDroppedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneSharesRulesKeepsOwnCounters: a clone shares the rule
+// definitions, the traceroute port list included, but counts matches and
+// verdicts on its own, and an Append or Flush on it leaves the source's
+// chain as it was.
+func TestCloneSharesRulesKeepsOwnCounters(t *testing.T) {
+	src := protegoTable(t)
+	srcTr := trace.New(0)
+	src.SetTracer(srcTr)
+	_ = src.Output(icmpEcho(true))
+
+	c := src.Clone()
+	cTr := trace.New(0)
+	c.SetTracer(cTr)
+	srcRules, cRules := src.Rules("OUTPUT"), c.Rules("OUTPUT")
+	if len(cRules) != len(srcRules) {
+		t.Fatalf("clone has %d rules, source %d", len(cRules), len(srcRules))
+	}
+	for i := range cRules {
+		if cRules[i] != srcRules[i] {
+			t.Errorf("rule %d (%s) copied, not shared", i, srcRules[i].Name)
+		}
+	}
+	if n := c.Stats().Matched["allow-unpriv-icmp-echo"]; n != 0 {
+		t.Fatalf("clone starts with %d matches, want 0", n)
+	}
+	_ = c.Output(icmpEcho(true))
+	_ = c.Output(icmpEcho(true))
+	echo := trace.CounterKey{Hook: "netfilter:OUTPUT", Module: "allow-unpriv-icmp-echo", Decision: "ACCEPT"}
+	for _, side := range []struct {
+		name string
+		tbl  *Table
+		tr   *trace.Tracer
+		want uint64
+	}{{"source", src, srcTr, 1}, {"clone", c, cTr, 2}} {
+		if n := side.tbl.Stats().Matched["allow-unpriv-icmp-echo"]; n != side.want {
+			t.Errorf("%s: %d matches, want %d", side.name, n, side.want)
+		}
+		if n := side.tr.Counters()[echo]; n != side.want {
+			t.Errorf("%s: %d verdicts on its tracer, want %d", side.name, n, side.want)
+		}
+	}
+
+	if err := c.Append("OUTPUT", &Rule{Name: "extra", Proto: AnyProto, Verdict: Drop}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush("OUTPUT"); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Rules("OUTPUT"); len(got) != len(srcRules) {
+		t.Fatalf("source has %d rules after the clone's append and flush, want %d", len(got), len(srcRules))
+	}
+	if v := src.Output(rawTCP(true, false)); v != Drop {
+		t.Fatal("source lost its rules to the clone's flush")
 	}
 }

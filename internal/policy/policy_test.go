@@ -609,6 +609,11 @@ noauth
 	if o.ParamSafe("defaultroute") {
 		t.Fatal("defaultroute must not be safe")
 	}
+	// vj-max-slots is a default too: it is listed once, so the policy
+	// rendered as safe-param lines parses back to itself.
+	if want := len(DefaultPPPOptions().SafeParams); len(o.SafeParams) != want {
+		t.Fatalf("safe params %v: a repeated name is listed again", o.SafeParams)
+	}
 }
 
 func TestParsePPPOptionsErrors(t *testing.T) {

@@ -50,7 +50,7 @@ func DefaultPPPOptions() *PPPOptions {
 
 // ParsePPPOptions parses /etc/ppp/options. Recognized directives:
 //
-//	safe-param <name>       # add a user-settable session parameter
+//	safe-param <name>       # add a user-settable session parameter, once
 //	user-routes             # allow non-conflicting user routes
 //	device <path>           # whitelist a modem device for users
 //
@@ -69,7 +69,9 @@ func ParsePPPOptions(data string) (*PPPOptions, error) {
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("ppp options line %d: safe-param needs a name", lineNo+1)
 			}
-			o.SafeParams = append(o.SafeParams, fields[1])
+			if !o.ParamSafe(fields[1]) {
+				o.SafeParams = append(o.SafeParams, fields[1])
+			}
 		case "user-routes":
 			o.AllowUserRoutes = true
 		case "device":

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -29,8 +30,8 @@ func TestResolvedSlotsExact(t *testing.T) {
 				tr.SyscallExit(tr.SyscallEnterNo(7, getpid, 1, 0), nil)
 				tr.SyscallExit(tr.SyscallEnter("getpid", 1, 0), nil)
 				tr.HookDecision(&hook, mountCheck, 1, 0, symGrant, protego, nil, Now())
-				tr.CountDecisionRef(&grant, "MountCheck", "protego", "grant")
-				tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
+				tr.CountDecisionRef(&grant, mountCheck, protego, symGrant)
+				tr.CountDecisionRef(nil, mountCheck, protego, symGrant)
 				tr.NetfilterVerdictRef(&nfDrop, "OUTPUT", "r1", "DROP", 0)
 				tr.AuthCheckRef(&authOK, "password", "alice", 1, 0, true)
 			}
@@ -61,10 +62,48 @@ func TestResolvedSlotsExact(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() {
 		tr.SyscallExit(tr.SyscallEnterNo(7, getpid, 1, 0), nil)
 		tr.HookDecision(&hook, mountCheck, 1, 0, symGrant, protego, nil, Now())
-		tr.CountDecisionRef(&grant, "MountCheck", "protego", "grant")
+		tr.CountDecisionRef(&grant, mountCheck, protego, symGrant)
 		tr.NetfilterVerdictRef(&nfDrop, "OUTPUT", "r1", "DROP", 0)
 		tr.AuthCheckRef(&authOK, "password", "alice", 1, 0, true)
 	}); a != 0 {
 		t.Errorf("resolved producers allocate %.0f times per round", a)
+	}
+}
+
+// TestFirstUseOnePointerFreeAlloc: a fresh tracer's first use of a
+// syscall number, of a hook and of a decision counter key, a netfilter
+// verdict's included, costs one allocation each, of a type that holds no
+// pointer: no key is interned, compared as text or concatenated.
+func TestFirstUseOnePointerFreeAlloc(t *testing.T) {
+	for _, v := range []any{keyedHist{}, counter{}} {
+		if hasPointers(reflect.TypeOf(v)) {
+			t.Errorf("%T holds a pointer", v)
+		}
+	}
+	const runs = 10
+	open, getpid := Intern("open"), Intern("getpid")
+	mountCheck, protego, grant := Intern("MountCheck"), Intern("protego"), Intern("grant")
+	Intern("OUTPUT")
+	Intern("r1")
+	Intern("DROP")
+	tracers := make([]*Tracer, runs+1)
+	for i := range tracers {
+		tracers[i] = New(64)
+		// The ring's first chunk is made by the first event.
+		tracers[i].SyscallExit(tracers[i].SyscallEnterNo(1, open, 1, 0), nil)
+	}
+	hooks := make([]HistogramRef, runs+1)
+	ctrs := make([][2]CounterRef, runs+1)
+	next := 0
+	a := testing.AllocsPerRun(runs, func() {
+		tr, hook, ctr := tracers[next], &hooks[next], &ctrs[next]
+		next++
+		tr.SyscallExit(tr.SyscallEnterNo(2, getpid, 1, 0), nil)
+		tr.HookDecision(hook, mountCheck, 1, 0, grant, protego, nil, Now())
+		tr.CountDecisionRef(&ctr[0], mountCheck, protego, grant)
+		tr.NetfilterVerdictRef(&ctr[1], "OUTPUT", "r1", "DROP", 0)
+	})
+	if a != 4 {
+		t.Errorf("first uses of a syscall, a hook and two counters allocate %.0f times, want 4", a)
 	}
 }

@@ -60,6 +60,12 @@ func Intern(s string) Sym {
 	return id
 }
 
+// lookup returns s's symbol if s was interned, adding nothing.
+func lookup(s string) (Sym, bool) {
+	id, ok := (*symbols.ids.Load())[s]
+	return id, ok || s == ""
+}
+
 // String returns the interned string.
 func (s Sym) String() string { return symbolList()[s] }
 

@@ -232,9 +232,9 @@ func TestTracerCountersAndStats(t *testing.T) {
 	tr := New(64)
 	var hook HistogramRef
 	tr.HookDecision(&hook, Intern("MountCheck"), 1, 1000, Intern("grant"), Intern("protego"), nil, Now()-time.Microsecond)
-	tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
-	tr.CountDecisionRef(nil, "MountCheck", "protego", "grant")
-	tr.CountDecisionRef(nil, "MountCheck", "apparmor", "no-opinion")
+	tr.CountDecisionRef(nil, Intern("MountCheck"), Intern("protego"), Intern("grant"))
+	tr.CountDecisionRef(nil, Intern("MountCheck"), Intern("protego"), Intern("grant"))
+	tr.CountDecisionRef(nil, Intern("MountCheck"), Intern("apparmor"), Intern("no-opinion"))
 	tr.NetfilterVerdictRef(nil, "OUTPUT", "drop-unpriv-raw-tcp", "DROP", 1000)
 	tr.AuthCheckRef(nil, "password", "alice", 7, 1000, false)
 	tr.Audit("mount denied")
@@ -270,7 +270,7 @@ func TestTracerNilSafe(t *testing.T) {
 	tok := tr.SyscallEnter("open", 1, 2)
 	tr.SyscallExit(tok, nil)
 	tr.HookDecision(nil, Intern("MountCheck"), 1, 2, Intern("deny"), 0, nil, 0)
-	tr.CountDecisionRef(nil, "h", "m", "d")
+	tr.CountDecisionRef(nil, Intern("h"), Intern("m"), Intern("d"))
 	tr.NetfilterVerdictRef(nil, "OUTPUT", "", "ACCEPT", 0)
 	tr.MonitordSync("mounts", 0, nil)
 	tr.AuthCheckRef(nil, "password", "alice", 1, 2, true)
@@ -305,7 +305,7 @@ func TestTracerConcurrentMixedUse(t *testing.T) {
 				case 1:
 					tr.HookDecision(&hook, fileOpen, w, w, noOpinion, 0, nil, Now())
 				case 2:
-					tr.CountDecisionRef(nil, "FileOpen", "apparmor", "no-opinion")
+					tr.CountDecisionRef(nil, fileOpen, Intern("apparmor"), noOpinion)
 				case 3:
 					// Writers intern rule names concurrently with
 					// snapshots decoding them.
@@ -387,11 +387,11 @@ func TestShardedCountersExact(t *testing.T) {
 			defer wg.Done()
 			own := fmt.Sprintf("writer-%d", w)
 			for i := 0; i < bumps; i++ {
-				tr.CountDecisionRef(nil, "Shared", "module", "grant")
-				tr.CountDecisionRef(nil, "Private", own, "grant")
+				tr.CountDecisionRef(nil, Intern("Shared"), Intern("module"), Intern("grant"))
+				tr.CountDecisionRef(nil, Intern("Private"), Intern(own), Intern("grant"))
 				if i%100 == 0 {
 					// New keys force COW snapshot publication mid-run.
-					tr.CountDecisionRef(nil, "Churn", own, fmt.Sprintf("d%d", i))
+					tr.CountDecisionRef(nil, Intern("Churn"), Intern(own), Intern(fmt.Sprintf("d%d", i)))
 				}
 			}
 		}()

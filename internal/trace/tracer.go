@@ -37,25 +37,41 @@ type CounterKey struct {
 // histogram slot for. The kernel's syscall catalog must fit in it.
 const MaxSyscalls = 64
 
-// Histogram groups: stats keys are "<group>:<name>".
+// keyGroup namespaces a histogram's or a counter's key: stats keys read
+// "<group>:<name>", and so does every counter hook but an LSM decision's,
+// which is bare.
+type keyGroup uint8
+
+// Key groups.
 const (
-	groupSyscall  = "syscall"
-	groupLSM      = "lsm"
-	groupMonitord = "monitord"
+	groupSyscall keyGroup = iota
+	groupLSM
+	groupMonitord
+	groupNetfilter
+	groupAuth
+	groupFault
 )
 
-// Symbols of the auth outcomes.
+// groupNames are the groups as keys spell them.
+var groupNames = [...]string{groupSyscall: "syscall", groupLSM: "lsm", groupMonitord: "monitord",
+	groupNetfilter: "netfilter", groupAuth: "auth", groupFault: "fault"}
+
+// Symbols of the auth outcomes, of the chain policy's pseudo-rule and of
+// a fault's counted decision.
 var (
-	symOK   = Intern("ok")
-	symFail = Intern("fail")
+	symOK       = Intern("ok")
+	symFail     = Intern("fail")
+	symPolicy   = Intern("(policy)")
+	symInjected = Intern("injected")
 )
 
-// keyedHist is one histogram, its (group, name) key and the name's
-// symbol.
+// keyedHist is one histogram and its (group, name) key, the name as a
+// symbol. It holds no pointer, so a fresh tracer's first use of a key
+// costs one allocation the garbage collector never scans.
 type keyedHist struct {
-	group, name string
-	sym         Sym
-	h           Histogram
+	h     Histogram
+	name  Sym
+	group keyGroup
 }
 
 // fastpathEntry is one registered fast-path counter.
@@ -171,15 +187,15 @@ func (tr *Tracer) SyscallEnter(name string, pid, uid int) SyscallToken {
 	if tr == nil {
 		return SyscallToken{}
 	}
-	kh := tr.histogram(groupSyscall, name)
-	return tr.syscallEnter(&kh.h, kh.sym, pid, uid)
+	sym := Intern(name)
+	return tr.syscallEnter(&tr.histogram(groupSyscall, sym).h, sym, pid, uid)
 }
 
 // SyscallEnterNo is SyscallEnter for syscall number no (the kernel's
 // Sysno) named by the symbol name: the histogram comes from the tracer's
 // slot for no, resolved on the number's first use, so a repeat syscall
 // takes no lock and compares no key. Numbers outside [0, MaxSyscalls)
-// fall back to the name.
+// look the histogram up by name.
 func (tr *Tracer) SyscallEnterNo(no int, name Sym, pid, uid int) SyscallToken {
 	if tr == nil {
 		return SyscallToken{}
@@ -188,7 +204,7 @@ func (tr *Tracer) SyscallEnterNo(no int, name Sym, pid, uid int) SyscallToken {
 	if uint(no) < MaxSyscalls {
 		h = tr.histogramRef(&tr.sys[no], groupSyscall, name)
 	} else {
-		h = &tr.histogram(groupSyscall, name.String()).h
+		h = &tr.histogram(groupSyscall, name).h
 	}
 	return tr.syscallEnter(h, name, pid, uid)
 }
@@ -233,11 +249,11 @@ func (tr *Tracer) HookDecision(ref *HistogramRef, hook Sym, pid, uid int, decisi
 // per module consulted, independent of which module won the chain. A
 // producer that keeps the counter in ref pays one atomic add after the
 // first call; a nil ref resolves the key every time.
-func (tr *Tracer) CountDecisionRef(ref *CounterRef, hook, module, decision string) {
+func (tr *Tracer) CountDecisionRef(ref *CounterRef, hook, module, decision Sym) {
 	if tr == nil {
 		return
 	}
-	tr.count(ref, "", hook, module, decision)
+	tr.count(ref, counterKey{hook: hook, module: module, decision: decision, group: groupLSM})
 }
 
 // NetfilterVerdictRef records an OUTPUT-chain verdict; rule is the
@@ -247,16 +263,14 @@ func (tr *Tracer) NetfilterVerdictRef(ref *CounterRef, chain, rule, verdict stri
 	if tr == nil {
 		return
 	}
-	tr.emit(&record{kind: KindNetfilterVerdict, name: Intern(chain), uid: int32(senderUID),
-		module: Intern(rule), decision: Intern(verdict), time: Now()}, "")
-	tr.count(ref, "netfilter", chain, ruleOrPolicy(rule), verdict)
-}
-
-func ruleOrPolicy(rule string) string {
-	if rule == "" {
-		return "(policy)"
+	rec := record{kind: KindNetfilterVerdict, name: Intern(chain), uid: int32(senderUID),
+		module: Intern(rule), decision: Intern(verdict), time: Now()}
+	tr.emit(&rec, "")
+	key := counterKey{hook: rec.name, module: rec.module, decision: rec.decision, group: groupNetfilter}
+	if key.module == 0 {
+		key.module = symPolicy
 	}
-	return rule
+	tr.count(ref, key)
 }
 
 // MonitordSync stamps one monitoring-daemon reparse/push cycle that began
@@ -265,11 +279,11 @@ func (tr *Tracer) MonitordSync(target string, start time.Duration, err error) {
 	if tr == nil {
 		return
 	}
-	kh := tr.histogram(groupMonitord, target)
+	name := Intern(target)
 	now := Now()
-	rec := record{kind: KindMonitordSync, name: kh.sym, lat: now - start, time: now}
+	rec := record{kind: KindMonitordSync, name: name, lat: now - start, time: now}
 	tr.emit(&rec, rec.setErr(err))
-	kh.h.Observe(rec.lat)
+	tr.histogram(groupMonitord, name).h.Observe(rec.lat)
 }
 
 // AuthCheckRef records an authentication-service check: mechanism is
@@ -287,7 +301,7 @@ func (tr *Tracer) AuthCheckRef(ref *CounterRef, mechanism, subject string, pid, 
 	rec := record{kind: KindAuthCheck, pid: int32(pid), uid: int32(uid),
 		module: Intern(mechanism), decision: outcome, time: Now()}
 	tr.emit(&rec, rec.withText(textName, subject))
-	tr.count(ref, "auth", mechanism, mechanism, outcome.String())
+	tr.count(ref, counterKey{hook: rec.module, module: rec.module, decision: outcome, group: groupAuth})
 }
 
 // FaultInject records one deliberate fault injection: site is the
@@ -302,7 +316,7 @@ func (tr *Tracer) FaultInject(site, action string, e errno.Errno, hit uint64) {
 	rec := record{kind: KindFaultInject, name: Intern(site), module: Intern(action),
 		errno: int32(e), time: Now()}
 	tr.emit(&rec, rec.withText(textMsg, "hit="+strconv.FormatUint(hit, 10)))
-	tr.count(nil, "fault", site, action, "injected")
+	tr.count(nil, counterKey{hook: rec.name, module: rec.module, decision: symInjected, group: groupFault})
 }
 
 // Audit emits a legacy audit line as a structured event.
@@ -323,18 +337,19 @@ type HistogramRef struct {
 
 // histogramRef returns ref's histogram, resolving (group, name) on first
 // use.
-func (tr *Tracer) histogramRef(ref *HistogramRef, group string, name Sym) *Histogram {
+func (tr *Tracer) histogramRef(ref *HistogramRef, group keyGroup, name Sym) *Histogram {
 	if h := ref.p.Load(); h != nil {
 		return h
 	}
-	h := &tr.histogram(group, name.String()).h
+	h := &tr.histogram(group, name).h
 	ref.p.Store(h)
 	return h
 }
 
 // histogram returns the (group, name) histogram's entry, creating it on
-// first use.
-func (tr *Tracer) histogram(group, name string) *keyedHist {
+// first use. The key is two integers: finding it compares no string, and
+// creating it interns nothing.
+func (tr *Tracer) histogram(group keyGroup, name Sym) *keyedHist {
 	tr.histMu.RLock()
 	kh := findHist(tr.hists, group, name)
 	tr.histMu.RUnlock()
@@ -344,13 +359,13 @@ func (tr *Tracer) histogram(group, name string) *keyedHist {
 	tr.histMu.Lock()
 	defer tr.histMu.Unlock()
 	if kh = findHist(tr.hists, group, name); kh == nil {
-		kh = &keyedHist{group: group, name: name, sym: Intern(name)}
+		kh = &keyedHist{group: group, name: name}
 		tr.hists = append(tr.hists, kh)
 	}
 	return kh
 }
 
-func findHist(hs []*keyedHist, group, name string) *keyedHist {
+func findHist(hs []*keyedHist, group keyGroup, name Sym) *keyedHist {
 	for _, kh := range hs {
 		if kh.name == name && kh.group == group {
 			return kh
@@ -382,9 +397,15 @@ func (tr *Tracer) HookHistogram(hook string) HistStats {
 	return tr.histStats(groupLSM, hook)
 }
 
-func (tr *Tracer) histStats(group, name string) HistStats {
+// histStats returns the (group, name) histogram's stats; a name never
+// interned has none, and looking it up interns nothing.
+func (tr *Tracer) histStats(group keyGroup, name string) HistStats {
+	sym, ok := lookup(name)
+	if !ok {
+		return HistStats{}
+	}
 	tr.histMu.RLock()
-	kh := findHist(tr.hists, group, name)
+	kh := findHist(tr.hists, group, sym)
 	tr.histMu.RUnlock()
 	if kh == nil {
 		return HistStats{}
@@ -397,9 +418,10 @@ func (tr *Tracer) Histograms() map[string]HistStats {
 	tr.histMu.RLock()
 	hists := append([]*keyedHist(nil), tr.hists...)
 	tr.histMu.RUnlock()
+	syms := symbolList()
 	out := make(map[string]HistStats, len(hists))
 	for _, kh := range hists {
-		out[kh.group+":"+kh.name] = kh.h.Stats()
+		out[groupNames[kh.group]+":"+syms[kh.name]] = kh.h.Stats()
 	}
 	return out
 }
@@ -408,9 +430,10 @@ func (tr *Tracer) Histograms() map[string]HistStats {
 func (tr *Tracer) Counters() map[CounterKey]uint64 {
 	tr.ctrMu.RLock()
 	defer tr.ctrMu.RUnlock()
+	syms := symbolList() // under the lock: every listed key is in it
 	out := make(map[CounterKey]uint64, len(tr.counters))
 	for _, c := range tr.counters {
-		out[c.key] = c.n.Load()
+		out[c.key.public(syms)] = c.n.Load()
 	}
 	return out
 }

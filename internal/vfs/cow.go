@@ -15,6 +15,7 @@ package vfs
 
 import (
 	"maps"
+	"slices"
 
 	"protego/internal/errno"
 )
@@ -52,10 +53,10 @@ func sealTree(ino *Inode) {
 // Clone returns a new FS sharing this file system's sealed inode tree.
 // The FS must be frozen first. The clone starts with a fresh empty
 // dcache, no watches, no fault injector, and private copies of the mount
-// table and the saved mount-point directories; inodes stay shared until
-// either side writes, at which point the writer copies the affected path
-// up into private inodes. Its parse memo reads this one's entries in place
-// and keeps its own apart.
+// table, the saved mount-point directories and the proc table; inodes
+// stay shared until either side writes, at which point the writer copies
+// the affected path up into private inodes. Its parse memo reads this
+// one's entries in place and keeps its own apart.
 func (fs *FS) Clone() *FS {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -64,6 +65,7 @@ func (fs *FS) Clone() *FS {
 		nextIno:   fs.nextIno,
 		mountSave: make(map[string][]savedDir, len(fs.mountSave)),
 		memo:      Memo{image: &fs.memo},
+		procs:     slices.Clone(fs.procs),
 	}
 	c.cow.Store(true)
 	c.dcache.init()
@@ -105,8 +107,7 @@ func (ino *Inode) cowCopy() *Inode {
 		Major:   ino.Major,
 		Minor:   ino.Minor,
 		DevType: ino.DevType,
-		ReadFn:  ino.ReadFn,
-		WriteFn: ino.WriteFn,
+		proc:    ino.proc,
 		Mtime:   ino.Mtime,
 	}
 	if ino.children != nil {
@@ -204,24 +205,4 @@ func (fs *FS) BreakSealInode(path string, ino *Inode) *Inode {
 	// The entry is gone or replaced since open (or the FS is somehow not
 	// in COW mode): privatize the inode itself, off-tree.
 	return ino.cowCopy()
-}
-
-// RebindProc replaces the proc handlers of an existing synthetic inode
-// (file or directory). Machine cloning uses it to point shared proc
-// inodes at the clone's own kernel objects; on a COW file system the
-// inode is privatized first so the parent's handlers stay untouched.
-func (fs *FS) RebindProc(path string, read ProcReadFunc, write ProcWriteFunc) error {
-	clean := CleanPath(path, "/")
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.cowWriteLocked(clean, true)
-	// A plain walk: rebinding is machine setup, not a lookup worth caching.
-	ino, err := fs.resolve(RootCred, clean, true, 0)
-	if err != nil {
-		return err
-	}
-	ino.ReadFn = read
-	ino.WriteFn = write
-	fs.moved() // a file with no handlers left is no longer synthetic
-	return nil
 }

@@ -98,3 +98,60 @@ func TestBreakSealInodeReplaced(t *testing.T) {
 		t.Fatalf("fd write landed on the file now occupying the path: %q", data)
 	}
 }
+
+// TestRebindProcPerClone: a clone binds its own handlers to a proc file
+// it shares with its parent in its own proc table, so the inode stays
+// sealed and shared and each side reads its own; clearing both handlers
+// turns the clone's file into a plain one, copied up, and moves the
+// generation, while the parent's stays synthetic.
+func TestRebindProcPerClone(t *testing.T) {
+	fs := New()
+	text := func(s string) ProcReadFunc { return func(Cred) ([]byte, error) { return []byte(s), nil } }
+	if _, err := fs.CreateProc("/knob", 0o644, text("parent"), nil); err != nil {
+		t.Fatal(err)
+	}
+	fs.Freeze()
+	clone := fs.Clone()
+	shared, err := clone.Lookup(RootCred, "/knob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clone.RebindProc("/knob", text("clone"), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		name string
+		fs   *FS
+		want string
+	}{{"parent", fs, "parent"}, {"clone", clone, "clone"}} {
+		ino, err := side.fs.Lookup(RootCred, "/knob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ino != shared || !ino.Sealed() {
+			t.Errorf("%s: rebinding copied the proc inode up", side.name)
+		}
+		if got, err := side.fs.ReadFile(RootCred, "/knob"); err != nil || string(got) != side.want {
+			t.Errorf("%s reads %q, %v, want %q", side.name, got, err, side.want)
+		}
+	}
+
+	gen := clone.Generation()
+	if err := clone.RebindProc("/knob", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	ino, err := clone.Lookup(RootCred, "/knob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ino.IsProc() || ino == shared || clone.Generation() == gen {
+		t.Errorf("cleared handlers: proc %v, shared inode %v, generation moved %v; want a plain private copy and a move",
+			ino.IsProc(), ino == shared, clone.Generation() != gen)
+	}
+	if !shared.IsProc() {
+		t.Error("the parent's shared inode lost its handlers")
+	}
+	if got, err := fs.ReadFile(RootCred, "/knob"); err != nil || string(got) != "parent" {
+		t.Errorf("parent reads %q, %v after the clone cleared its handlers", got, err)
+	}
+}

@@ -49,6 +49,10 @@ type FS struct {
 	// memo keeps the parses of the policy files this FS holds (see
 	// memo.go); a clone falls back to its image's.
 	memo Memo
+
+	// procs is the proc table: the handlers of the synthetic files, which
+	// a proc inode indexes (see proc.go). Clone copies it. Guarded by mu.
+	procs []procHandlers
 }
 
 type savedDir struct {
@@ -342,29 +346,6 @@ func (fs *FS) Mknod(c Cred, path string, devType DeviceType, major, minor int, m
 	return ino, nil
 }
 
-// CreateProc installs a synthetic file with the given read/write handlers.
-// Used by the kernel to expose the /proc policy interface of Figure 1.
-func (fs *FS) CreateProc(path string, mode Mode, read ProcReadFunc, write ProcWriteFunc) (*Inode, error) {
-	fs.mu.Lock()
-	fs.cowWriteLocked(path, false)
-	parent, base, err := fs.lookupParent(RootCred, path)
-	if err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	if _, exists := parent.children[base]; exists {
-		fs.mu.Unlock()
-		return nil, errno.EEXIST
-	}
-	ino := fs.newInode(TypeRegular|mode.Perm(), 0, 0)
-	ino.ReadFn = read
-	ino.WriteFn = write
-	parent.children[base] = ino
-	fs.moved()
-	fs.mu.Unlock()
-	return ino, nil
-}
-
 // ReadFile returns the contents of the file at path, enforcing read
 // permission along the way. Proc files call their read handler.
 func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
@@ -383,8 +364,8 @@ func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
 	if err := checkPerm(c, ino, MayRead); err != nil {
 		return nil, err
 	}
-	if ino.ReadFn != nil {
-		return ino.ReadFn(c)
+	if read, _ := fs.ProcHandlers(ino); read != nil {
+		return read(c)
 	}
 	return ino.Contents(), nil
 }
@@ -432,8 +413,8 @@ func (fs *FS) writeInode(c Cred, ino *Inode, clean string, data []byte, app bool
 	if err := fs.CheckReadOnly(ino); err != nil {
 		return err
 	}
-	if ino.WriteFn != nil {
-		return ino.WriteFn(c, data)
+	if _, write := fs.ProcHandlers(ino); write != nil {
+		return write(c, data)
 	}
 	if ino.sealed.Load() {
 		// Snapshot-shared inode: privatize the path before touching Data.

@@ -34,16 +34,6 @@ const (
 	BlockDevice
 )
 
-// ProcReadFunc produces the dynamic contents of a proc-style file. The
-// credential of the reading task is supplied so the handler can refuse
-// sensitive reads.
-type ProcReadFunc func(c Cred) ([]byte, error)
-
-// ProcWriteFunc consumes data written to a proc-style file — this is how the
-// Protego monitoring daemon and administrators configure the in-kernel
-// policy, exactly as in the paper's Figure 1.
-type ProcWriteFunc func(c Cred, data []byte) error
-
 // Inode is a file system object. All field access is serialized through the
 // owning FS's lock except where noted.
 type Inode struct {
@@ -63,10 +53,12 @@ type Inode struct {
 	Major, Minor int
 	DevType      DeviceType
 
-	// Proc handlers make this inode a synthetic file; reads and writes
-	// are redirected to the handlers and Data is unused.
-	ReadFn  ProcReadFunc
-	WriteFn ProcWriteFunc
+	// proc makes this inode a synthetic file when non-zero: it is one
+	// plus the index of the file's handlers in the proc table of the FS
+	// the inode is reached through (see FS.ProcHandlers), where reads and
+	// writes are redirected, and Data is unused. The inode holds an index,
+	// not the handlers, so clones that share it each bind their own.
+	proc uint32
 
 	// Mtime is the last modification time (sudo's timestamp files read
 	// it).
@@ -181,7 +173,7 @@ func (ino *Inode) Contents() []byte {
 }
 
 // IsProc reports whether the inode is a synthetic (proc-style) file.
-func (ino *Inode) IsProc() bool { return ino.ReadFn != nil || ino.WriteFn != nil }
+func (ino *Inode) IsProc() bool { return ino.proc != 0 }
 
 // childNames returns the sorted names of directory entries.
 func (ino *Inode) childNames() []string {

@@ -44,15 +44,15 @@ func (m *Machine) Snapshot() *Snapshot {
 	return s
 }
 
-// Clone builds an independent machine from the snapshot. The kernel,
-// task table, credentials, netstack, and netfilter table are deep-copied;
-// the file system is shared copy-on-write; the LSM stack (AppArmor, and
-// on Protego the core module with its policy state) is recreated against
-// the clone with the parent's policies; the /proc/trace and
-// /proc/protego interfaces are rebound to the clone's own objects, while
-// the device handlers, which reach their machine through the calling
-// task, are shared. At clone time the new machine's Fingerprint equals
-// the parent's.
+// Clone builds an independent machine from the snapshot (see
+// kernel.Kernel.Clone for what the kernel copies and shares); the file
+// system is shared copy-on-write; the LSM stack (AppArmor, and on Protego
+// the core module with its policy state) is recreated against the clone
+// with the parent's policies; the /proc/trace and /proc/protego files are
+// bound to the clone's own objects in its file system's proc table, with
+// no inode copied up, while the device handlers, which reach their
+// machine through the calling task, are shared. At clone time the new
+// machine's Fingerprint equals the parent's.
 func (s *Snapshot) Clone() (*Machine, error) {
 	p := s.src
 	k := p.K.Clone()

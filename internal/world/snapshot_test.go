@@ -532,9 +532,12 @@ func cloneWorkload(m *Machine, sess *kernel.Task, marker string) error {
 }
 
 // TestCloneAllocs: stamping a machine from the golden image must cost at
-// most a tenth of the allocations of a fresh Build. Allocation counts are
-// deterministic, unlike a wall-clock clone-rate ratio.
+// most a tenth of the allocations of a fresh Build, and no more than the
+// image's ceiling: a clone copies up no inode to bind its /proc handlers
+// and shares the netfilter rules. Allocation counts are deterministic,
+// unlike a wall-clock clone-rate ratio.
 func TestCloneAllocs(t *testing.T) {
+	ceiling := map[kernel.Mode]float64{kernel.ModeLinux: 42, kernel.ModeProtego: 66}
 	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
 		t.Run(mode.String(), func(t *testing.T) {
 			snap, err := Golden(mode)
@@ -554,6 +557,9 @@ func TestCloneAllocs(t *testing.T) {
 			t.Logf("allocs: clone %.0f, build %.0f", clone, build)
 			if clone*10 > build {
 				t.Fatalf("clone allocates %.0f, more than a tenth of Build's %.0f", clone, build)
+			}
+			if clone > ceiling[mode] {
+				t.Fatalf("clone allocates %.0f, more than the ceiling of %.0f", clone, ceiling[mode])
 			}
 		})
 	}
