@@ -91,7 +91,7 @@ func (m *Module) profileFor(t lsm.Task) *Profile {
 }
 
 // FileOpen denies writes outside the profile's write set.
-func (m *Module) FileOpen(t lsm.Task, req *lsm.OpenRequest) (lsm.Decision, error) {
+func (m *Module) FileOpen(t lsm.Task, req lsm.OpenRequest) (lsm.Decision, error) {
 	p := m.profileFor(t)
 	if p == nil || !req.Write {
 		return lsm.NoOpinion, nil

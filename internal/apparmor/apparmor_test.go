@@ -35,7 +35,7 @@ func confinedMount() *Profile {
 func TestUnconfinedNoOpinion(t *testing.T) {
 	m := New()
 	task := &aaTask{binary: "/bin/anything"}
-	d, err := m.FileOpen(task, &lsm.OpenRequest{Path: "/etc/shadow", Write: true})
+	d, err := m.FileOpen(task, lsm.OpenRequest{Path: "/etc/shadow", Write: true})
 	if d != lsm.NoOpinion || err != nil {
 		t.Fatalf("unconfined: %v %v", d, err)
 	}
@@ -46,22 +46,22 @@ func TestConfinedWriteDenied(t *testing.T) {
 	m.LoadProfile(confinedMount())
 	task := &aaTask{binary: "/bin/mount"}
 	// Outside the write set.
-	d, err := m.FileOpen(task, &lsm.OpenRequest{Path: "/etc/passwd", Write: true})
+	d, err := m.FileOpen(task, lsm.OpenRequest{Path: "/etc/passwd", Write: true})
 	if d != lsm.Deny || err == nil {
 		t.Fatalf("outside write set: %v %v", d, err)
 	}
 	// Deny list beats write list.
-	d, _ = m.FileOpen(task, &lsm.OpenRequest{Path: "/etc/shadow", Write: true})
+	d, _ = m.FileOpen(task, lsm.OpenRequest{Path: "/etc/shadow", Write: true})
 	if d != lsm.Deny {
 		t.Fatal("deny list ignored")
 	}
 	// Inside the write set.
-	d, _ = m.FileOpen(task, &lsm.OpenRequest{Path: "/var/log/syslog", Write: true})
+	d, _ = m.FileOpen(task, lsm.OpenRequest{Path: "/var/log/syslog", Write: true})
 	if d != lsm.NoOpinion {
 		t.Fatal("allowed write denied")
 	}
 	// Reads are unconstrained by this profile.
-	d, _ = m.FileOpen(task, &lsm.OpenRequest{Path: "/etc/passwd", Write: false})
+	d, _ = m.FileOpen(task, lsm.OpenRequest{Path: "/etc/passwd", Write: false})
 	if d != lsm.NoOpinion {
 		t.Fatal("read denied")
 	}
@@ -94,7 +94,7 @@ func TestComplainMode(t *testing.T) {
 	p.Complain = true
 	m.LoadProfile(p)
 	task := &aaTask{binary: "/bin/mount"}
-	d, _ := m.FileOpen(task, &lsm.OpenRequest{Path: "/etc/passwd", Write: true})
+	d, _ := m.FileOpen(task, lsm.OpenRequest{Path: "/etc/passwd", Write: true})
 	if d != lsm.NoOpinion {
 		t.Fatal("complain mode enforced")
 	}
@@ -114,7 +114,7 @@ func TestProfileManagement(t *testing.T) {
 		t.Fatal("profile not removed")
 	}
 	task := &aaTask{binary: "/bin/mount"}
-	d, _ := m.FileOpen(task, &lsm.OpenRequest{Path: "/etc/passwd", Write: true})
+	d, _ := m.FileOpen(task, lsm.OpenRequest{Path: "/etc/passwd", Write: true})
 	if d != lsm.NoOpinion {
 		t.Fatal("removed profile still enforced")
 	}
@@ -124,11 +124,11 @@ func TestEmptyWriteSetUnrestricted(t *testing.T) {
 	m := New()
 	m.LoadProfile(&Profile{Binary: "/bin/ping", DenyWritePaths: []string{"/etc"}})
 	task := &aaTask{binary: "/bin/ping"}
-	d, _ := m.FileOpen(task, &lsm.OpenRequest{Path: "/tmp/x", Write: true})
+	d, _ := m.FileOpen(task, lsm.OpenRequest{Path: "/tmp/x", Write: true})
 	if d != lsm.NoOpinion {
 		t.Fatal("empty write set should be unrestricted outside deny list")
 	}
-	d, _ = m.FileOpen(task, &lsm.OpenRequest{Path: "/etc/hosts", Write: true})
+	d, _ = m.FileOpen(task, lsm.OpenRequest{Path: "/etc/hosts", Write: true})
 	if d != lsm.Deny {
 		t.Fatal("deny list not applied")
 	}

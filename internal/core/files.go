@@ -18,7 +18,7 @@ import (
 //   - Shadow reauthentication: reading a per-user shadow fragment
 //     (/etc/shadows/<user>) requires a recent authentication even by its
 //     owner, mitigating hash leaks from a compromised user process.
-func (m *Module) FileOpen(t lsm.Task, req *lsm.OpenRequest) (lsm.Decision, error) {
+func (m *Module) FileOpen(t lsm.Task, req lsm.OpenRequest) (lsm.Decision, error) {
 	// Trusted services running as root are exempt: authentication code
 	// is trusted in both systems (§5.2).
 	if t.EUID() == 0 {

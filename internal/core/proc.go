@@ -146,18 +146,7 @@ func (m *Module) readDelegation(vfs.Cred) ([]byte, error) {
 	if s == nil {
 		return []byte("# no delegation policy loaded\n"), nil
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %d rules, timeout %s\n", len(s.Rules), s.TimestampTimeout)
-	for i := range s.Rules {
-		r := &s.Rules[i]
-		tag := ""
-		if r.NoPasswd {
-			tag = "NOPASSWD: "
-		}
-		fmt.Fprintf(&b, "%s %s = (%s) %s%s\n", r.User, r.Host,
-			strings.Join(r.RunAs, ","), tag, strings.Join(r.Commands, ", "))
-	}
-	return []byte(b.String()), nil
+	return []byte(s.String()), nil
 }
 
 // writeDelegation replaces the delegation policy with sudoers text (the

@@ -86,8 +86,9 @@ func (t *Task) cloneInto(c *Kernel, fdMap map[*FileDesc]*FileDesc) *Task {
 	for fd, f := range t.fds {
 		nf, ok := fdMap[f]
 		if !ok {
-			cp := *f
-			nf = &cp
+			f.mu.Lock()
+			nf = &FileDesc{Ino: f.Ino, Path: f.Path, Flags: f.Flags, Pos: f.Pos, CloseOnExec: f.CloseOnExec}
+			f.mu.Unlock()
 			fdMap[f] = nf
 		}
 		nt.fds[fd] = nf

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"sync"
+
 	"protego/internal/errno"
 	"protego/internal/lsm"
 	"protego/internal/vfs"
@@ -17,8 +19,11 @@ const (
 	O_CLOEXEC = 0x80000
 )
 
-// FileDesc is an open file description.
+// FileDesc is an open file description. Ino and Pos change under mu,
+// which, like Linux's f_pos_lock, a read or write through the
+// description holds throughout, and which a machine clone's copy takes.
 type FileDesc struct {
+	mu          sync.Mutex
 	Ino         *vfs.Inode
 	Path        string
 	Flags       int
@@ -39,27 +44,62 @@ func (k *Kernel) lookupPath(t *Task, creds *Credentials, path string) (string, *
 	return clean, ino, err
 }
 
-// fileOpenHook consults the LSM FileOpen hook, combining its decision with
-// the DAC outcome: Grant overrides a DAC failure, Deny overrides a DAC
-// success.
-func (k *Kernel) fileOpenHook(t *Task, path string, ino *vfs.Inode, write bool, dacErr error) error {
-	req := &lsm.OpenRequest{
-		Path:       path,
-		Write:      write,
-		OwnerUID:   ino.UID,
-		Mode:       uint32(ino.Mode),
-		DACAllowed: dacErr == nil,
+// openFile is the one open decision, which Open, ReadFile, WriteFile and
+// AppendFile share. It resolves path with the trailing-slash rule. A
+// missing file with O_CREAT is put to the FileOpen hook before it exists,
+// as Linux asks security_path_mknod, so a denied create leaves nothing
+// behind, and is then created, with no further check. An existing file
+// passes the directory rule, a read-only mount and DAC (vfs.MayOpen) and
+// then the hook. It returns the cleaned path, the inode, and whether the
+// open created it.
+func (k *Kernel) openFile(t *Task, creds *Credentials, path string, flags int) (string, *vfs.Inode, bool, error) {
+	clean, ino, err := k.lookupPath(t, creds, path)
+	if errno.Is(err, errno.ENOENT) && flags&O_CREAT != 0 {
+		if vfs.NamesDir(path) {
+			return "", nil, false, errno.EISDIR
+		}
+		req := lsm.OpenRequest{Path: clean, Write: true, OwnerUID: creds.FUID, Mode: uint32(vfs.TypeRegular | 0o644)}
+		if err := k.fileOpenHook(t, req, nil); err != nil {
+			return "", nil, false, err
+		}
+		ino, err = k.FS.Create(creds, clean, 0o644, creds.FUID, creds.FGID)
+		return clean, ino, err == nil, err
 	}
+	if err != nil {
+		return "", nil, false, err
+	}
+	// O_TRUNC asks for write permission, as Linux adds MAY_WRITE for it;
+	// O_APPEND alone asks for none.
+	write := flags&(O_WRONLY|O_RDWR|O_TRUNC) != 0
+	var want int
+	if write {
+		want = vfs.MayWrite
+	}
+	if flags&O_RDWR != 0 || flags&0x3 == O_RDONLY {
+		want |= vfs.MayRead
+	}
+	dacErr, err := k.FS.MayOpen(creds, ino, want)
+	if err != nil {
+		return "", nil, false, err
+	}
+	req := lsm.OpenRequest{Path: clean, Write: write, OwnerUID: ino.UID, Mode: uint32(ino.Mode)}
+	return clean, ino, false, k.fileOpenHook(t, req, dacErr)
+}
+
+// fileOpenHook consults the LSM FileOpen hook on req, combining its
+// decision with dacErr, the DAC outcome: Deny overrides a DAC success,
+// and Grant overrides a DAC failure of a read only.
+func (k *Kernel) fileOpenHook(t *Task, req lsm.OpenRequest, dacErr error) error {
+	req.DACAllowed = dacErr == nil
 	dec, err := k.LSM.FileOpen(t, req)
-	switch dec {
-	case lsm.Deny:
-		k.Auditf("open denied by lsm: pid=%d uid=%d path=%s", t.PID(), t.UID(), path)
+	switch {
+	case dec == lsm.Deny:
+		k.Auditf("open denied by lsm: pid=%d uid=%d path=%s", t.PID(), t.UID(), req.Path)
 		return denyErr(err, errno.EACCES)
-	case lsm.Grant:
+	case dec == lsm.Grant && !req.Write:
 		return nil
-	default:
-		return dacErr
 	}
+	return dacErr
 }
 
 // Open opens path and installs a descriptor in the task's fd table.
@@ -70,43 +110,16 @@ func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
 		return -1, err
 	}
 	creds := t.credsRef()
-	clean, ino, err := k.lookupPath(t, creds, path)
-	if errno.Is(err, errno.ENOENT) && flags&O_CREAT != 0 {
-		if vfs.NamesDir(path) {
-			return -1, errno.EISDIR
-		}
-		ino, err = k.FS.Create(creds, clean, 0o644, creds.FUID, creds.FGID)
-		if err != nil {
-			return -1, err
-		}
-	} else if err != nil {
+	clean, ino, created, err := k.openFile(t, creds, path, flags)
+	if err != nil {
 		return -1, err
 	}
-	// O_TRUNC asks for write permission, as Linux adds MAY_WRITE for it;
-	// O_APPEND alone asks for none.
-	write := flags&(O_WRONLY|O_RDWR|O_TRUNC) != 0
-	if ino.Mode.IsDir() && write {
-		return -1, errno.EISDIR
-	}
-	var want int
-	if write {
-		if err := k.FS.CheckReadOnly(ino); err != nil {
+	// As on Linux, O_TRUNC empties only a regular file that was there
+	// before the open; a synthetic file keeps its handlers' state.
+	if flags&O_TRUNC != 0 && !created && ino.Mode.IsRegular() && !ino.IsProc() {
+		if ino, _, err = k.FS.WriteData(creds, clean, ino, 0, nil, true); err != nil {
 			return -1, err
 		}
-		want = vfs.MayWrite
-	}
-	if flags&O_RDWR != 0 || flags&0x3 == O_RDONLY {
-		want |= vfs.MayRead
-	}
-	dacErr := vfs.CheckAccess(creds, ino, want)
-	if err := k.fileOpenHook(t, clean, ino, write, dacErr); err != nil {
-		return -1, err
-	}
-	if flags&O_TRUNC != 0 && ino.Mode.IsRegular() && !ino.IsProc() {
-		// A sealed inode is shared with a snapshot: truncate a private
-		// copy, never the shared one.
-		ino = k.FS.BreakSealInode(clean, ino)
-		k.FS.Truncate(creds, ino)
 	}
 	desc := &FileDesc{
 		Ino:         ino,
@@ -133,7 +146,9 @@ func (t *Task) fdesc(fd int) (*FileDesc, error) {
 	return f, nil
 }
 
-// Read reads up to n bytes from the descriptor.
+// Read reads up to n bytes from the descriptor's position, of a
+// synthetic file's rendering as of a file's data, and advances the
+// position past them; nil at the end.
 func (k *Kernel) Read(t *Task, fd, n int) (buf []byte, err error) {
 	tok, err := k.enter(t, SysRead)
 	defer func() { k.Trace.SyscallExit(tok, err) }()
@@ -147,15 +162,16 @@ func (k *Kernel) Read(t *Task, fd, n int) (buf []byte, err error) {
 	if f.Flags&0x3 == O_WRONLY {
 		return nil, errno.EBADF
 	}
-	if read, _ := k.FS.ProcHandlers(f.Ino); read != nil {
-		return read(t.credsRef())
-	}
-	out := f.Ino.ReadAt(f.Pos, n) // nil at EOF
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out, err := k.FS.ReadData(t.credsRef(), f.Ino, f.Pos, n)
 	f.Pos += len(out)
-	return out, nil
+	return out, err
 }
 
-// Write writes data at the descriptor's position (or appends with O_APPEND).
+// Write writes data at the descriptor's position (or appends with
+// O_APPEND) and moves the position past it. A write to a synthetic file
+// goes to its handler and leaves the position where it is.
 func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
 	tok, err := k.enter(t, SysWrite)
 	defer func() { k.Trace.SyscallExit(tok, err) }()
@@ -169,20 +185,22 @@ func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
 	if f.Flags&0x3 == O_RDONLY {
 		return 0, errno.EBADF
 	}
-	if _, write := k.FS.ProcHandlers(f.Ino); write != nil {
-		if err := write(t.credsRef(), data); err != nil {
-			return 0, err
-		}
-		return len(data), nil
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	off := f.Pos
+	if f.Flags&O_APPEND != 0 {
+		off = -1
 	}
-	if f.Ino.Sealed() {
-		// The descriptor's inode is shared with a snapshot; rebind to a
-		// private copy before mutating file data. When the path entry was
-		// unlinked or replaced since open (open-unlink-write), the copy is
-		// anonymous and the write stays fd-local.
-		f.Ino = k.FS.BreakSealInode(f.Path, f.Ino)
+	// A descriptor whose inode is shared with a snapshot is rebound to the
+	// private copy, which is anonymous when the path entry was unlinked or
+	// replaced since open (open-unlink-write), so the write stays fd-local.
+	ino, end, err := k.FS.WriteData(t.credsRef(), f.Path, f.Ino, off, data, false)
+	if err != nil {
+		return 0, err
 	}
-	f.Pos = k.FS.WriteAt(t.credsRef(), f.Ino, f.Pos, data, f.Flags&O_APPEND != 0)
+	if !ino.IsProc() {
+		f.Ino, f.Pos = ino, end
+	}
 	return len(data), nil
 }
 
@@ -213,8 +231,8 @@ func (k *Kernel) Stat(t *Task, path string) (ino *vfs.Inode, err error) {
 	return ino, err
 }
 
-// ReadFile is the open+read+close convenience used by the utilities. All
-// LSM open mediation applies.
+// ReadFile is the open(O_RDONLY)+read+close convenience used by the
+// utilities, as one syscall.
 func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
 	tok, err := k.enter(t, SysReadFile)
 	defer func() { k.Trace.SyscallExit(tok, err) }()
@@ -222,30 +240,16 @@ func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
 		return nil, err
 	}
 	creds := t.credsRef()
-	clean, ino, err := k.lookupPath(t, creds, path)
+	_, ino, _, err := k.openFile(t, creds, path, O_RDONLY)
 	if err != nil {
 		return nil, err
 	}
-	// A directory with a read handler is a synthetic proc file rendered on
-	// read (e.g. /proc/trace); plain directories stay EISDIR.
-	read, _ := k.FS.ProcHandlers(ino)
-	if ino.Mode.IsDir() && read == nil {
-		return nil, errno.EISDIR
-	}
-	dacErr := vfs.CheckAccess(creds, ino, vfs.MayRead)
-	if err := k.fileOpenHook(t, clean, ino, false, dacErr); err != nil {
-		return nil, err
-	}
-	if read != nil {
-		return read(creds)
-	}
-	return ino.Contents(), nil
+	return k.FS.ReadData(creds, ino, 0, -1)
 }
 
-// WriteFile is the open+write+close convenience (creates with mode 0644
-// owned by the task's fsuid when absent). LSM open mediation applies, and
-// the write is the task's: no module grants a write DAC refuses, and a
-// write by a non-root fsuid clears the file's setuid and setgid bits.
+// WriteFile is the open(O_WRONLY|O_CREAT|O_TRUNC)+write+close
+// convenience, as one syscall: a missing file is created with mode 0644,
+// owned by the task's fsuid.
 func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
 	tok, err := k.enter(t, SysWriteFile)
 	defer func() { k.Trace.SyscallExit(tok, err) }()
@@ -253,27 +257,15 @@ func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
 		return err
 	}
 	creds := t.credsRef()
-	clean, ino, err := k.lookupPath(t, creds, path)
-	switch {
-	case errno.Is(err, errno.ENOENT):
-		if vfs.NamesDir(path) {
-			return errno.EISDIR
-		}
-	case err != nil:
-		return err
-	default:
-		dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
-		if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
-			return hookErr
-		}
-		if _, write := k.FS.ProcHandlers(ino); write != nil {
-			return write(creds, data)
-		}
+	clean, ino, _, err := k.openFile(t, creds, path, O_WRONLY|O_CREAT|O_TRUNC)
+	if err == nil {
+		_, _, err = k.FS.WriteData(creds, clean, ino, 0, data, true)
 	}
-	return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)
+	return err
 }
 
-// AppendFile appends to an existing file with LSM mediation.
+// AppendFile is the open(O_WRONLY|O_APPEND)+write+close convenience, as
+// one syscall: the file must exist.
 func (k *Kernel) AppendFile(t *Task, path string, data []byte) (err error) {
 	tok, err := k.enter(t, SysAppendFile)
 	defer func() { k.Trace.SyscallExit(tok, err) }()
@@ -281,15 +273,11 @@ func (k *Kernel) AppendFile(t *Task, path string, data []byte) (err error) {
 		return err
 	}
 	creds := t.credsRef()
-	clean, ino, err := k.lookupPath(t, creds, path)
-	if err != nil {
-		return err
+	clean, ino, _, err := k.openFile(t, creds, path, O_WRONLY|O_APPEND)
+	if err == nil {
+		_, _, err = k.FS.WriteData(creds, clean, ino, -1, data, false)
 	}
-	dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
-	if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
-		return hookErr
-	}
-	return k.FS.AppendFile(creds, clean, data)
+	return err
 }
 
 // Mkdir creates a directory owned by the task's fsuid.

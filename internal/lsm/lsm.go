@@ -189,7 +189,8 @@ type OpenRequest struct {
 	OwnerUID int
 	Mode     uint32
 	// DACAllowed reports whether discretionary access control already
-	// admits the open; a Grant decision overrides a DAC failure.
+	// admits the open; a Grant decision overrides a DAC failure of a
+	// read.
 	DACAllowed bool
 }
 
@@ -228,9 +229,11 @@ type Module interface {
 	// ExecCheck mediates execve(2); it may veto the exec or return a
 	// credential update to apply (completing a deferred setuid).
 	ExecCheck(t Task, req *ExecRequest) (*CredUpdate, error)
-	// FileOpen mediates opens: Deny blocks a DAC-admitted open, Grant
-	// admits a DAC-denied one (e.g. ssh-keysign reading the host key).
-	FileOpen(t Task, req *OpenRequest) (Decision, error)
+	// FileOpen mediates opens, and creates before the file exists: Deny
+	// blocks a DAC-admitted open, Grant admits a DAC-denied read (e.g.
+	// ssh-keysign reading the host key). The request is passed by value,
+	// so consulting the hook allocates nothing.
+	FileOpen(t Task, req OpenRequest) (Decision, error)
 	// TaskSyscall mediates syscall entry itself: the kernel consults it
 	// from the single enter() prologue before dispatching any syscall, so
 	// a module can enforce a per-task syscall allowlist (seccomp-style).
@@ -277,7 +280,7 @@ func (Base) SetgidCheck(Task, int) (Decision, error) { return NoOpinion, nil }
 func (Base) ExecCheck(Task, *ExecRequest) (*CredUpdate, error) { return nil, nil }
 
 // FileOpen has no opinion by default.
-func (Base) FileOpen(Task, *OpenRequest) (Decision, error) { return NoOpinion, nil }
+func (Base) FileOpen(Task, OpenRequest) (Decision, error) { return NoOpinion, nil }
 
 // TaskSyscall has no opinion by default.
 func (Base) TaskSyscall(Task, int, string) (Decision, error) { return NoOpinion, nil }
@@ -544,7 +547,7 @@ func (c *Chain) ExecCheck(t Task, req *ExecRequest) (*CredUpdate, error) {
 }
 
 // FileOpen runs the hook across the chain.
-func (c *Chain) FileOpen(t Task, req *OpenRequest) (Decision, error) {
+func (c *Chain) FileOpen(t Task, req OpenRequest) (Decision, error) {
 	return c.run(hookFileOpen, t, func(m Module) (Decision, error) { return m.FileOpen(t, req) })
 }
 

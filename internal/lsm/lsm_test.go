@@ -182,7 +182,7 @@ func TestBaseDefaults(t *testing.T) {
 	if u, err := b.ExecCheck(task, nil); u != nil || err != nil {
 		t.Fatal("ExecCheck default")
 	}
-	if d, _ := b.FileOpen(task, nil); d != NoOpinion {
+	if d, _ := b.FileOpen(task, OpenRequest{}); d != NoOpinion {
 		t.Fatal("FileOpen default")
 	}
 }

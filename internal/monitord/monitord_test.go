@@ -10,6 +10,7 @@ import (
 	"protego/internal/core"
 	"protego/internal/errno"
 	"protego/internal/faultinject"
+	"protego/internal/kernel"
 	"protego/internal/userspace"
 	"protego/internal/vfs"
 	"protego/internal/world"
@@ -167,31 +168,67 @@ func TestAccountRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWatcherLoopEndToEnd: however root rewrites /etc/fstab — the
+// trusted file call, the WriteFile syscall, or an O_TRUNC open and a
+// write(2) — the daemon's watch sees it, syncs the whitelist, and alice
+// can mount the newly user-mountable entry.
 func TestWatcherLoopEndToEnd(t *testing.T) {
-	m := protegoMachine(t)
-	stop := make(chan struct{})
-	m.Monitor.Start(stop)
-	defer close(stop)
+	for _, c := range []struct {
+		name    string
+		rewrite func(m *world.Machine, fstab []byte) error
+	}{
+		{"vfs.FS.WriteFile", func(m *world.Machine, fstab []byte) error {
+			return m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", fstab, 0o644, 0, 0)
+		}},
+		{"Kernel.WriteFile", func(m *world.Machine, fstab []byte) error {
+			root, err := m.Session("root")
+			if err != nil {
+				return err
+			}
+			return m.K.WriteFile(root, "/etc/fstab", fstab)
+		}},
+		{"open O_TRUNC+write", func(m *world.Machine, fstab []byte) error {
+			root, err := m.Session("root")
+			if err != nil {
+				return err
+			}
+			fd, err := m.K.Open(root, "/etc/fstab", kernel.O_WRONLY|kernel.O_TRUNC)
+			if err != nil {
+				return err
+			}
+			defer m.K.CloseFD(root, fd)
+			_, err = m.K.Write(root, fd, fstab)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := protegoMachine(t)
+			stop := make(chan struct{})
+			m.Monitor.Start(stop)
+			defer close(stop)
 
-	baseline := m.Monitor.SyncCount("mounts")
-	if err := m.K.FS.WriteFile(vfs.RootCred, "/etc/fstab", userBackupFstab(t, m), 0o644, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for m.Monitor.SyncCount("mounts") <= baseline {
-		if time.Now().After(deadline) {
-			t.Fatal("watcher never synced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The policy change is live: alice can mount the new entry.
-	alice, err := m.Session("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, _, errOut, _ := m.Run(alice, []string{userspace.BinMount, "/dev/sdc1", "/mnt/backup"}, nil)
-	if code != 0 {
-		t.Fatalf("mount after live sync: %s", errOut)
+			if err := c.rewrite(m, userBackupFstab(t, m)); err != nil {
+				t.Fatal(err)
+			}
+			// The truncation and the write are two events; wait for the
+			// sync that installs the new row.
+			deadline := time.Now().Add(2 * time.Second)
+			for m.Protego.MountRow("/dev/sdc1", "/mnt/backup") == nil {
+				if time.Now().After(deadline) {
+					t.Fatal("watcher never synced")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// The policy change is live: alice can mount the new entry.
+			alice, err := m.Session("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, _, errOut, _ := m.Run(alice, []string{userspace.BinMount, "/dev/sdc1", "/mnt/backup"}, nil)
+			if code != 0 {
+				t.Fatalf("mount after live sync: %s", errOut)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -99,6 +100,41 @@ func ParseSudoers(data string) (*Sudoers, error) {
 		}
 	}
 	return s, nil
+}
+
+// String renders the policy as sudoers text that ParseSudoers reads back
+// to an equal policy: the timestamp_timeout and env_keep defaults, the
+// alias definitions in name order, then the rules in order.
+func (s *Sudoers) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Defaults timestamp_timeout = %s\n", strconv.FormatFloat(s.TimestampTimeout.Minutes(), 'g', -1, 64))
+	fmt.Fprintf(&b, "Defaults env_keep = \"%s\"\n", strings.Join(s.EnvKeep, " "))
+	for _, a := range []struct {
+		keyword string
+		aliases map[string][]string
+	}{{"User_Alias", s.UserAliases}, {"Runas_Alias", s.RunAsAliases}, {"Cmnd_Alias", s.CmndAliases}} {
+		names := make([]string, 0, len(a.aliases))
+		for name := range a.aliases {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s %s = %s\n", a.keyword, name, strings.Join(a.aliases[name], ", "))
+		}
+	}
+	for i := range s.Rules {
+		r := &s.Rules[i]
+		fmt.Fprintf(&b, "%s %s = (%s) ", r.User, r.Host, strings.Join(r.RunAs, ", "))
+		if r.NoPasswd {
+			b.WriteString("NOPASSWD: ")
+		}
+		if r.SetEnv {
+			b.WriteString("SETENV: ")
+		}
+		b.WriteString(strings.Join(r.Commands, ", "))
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 func (s *Sudoers) parseDefaults(rest string) error {

@@ -175,18 +175,18 @@ func (fs *FS) cowWriteLocked(path string, followLast bool) {
 	}
 }
 
-// BreakSealInode returns a writable private inode for a descriptor that
-// holds ino, originally opened at path. The kernel's fd-based write path
-// uses it when a descriptor's inode is sealed (opened before a snapshot,
-// or inherited through a machine clone). If path still resolves to the
-// same inode, the copy-up happens in the tree, so path readers observe
-// the descriptor's writes. If the directory entry was removed or now
-// names a different file — the classic open-unlink-write tempfile idiom,
-// or a rename over the name — the descriptor instead gets an anonymous
-// private copy: the write stays fd-local and whatever now occupies path
-// is untouched. Either way a sealed inode is never mutated, so the
-// snapshot sharers stay pristine.
-func (fs *FS) BreakSealInode(path string, ino *Inode) *Inode {
+// breakSeal returns ino, or, when ino is sealed, a private copy to
+// change in its place: the one copy-up of a file's data (WriteData), mode
+// and owner (Chmod, Chown). path is where the caller reached ino, when it
+// opened it or just before. If path still resolves to the same inode, the
+// copy-up happens in the tree, so path readers observe the change. If the
+// directory entry was removed or now names a different file — the
+// classic open-unlink-write tempfile idiom, or a rename over the name —
+// the caller instead gets an anonymous private copy: the change stays
+// with the caller's descriptor and whatever now occupies path is
+// untouched. Either way a sealed inode is never mutated, so the snapshot
+// sharers stay pristine.
+func (fs *FS) breakSeal(path string, ino *Inode) *Inode {
 	if !ino.sealed.Load() {
 		return ino
 	}

@@ -30,12 +30,12 @@ func frozenPair(t *testing.T, path string) (*FS, *FS, *Inode) {
 // descriptor's writes and the returned inode is the tree's private copy.
 func TestBreakSealInodeRebinds(t *testing.T) {
 	parent, clone, ino := frozenPair(t, "/f")
-	priv := clone.BreakSealInode("/f", ino)
+	priv := clone.breakSeal("/f", ino)
 	if priv.Sealed() {
-		t.Fatal("BreakSealInode returned a sealed inode")
+		t.Fatal("breakSeal returned a sealed inode")
 	}
 	if priv == ino {
-		t.Fatal("BreakSealInode returned the shared inode itself")
+		t.Fatal("breakSeal returned the shared inode itself")
 	}
 	tree, err := clone.Lookup(RootCred, "/f")
 	if err != nil {
@@ -59,12 +59,12 @@ func TestBreakSealInodeUnlinked(t *testing.T) {
 	if err := clone.Remove(RootCred, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	priv := clone.BreakSealInode("/f", ino)
+	priv := clone.breakSeal("/f", ino)
 	if priv.Sealed() {
-		t.Fatal("BreakSealInode returned a sealed inode for an unlinked file")
+		t.Fatal("breakSeal returned a sealed inode for an unlinked file")
 	}
 	if priv == ino {
-		t.Fatal("BreakSealInode returned the shared inode for an unlinked file")
+		t.Fatal("breakSeal returned the shared inode for an unlinked file")
 	}
 	priv.Data = append(priv.Data, []byte(" secret")...)
 	if data, _ := parent.ReadFile(RootCred, "/f"); string(data) != "golden" {
@@ -86,9 +86,9 @@ func TestBreakSealInodeReplaced(t *testing.T) {
 	if err := clone.WriteFile(RootCred, "/f", []byte("stranger"), 0o644, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	priv := clone.BreakSealInode("/f", ino)
+	priv := clone.breakSeal("/f", ino)
 	if priv.Sealed() {
-		t.Fatal("BreakSealInode returned a sealed inode")
+		t.Fatal("breakSeal returned a sealed inode")
 	}
 	if tree, _ := clone.Lookup(RootCred, "/f"); tree == priv {
 		t.Fatal("descriptor rebound to the unrelated file now at its path")

@@ -39,7 +39,7 @@ func (w *digestWalk) visit(ino *Inode) uint64 {
 			return d
 		}
 	}
-	ino.mu.Lock() // a private file's data changes under it (FS.WriteAt)
+	ino.mu.Lock() // a private file's data changes under it (FS.WriteData)
 	d, ok := w.leaf(w.path, ino)
 	ino.mu.Unlock()
 	if !ok {

@@ -221,28 +221,7 @@ func (fs *FS) Mkdir(c Cred, path string, mode Mode, uid, gid int) (*Inode, error
 	if err := fs.faultCheck(faultinject.SiteVFSMkdir); err != nil {
 		return nil, err
 	}
-	fs.mu.Lock()
-	fs.cowWriteLocked(path, false)
-	parent, base, err := fs.lookupParent(c, path)
-	if err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	if err := checkPerm(c, parent, MayWrite|MayExec); err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	if _, exists := parent.children[base]; exists {
-		fs.mu.Unlock()
-		return nil, errno.EEXIST
-	}
-	ino := fs.newInode(TypeDir|mode.Perm(), uid, gid)
-	parent.children[base] = ino
-	parent.Mtime = time.Now()
-	fs.moved()
-	fs.mu.Unlock()
-	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
-	return ino, nil
+	return fs.create(c, path, TypeDir|mode.Perm(), uid, gid, nil)
 }
 
 // MkdirAll creates path and any missing parents with the given mode.
@@ -267,54 +246,13 @@ func (fs *FS) Create(c Cred, path string, mode Mode, uid, gid int) (*Inode, erro
 	if err := fs.faultCheck(faultinject.SiteVFSCreate); err != nil {
 		return nil, err
 	}
-	fs.mu.Lock()
-	fs.cowWriteLocked(path, false)
-	parent, base, err := fs.lookupParent(c, path)
-	if err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	if err := checkPerm(c, parent, MayWrite|MayExec); err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	if _, exists := parent.children[base]; exists {
-		fs.mu.Unlock()
-		return nil, errno.EEXIST
-	}
-	ino := fs.newInode(TypeRegular|mode.Perm(), uid, gid)
-	parent.children[base] = ino
-	parent.Mtime = time.Now()
-	fs.moved()
-	fs.mu.Unlock()
-	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
-	return ino, nil
+	return fs.create(c, path, TypeRegular|mode.Perm(), uid, gid, nil)
 }
 
 // Symlink creates a symbolic link at path pointing to target.
 func (fs *FS) Symlink(c Cred, target, path string, uid, gid int) error {
-	fs.mu.Lock()
-	fs.cowWriteLocked(path, false)
-	parent, base, err := fs.lookupParent(c, path)
-	if err != nil {
-		fs.mu.Unlock()
-		return err
-	}
-	if err := checkPerm(c, parent, MayWrite|MayExec); err != nil {
-		fs.mu.Unlock()
-		return err
-	}
-	if _, exists := parent.children[base]; exists {
-		fs.mu.Unlock()
-		return errno.EEXIST
-	}
-	ino := fs.newInode(TypeSymlink|0o777, uid, gid)
-	ino.Data = []byte(target)
-	parent.children[base] = ino
-	fs.moved()
-	fs.mu.Unlock()
-	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
-	return nil
+	_, err := fs.create(c, path, TypeSymlink|0o777, uid, gid, func(ino *Inode) { ino.Data = []byte(target) })
+	return err
 }
 
 // Mknod creates a device node. Linux requires CAP_MKNOD; so do we.
@@ -322,28 +260,82 @@ func (fs *FS) Mknod(c Cred, path string, devType DeviceType, major, minor int, m
 	if !c.Capable(caps.CAP_MKNOD) {
 		return nil, errno.EPERM
 	}
-	fs.mu.Lock()
-	fs.cowWriteLocked(path, false)
-	parent, base, err := fs.lookupParent(c, path)
-	if err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	if _, exists := parent.children[base]; exists {
-		fs.mu.Unlock()
-		return nil, errno.EEXIST
-	}
 	t := TypeChar
 	if devType == BlockDevice {
 		t = TypeBlock
 	}
-	ino := fs.newInode(t|mode.Perm(), uid, gid)
-	ino.Major, ino.Minor, ino.DevType = major, minor, devType
+	return fs.create(c, path, t|mode.Perm(), uid, gid, func(ino *Inode) {
+		ino.Major, ino.Minor, ino.DevType = major, minor, devType
+	})
+}
+
+// create is the one create step of Mkdir, Create, Symlink, Mknod and
+// CreateProc. With the parent directory copied up and resolved (EROFS in
+// a read-only mount), c must be able to write and search it, and the
+// name must be free (EEXIST). Then the inode of the given mode and
+// owner, finished by init when it is not nil (under fs.mu), is linked
+// there, the directory's mtime and the generation move, and watches see
+// a create event.
+func (fs *FS) create(c Cred, path string, mode Mode, uid, gid int, init func(*Inode)) (*Inode, error) {
+	clean := CleanPath(path, "/")
+	fs.mu.Lock()
+	fs.cowWriteLocked(clean, false)
+	parent, base, err := fs.lookupParent(c, clean)
+	if err == nil {
+		err = checkPerm(c, parent, MayWrite|MayExec)
+	}
+	if err == nil && parent.children[base] != nil {
+		err = errno.EEXIST
+	}
+	if err != nil {
+		fs.mu.Unlock()
+		return nil, err
+	}
+	ino := fs.newInode(mode, uid, gid)
+	if init != nil {
+		init(ino)
+	}
 	parent.children[base] = ino
+	parent.Mtime = ino.Mtime
 	fs.moved()
 	fs.mu.Unlock()
-	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
+	fs.notify(Event{Op: OpCreate, Path: clean})
 	return ino, nil
+}
+
+// MayOpen is open(2)'s own check of ino for c, which wants MayRead,
+// MayWrite or both, in Linux's order: opening a directory for writing is
+// EISDIR, and a file in a read-only mount EROFS, as err; then the DAC
+// check, whose refusal comes back apart as dac, so that a security module
+// may still decide.
+func (fs *FS) MayOpen(c Cred, ino *Inode, want int) (dac, err error) {
+	if want&MayWrite != 0 {
+		if ino.Mode.IsDir() {
+			return nil, errno.EISDIR
+		}
+		if err := fs.CheckReadOnly(ino); err != nil {
+			return nil, err
+		}
+	}
+	return checkPerm(c, ino, want), nil
+}
+
+// mayOpen is MayOpen for the trusted calls, where no module decides.
+func (fs *FS) mayOpen(c Cred, ino *Inode, want int) error {
+	dac, err := fs.MayOpen(c, ino, want)
+	if err != nil {
+		return err
+	}
+	return dac
+}
+
+// lookupNoFault resolves the cleaned path clean, following a final
+// symlink, for the trusted file calls, whose own fault sites stand for
+// the lookup.
+func (fs *FS) lookupNoFault(c Cred, clean string) (*Inode, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return fs.lookupLocked(c, clean, true)
 }
 
 // ReadFile returns the contents of the file at path, enforcing read
@@ -352,99 +344,46 @@ func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
 	if err := fs.faultCheck(faultinject.SiteVFSReadFile); err != nil {
 		return nil, err
 	}
-	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, CleanPath(path, "/"), true)
-	fs.mu.RUnlock()
+	ino, err := fs.lookupNoFault(c, CleanPath(path, "/"))
+	if err == nil {
+		err = fs.mayOpen(c, ino, MayRead)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if ino.Mode.IsDir() {
-		return nil, errno.EISDIR
-	}
-	if err := checkPerm(c, ino, MayRead); err != nil {
-		return nil, err
-	}
-	if read, _ := fs.ProcHandlers(ino); read != nil {
-		return read(c)
-	}
-	return ino.Contents(), nil
+	return fs.ReadData(c, ino, 0, -1)
 }
 
 // WriteFile replaces the contents of the file at path, creating it with the
 // given mode if absent. Write permission (or CAP_DAC_OVERRIDE) is required.
 func (fs *FS) WriteFile(c Cred, path string, data []byte, mode Mode, uid, gid int) error {
-	if err := fs.faultCheck(faultinject.SiteVFSWriteFile); err != nil {
-		return err
-	}
 	clean := CleanPath(path, "/")
-	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, clean, true)
-	fs.mu.RUnlock()
-	if err == errno.ENOENT {
+	ino, err := fs.lookupNoFault(c, clean)
+	switch err {
+	case errno.ENOENT:
 		ino, err = fs.Create(c, clean, mode, uid, gid)
-		if err != nil {
-			return err
-		}
-	} else if err != nil {
+	case nil:
+		err = fs.mayOpen(c, ino, MayWrite)
+	}
+	if err != nil {
 		return err
 	}
-	return fs.writeInode(c, ino, clean, data, false)
+	_, _, err = fs.WriteData(c, clean, ino, 0, data, true)
+	return err
 }
 
 // AppendFile appends data to the file at path, which must exist.
 func (fs *FS) AppendFile(c Cred, path string, data []byte) error {
 	clean := CleanPath(path, "/")
-	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, clean, true)
-	fs.mu.RUnlock()
+	ino, err := fs.lookupNoFault(c, clean)
+	if err == nil {
+		err = fs.mayOpen(c, ino, MayWrite)
+	}
 	if err != nil {
 		return err
 	}
-	return fs.writeInode(c, ino, clean, data, true)
-}
-
-func (fs *FS) writeInode(c Cred, ino *Inode, clean string, data []byte, app bool) error {
-	if ino.Mode.IsDir() {
-		return errno.EISDIR
-	}
-	if err := checkPerm(c, ino, MayWrite); err != nil {
-		return err
-	}
-	if err := fs.CheckReadOnly(ino); err != nil {
-		return err
-	}
-	if _, write := fs.ProcHandlers(ino); write != nil {
-		return write(c, data)
-	}
-	if ino.sealed.Load() {
-		// Snapshot-shared inode: privatize the path before touching Data.
-		// The copy-up can fail (the entry may vanish under a concurrent
-		// remove); a write must then fail rather than land on the shared
-		// inode, which every sibling snapshot can read.
-		fs.mu.Lock()
-		fs.cowWriteLocked(clean, true)
-		nino, lerr := fs.lookupLocked(c, clean, true)
-		if lerr == nil && nino.sealed.Load() {
-			lerr = errno.EROFS
-		}
-		fs.mu.Unlock()
-		if lerr != nil {
-			return lerr
-		}
-		ino = nino
-	}
-	ino.mu.Lock()
-	if app {
-		ino.Data = append(ino.Data, data...)
-	} else {
-		ino.Data = append(ino.Data[:0:0], data...)
-	}
-	dropSetIDLocked(c, ino)
-	ino.Mtime = time.Now()
-	fs.moved()
-	ino.mu.Unlock()
-	fs.notify(Event{Op: OpWrite, Path: clean})
-	return nil
+	_, _, err = fs.WriteData(c, clean, ino, -1, data, false)
+	return err
 }
 
 // Remove unlinks the file at path. The classic sticky-bit rule applies in
@@ -614,19 +553,8 @@ func (fs *FS) Chmod(c Cred, path string, mode Mode) error {
 	if mode&ModeSetgid != 0 && c.FSGID() != ino.GID && !c.InGroup(ino.GID) && !c.Capable(caps.CAP_FSETID) {
 		mode &^= ModeSetgid
 	}
+	ino = fs.breakSeal(clean, ino)
 	fs.mu.Lock()
-	if ino.sealed.Load() {
-		fs.cowWriteLocked(clean, true)
-		nino, lerr := fs.lookupLocked(c, clean, true)
-		if lerr == nil && nino.sealed.Load() {
-			lerr = errno.EROFS
-		}
-		if lerr != nil {
-			fs.mu.Unlock()
-			return lerr
-		}
-		ino = nino
-	}
 	// No dcache work: cached walks hold this inode by pointer and re-run
 	// MayExec against its current mode on every hit.
 	ino.Mode = ino.Mode.Type() | mode.Perm()
@@ -653,19 +581,8 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 	if gid != ino.GID && c.FSUID() != ino.UID && !c.Capable(caps.CAP_CHOWN) {
 		return errno.EPERM
 	}
+	ino = fs.breakSeal(clean, ino)
 	fs.mu.Lock()
-	if ino.sealed.Load() {
-		fs.cowWriteLocked(clean, true)
-		nino, lerr := fs.lookupLocked(c, clean, true)
-		if lerr == nil && nino.sealed.Load() {
-			lerr = errno.EROFS
-		}
-		if lerr != nil {
-			fs.mu.Unlock()
-			return lerr
-		}
-		ino = nino
-	}
 	ino.UID, ino.GID = uid, gid
 	if ino.Mode.IsRegular() {
 		ino.Mode &^= ModeSetuid | ModeSetgid

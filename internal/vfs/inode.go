@@ -8,6 +8,7 @@ import (
 
 	"protego/internal/caps"
 	"protego/internal/errno"
+	"protego/internal/faultinject"
 )
 
 // Cred is the view of a task's credentials the VFS needs for discretionary
@@ -69,7 +70,7 @@ type Inode struct {
 	mu sync.Mutex
 
 	// dataShared marks Data as possibly sharing its array with another
-	// inode (cowCopy), so WriteAt must copy it before overwriting bytes.
+	// inode (cowCopy), so writeAt must copy it before overwriting bytes.
 	// Staying set after a reallocation only costs one needless copy.
 	dataShared bool
 
@@ -96,7 +97,7 @@ type Inode struct {
 }
 
 // Sealed reports whether the inode belongs to a frozen snapshot and must
-// be copied up before mutation (see FS.BreakSealInode).
+// be copied up before mutation (see FS.breakSeal).
 func (ino *Inode) Sealed() bool { return ino.sealed.Load() }
 
 // writeAt writes data at byte offset off, as pwrite(2) does: bytes before
@@ -116,30 +117,44 @@ func (ino *Inode) writeAt(off int, data []byte) {
 	ino.Data = append(ino.Data, data[n:]...)
 }
 
-// WriteAt writes data into ino, a regular file a descriptor holds, at
-// offset off, or at its end when app is set, as pwrite(2) and an O_APPEND
-// write(2) do, and returns the offset just past the bytes written. c is
-// the writer. ino must not be sealed (see BreakSealInode).
-func (fs *FS) WriteAt(c Cred, ino *Inode, off int, data []byte, app bool) int {
+// WriteData is the one change of a file's data, which every write
+// reaches: a descriptor's write(2), an O_TRUNC open, the kernel's
+// WriteFile and AppendFile, and the trusted FS.WriteFile and AppendFile.
+// The caller has decided that c may write ino, the file it reached at
+// path. A synthetic file hands data to its write handler, and one with
+// no write handler is EIO. Otherwise a sealed inode is copied up first
+// (see breakSeal); the file is emptied when trunc is set, and data is
+// written at byte offset off, or at the end when off is negative, as
+// pwrite(2) and an O_APPEND write(2) do; the writer's fsuid may clear
+// the setuid and setgid bits (dropSetIDLocked); the mtime and the
+// generation move; and watches see a write event for path. It returns
+// the inode that now holds the file's data and the offset just past the
+// bytes written.
+func (fs *FS) WriteData(c Cred, path string, ino *Inode, off int, data []byte, trunc bool) (*Inode, int, error) {
+	if err := fs.faultCheck(faultinject.SiteVFSWriteFile); err != nil {
+		return ino, off, err
+	}
+	if ino.IsProc() {
+		if _, write := fs.ProcHandlers(ino); write != nil {
+			return ino, off, write(c, data)
+		}
+		return ino, off, errno.EIO
+	}
+	ino = fs.breakSeal(path, ino)
 	ino.mu.Lock()
-	if app {
+	if trunc {
+		ino.Data, ino.dataShared = nil, false
+	}
+	if off < 0 {
 		off = len(ino.Data)
 	}
 	ino.writeAt(off, data)
 	dropSetIDLocked(c, ino)
+	ino.Mtime = time.Now()
 	fs.moved()
 	ino.mu.Unlock()
-	return off + len(data)
-}
-
-// Truncate empties ino, a regular file c is opening with O_TRUNC. ino
-// must not be sealed (see BreakSealInode).
-func (fs *FS) Truncate(c Cred, ino *Inode) {
-	ino.mu.Lock()
-	ino.Data = nil
-	dropSetIDLocked(c, ino)
-	fs.moved()
-	ino.mu.Unlock()
+	fs.notify(Event{Op: OpWrite, Path: path})
+	return ino, off + len(data), nil
 }
 
 // dropSetIDLocked is the rule every change of a file's data follows, as
@@ -152,24 +167,36 @@ func dropSetIDLocked(c Cred, ino *Inode) {
 	}
 }
 
-// ReadAt returns a copy of up to n bytes of the file's data from offset
-// off, or nil at or past its end, as pread(2) does.
-func (ino *Inode) ReadAt(off, n int) []byte {
+// ReadData is the one read of a file's contents: up to n bytes (all of
+// them when n is negative) from byte offset off, as pread(2) does, of
+// ino's data or, for a synthetic file, of its read handler's rendering
+// for c; nil at or past the end. A directory with no read handler is
+// EISDIR. The caller has decided that c may read ino.
+func (fs *FS) ReadData(c Cred, ino *Inode, off, n int) ([]byte, error) {
+	if read, _ := fs.ProcHandlers(ino); read != nil {
+		out, err := read(c)
+		if err != nil || off >= len(out) {
+			return nil, err
+		}
+		return out[off:readEnd(off, n, len(out))], nil
+	}
+	if ino.Mode.IsDir() {
+		return nil, errno.EISDIR
+	}
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
 	if off >= len(ino.Data) {
-		return nil
+		return nil, nil
 	}
-	out := make([]byte, min(off+n, len(ino.Data))-off)
-	copy(out, ino.Data[off:])
-	return out
+	return append([]byte(nil), ino.Data[off:readEnd(off, n, len(ino.Data))]...), nil
 }
 
-// Contents returns a copy of the file's data.
-func (ino *Inode) Contents() []byte {
-	ino.mu.Lock()
-	defer ino.mu.Unlock()
-	return append(make([]byte, 0, len(ino.Data)), ino.Data...)
+// readEnd is where a read of n bytes from off stops in size bytes.
+func readEnd(off, n, size int) int {
+	if n < 0 || n > size-off {
+		return size
+	}
+	return off + n
 }
 
 // IsProc reports whether the inode is a synthetic (proc-style) file.

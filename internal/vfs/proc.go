@@ -1,7 +1,5 @@
 package vfs
 
-import "protego/internal/errno"
-
 // Synthetic (proc-style) files. A proc inode holds no handlers, only an
 // index into its file system's proc table, and every read or write of one
 // looks its handlers up through the FS it came through. Clone copies the
@@ -56,25 +54,11 @@ func (fs *FS) addProcLocked(read ProcReadFunc, write ProcWriteFunc) uint32 {
 // Used by the kernel to expose the /proc policy interface of Figure 1.
 // With no handler the file is a plain, empty one.
 func (fs *FS) CreateProc(path string, mode Mode, read ProcReadFunc, write ProcWriteFunc) (*Inode, error) {
-	fs.mu.Lock()
-	fs.cowWriteLocked(path, false)
-	parent, base, err := fs.lookupParent(RootCred, path)
-	if err != nil {
-		fs.mu.Unlock()
-		return nil, err
-	}
-	if _, exists := parent.children[base]; exists {
-		fs.mu.Unlock()
-		return nil, errno.EEXIST
-	}
-	ino := fs.newInode(TypeRegular|mode.Perm(), 0, 0)
-	if read != nil || write != nil {
-		ino.proc = fs.addProcLocked(read, write)
-	}
-	parent.children[base] = ino
-	fs.moved()
-	fs.mu.Unlock()
-	return ino, nil
+	return fs.create(RootCred, path, TypeRegular|mode.Perm(), 0, 0, func(ino *Inode) {
+		if read != nil || write != nil {
+			ino.proc = fs.addProcLocked(read, write)
+		}
+	})
 }
 
 // RebindProc binds new handlers to the synthetic file (or directory) at

@@ -16,7 +16,7 @@ func (fs *FS) Walk(fn func(path string, ino *Inode) bool) {
 }
 
 func walkLocked(path string, ino *Inode, fn func(path string, ino *Inode) bool) {
-	ino.mu.Lock() // a private file's data changes under it (FS.WriteAt)
+	ino.mu.Lock() // a private file's data changes under it (FS.WriteData)
 	more := fn(path, ino)
 	ino.mu.Unlock()
 	if !more {

@@ -3,6 +3,8 @@ package world
 import (
 	"testing"
 
+	"protego/internal/apparmor"
+	"protego/internal/core"
 	"protego/internal/errno"
 	"protego/internal/kernel"
 	"protego/internal/vfs"
@@ -184,4 +186,156 @@ func TestDescriptorAccessModes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestOpenPathsAgree: open(2) with read(2) or write(2), ReadFile,
+// WriteFile and AppendFile take one open decision and change file data in
+// one step, so each call of a row gives the row's errno, on a fresh clone
+// of each golden image. A refused call leaves the inode at the path as it
+// was, the image's own or none, and raises no event on a watch of its
+// directory; a write raises exactly one.
+func TestOpenPathsAgree(t *testing.T) {
+	calls := map[string]func(k *kernel.Kernel, t *kernel.Task, path string) error{
+		"ReadFile": func(k *kernel.Kernel, t *kernel.Task, path string) error {
+			_, err := k.ReadFile(t, path)
+			return err
+		},
+		"open+read": func(k *kernel.Kernel, t *kernel.Task, path string) error {
+			fd, err := k.Open(t, path, kernel.O_RDONLY)
+			if err != nil {
+				return err
+			}
+			defer k.CloseFD(t, fd)
+			_, err = k.Read(t, fd, 64)
+			return err
+		},
+		"WriteFile":  func(k *kernel.Kernel, t *kernel.Task, path string) error { return k.WriteFile(t, path, []byte("x")) },
+		"AppendFile": func(k *kernel.Kernel, t *kernel.Task, path string) error { return k.AppendFile(t, path, []byte("x")) },
+		"open+write": func(k *kernel.Kernel, t *kernel.Task, path string) error {
+			fd, err := k.Open(t, path, kernel.O_WRONLY|kernel.O_CREAT)
+			if err != nil {
+				return err
+			}
+			defer k.CloseFD(t, fd)
+			_, err = k.Write(t, fd, []byte("x"))
+			return err
+		},
+		"open O_TRUNC": func(k *kernel.Kernel, t *kernel.Task, path string) error {
+			fd, err := k.Open(t, path, kernel.O_WRONLY|kernel.O_TRUNC)
+			if err == nil {
+				k.CloseFD(t, fd)
+			}
+			return err
+		},
+	}
+	writes := []string{"WriteFile", "AppendFile", "open+write", "open O_TRUNC"}
+	rows := []struct {
+		name, user, path string
+		protegoOnly      bool
+		writeOnly        []string // AppArmor write paths of the user's binary
+		calls            []string
+		want             error
+	}{
+		{name: "a directory", user: "alice", path: "/etc",
+			calls: append([]string{"ReadFile", "open+read"}, writes...), want: errno.EISDIR},
+		{name: "an unreadable file", user: "alice", path: "/etc/shadow",
+			calls: []string{"ReadFile", "open+read"}, want: errno.EACCES},
+		{name: "a create outside the AppArmor profile", user: "alice", path: "/tmp/new",
+			writeOnly: []string{"/tmp/ok"}, calls: []string{"WriteFile", "open+write"}, want: errno.EACCES},
+		{name: "a proc file with no write handler", user: "root", path: kernel.ProcTraceStats,
+			calls: writes[:3], want: errno.EIO},
+		{name: "a Protego proc file with no write handler", user: "root", path: core.ProcStatus,
+			protegoOnly: true, calls: writes[:3], want: errno.EIO},
+		{name: "a policy file", user: "root", path: "/etc/fstab", calls: writes},
+	}
+	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
+		snap, err := Golden(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if row.protegoOnly && mode != kernel.ModeProtego {
+				continue
+			}
+			for _, name := range row.calls {
+				t.Run(mode.String()+"/"+row.name+"/"+name, func(t *testing.T) {
+					m, err := snap.Clone()
+					if err != nil {
+						t.Fatal(err)
+					}
+					task := session(t, m, row.user)
+					if row.writeOnly != nil {
+						m.AppArmor.LoadProfile(&apparmor.Profile{Binary: task.BinaryPath(), WritePaths: row.writeOnly})
+					}
+					before, _ := m.K.FS.Lookup(vfs.RootCred, row.path)
+					dir, _ := vfs.SplitPath(row.path)
+					w := m.K.FS.Watch(dir)
+					defer w.Close()
+					if err := calls[name](m.K, task, row.path); err != row.want {
+						t.Fatalf("%v, want %v", err, row.want)
+					}
+					events := 0
+					for len(w.C) > 0 {
+						if ev := <-w.C; ev.Op == vfs.OpWrite && ev.Path == row.path {
+							events++
+						}
+					}
+					if row.want != nil {
+						if after, _ := m.K.FS.Lookup(vfs.RootCred, row.path); after != before {
+							t.Errorf("the refused call left %p at %s, %p before", after, row.path, before)
+						}
+						if events != 0 {
+							t.Errorf("the refused call raised %d write events", events)
+						}
+					} else if events != 1 {
+						t.Errorf("%d write events, want 1", events)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestProcReadAdvancesOffset: read(2) of a synthetic file serves up to n
+// bytes of its rendering from the descriptor's offset and moves the
+// offset, so reading /proc/protego/mounts 16 bytes at a time rebuilds
+// ReadFile's text and then reaches the end.
+func TestProcReadAdvancesOffset(t *testing.T) {
+	snap, err := Golden(kernel.ModeProtego)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := snap.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := session(t, m, "root")
+	want, err := m.K.ReadFile(root, core.ProcMounts)
+	if err != nil || len(want) <= 16 {
+		t.Fatalf("ReadFile: %q, %v", want, err)
+	}
+	fd, err := m.K.Open(root, core.ProcMounts, kernel.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for range len(want) {
+		buf, err := m.K.Read(root, fd, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) > 16 {
+			t.Fatalf("a 16-byte read returned %d bytes", len(buf))
+		}
+		if buf == nil {
+			break
+		}
+		got = append(got, buf...)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("16-byte reads gave %q, ReadFile %q", got, want)
+	}
+	if buf, err := m.K.Read(root, fd, 16); buf != nil || err != nil {
+		t.Fatalf("read at the end: %q, %v", buf, err)
+	}
 }

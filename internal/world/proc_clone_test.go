@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,7 +146,9 @@ func TestCloneSharesUntouchedInodes(t *testing.T) {
 // parent (run it with -race -count=10): each machine writes its own
 // /proc/protego/mounts, by path and through a descriptor the parent
 // opened before the snapshot, and reads it and /proc/trace/stats back.
-// Every machine ends with its own last write.
+// Every machine ends with its own last write. The parent also writes a
+// regular file through a descriptor, moving its offset and inode while
+// each clone copies the description.
 func TestCloneProcConcurrent(t *testing.T) {
 	const clones, rounds = 8, 20
 	parent, err := BuildProtego()
@@ -154,6 +157,10 @@ func TestCloneProcConcurrent(t *testing.T) {
 	}
 	root := session(t, parent, "root")
 	fd, err := parent.K.Open(root, core.ProcMounts, kernel.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logFD, err := parent.K.Open(root, "/tmp/clone-race", kernel.O_WRONLY|kernel.O_CREAT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +180,11 @@ func TestCloneProcConcurrent(t *testing.T) {
 			}
 			if err != nil {
 				return fmt.Errorf("round %d: write: %w", r, err)
+			}
+			if m == parent {
+				if _, err := m.K.Write(task, logFD, row); err != nil {
+					return fmt.Errorf("round %d: write the regular file: %w", r, err)
+				}
 			}
 			for _, path := range []string{core.ProcMounts, kernel.ProcTraceStats} {
 				if _, err := m.K.ReadFile(task, path); err != nil {
@@ -218,7 +230,9 @@ func TestCloneProcConcurrent(t *testing.T) {
 
 // TestProcPolicyReadBackRoundTrips: on a golden Protego clone, each
 // /proc/protego policy file accepts the text it reads back, and the write
-// changes neither that text nor /proc/protego/status.
+// changes neither that text, nor the policy the module parsed, nor
+// /proc/protego/status. A row with a policy writes it first; the
+// delegation row's uses every part of the grammar the parser reads.
 func TestProcPolicyReadBackRoundTrips(t *testing.T) {
 	snap, err := Golden(kernel.ModeProtego)
 	if err != nil {
@@ -235,14 +249,35 @@ func TestProcPolicyReadBackRoundTrips(t *testing.T) {
 		}
 		return string(data)
 	}
-	for _, path := range []string{core.ProcMounts, core.ProcBind, core.ProcDelegation, core.ProcPPP} {
-		t.Run(path, func(t *testing.T) {
-			text, status := read(path), read(core.ProcStatus)
-			if err := m.K.FS.WriteFile(vfs.RootCred, path, []byte(text), 0o600, 0, 0); err != nil {
+	parsed := func() []any {
+		return []any{m.Protego.MountRules(), m.Protego.BindAllocations(), m.Protego.Sudoers()}
+	}
+	for _, c := range []struct{ path, policy string }{
+		{core.ProcMounts, ""},
+		{core.ProcBind, ""},
+		{core.ProcDelegation, ""},
+		{core.ProcPPP, ""},
+		{core.ProcDelegation, "Defaults timestamp_timeout = 10\n" +
+			"Defaults env_keep += \"EDITOR\"\n" +
+			"Cmnd_Alias VIEW = /bin/ls, /usr/bin/id\n" +
+			"User_Alias OPS = alice, bob\n" +
+			"OPS ALL = (root) SETENV: VIEW\n"},
+	} {
+		t.Run(c.path, func(t *testing.T) {
+			if c.policy != "" {
+				if err := m.K.FS.WriteFile(vfs.RootCred, c.path, []byte(c.policy), 0o600, 0, 0); err != nil {
+					t.Fatalf("writing %q: %v", c.policy, err)
+				}
+			}
+			text, status, before := read(c.path), read(core.ProcStatus), parsed()
+			if err := m.K.FS.WriteFile(vfs.RootCred, c.path, []byte(text), 0o600, 0, 0); err != nil {
 				t.Fatalf("writing back %q: %v", text, err)
 			}
-			if got := read(path); got != text {
+			if got := read(c.path); got != text {
 				t.Errorf("read back %q after writing back %q", got, text)
+			}
+			if got := parsed(); !reflect.DeepEqual(got, before) {
+				t.Errorf("writing back %q changed the parsed policy", text)
 			}
 			if got := read(core.ProcStatus); got != status {
 				t.Errorf("status %q after the write, %q before", got, status)

@@ -11,9 +11,12 @@ import (
 // TestSyscallAllocs gates the syscall hot path on allocations per call,
 // which are deterministic where nanoseconds are not. Tracing, the LSM
 // chain and path handling must add none: each ceiling is what the call
-// itself returns or creates (the read's buffer; open's descriptor and
-// LSM request; a privileged setuid's new credentials; a forked task; a
-// socket and its LSM requests).
+// itself returns or creates (a read's buffer; open's descriptor; a
+// written file's new data; a created file's inode; a privileged
+// setuid's new credentials; a forked task; a socket and its LSM
+// requests). The FileOpen request is passed by value, so consulting the
+// hook allocates nothing, and appending grows the file's data in
+// amortized steps.
 func TestSyscallAllocs(t *testing.T) {
 	bothModes(t, func(t *testing.T, m *Machine) {
 		k := m.K
@@ -22,10 +25,17 @@ func TestSyscallAllocs(t *testing.T) {
 		if err := k.WriteFile(root, file, make([]byte, 4096)); err != nil {
 			t.Fatal(err)
 		}
+		const written, appended, created = "/tmp/allocs-w", "/tmp/allocs-a", "/tmp/allocs-new"
+		for _, path := range []string{written, appended} {
+			if err := k.WriteFile(root, path, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		fd, err := k.Open(root, file, kernel.O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
+		x := []byte("x")
 		ops := []struct {
 			name string
 			max  float64
@@ -40,13 +50,22 @@ func TestSyscallAllocs(t *testing.T) {
 				}
 				return nil
 			}},
-			{"open+close", 2, func() error {
+			{"open+close", 1, func() error {
 				fd, err := k.Open(root, file, kernel.O_RDONLY)
 				if err != nil {
 					return err
 				}
 				return k.CloseFD(root, fd)
 			}},
+			{"ReadFile", 1, func() error { _, err := k.ReadFile(root, file); return err }},
+			{"WriteFile of an existing file", 1, func() error { return k.WriteFile(root, written, x) }},
+			{"WriteFile that creates, then unlink", 1, func() error {
+				if err := k.WriteFile(root, created, nil); err != nil {
+					return err
+				}
+				return k.Unlink(root, created)
+			}},
+			{"AppendFile", 0, func() error { return k.AppendFile(root, appended, x) }},
 			{"setuid", 1, func() error { return k.Setuid(root, 0) }},
 			// The child's task, argv and maps, and the descriptor map Exit
 			// leaves it; the child shares its parent's credentials.
