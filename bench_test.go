@@ -66,8 +66,7 @@ func BenchmarkTable1Summary(b *testing.B) {
 
 func BenchmarkTable3Survey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := survey.SortedByWeight()
-		if len(rows) != 20 {
+		if survey.FormatTable3() == "" {
 			b.Fatal("bad survey")
 		}
 	}
@@ -289,22 +288,22 @@ func BenchmarkAblationAuthRecency(b *testing.B) {
 		if err := m.Auth.EnsureRecent(alice, "alice"); err != nil {
 			b.Fatal(err)
 		}
-		attempts := m.Protego.Auth().Attempts
+		attempts := m.Auth.Attempts
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			delegate(b, m, m.K.Fork(alice)) // inherits the recency stamp
 		}
 		b.StopTimer()
-		if m.Protego.Auth().Attempts != attempts {
+		if m.Auth.Attempts != attempts {
 			b.Fatalf("recency stamp not honored: %d extra password checks",
-				m.Protego.Auth().Attempts-attempts)
+				m.Auth.Attempts-attempts)
 		}
 	})
 	b.Run("password-check-every-time", func(b *testing.B) {
 		m := mustBuild(b, kernel.ModeProtego)
 		base := mustSession(b, m, "alice")
 		base.Asker = world.AnswerWith(world.AlicePassword)
-		attempts := m.Protego.Auth().Attempts
+		attempts := m.Auth.Attempts
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			child := m.K.Fork(base)
@@ -312,7 +311,7 @@ func BenchmarkAblationAuthRecency(b *testing.B) {
 			delegate(b, m, child)
 		}
 		b.StopTimer()
-		if got := m.Protego.Auth().Attempts - attempts; got != b.N {
+		if got := m.Auth.Attempts - attempts; got != b.N {
 			b.Fatalf("%d password checks for %d delegations", got, b.N)
 		}
 	})

@@ -78,24 +78,6 @@ func (c Cap) String() string {
 	return fmt.Sprintf("CAP_%d", uint8(c))
 }
 
-// Valid reports whether c names a defined capability.
-func (c Cap) Valid() bool { return int(c) < NumCaps }
-
-// ParseCap resolves a symbolic capability name ("CAP_SYS_ADMIN",
-// case-insensitive, the CAP_ prefix optional) to its Cap value.
-func ParseCap(name string) (Cap, bool) {
-	n := strings.ToUpper(strings.TrimSpace(name))
-	if !strings.HasPrefix(n, "CAP_") {
-		n = "CAP_" + n
-	}
-	for i, s := range capNames {
-		if s == n {
-			return Cap(i), true
-		}
-	}
-	return 0, false
-}
-
 // Set is a bitmask of capabilities. The zero value is the empty set.
 type Set uint64
 
@@ -108,29 +90,8 @@ func Full() Set {
 	return Set(1)<<NumCaps - 1
 }
 
-// Of builds a Set from individual capabilities.
-func Of(cs ...Cap) Set {
-	var s Set
-	for _, c := range cs {
-		s = s.Add(c)
-	}
-	return s
-}
-
-// Add returns s with c included.
-func (s Set) Add(c Cap) Set { return s | 1<<uint(c) }
-
-// Remove returns s with c excluded.
-func (s Set) Remove(c Cap) Set { return s &^ (1 << uint(c)) }
-
 // Has reports whether c is in the set.
 func (s Set) Has(c Cap) bool { return s&(1<<uint(c)) != 0 }
-
-// Union returns the union of s and t.
-func (s Set) Union(t Set) Set { return s | t }
-
-// Intersect returns the intersection of s and t.
-func (s Set) Intersect(t Set) Set { return s & t }
 
 // IsEmpty reports whether no capability is present.
 func (s Set) IsEmpty() bool { return s == 0 }

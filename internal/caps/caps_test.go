@@ -13,65 +13,21 @@ func TestCapString(t *testing.T) {
 	if Cap(200).String() != "CAP_200" {
 		t.Fatalf("got %q", Cap(200).String())
 	}
-	if !CAP_NET_RAW.Valid() || Cap(NumCaps).Valid() {
-		t.Fatal("validity wrong")
-	}
-}
-
-func TestParseCap(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Cap
-		ok   bool
-	}{
-		{"CAP_SYS_ADMIN", CAP_SYS_ADMIN, true},
-		{"cap_net_raw", CAP_NET_RAW, true},
-		{"NET_RAW", CAP_NET_RAW, true},
-		{" setuid ", CAP_SETUID, true},
-		{"CAP_NOT_A_THING", 0, false},
-	}
-	for _, c := range cases {
-		got, ok := ParseCap(c.in)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("ParseCap(%q) = %v,%v", c.in, got, ok)
-		}
-	}
-}
-
-// Property: every defined capability's name parses back to itself.
-func TestParseRoundTrip(t *testing.T) {
-	for c := Cap(0); c < NumCaps; c++ {
-		got, ok := ParseCap(c.String())
-		if !ok || got != c {
-			t.Fatalf("round trip %v", c)
-		}
-	}
 }
 
 func TestSetOperations(t *testing.T) {
-	s := Of(CAP_SETUID, CAP_SETGID)
+	s := Set(1)<<CAP_SETUID | Set(1)<<CAP_SETGID
 	if !s.Has(CAP_SETUID) || s.Has(CAP_SYS_ADMIN) {
 		t.Fatal("membership wrong")
 	}
 	if s.Count() != 2 {
 		t.Fatalf("count = %d", s.Count())
 	}
-	s = s.Remove(CAP_SETUID)
-	if s.Has(CAP_SETUID) || !s.Has(CAP_SETGID) {
-		t.Fatal("remove wrong")
-	}
 	if !Empty.IsEmpty() || Full().IsEmpty() {
 		t.Fatal("emptiness wrong")
 	}
 	if Full().Count() != NumCaps {
 		t.Fatalf("full count = %d", Full().Count())
-	}
-	u := Of(CAP_CHOWN).Union(Of(CAP_KILL))
-	if u.Count() != 2 {
-		t.Fatal("union wrong")
-	}
-	if u.Intersect(Of(CAP_KILL)) != Of(CAP_KILL) {
-		t.Fatal("intersect wrong")
 	}
 }
 
@@ -82,35 +38,32 @@ func TestSetString(t *testing.T) {
 	if Full().String() != "(all)" {
 		t.Fatalf("full: %q", Full().String())
 	}
-	s := Of(CAP_SETUID, CAP_NET_RAW).String()
+	s := (Set(1)<<CAP_SETUID | Set(1)<<CAP_NET_RAW).String()
 	if !strings.Contains(s, "CAP_SETUID") || !strings.Contains(s, "CAP_NET_RAW") {
 		t.Fatalf("set: %q", s)
 	}
 }
 
 func TestListSorted(t *testing.T) {
-	list := Of(CAP_SYS_ADMIN, CAP_CHOWN, CAP_NET_RAW).List()
+	list := (Set(1)<<CAP_SYS_ADMIN | Set(1)<<CAP_CHOWN | Set(1)<<CAP_NET_RAW).List()
 	if len(list) != 3 || list[0] != CAP_CHOWN || list[2] != CAP_SYS_ADMIN {
 		t.Fatalf("list: %v", list)
 	}
 }
 
-// Properties: add/remove are inverses; union is commutative; count equals
-// list length.
+// Properties: List names exactly the set's members, and Count its
+// length.
 func TestSetProperties(t *testing.T) {
-	f := func(bits uint64, capN uint8) bool {
+	f := func(bits uint64) bool {
 		s := Set(bits) & Full()
-		c := Cap(capN % NumCaps)
-		if !s.Add(c).Has(c) {
-			return false
+		var back Set
+		for _, c := range s.List() {
+			if !s.Has(c) {
+				return false
+			}
+			back |= 1 << c
 		}
-		if s.Remove(c).Has(c) {
-			return false
-		}
-		if s.Count() != len(s.List()) {
-			return false
-		}
-		return true
+		return back == s && s.Count() == len(s.List())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -19,21 +19,28 @@ import (
 // Parsed policy objects (sudoers, ppp options) and the mount whitelist
 // with its index are immutable once installed (a reload replaces them
 // whole), so they are shared; everything mutable — bind table, file
-// grants, the raw-socket and broken-policy switches — is copied.
-// Decision statistics and the identity cache start fresh, giving
-// per-clone counters.
+// grants, the raw-socket and broken-policy switches — is copied. The
+// module is built from these directly, so no default policy is made only
+// to be replaced. Decision statistics and the identity cache start fresh,
+// giving per-clone counters.
 func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) (*Module, error) {
-	c := New(k, db, auth)
 	m.mu.RLock()
-	c.mounts, c.mountIdx = m.mounts, m.mountIdx
-	c.bindTable = maps.Clone(m.bindTable)
-	c.sudoers = m.sudoers
-	c.ppp = m.ppp
+	c := &Module{
+		k:                 k,
+		db:                db,
+		auth:              auth,
+		mounts:            m.mounts,
+		mountIdx:          m.mountIdx,
+		bindTable:         maps.Clone(m.bindTable),
+		sudoers:           m.sudoers,
+		ppp:               m.ppp,
+		fileGrants:        make(map[string][]string, len(m.fileGrants)),
+		allowUnprivRaw:    m.allowUnprivRaw,
+		brokenMountPolicy: m.brokenMountPolicy,
+	}
 	for path, bins := range m.fileGrants {
 		c.fileGrants[path] = append([]string(nil), bins...)
 	}
-	c.allowUnprivRaw = m.allowUnprivRaw
-	c.brokenMountPolicy = m.brokenMountPolicy
 	m.mu.RUnlock()
 	auth.SetWindow(m.auth.Window())
 

@@ -125,9 +125,6 @@ func (m *Module) Install() error {
 // Name implements lsm.Module.
 func (m *Module) Name() string { return "protego" }
 
-// Auth returns the authentication service (used by trusted utilities).
-func (m *Module) Auth() *authsvc.Service { return m.auth }
-
 // SetSudoers replaces the delegation policy and propagates the
 // timestamp_timeout to the authentication service.
 func (m *Module) SetSudoers(s *policy.Sudoers) {

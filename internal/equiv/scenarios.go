@@ -216,6 +216,10 @@ var extendedScenarios = map[string][]Scenario{
 			Argv: []string{userspace.BinPppd, "ppp0", "--route=10.0.0.0/24"}},
 		{Name: "non-conflicting route", User: "alice",
 			Argv: []string{userspace.BinPppd, "ppp0", "--route=192.168.77.0/24"}},
+		{Name: "route overlapping an earlier one of the request denied", User: "alice",
+			Argv: []string{userspace.BinPppd, "ppp0", "--route=10.9.0.0/16", "--route=10.9.2.0/24"}},
+		{Name: "refused route takes the session's earlier route down", User: "alice",
+			Argv: []string{userspace.BinPppd, "ppp0", "--route=192.168.77.0/24", "--route=10.0.0.0/24"}},
 	},
 	"dmcrypt-get-device": {
 		{Name: "read physical device", User: "alice",

@@ -160,13 +160,6 @@ func (e Errno) Name() string {
 	return fmt.Sprintf("errno(%d)", int(e))
 }
 
-// Is reports whether err is (or wraps) the receiver. It allows
-// errors.Is(err, errno.EPERM) comparisons on wrapped syscall errors.
-func (e Errno) Is(err error) bool {
-	other, ok := err.(Errno)
-	return ok && other == e
-}
-
 // Is reports whether err is, or wraps, the error number e. It is the
 // package-level spelling of errors.Is(err, e) used by tests and the fault
 // sweep: errno.Is(err, errno.EACCES).
@@ -185,19 +178,4 @@ func Of(err error) Errno {
 		return e
 	}
 	return 0
-}
-
-var byName = func() map[string]Errno {
-	m := make(map[string]Errno, len(names))
-	for e, n := range names {
-		m[n] = e
-	}
-	return m
-}()
-
-// FromName resolves a symbolic constant name such as "EPERM" to its Errno.
-// It is used by the fault-injection plan parser.
-func FromName(name string) (Errno, bool) {
-	e, ok := byName[name]
-	return e, ok
 }

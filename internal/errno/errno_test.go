@@ -57,34 +57,6 @@ func TestOf(t *testing.T) {
 	}
 }
 
-func TestFromNameRoundTrip(t *testing.T) {
-	// Every named errno must survive Name → FromName unchanged, and the
-	// reverse direction must hold too — the fault-injection plan parser
-	// and the difffuzz reproducer printer both rely on this bijection.
-	for e, n := range names {
-		got, ok := FromName(n)
-		if !ok {
-			t.Fatalf("FromName(%q) unknown", n)
-		}
-		if got != e {
-			t.Fatalf("FromName(%q) = %d, want %d", n, got, e)
-		}
-		if got.Name() != n {
-			t.Fatalf("Name round-trip for %q gave %q", n, got.Name())
-		}
-	}
-}
-
-func TestFromNameUnknown(t *testing.T) {
-	for _, n := range []string{"", "ENOSUCH", "eperm", "EPERM ", "errno(9999)"} {
-		if e, ok := FromName(n); ok {
-			t.Fatalf("FromName(%q) unexpectedly resolved to %v", n, e)
-		} else if e != 0 {
-			t.Fatalf("FromName(%q) returned non-zero errno %d with ok=false", n, e)
-		}
-	}
-}
-
 func TestOfUnwrapsWrappedErrno(t *testing.T) {
 	wrapped := fmt.Errorf("mount: %w", EBUSY)
 	if Of(wrapped) != EBUSY {

@@ -18,7 +18,6 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 
@@ -270,23 +269,4 @@ func (in *Injector) Injections() uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.injected
-}
-
-// InjectedSites returns the distinct sites that fired, sorted.
-func (in *Injector) InjectedSites() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	seen := make(map[string]bool, len(in.records))
-	for _, r := range in.records {
-		seen[r.Site] = true
-	}
-	in.mu.Unlock()
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -23,7 +23,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	}
 	in.SetEnabled(false)
 	in.SetTracer(nil)
-	if in.Injections() != 0 || in.Records() != nil || in.InjectedSites() != nil {
+	if in.Injections() != 0 || in.Records() != nil {
 		t.Fatal("nil accessors should be zero")
 	}
 }

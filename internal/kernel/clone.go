@@ -39,7 +39,6 @@ func (k *Kernel) Clone() *Kernel {
 	c.registerDcacheCounters()
 
 	c.nextPID.Store(k.nextPID.Load())
-	c.unprivNS.Store(k.unprivNS.Load())
 	c.binaries.Store(k.binaries.Load())
 	c.devices.Store(k.devices.Load())
 
@@ -67,7 +66,6 @@ func (t *Task) cloneInto(c *Kernel, fdMap map[*FileDesc]*FileDesc) *Task {
 	nt := &Task{
 		k:           c,
 		pid:         t.pid,
-		ppid:        t.ppid,
 		cwd:         t.cwd,
 		binary:      t.binary,
 		argv:        append([]string(nil), t.argv...),

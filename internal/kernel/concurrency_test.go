@@ -44,8 +44,6 @@ func TestTaskTableConcurrent(t *testing.T) {
 						return
 					}
 				}
-				k.SetUnprivNamespaces(i%2 == 0)
-				k.UnprivNamespaces()
 				if i%2 == 0 {
 					k.Exit(child, 0)
 				}

@@ -77,9 +77,6 @@ func (c *Credentials) InGroup(gid int) bool {
 // Capable implements vfs.Cred: membership of cap in the effective set.
 func (c *Credentials) Capable(cp caps.Cap) bool { return c.Effective.Has(cp) }
 
-// IsRoot reports whether the effective uid is 0.
-func (c *Credentials) IsRoot() bool { return c.EUID == 0 }
-
 // setAllUIDs sets every uid field (the effect of a privileged setuid).
 func (c *Credentials) setAllUIDs(uid int) {
 	c.RUID, c.EUID, c.SUID, c.FUID = uid, uid, uid, uid

@@ -96,8 +96,6 @@ type Kernel struct {
 	binaries atomic.Pointer[map[string]Program]
 	devices  atomic.Pointer[map[string]IoctlHandler]
 
-	unprivNS atomic.Bool
-
 	// faults is the optional fault-injection layer (nil in normal runs).
 	// An atomic pointer so the sweep harness can install/replace it while
 	// syscalls are in flight; checks read the snapshot lock-free.
@@ -259,7 +257,6 @@ func (k *Kernel) Fork(parent *Task) *Task {
 	parent.mu.Lock()
 	child := &Task{
 		k:           k,
-		ppid:        parent.pid,
 		cwd:         parent.cwd,
 		binary:      parent.binary,
 		argv:        append([]string(nil), parent.argv...),

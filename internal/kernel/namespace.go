@@ -32,18 +32,12 @@ const blobUserNS = "kernel.userns"
 // UnprivNamespaces models the kernel version split of §4.6: Linux ≥3.8
 // allows unprivileged user+network namespaces ("the security implications
 // are now better understood"); earlier kernels require CAP_SYS_ADMIN,
-// which is why chromium-sandbox shipped setuid-to-root. The baseline world
-// builder leaves this false (Linux 3.6.0, the paper's base); Protego runs
-// on the same kernel but the sandbox helper is the one binary that §4.6
-// concedes may keep the setuid bit — or the administrator upgrades.
-func (k *Kernel) SetUnprivNamespaces(on bool) {
-	k.unprivNS.Store(on)
-}
-
-// UnprivNamespaces reports the current setting. The flag is an atomic:
-// unshare-heavy workloads read it on every call without touching a lock.
+// which is why chromium-sandbox shipped setuid-to-root. The baseline is
+// Linux 3.6.0, the paper's base, so only a Protego kernel allows them:
+// Protego targets current kernels, where even chromium-sandbox needs no
+// setuid bit.
 func (k *Kernel) UnprivNamespaces() bool {
-	return k.unprivNS.Load()
+	return k.Mode == ModeProtego
 }
 
 // Unshare implements unshare(2) for user and network namespaces.
@@ -85,11 +79,6 @@ func (k *Kernel) Unshare(t *Task, flags int) error {
 		t.SetSecurityBlob(blobNetNS, ns)
 	}
 	return nil
-}
-
-// InUserNamespace reports whether the task entered a user namespace.
-func (k *Kernel) InUserNamespace(t *Task) bool {
-	return t.SecurityBlob(blobUserNS) != nil
 }
 
 // netNSOf returns the task's private network namespace, or nil when it

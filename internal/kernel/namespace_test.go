@@ -10,7 +10,7 @@ import (
 )
 
 func TestUnshareRequiresPrivilegeOnOldKernels(t *testing.T) {
-	k := testKernel(t) // unprivNS defaults false: pre-3.8 semantics
+	k := testKernel(t) // the baseline: pre-3.8 semantics
 	user := userTask(k, 1000, 100)
 	if err := k.Unshare(user, CLONE_NEWUSER); err != errno.EPERM {
 		t.Fatalf("unprivileged NEWUSER on old kernel: %v", err)
@@ -25,13 +25,12 @@ func TestUnshareRequiresPrivilegeOnOldKernels(t *testing.T) {
 }
 
 func TestUnshareUnprivilegedOnModernKernels(t *testing.T) {
-	k := testKernel(t)
-	k.SetUnprivNamespaces(true)
+	k := testKernelIn(t, ModeProtego)
 	user := userTask(k, 1000, 100)
 	if err := k.Unshare(user, CLONE_NEWUSER|CLONE_NEWNET); err != nil {
 		t.Fatalf("unshare: %v", err)
 	}
-	if !k.InUserNamespace(user) {
+	if user.SecurityBlob(blobUserNS) == nil {
 		t.Fatal("user namespace not recorded")
 	}
 	if k.stackFor(user) == k.Net {
@@ -57,8 +56,7 @@ func TestUnshareInvalidFlags(t *testing.T) {
 }
 
 func TestNamespaceLocalRawSockets(t *testing.T) {
-	k := testKernel(t)
-	k.SetUnprivNamespaces(true)
+	k := testKernelIn(t, ModeProtego)
 	user := userTask(k, 1000, 100)
 	// Outside a namespace: raw denied (no LSM grant on this bare kernel).
 	if _, err := k.Socket(user, netstack.AF_INET, netstack.SOCK_RAW, netstack.IPPROTO_ICMP); err != errno.EPERM {
@@ -90,8 +88,7 @@ func TestNamespaceLocalRawSockets(t *testing.T) {
 }
 
 func TestNamespaceCannotReachHost(t *testing.T) {
-	k := testKernel(t)
-	k.SetUnprivNamespaces(true)
+	k := testKernelIn(t, ModeProtego)
 	// A host service is listening.
 	root := k.InitTask()
 	hostSock, err := k.Socket(root, netstack.AF_INET, netstack.SOCK_STREAM, netstack.IPPROTO_TCP)
@@ -119,8 +116,7 @@ func TestNamespaceCannotReachHost(t *testing.T) {
 }
 
 func TestNamespaceRoutesAreLocal(t *testing.T) {
-	k := testKernel(t)
-	k.SetUnprivNamespaces(true)
+	k := testKernelIn(t, ModeProtego)
 	user := userTask(k, 1000, 100)
 	if err := k.Unshare(user, CLONE_NEWUSER|CLONE_NEWNET); err != nil {
 		t.Fatal(err)
@@ -147,8 +143,7 @@ func TestNamespaceSharedResourcesStillPolicyChecked(t *testing.T) {
 	// shared system resources, such as passwd updating the password
 	// database". Inside a sandbox, writes to the shared /etc/shadow are
 	// still governed by the original user's credentials.
-	k := testKernel(t)
-	k.SetUnprivNamespaces(true)
+	k := testKernelIn(t, ModeProtego)
 	if err := k.FS.WriteFile(vfs.RootCred, "/etc/shadow", []byte("root:x:"), 0o600, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +164,7 @@ func TestNamespaceSharedResourcesStillPolicyChecked(t *testing.T) {
 }
 
 func TestNamespaceInheritedAcrossFork(t *testing.T) {
-	k := testKernel(t)
-	k.SetUnprivNamespaces(true)
+	k := testKernelIn(t, ModeProtego)
 	user := userTask(k, 1000, 100)
 	if err := k.Unshare(user, CLONE_NEWUSER|CLONE_NEWNET); err != nil {
 		t.Fatal(err)

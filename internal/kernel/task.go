@@ -17,8 +17,7 @@ import (
 type Task struct {
 	k *Kernel
 
-	pid  int
-	ppid int
+	pid int
 
 	// creds is replaced, never written in place (commitCreds), like
 	// Linux's copy-on-write struct cred: a reader loads it without a lock.
@@ -63,9 +62,6 @@ func (t *Task) PID() int { return t.pid }
 
 // Kernel returns the kernel the task runs on.
 func (t *Task) Kernel() *Kernel { return t.k }
-
-// PPID returns the parent process id.
-func (t *Task) PPID() int { return t.ppid }
 
 // UID implements lsm.Task (real uid).
 func (t *Task) UID() int { return t.creds.Load().RUID }

@@ -6,8 +6,9 @@
 // previously hard-coded capability checks, the kernel now consults the LSM,
 // and a module may *grant* an operation the base policy would deny — the
 // mount whitelist, bind table, and delegation rules all work this way.
-// Modules may equally *deny* operations the base policy would allow, which
-// is how the AppArmor baseline (internal/apparmor) behaves.
+// Modules may equally *deny* operations the base policy would allow, as
+// the seccomp module (internal/seccomp) does at syscall entry; the AppArmor
+// module (internal/apparmor) loads no profile and has no opinion.
 package lsm
 
 import (

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"protego/internal/errno"
 	"protego/internal/netstack"
@@ -34,8 +33,8 @@ const AnyProto = -1
 // wildcards. The UnprivRawOnly field is the paper's netfilter extension:
 // such rules consider only packets from raw sockets created without
 // CAP_NET_RAW. A rule is a definition only, never changed once appended:
-// tables cloned from one another share it, and each keeps the rule's
-// match count and verdict counters in its own ruleStats.
+// tables cloned from one another share it, and each counts the rule's
+// matches on its own tracer.
 type Rule struct {
 	Name string
 
@@ -48,16 +47,6 @@ type Rule struct {
 	SpoofedOnly   bool  // match only packets with a forged source endpoint
 
 	Verdict Verdict
-}
-
-// ruleStats is one table's state for one of its rules.
-type ruleStats struct {
-	// hits counts packets the rule matched: an atomic, so the verdict
-	// fast path never write-locks the table.
-	hits atomic.Uint64
-	// verdicts caches the rule's decision counter on the table's tracer,
-	// one per verdict name (see verdictSlot).
-	verdicts [2]trace.CounterRef
 }
 
 // matches reports whether the rule applies to the packet.
@@ -148,40 +137,48 @@ func (r *Rule) String() string {
 	return b.String()
 }
 
-// Chain is an ordered rule list with a default policy.
-type Chain struct {
-	Name   string
-	Policy Verdict
-	// rules are the definitions, and stats this chain's state for each,
-	// index for index. Both are only appended to or replaced whole, under
-	// the table's lock.
-	rules []*Rule
-	stats []*ruleStats
-	// policyVerdicts caches the default policy's decision counters, one
-	// per verdict name (see verdictSlot).
-	policyVerdicts [2]trace.CounterRef
+// The trace symbols of the chain and of the verdicts, resolved once.
+var (
+	symOutput = trace.Intern("OUTPUT")
+	symAccept = trace.Intern("ACCEPT")
+	symDrop   = trace.Intern("DROP")
+)
+
+// verdictSym names a verdict in iptables target style.
+func verdictSym(v Verdict) trace.Sym {
+	if v == Drop {
+		return symDrop
+	}
+	return symAccept
 }
 
-// Table is a set of chains; the simulation uses a single "filter" table
-// with an OUTPUT chain, which is all the Protego extension requires.
+// entry is one of a table's rules with the table's state for it: the
+// rule's name as a trace symbol, resolved when the rule is appended, and
+// the rule's verdict counter on the table's tracer, which is the rule's
+// match count.
+type entry struct {
+	rule    *Rule
+	name    trace.Sym
+	verdict trace.CounterRef
+}
+
+// Table is the filter table's OUTPUT chain, which is all the Protego
+// extension requires. Its policy is ACCEPT: a packet no rule matches
+// passes.
 type Table struct {
-	mu     sync.RWMutex
-	chains map[string]*Chain
+	mu sync.RWMutex
+	// rules is only appended to or replaced whole, under mu.
+	rules []*entry
+	// policyVerdict is the policy's counter on the tracer.
+	policyVerdict trace.CounterRef
 
 	// tracer, when set, receives one verdict event per filtered packet.
 	// Installed once at kernel construction, before packet traffic starts.
 	tracer *trace.Tracer
 }
 
-// NewTable creates a filter table with an empty, accept-by-default OUTPUT
-// chain.
-func NewTable() *Table {
-	t := &Table{
-		chains: make(map[string]*Chain),
-	}
-	t.chains["OUTPUT"] = &Chain{Name: "OUTPUT", Policy: Accept}
-	return t
-}
+// NewTable creates an empty OUTPUT chain.
+func NewTable() *Table { return &Table{} }
 
 // SetTracer installs the trace sink for packet verdicts. Must be called
 // before the table sees packet traffic (the kernel does it at boot).
@@ -189,130 +186,63 @@ func (t *Table) SetTracer(tr *trace.Tracer) {
 	t.tracer = tr
 }
 
-// Append adds a rule to the end of chain.
-func (t *Table) Append(chain string, r *Rule) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.chains[chain]
-	if !ok {
+// outputChain refuses any chain but OUTPUT.
+func outputChain(chain string) error {
+	if chain != "OUTPUT" {
 		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
 	}
-	c.rules = append(c.rules, r)
-	c.stats = append(c.stats, new(ruleStats))
+	return nil
+}
+
+// Append adds a rule to the end of chain.
+func (t *Table) Append(chain string, r *Rule) error {
+	if err := outputChain(chain); err != nil {
+		return err
+	}
+	e := &entry{rule: r, name: trace.Intern(r.Name)}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.rules = append(t.rules, e)
 	return nil
 }
 
 // Flush removes all rules from chain.
 func (t *Table) Flush(chain string) error {
+	if err := outputChain(chain); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.chains[chain]
-	if !ok {
-		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
-	}
-	c.rules, c.stats = nil, nil
+	t.rules = nil
 	return nil
 }
 
-// SetPolicy changes the default verdict of chain.
-func (t *Table) SetPolicy(chain string, v Verdict) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.chains[chain]
-	if !ok {
-		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
-	}
-	c.Policy = v
-	return nil
-}
-
-// Rules returns a snapshot of chain's rules.
-func (t *Table) Rules(chain string) []*Rule {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	c, ok := t.chains[chain]
-	if !ok {
-		return nil
-	}
-	out := make([]*Rule, len(c.rules))
-	copy(out, c.rules)
-	return out
-}
-
-// Output implements netstack.OutputFilter: the chain's rules are
-// evaluated in order, like an iptables chain, and the first matching
-// rule's verdict applies; otherwise the chain policy.
+// Output implements netstack.OutputFilter: the rules are evaluated in
+// order, like an iptables chain, and the first matching rule's verdict
+// applies; otherwise the ACCEPT policy.
 func (t *Table) Output(pkt *netstack.Packet) Verdict {
 	t.mu.RLock()
-	c := t.chains["OUTPUT"]
-	rules, stats := c.rules, c.stats
-	policy := c.Policy
+	rules := t.rules
 	t.mu.RUnlock()
-	for i, r := range rules {
-		if r.matches(pkt) {
-			st := stats[i]
-			st.hits.Add(1)
-			t.tracer.NetfilterVerdictRef(&st.verdicts[verdictSlot(r.Verdict)], "OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
-			return r.Verdict
+	for _, e := range rules {
+		if e.rule.matches(pkt) {
+			t.tracer.NetfilterVerdictRef(&e.verdict, symOutput, e.name, verdictSym(e.rule.Verdict), pkt.SenderUID)
+			return e.rule.Verdict
 		}
 	}
-	t.tracer.NetfilterVerdictRef(&c.policyVerdicts[verdictSlot(policy)], "OUTPUT", "", verdictName(policy), pkt.SenderUID)
-	return policy
+	t.tracer.NetfilterVerdictRef(&t.policyVerdict, symOutput, 0, symAccept, pkt.SenderUID)
+	return Accept
 }
 
-// TableStats is a point-in-time snapshot of the table's counters.
-type TableStats struct {
-	// Matched holds every rule's match count by rule name, summed across
-	// chains. Counts live beside the chain's rules (per-rule atomics), so
-	// they do not survive a Flush of the owning chain.
-	Matched map[string]uint64
-}
-
-// Stats returns a snapshot of the table's match counters: read one
-// rule's count as Stats().Matched["rule-name"].
-func (t *Table) Stats() TableStats {
-	s := TableStats{Matched: make(map[string]uint64)}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, c := range t.chains {
-		for i, r := range c.rules {
-			s.Matched[r.Name] += c.stats[i].hits.Load()
-		}
-	}
-	return s
-}
-
-// verdictName renders a verdict in iptables target style.
-func verdictName(v Verdict) string {
-	if v == Drop {
-		return "DROP"
-	}
-	return "ACCEPT"
-}
-
-// verdictSlot indexes per-verdict counter refs by verdictName's two names.
-func verdictSlot(v Verdict) int {
-	if v == Drop {
-		return 1
-	}
-	return 0
-}
-
-// List renders the whole table in iptables -S style.
+// List renders the table in iptables -S style.
 func (t *Table) List() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var b strings.Builder
-	for name, c := range t.chains {
-		pol := "ACCEPT"
-		if c.Policy == Drop {
-			pol = "DROP"
-		}
-		fmt.Fprintf(&b, "-P %s %s\n", name, pol)
-		for _, r := range c.rules {
-			b.WriteString(r.String())
-			b.WriteByte('\n')
-		}
+	b.WriteString("-P OUTPUT ACCEPT\n")
+	for _, e := range t.rules {
+		b.WriteString(e.rule.String())
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -1,10 +1,12 @@
 package netfilter
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"protego/internal/errno"
 	"protego/internal/netstack"
 	"protego/internal/trace"
 )
@@ -91,14 +93,20 @@ func TestNonRawTrafficUntouched(t *testing.T) {
 
 func TestRuleMatchCounters(t *testing.T) {
 	tbl := protegoTable(t)
+	tr := trace.New(0)
+	tbl.SetTracer(tr)
 	_ = tbl.Output(icmpEcho(true))
 	_ = tbl.Output(rawTCP(true, false))
-	stats := tbl.Stats()
-	if stats.Matched["allow-unpriv-icmp-echo"] != 1 {
-		t.Fatalf("counters: %v", stats.Matched)
-	}
-	if stats.Matched["drop-unpriv-raw-tcp"] != 1 {
-		t.Fatalf("counters: %v", stats.Matched)
+	_ = tbl.Output(&netstack.Packet{Proto: netstack.IPPROTO_TCP, DstPort: 80})
+	ctrs := tr.Counters()
+	for _, key := range []trace.CounterKey{
+		{Hook: "netfilter:OUTPUT", Module: "allow-unpriv-icmp-echo", Decision: "ACCEPT"},
+		{Hook: "netfilter:OUTPUT", Module: "drop-unpriv-raw-tcp", Decision: "DROP"},
+		{Hook: "netfilter:OUTPUT", Module: "(policy)", Decision: "ACCEPT"},
+	} {
+		if ctrs[key] != 1 {
+			t.Errorf("%v = %d, want 1: %v", key, ctrs[key], ctrs)
+		}
 	}
 }
 
@@ -154,20 +162,11 @@ func TestFlushAndPolicy(t *testing.T) {
 	if v := tbl.Output(rawTCP(true, false)); v != Accept {
 		t.Fatal("flushed table accepts")
 	}
-	if err := tbl.SetPolicy("OUTPUT", Drop); err != nil {
-		t.Fatal(err)
+	if err := tbl.Flush("NOCHAIN"); !errors.Is(err, errno.ENOENT) {
+		t.Fatalf("flush of unknown chain: %v, want ENOENT", err)
 	}
-	if v := tbl.Output(icmpEcho(false)); v != Drop {
-		t.Fatal("policy drop ignored")
-	}
-	if err := tbl.Flush("NOCHAIN"); err == nil {
-		t.Fatal("flush of unknown chain should fail")
-	}
-	if err := tbl.SetPolicy("NOCHAIN", Drop); err == nil {
-		t.Fatal("policy on unknown chain should fail")
-	}
-	if err := tbl.Append("NOCHAIN", &Rule{}); err == nil {
-		t.Fatal("append to unknown chain should fail")
+	if err := tbl.Append("NOCHAIN", &Rule{}); !errors.Is(err, errno.ENOENT) {
+		t.Fatalf("append to unknown chain: %v, want ENOENT", err)
 	}
 }
 
@@ -201,12 +200,15 @@ func TestListRendering(t *testing.T) {
 
 func TestRulesSnapshot(t *testing.T) {
 	tbl := protegoTable(t)
-	rules := tbl.Rules("OUTPUT")
-	if len(rules) != len(ProtegoDefaultRules()) {
-		t.Fatalf("rules = %d", len(rules))
+	lines := strings.Split(strings.TrimSuffix(tbl.List(), "\n"), "\n")
+	if len(lines) != 1+len(ProtegoDefaultRules()) {
+		t.Fatalf("listing has %d lines, want the policy and %d rules:\n%s",
+			len(lines), len(ProtegoDefaultRules()), tbl.List())
 	}
-	if tbl.Rules("NOCHAIN") != nil {
-		t.Fatal("unknown chain should yield nil")
+	for i, r := range ProtegoDefaultRules() {
+		if lines[1+i] != r.String() {
+			t.Errorf("line %d = %q, want %q", 1+i, lines[1+i], r.String())
+		}
 	}
 }
 
@@ -250,9 +252,9 @@ func TestSpoofedAlwaysDroppedProperty(t *testing.T) {
 }
 
 // TestCloneSharesRulesKeepsOwnCounters: a clone shares the rule
-// definitions, the traceroute port list included, but counts matches and
-// verdicts on its own, and an Append or Flush on it leaves the source's
-// chain as it was.
+// definitions, the traceroute port list included, but counts matches on
+// its own tracer, and an Append or Flush on it leaves the source's rules
+// as they were.
 func TestCloneSharesRulesKeepsOwnCounters(t *testing.T) {
 	src := protegoTable(t)
 	srcTr := trace.New(0)
@@ -262,32 +264,27 @@ func TestCloneSharesRulesKeepsOwnCounters(t *testing.T) {
 	c := src.Clone()
 	cTr := trace.New(0)
 	c.SetTracer(cTr)
-	srcRules, cRules := src.Rules("OUTPUT"), c.Rules("OUTPUT")
-	if len(cRules) != len(srcRules) {
-		t.Fatalf("clone has %d rules, source %d", len(cRules), len(srcRules))
+	if len(c.rules) != len(src.rules) {
+		t.Fatalf("clone has %d rules, source %d", len(c.rules), len(src.rules))
 	}
-	for i := range cRules {
-		if cRules[i] != srcRules[i] {
-			t.Errorf("rule %d (%s) copied, not shared", i, srcRules[i].Name)
+	for i := range c.rules {
+		if c.rules[i].rule != src.rules[i].rule {
+			t.Errorf("rule %d (%s) copied, not shared", i, src.rules[i].rule.Name)
 		}
 	}
-	if n := c.Stats().Matched["allow-unpriv-icmp-echo"]; n != 0 {
+	echo := trace.CounterKey{Hook: "netfilter:OUTPUT", Module: "allow-unpriv-icmp-echo", Decision: "ACCEPT"}
+	if n := cTr.Counters()[echo]; n != 0 {
 		t.Fatalf("clone starts with %d matches, want 0", n)
 	}
 	_ = c.Output(icmpEcho(true))
 	_ = c.Output(icmpEcho(true))
-	echo := trace.CounterKey{Hook: "netfilter:OUTPUT", Module: "allow-unpriv-icmp-echo", Decision: "ACCEPT"}
 	for _, side := range []struct {
 		name string
-		tbl  *Table
 		tr   *trace.Tracer
 		want uint64
-	}{{"source", src, srcTr, 1}, {"clone", c, cTr, 2}} {
-		if n := side.tbl.Stats().Matched["allow-unpriv-icmp-echo"]; n != side.want {
-			t.Errorf("%s: %d matches, want %d", side.name, n, side.want)
-		}
+	}{{"source", srcTr, 1}, {"clone", cTr, 2}} {
 		if n := side.tr.Counters()[echo]; n != side.want {
-			t.Errorf("%s: %d verdicts on its tracer, want %d", side.name, n, side.want)
+			t.Errorf("%s: %d matches on its tracer, want %d", side.name, n, side.want)
 		}
 	}
 
@@ -297,8 +294,8 @@ func TestCloneSharesRulesKeepsOwnCounters(t *testing.T) {
 	if err := c.Flush("OUTPUT"); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.Rules("OUTPUT"); len(got) != len(srcRules) {
-		t.Fatalf("source has %d rules after the clone's append and flush, want %d", len(got), len(srcRules))
+	if n := len(src.rules); n != len(ProtegoDefaultRules()) {
+		t.Fatalf("source has %d rules after the clone's append and flush, want %d", n, len(ProtegoDefaultRules()))
 	}
 	if v := src.Output(rawTCP(true, false)); v != Drop {
 		t.Fatal("source lost its rules to the clone's flush")

@@ -98,12 +98,6 @@ func (p *Profile) Names() []string {
 	return out
 }
 
-// Clone returns an independent copy.
-func (p *Profile) Clone() *Profile {
-	cp := *p
-	return &cp
-}
-
 // ProfileSet holds a machine image's learned profiles: one per profiled
 // binary plus the machine-wide union applied to tasks running unprofiled
 // binaries. Learning mutates the set (through Observe, serialized by the

@@ -10,7 +10,6 @@ package survey
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -156,12 +155,4 @@ func FormatTable8() string {
 	fmt.Fprintf(&b, "\n%d/%d binaries use interfaces Protego already mediates\n",
 		AddressedBinaries(), TotalTable8Binaries())
 	return b.String()
-}
-
-// SortedByWeight returns Table 3 sorted by recomputed weighted average,
-// descending — the paper's presentation order.
-func SortedByWeight() []PackageStat {
-	out := append([]PackageStat(nil), Table3...)
-	sort.Slice(out, func(i, j int) bool { return out[i].WeightedAvg() > out[j].WeightedAvg() })
-	return out
 }

@@ -46,10 +46,10 @@ func TestTable3Properties(t *testing.T) {
 }
 
 func TestSortedByWeightMatchesPaperOrder(t *testing.T) {
-	sorted := SortedByWeight()
-	for i := range sorted {
-		if sorted[i].Name != Table3[i].Name {
-			t.Fatalf("row %d: sorted order %q differs from paper order %q", i, sorted[i].Name, Table3[i].Name)
+	for i := 1; i < len(Table3); i++ {
+		if prev, row := &Table3[i-1], &Table3[i]; row.WeightedAvg() > prev.WeightedAvg() {
+			t.Fatalf("row %d: %q (%.2f%%) outweighs %q (%.2f%%) above it in the paper's order",
+				i, row.Name, row.WeightedAvg(), prev.Name, prev.WeightedAvg())
 		}
 	}
 }

@@ -21,6 +21,7 @@ func TestResolvedSlotsExact(t *testing.T) {
 	var grant, nfDrop, authOK CounterRef
 	getpid, mountCheck := Intern("getpid"), Intern("MountCheck")
 	symGrant, protego := Intern("grant"), Intern("protego")
+	output, r1, drop := Intern("OUTPUT"), Intern("r1"), Intern("DROP")
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -32,14 +33,14 @@ func TestResolvedSlotsExact(t *testing.T) {
 				tr.HookDecision(&hook, mountCheck, 1, 0, symGrant, protego, nil, Now())
 				tr.CountDecisionRef(&grant, mountCheck, protego, symGrant)
 				tr.CountDecisionRef(nil, mountCheck, protego, symGrant)
-				tr.NetfilterVerdictRef(&nfDrop, "OUTPUT", "r1", "DROP", 0)
+				tr.NetfilterVerdictRef(&nfDrop, output, r1, drop, 0)
 				tr.AuthCheckRef(&authOK, "password", "alice", 1, 0, true)
 			}
 		}()
 	}
 	wg.Wait()
 	const n = writers * calls
-	if got := tr.Histogram("getpid").Count; got != 2*n {
+	if got := tr.Histograms()["syscall:getpid"].Count; got != 2*n {
 		t.Errorf("getpid histogram count = %d, want %d (by number and by name share one)", got, 2*n)
 	}
 	if got := tr.HookHistogram("MountCheck").Count; got != n {
@@ -63,7 +64,7 @@ func TestResolvedSlotsExact(t *testing.T) {
 		tr.SyscallExit(tr.SyscallEnterNo(7, getpid, 1, 0), nil)
 		tr.HookDecision(&hook, mountCheck, 1, 0, symGrant, protego, nil, Now())
 		tr.CountDecisionRef(&grant, mountCheck, protego, symGrant)
-		tr.NetfilterVerdictRef(&nfDrop, "OUTPUT", "r1", "DROP", 0)
+		tr.NetfilterVerdictRef(&nfDrop, output, r1, drop, 0)
 		tr.AuthCheckRef(&authOK, "password", "alice", 1, 0, true)
 	}); a != 0 {
 		t.Errorf("resolved producers allocate %.0f times per round", a)
@@ -83,9 +84,7 @@ func TestFirstUseOnePointerFreeAlloc(t *testing.T) {
 	const runs = 10
 	open, getpid := Intern("open"), Intern("getpid")
 	mountCheck, protego, grant := Intern("MountCheck"), Intern("protego"), Intern("grant")
-	Intern("OUTPUT")
-	Intern("r1")
-	Intern("DROP")
+	output, r1, drop := Intern("OUTPUT"), Intern("r1"), Intern("DROP")
 	tracers := make([]*Tracer, runs+1)
 	for i := range tracers {
 		tracers[i] = New(64)
@@ -101,7 +100,7 @@ func TestFirstUseOnePointerFreeAlloc(t *testing.T) {
 		tr.SyscallExit(tr.SyscallEnterNo(2, getpid, 1, 0), nil)
 		tr.HookDecision(hook, mountCheck, 1, 0, grant, protego, nil, Now())
 		tr.CountDecisionRef(&ctr[0], mountCheck, protego, grant)
-		tr.NetfilterVerdictRef(&ctr[1], "OUTPUT", "r1", "DROP", 0)
+		tr.NetfilterVerdictRef(&ctr[1], output, r1, drop, 0)
 	})
 	if a != 4 {
 		t.Errorf("first uses of a syscall, a hook and two counters allocate %.0f times, want 4", a)

@@ -69,8 +69,8 @@ func TestRingRoundTrip(t *testing.T) {
 	exit(errors.New("boom"), "boom")
 
 	tr.HookDecision(&hook, Intern("MountCheck"), 7, 1000, Intern("deny"), Intern("protego"), errno.EPERM, Now())
-	tr.NetfilterVerdictRef(nil, "OUTPUT", "drop-unpriv-raw-tcp", "DROP", 1001)
-	tr.NetfilterVerdictRef(nil, "OUTPUT", "", "ACCEPT", 1001)
+	tr.NetfilterVerdictRef(nil, Intern("OUTPUT"), Intern("drop-unpriv-raw-tcp"), Intern("DROP"), 1001)
+	tr.NetfilterVerdictRef(nil, Intern("OUTPUT"), 0, Intern("ACCEPT"), 1001)
 	tr.MonitordSync("mounts", Now(), errors.New("torn read"))
 	tr.AuthCheckRef(nil, "password", "alice", 9, 1000, false)
 	tr.FaultInject("sys.open", "err", errno.EACCES, 3)

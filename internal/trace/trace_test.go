@@ -190,15 +190,11 @@ func TestTracerSyscallRoundTrip(t *testing.T) {
 	if evs[1].PID != 42 || evs[1].UID != 1000 {
 		t.Fatalf("exit pid/uid = %d/%d", evs[1].PID, evs[1].UID)
 	}
-	h := tr.Histogram("open")
-	if h.Count != 1 {
-		t.Fatalf("histogram count = %d, want 1", h.Count)
-	}
 	if got := tr.Histograms()["syscall:open"].Count; got != 1 {
 		t.Fatalf(`Histograms()["syscall:open"].Count = %d, want 1`, got)
 	}
-	if tr.Histogram("never-called").Count != 0 {
-		t.Fatal("unknown syscall should report zero stats")
+	if tr.HookHistogram("never-called").Count != 0 {
+		t.Fatal("an unknown name should report zero stats")
 	}
 
 	// Once its histogram and the ring's chunks exist, a by-name
@@ -235,7 +231,7 @@ func TestTracerCountersAndStats(t *testing.T) {
 	tr.CountDecisionRef(nil, Intern("MountCheck"), Intern("protego"), Intern("grant"))
 	tr.CountDecisionRef(nil, Intern("MountCheck"), Intern("protego"), Intern("grant"))
 	tr.CountDecisionRef(nil, Intern("MountCheck"), Intern("apparmor"), Intern("no-opinion"))
-	tr.NetfilterVerdictRef(nil, "OUTPUT", "drop-unpriv-raw-tcp", "DROP", 1000)
+	tr.NetfilterVerdictRef(nil, Intern("OUTPUT"), Intern("drop-unpriv-raw-tcp"), Intern("DROP"), 1000)
 	tr.AuthCheckRef(nil, "password", "alice", 7, 1000, false)
 	tr.Audit("mount denied")
 
@@ -249,9 +245,6 @@ func TestTracerCountersAndStats(t *testing.T) {
 	}
 	if s.ByKind["lsm"] != 1 || s.ByKind["netfilter"] != 1 || s.ByKind["auth"] != 1 || s.ByKind["audit"] != 1 {
 		t.Fatalf("ByKind = %v", s.ByKind)
-	}
-	if tr.EmittedKind(KindAudit) != 1 {
-		t.Fatalf("EmittedKind(audit) = %d", tr.EmittedKind(KindAudit))
 	}
 
 	out := tr.RenderStats()
@@ -271,7 +264,7 @@ func TestTracerNilSafe(t *testing.T) {
 	tr.SyscallExit(tok, nil)
 	tr.HookDecision(nil, Intern("MountCheck"), 1, 2, Intern("deny"), 0, nil, 0)
 	tr.CountDecisionRef(nil, Intern("h"), Intern("m"), Intern("d"))
-	tr.NetfilterVerdictRef(nil, "OUTPUT", "", "ACCEPT", 0)
+	tr.NetfilterVerdictRef(nil, Intern("OUTPUT"), 0, Intern("ACCEPT"), 0)
 	tr.MonitordSync("mounts", 0, nil)
 	tr.AuthCheckRef(nil, "password", "alice", 1, 2, true)
 	tr.FaultInject("sys.open", "err", errno.EIO, 1)
@@ -312,7 +305,7 @@ func TestTracerConcurrentMixedUse(t *testing.T) {
 					if i%8 == 3 {
 						tr.Audit("line")
 					} else {
-						tr.NetfilterVerdictRef(nil, "OUTPUT", fmt.Sprint("mixed-rule-", w, "-", i%16), "DROP", w)
+						tr.NetfilterVerdictRef(nil, Intern("OUTPUT"), Intern(fmt.Sprint("mixed-rule-", w, "-", i%16)), Intern("DROP"), w)
 					}
 				}
 				if i%512 == 0 {
@@ -325,8 +318,8 @@ func TestTracerConcurrentMixedUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if tr.Histogram("getpid").Count != 6*500 {
-		t.Fatalf("getpid histogram count = %d, want %d", tr.Histogram("getpid").Count, 6*500)
+	if tr.Histograms()["syscall:getpid"].Count != 6*500 {
+		t.Fatalf("getpid histogram count = %d, want %d", tr.Histograms()["syscall:getpid"].Count, 6*500)
 	}
 	for _, ev := range tr.SnapshotKind(KindNetfilterVerdict) {
 		if ev.Name != "OUTPUT" || !strings.HasPrefix(ev.Module, "mixed-rule-") || ev.Decision != "DROP" {

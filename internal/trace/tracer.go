@@ -257,14 +257,15 @@ func (tr *Tracer) CountDecisionRef(ref *CounterRef, hook, module, decision Sym) 
 }
 
 // NetfilterVerdictRef records an OUTPUT-chain verdict; rule is the
-// matching rule name (empty when the chain's default policy applied). The
-// producer keeps the verdict's counter in ref (nil resolves it by key).
-func (tr *Tracer) NetfilterVerdictRef(ref *CounterRef, chain, rule, verdict string, senderUID int) {
+// matching rule's name (0 when the chain's policy applied). The producer
+// holds the names as symbols and keeps the verdict's counter in ref (nil
+// resolves it by key), so a verdict interns nothing.
+func (tr *Tracer) NetfilterVerdictRef(ref *CounterRef, chain, rule, verdict Sym, senderUID int) {
 	if tr == nil {
 		return
 	}
-	rec := record{kind: KindNetfilterVerdict, name: Intern(chain), uid: int32(senderUID),
-		module: Intern(rule), decision: Intern(verdict), time: Now()}
+	rec := record{kind: KindNetfilterVerdict, name: chain, uid: int32(senderUID),
+		module: rule, decision: verdict, time: Now()}
 	tr.emit(&rec, "")
 	key := counterKey{hook: rec.name, module: rec.module, decision: rec.decision, group: groupNetfilter}
 	if key.module == 0 {
@@ -386,12 +387,6 @@ func (tr *Tracer) SnapshotKind(k Kind) []Event {
 	return tr.ring.snapshot(func(kind Kind) bool { return kind == k })
 }
 
-// Histogram returns the latency stats for one syscall (zero stats when the
-// syscall was never observed).
-func (tr *Tracer) Histogram(syscall string) HistStats {
-	return tr.histStats(groupSyscall, syscall)
-}
-
 // HookHistogram returns the latency stats for one LSM hook.
 func (tr *Tracer) HookHistogram(hook string) HistStats {
 	return tr.histStats(groupLSM, hook)
@@ -460,9 +455,6 @@ func (tr *Tracer) Stats() Stats {
 	}
 	return s
 }
-
-// EmittedKind returns how many events of one kind were ever emitted.
-func (tr *Tracer) EmittedKind(k Kind) uint64 { return tr.emitted[k].Load() }
 
 // --- rendering (the /proc/trace files and the CLI report) ---
 

@@ -1,6 +1,7 @@
 package userspace
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -22,10 +23,12 @@ const PppDevice = "/dev/ppp"
 //
 // Baseline: setuid root; when invoked by a non-root user it enforces the
 // /etc/ppp/options policy itself (safe session parameters only; routes
-// only if enabled and non-conflicting), read through the parser the
+// only if enabled and overlapping neither an installed route nor an
+// earlier route of the same request), read through the parser the
 // kernel's policy uses, and then issues the privileged ioctls with euid 0.
 // Protego: it just issues the ioctls; the kernel's LSM enforces the same
-// policy (and the route-conflict check).
+// policy (and the route-conflict check, which sees each route the session
+// added before).
 func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 	args := t.Argv()[1:]
 	if len(args) < 1 {
@@ -84,8 +87,8 @@ func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 				return 1
 			}
 		}
-		for _, r := range routes {
-			if !opts.AllowUserRoutes || k.Net.RouteConflicts(r) {
+		for i, r := range routes {
+			if !opts.AllowUserRoutes || k.Net.RouteConflicts(r) || slices.ContainsFunc(routes[:i], r.Overlaps) {
 				t.Errorf("pppd: route %s not permitted\n", r)
 				return 1
 			}
@@ -97,11 +100,16 @@ func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 		return 1
 	}
 	// Once attached, a failed parameter or route request must tear the
-	// session back down; otherwise a refusal on Protego (where the checks
-	// happen at the ioctl, after attach) would strand the modem in-use
-	// while the baseline (which pre-checks before any euid-0 action)
-	// leaves it free.
+	// session back down, the routes it added first; otherwise a refusal on
+	// Protego (where the checks happen at the ioctl, after attach) would
+	// strand the modem in-use and the routes installed while the baseline
+	// (which pre-checks before any euid-0 action) leaves both as they were.
+	// A teardown step's error is dropped: pppd exits 1 either way.
+	var added []netstack.Route
 	fail := func() int {
+		for _, r := range added {
+			_ = k.DelRoute(t, r.Dest, r.PrefixLen)
+		}
 		_ = k.Ioctl(t, PppDevice, kernel.PPPIOCDETACH, iface)
 		return 1
 	}
@@ -116,6 +124,7 @@ func PppdMain(k *kernel.Kernel, t *kernel.Task) int {
 			t.Errorf("pppd: route %s: %v\n", r, err)
 			return fail()
 		}
+		added = append(added, r)
 	}
 	t.Printf("pppd: %s up\n", iface)
 	return 0

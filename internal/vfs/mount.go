@@ -3,7 +3,6 @@ package vfs
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"protego/internal/errno"
 )
@@ -15,19 +14,8 @@ type Mount struct {
 	FSType    string   // e.g. iso9660, ext4, vfat
 	Options   []string // normalized option list
 	ReadOnly  bool
-	MountedBy int // uid of the task that performed the mount
-	MountTime time.Time
+	MountedBy int  // uid of the task that performed the mount
 	UserMount bool // true if performed by a non-root uid
-}
-
-// HasOption reports whether the mount carries the named option.
-func (m *Mount) HasOption(opt string) bool {
-	for _, o := range m.Options {
-		if o == opt {
-			return true
-		}
-	}
-	return false
 }
 
 // AttachMount grafts a fresh file system subtree at the directory `point`,
@@ -64,7 +52,6 @@ func (fs *FS) AttachMount(c Cred, m *Mount) error {
 	ino.children = make(map[string]*Inode)
 	mcopy := *m
 	mcopy.Point = clean
-	mcopy.MountTime = time.Now()
 	sort.Strings(mcopy.Options)
 	fs.mounts = append(fs.mounts, &mcopy)
 	// The graft swapped the mount point's children but not its inode:

@@ -170,11 +170,11 @@ func TestDACCapabilityOverride(t *testing.T) {
 	if err := fs.WriteFile(root, "/etc/shadow", []byte("secret"), 0o600, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	overrider := testCred{uid: 1000, gid: 1000, caps: caps.Of(caps.CAP_DAC_OVERRIDE)}
+	overrider := testCred{uid: 1000, gid: 1000, caps: caps.Set(1) << caps.CAP_DAC_OVERRIDE}
 	if _, err := fs.ReadFile(overrider, "/etc/shadow"); err != nil {
 		t.Fatalf("CAP_DAC_OVERRIDE read: %v", err)
 	}
-	searcher := testCred{uid: 1000, gid: 1000, caps: caps.Of(caps.CAP_DAC_READ_SEARCH)}
+	searcher := testCred{uid: 1000, gid: 1000, caps: caps.Set(1) << caps.CAP_DAC_READ_SEARCH}
 	if _, err := fs.ReadFile(searcher, "/etc/shadow"); err != nil {
 		t.Fatalf("CAP_DAC_READ_SEARCH read: %v", err)
 	}

@@ -34,7 +34,7 @@ func requireSame(t *testing.T, what string, want, got fingerprint) {
 // setuid bits, /dev/ppp perms) has a normalization rule, and this test is
 // the canary for a new build-time asymmetry leaking into the serializer.
 func TestFingerprintFreshImagesEqual(t *testing.T) {
-	lin, err := BuildLinux()
+	lin, err := Build(Options{Mode: kernel.ModeLinux})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,33 @@
 package world
 
 import (
+	"slices"
 	"testing"
 
-	"protego/internal/apparmor"
 	"protego/internal/core"
 	"protego/internal/errno"
 	"protego/internal/kernel"
+	"protego/internal/lsm"
 	"protego/internal/vfs"
 )
+
+// writeProfile denies its binary every write outside allow, as a loaded
+// AppArmor profile's write set would.
+type writeProfile struct {
+	lsm.Base
+	binary string
+	allow  []string
+}
+
+func (p writeProfile) Name() string { return "write-profile" }
+
+func (p writeProfile) FileOpen(t lsm.Task, req lsm.OpenRequest) (lsm.Decision, error) {
+	if !req.Write || t.BinaryPath() != p.binary ||
+		slices.ContainsFunc(p.allow, func(dir string) bool { return vfs.IsUnder(req.Path, dir) }) {
+		return lsm.NoOpinion, nil
+	}
+	return lsm.Deny, errno.EACCES
+}
 
 // goldenClones runs fn on a fresh clone of each image's golden build.
 func goldenClones(t *testing.T, fn func(t *testing.T, m *Machine)) {
@@ -232,7 +251,7 @@ func TestOpenPathsAgree(t *testing.T) {
 	rows := []struct {
 		name, user, path string
 		protegoOnly      bool
-		writeOnly        []string // AppArmor write paths of the user's binary
+		writeOnly        []string // write paths a profile allows the user's binary
 		calls            []string
 		want             error
 	}{
@@ -265,7 +284,7 @@ func TestOpenPathsAgree(t *testing.T) {
 					}
 					task := session(t, m, row.user)
 					if row.writeOnly != nil {
-						m.AppArmor.LoadProfile(&apparmor.Profile{Binary: task.BinaryPath(), WritePaths: row.writeOnly})
+						m.K.LSM.Register(writeProfile{binary: task.BinaryPath(), allow: row.writeOnly})
 					}
 					before, _ := m.K.FS.Lookup(vfs.RootCred, row.path)
 					dir, _ := vfs.SplitPath(row.path)

@@ -537,7 +537,7 @@ func cloneWorkload(m *Machine, sess *kernel.Task, marker string) error {
 // and shares the netfilter rules. Allocation counts are deterministic,
 // unlike a wall-clock clone-rate ratio.
 func TestCloneAllocs(t *testing.T) {
-	ceiling := map[kernel.Mode]float64{kernel.ModeLinux: 42, kernel.ModeProtego: 66}
+	ceiling := map[kernel.Mode]float64{kernel.ModeLinux: 37, kernel.ModeProtego: 58}
 	for _, mode := range []kernel.Mode{kernel.ModeLinux, kernel.ModeProtego} {
 		t.Run(mode.String(), func(t *testing.T) {
 			snap, err := Golden(mode)

@@ -114,7 +114,7 @@ func TestConcurrentKernelStress(t *testing.T) {
 	if byKind != st.Emitted {
 		t.Fatalf("per-kind emissions sum to %d, ring emitted %d", byKind, st.Emitted)
 	}
-	if h := m.K.Trace.Histogram("stat"); h.Count < workers*iters {
+	if h := m.K.Trace.Histograms()["syscall:stat"]; h.Count < workers*iters {
 		t.Fatalf("stat histogram count = %d, want >= %d", h.Count, workers*iters)
 	}
 	root, err := m.Session("root")

@@ -112,10 +112,6 @@ func Build(opts Options) (*Machine, error) {
 	m.Auth = authsvc.New(m.DB)
 	m.Auth.SetTracer(k.Trace)
 	if opts.Mode == kernel.ModeProtego {
-		// Protego targets current kernels: unprivileged user+network
-		// namespaces are available (Linux >= 3.8, §4.6), so even
-		// chromium-sandbox needs no setuid bit.
-		k.SetUnprivNamespaces(true)
 		m.Protego = core.New(k, m.DB, m.Auth)
 		if err := m.Protego.Install(); err != nil {
 			return nil, fmt.Errorf("world: protego: %w", err)
@@ -152,9 +148,6 @@ func (m *Machine) SetFaultInjector(in *faultinject.Injector) {
 	m.K.SetFaultInjector(in)
 	m.Auth.SetFaultInjector(in)
 }
-
-// BuildLinux builds the baseline image.
-func BuildLinux() (*Machine, error) { return Build(Options{Mode: kernel.ModeLinux}) }
 
 // BuildProtego builds the Protego image.
 func BuildProtego() (*Machine, error) { return Build(Options{Mode: kernel.ModeProtego}) }
@@ -431,16 +424,6 @@ var setuidBinaries = map[string]bool{
 	userspace.BinEject:           true,
 	userspace.BinFping:           true,
 	userspace.BinTracepath:       true,
-}
-
-// SetuidBinaries exposes the baseline's setuid set (for the survey and
-// security evaluation).
-func SetuidBinaries() []string {
-	out := make([]string, 0, len(setuidBinaries))
-	for p := range setuidBinaries {
-		out = append(out, p)
-	}
-	return out
 }
 
 func (m *Machine) installBinaries() error {
